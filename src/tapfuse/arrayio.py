@@ -25,9 +25,14 @@ def write_array(arr: np.ndarray) -> bytes:
 def read_array(data: bytes) -> np.ndarray:
     if data[:4] != TNS_MAGIC:
         raise MalformedRecord(f"bad array magic {data[:4]!r}")
+    if len(data) < 8:
+        raise MalformedRecord(f"array header cut short at {len(data)} bytes")
     (rank,) = struct.unpack_from("<I", data, 4)
-    dims = struct.unpack_from(f"<{rank}I", data, 8)
     offset = 8 + 4 * rank
+    if len(data) < offset:
+        raise MalformedRecord(
+            f"array header is {len(data)} bytes, rank {rank} needs {offset}")
+    dims = struct.unpack_from(f"<{rank}I", data, 8)
     count = int(np.prod(dims)) if rank else 1
     if len(data) != offset + 8 * count:
         raise MalformedRecord(

@@ -232,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("bench")
     p_repr = sub.add_parser("repr")
     p_repr.add_argument("--stream", type=Path, required=True)
-    p_repr.add_argument("--bin", type=int, default=0)
+    # bin 0 ends at the first query time, (0, 0] on every config timeline
+    p_repr.add_argument("--bin", type=int, default=1)
     p_repr.add_argument("--kind", default="time_surface")
     return ap
 

@@ -9,6 +9,7 @@ finite differences.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +62,8 @@ class TransientState:
 
 @dataclass(frozen=True)
 class FeaturePyramid:
-    """Three fused feature maps at strides (8, 4, 2) of the input."""
+    """Three fused feature maps at strides (8, 4, 2) of the input, each
+    (h, w, C), or (W, h, w, C) stacked over a window's W steps."""
 
     levels: tuple[np.ndarray, np.ndarray, np.ndarray]
     strides: tuple[int, int, int] = (8, 4, 2)
@@ -263,14 +265,15 @@ def taf_update(state: TransientState, batch: EventBatch,
 # ---------------------------------------------------------------------------
 
 def sinusoidal_encoding(positions: np.ndarray, dim: int) -> np.ndarray:
-    """Standard interleaved sin/cos encoding of scalar positions."""
+    """Standard interleaved sin/cos encoding of scalar positions. An odd
+    dim has one more sin slot than cos slots."""
     positions = np.asarray(positions, dtype=np.float64)
     half = dim // 2
-    freqs = np.exp(-np.log(10000.0) * np.arange(half) / max(half, 1))
+    freqs = np.exp(-np.log(10000.0) * np.arange(dim - half) / max(half, 1))
     ang = positions[..., None] * freqs
     enc = np.zeros(positions.shape + (dim,))
     enc[..., 0::2] = np.sin(ang)
-    enc[..., 1::2] = np.cos(ang[..., : dim - half])
+    enc[..., 1::2] = np.cos(ang[..., :half])
     return enc
 
 
@@ -358,22 +361,35 @@ def temporal_attention_backward(cache: dict, upstream: np.ndarray,
 # Pyramid decoder
 # ---------------------------------------------------------------------------
 
-def _upsample2(x: np.ndarray) -> np.ndarray:
-    return np.repeat(np.repeat(x, 2, axis=0), 2, axis=1)
-
-
-def decode_pyramid(state: TransientState,
+def decode_pyramid(states: TransientState | Sequence[TransientState],
                    skips: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
                    weights: WeightBundle) -> FeaturePyramid:
     """Decode the token grid into 3 feature maps at strides 8/4/2 via
-    nearest-neighbor upsampling, linear channel mixing, and skip addition."""
-    rows, cols = state.tokens.grid
-    x = state.tokens.values.reshape(rows, cols, -1)
+    nearest-neighbor upsampling, linear channel mixing, and skip addition.
+
+    A single state decodes to (h, w, C) levels. A window of W states
+    decodes in one pass to stacked (W, h, w, C) levels, slice t being the
+    decode of state t."""
+    if isinstance(states, TransientState):
+        grid, x = states.tokens.grid, states.tokens.values
+    else:
+        grids = {s.tokens.grid for s in states}
+        if len(grids) != 1:
+            raise ShapeMismatch(f"a window needs one token grid, got {grids}")
+        (grid,) = grids
+        x = np.stack([s.tokens.values for s in states])
+    rows, cols = grid
+    x = x.reshape(x.shape[:-2] + (rows, cols, -1))
     levels = []
     for lvl in range(3):
+        # 2x nearest-neighbour upsampling repeats columns before the channel
+        # mix and rows after it: a repeated row mixes to the same values, so
+        # this equals mixing the fully upsampled map, in half the memory
         if lvl > 0:
-            x = _upsample2(x)
+            x = np.repeat(x, 2, axis=-2)
         x = x @ weights[f"dec.w{lvl}"] + weights[f"dec.b{lvl}"]
+        if lvl > 0:
+            x = np.repeat(x, 2, axis=-3)
         if skips is not None and skips[lvl] is not None:
             skip = np.asarray(skips[lvl], dtype=np.float64)
             if skip.shape != x.shape:

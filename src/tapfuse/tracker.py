@@ -6,7 +6,8 @@ anchor patch, encodes the correlation matrices with per-level MLPs, and
 runs a small spatio-temporal transformer that predicts residual position
 and visibility updates. track_sequence drives the transient-fusion state
 machine along the query-time grid and slides W-step windows with 50%
-overlap over the resulting pyramids.
+overlap over the resulting states, decoding each window once into a
+stacked pyramid that all queries share.
 """
 
 from __future__ import annotations
@@ -109,28 +110,39 @@ def parse_track_set(data: bytes) -> TrackSet:
 # Patch sampling and correlation features
 # ---------------------------------------------------------------------------
 
-def sample_patch(level: np.ndarray, center: tuple[float, float], r: int,
+def sample_patch(level: np.ndarray,
+                 center: tuple[float, float] | np.ndarray, r: int,
                  stride: int = 1) -> np.ndarray:
     """Bilinear (2r+1)x(2r+1)xC patch around center (input-resolution px),
-    with taps spaced by the level's stride. Out-of-bounds taps read 0."""
+    with taps spaced by the level's stride. Out-of-bounds taps read 0.
+
+    A stacked (W, h, w, C) level with (W, 2) centers samples all W steps
+    in one gather per bilinear corner and returns (W, 2r+1, 2r+1, C);
+    step t equals the single-centre call on level[t] with center[t].
+    """
     level = np.asarray(level, dtype=np.float64)
-    h, w, c = level.shape
-    cx, cy = center[0] / stride, center[1] / stride
+    single = level.ndim == 3
+    levels = level[None] if single else level
+    n, h, w, c = levels.shape
+    centers = np.asarray(center, dtype=np.float64).reshape(-1, 2)
+    if len(centers) != n:
+        raise ShapeMismatch(f"{len(centers)} centers for {n} level steps")
     offs = np.arange(-r, r + 1, dtype=np.float64)
-    px = cx + offs[None, :]
-    py = cy + offs[:, None]
+    px = centers[:, 0, None, None] / stride + offs[None, None, :]
+    py = centers[:, 1, None, None] / stride + offs[None, :, None]
     x0 = np.floor(px).astype(np.int64)
     y0 = np.floor(py).astype(np.int64)
     fx, fy = px - x0, py - y0
-    patch = np.zeros((2 * r + 1, 2 * r + 1, c))
+    steps = np.arange(n)[:, None, None]
+    patch = np.zeros((n, 2 * r + 1, 2 * r + 1, c))
     for dy_i, wy in ((0, 1.0 - fy), (1, fy)):
         for dx_i, wx in ((0, 1.0 - fx), (1, fx)):
             xs, ys = x0 + dx_i, y0 + dy_i
             ok = (xs >= 0) & (xs < w) & (ys >= 0) & (ys < h)
             weight = np.where(ok, wy * wx, 0.0)
-            vals = level[np.clip(ys, 0, h - 1), np.clip(xs, 0, w - 1)]
-            patch += weight[:, :, None] * vals
-    return patch
+            vals = levels[steps, np.clip(ys, 0, h - 1), np.clip(xs, 0, w - 1)]
+            patch += weight[..., None] * vals
+    return patch[0] if single else patch
 
 
 def _relu(x):
@@ -190,28 +202,28 @@ def _refiner_transformer(x: np.ndarray, weights: WeightBundle) -> np.ndarray:
     return x
 
 
-def refine_track(state: TrackState, pyramids: list[FeaturePyramid],
+def refine_track(state: TrackState, pyramid: FeaturePyramid,
                  weights: WeightBundle, iterations: int | None = None
                  ) -> TrackState:
-    """Iteratively apply residual (dx, dy, dv) updates to a window track."""
+    """Iteratively apply residual (dx, dy, dv) updates to a window track.
+
+    pyramid is the window's stacked pyramid: level l is (W, h_l, w_l, C_l),
+    one slice per window step."""
     cfg = weights.config
     m = cfg.iterations if iterations is None else iterations
     if m < 1:
         raise ShapeMismatch("iteration count must be >= 1")
-    if len(pyramids) != len(state.window_times):
-        raise ShapeMismatch("one pyramid per window step required")
+    w = len(state.window_times)
+    if any(lvl.ndim != 4 or len(lvl) != w for lvl in pyramid.levels):
+        raise ShapeMismatch("one pyramid step per window step required")
     r = cfg.patch_radius
     state = state.copy()
     for _ in range(m):
         patches_per_level = []
         for lvl in range(3):
-            stride = pyramids[0].strides[lvl]
-            taps = []
-            for t, pyr in enumerate(pyramids):
-                patch = sample_patch(pyr.levels[lvl],
-                                     tuple(state.positions[t]), r, stride)
-                taps.append(patch.reshape(-1, patch.shape[-1]))
-            patches_per_level.append(np.stack(taps))
+            patch = sample_patch(pyramid.levels[lvl], state.positions, r,
+                                 pyramid.strides[lvl])
+            patches_per_level.append(patch.reshape(w, -1, patch.shape[-1]))
         desc = correlation_features(patches_per_level, weights)
         rel = state.positions - state.positions[0]
         tokens = np.concatenate(
@@ -297,7 +309,7 @@ def track_sequence(frames: np.ndarray, frame_times: list[int],
     for start in _window_starts(n_steps, w):
         stop = min(start + w, n_steps)
         win_states = temporal_attention(states[start:stop], weights)
-        pyramids = [decode_pyramid(s, None, weights) for s in win_states]
+        pyramid = decode_pyramid(win_states, None, weights)
         for qi, qp in enumerate(queries):
             if active_from[qi] >= stop:
                 continue
@@ -307,13 +319,15 @@ def track_sequence(frames: np.ndarray, frame_times: list[int],
                 window_times=qtimes[start:stop].copy())
             # steps not yet covered by a previous window start from the
             # last carried-over estimate
-            refined = refine_track(ts, pyramids, weights)
+            refined = refine_track(ts, pyramid, weights)
             out_pos[qi, start:stop] = refined.positions
             out_logit[qi, start:stop] = refined.visibility_logits
             # carry the freshest estimate into steps beyond this window
             if stop < n_steps:
                 out_pos[qi, stop:] = refined.positions[-1]
                 out_logit[qi, stop:] = refined.visibility_logits[-1]
+        # free this window's levels before the next window decodes its own
+        del pyramid
 
     visibility = (out_logit > 0).astype(np.int64)
     for qi in range(n_q):

@@ -152,6 +152,26 @@ class TestTrack:
                       "--frames", tmp_path / "nope.tns"])
         assert rc == 3
 
+    def test_truncated_frames_is_data_error(self, tmp_path, small_cfg, capsys):
+        out = tmp_path / "sim"
+        assert run_cli(["--config", small_cfg, "--out", out, "simulate"]) == 0
+        cut = tmp_path / "cut.tns"
+        cut.write_bytes((out / "video.tns").read_bytes()[:10])
+        rc = run_cli(["--config", small_cfg, "--out", tmp_path / "trk",
+                      "track", "--stream", out / "events.evbin",
+                      "--frames", cut, "--query", "0,16,16"])
+        assert rc == 3
+
+    def test_odd_model_width_runs(self, tmp_path, capsys):
+        base = tmp_path / "odd"
+        base.mkdir()
+        cfg = base / "run.cfg"
+        cfg.write_text(SMALL_CONFIG + "model.d = 63\n")
+        rc, path = self.run_pipeline(base, cfg)
+        assert rc == 0
+        tracks = parse_track_set(path.read_bytes())
+        assert tracks.positions.shape == (2, 24, 2)
+
 
 class TestEval:
     def test_file_against_itself_scores_one(self, tmp_path, small_cfg, capsys):
@@ -203,6 +223,15 @@ class TestBenchAndRepr:
         rc = run_cli(["--config", small_cfg, "--out", tmp_path / "r", "repr",
                       "--stream", out / "events.evbin", "--bin", "3",
                       "--kind", "voxel_grid"])
+        assert rc == 0
+        tensor = arrayio.read_array((tmp_path / "r" / "tensor.tns").read_bytes())
+        assert tensor.shape == (32, 32, 5)
+
+    def test_repr_default_bin_runs(self, tmp_path, small_cfg, capsys):
+        out = tmp_path / "sim"
+        run_cli(["--config", small_cfg, "--out", out, "simulate"])
+        rc = run_cli(["--config", small_cfg, "--out", tmp_path / "r", "repr",
+                      "--stream", out / "events.evbin"])
         assert rc == 0
         tensor = arrayio.read_array((tmp_path / "r" / "tensor.tns").read_bytes())
         assert tensor.shape == (32, 32, 5)

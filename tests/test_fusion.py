@@ -361,6 +361,36 @@ class TestPyramidDecoder:
         with pytest.raises(ShapeMismatch):
             decode_pyramid(state, (np.zeros((1, 1, 64)), None, None), weights)
 
+    def test_window_decode_equals_per_state_decodes(self):
+        rng = np.random.default_rng(22)
+        weights = small_weights(seed=23, d=8)
+        states = [TransientState(tokens=random_tokens(rng, (3, 4), 8),
+                                 state_time=t, frame_anchor_time=0)
+                  for t in range(5)]
+        window = decode_pyramid(states, None, weights)
+        for lvl, stacked in enumerate(window.levels):
+            assert stacked.shape[0] == 5
+            for t, state in enumerate(states):
+                single = decode_pyramid(state, None, weights).levels[lvl]
+                assert np.array_equal(stacked[t], single)
+        mixed = states[:2] + [TransientState(
+            tokens=random_tokens(rng, (4, 3), 8), state_time=9,
+            frame_anchor_time=0)]
+        with pytest.raises(ShapeMismatch):
+            decode_pyramid(mixed, None, weights)
+
+
+def test_sinusoidal_encoding_odd_dim_has_one_more_sin_slot():
+    from tapfuse.fusion import sinusoidal_encoding
+    pos = np.arange(5.0)
+    odd, even = sinusoidal_encoding(pos, 7), sinusoidal_encoding(pos, 6)
+    assert odd.shape == (5, 7)
+    np.testing.assert_array_equal(odd[:, 1::2], np.cos(pos[:, None] * np.exp(
+        -np.log(10000.0) * np.arange(3) / 3)))
+    np.testing.assert_array_equal(odd[:, 0::2], np.sin(pos[:, None] * np.exp(
+        -np.log(10000.0) * np.arange(4) / 3)))
+    np.testing.assert_array_equal(odd[:, :6], even)
+
 
 class TestWeightIO:
     def test_round_trip_exact(self):

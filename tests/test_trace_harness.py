@@ -1,0 +1,50 @@
+"""The benchmark's per-layer tracing wraps tapfuse functions by name, in the
+namespace their callers look them up in; a renamed layer function must fail
+here rather than silently break ``perfbench/run.py --trace 1``."""
+
+import types
+from pathlib import Path
+
+import numpy as np
+
+import tapfuse
+import tapfuse.arrayio  # noqa: F401  (the harness wraps these modules too)
+import tapfuse.cli  # noqa: F401
+from tapfuse.fusion import FeaturePyramid
+from tapfuse.tracker import TrackState
+from tapfuse.weights import FusionConfig, WeightBundle
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    """Import the harness module without writing bytecode next to it."""
+    module = types.ModuleType("perfbench_tracing")
+    exec(compile(TRACING.read_bytes(), str(TRACING), "exec"), module.__dict__)
+    return module
+
+
+def test_install_attributes_refiner_work_and_uninstall_restores():
+    tracing = load_tracing()
+    original = tapfuse.tracker.sample_patch
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, tapfuse)
+        assert tapfuse.tracker.sample_patch is not original
+        weights = WeightBundle.initialize(FusionConfig(window=4), seed=0)
+        rng = np.random.default_rng(0)
+        pyramid = FeaturePyramid(levels=tuple(
+            rng.normal(size=(4, 8 * 2 ** l, 8 * 2 ** l, c))
+            for l, c in enumerate((64, 32, 16))))
+        state = TrackState(positions=rng.uniform(10, 50, size=(4, 2)),
+                           visibility_logits=np.zeros(4),
+                           window_times=np.arange(4) * 1000)
+        tapfuse.tracker.refine_track(state, pyramid, weights, iterations=2)
+    finally:
+        tracer.uninstall()
+    assert tapfuse.tracker.sample_patch is original
+    counts = tracer.snapshot()
+    assert counts["tracker.refine_calls"] == 1
+    # one windowed gather per level per iteration
+    assert counts["tracker.sample_patch_calls"] == 3 * 2
+    assert counts["tracker.correlation_s"] >= 0.0

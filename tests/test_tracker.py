@@ -8,6 +8,8 @@ from tapfuse.tracker import (
     QueryPoint,
     TrackSet,
     TrackState,
+    _motion_encoding,
+    _refiner_transformer,
     correlation_features,
     parse_track_set,
     refine_track,
@@ -86,13 +88,21 @@ class TestCorrelationFeatures:
         assert WeightBundle.initialize(cfg, 0)["corr.l0.w1"].shape[0] == 2401
 
 
+def make_step_levels(rng, n, channels=(64, 32, 16), size=8):
+    """n per-step level triples, each level (h, w, C)."""
+    return [tuple(rng.normal(size=(size * (2 ** l), size * (2 ** l), c))
+                  for l, c in enumerate(channels))
+            for _ in range(n)]
+
+
+def stack_pyramid(step_levels):
+    """The window pyramid refine_track takes: level l is (W, h, w, C)."""
+    return FeaturePyramid(levels=tuple(np.stack(lvl)
+                                       for lvl in zip(*step_levels)))
+
+
 def make_pyramids(rng, n, channels=(64, 32, 16), size=8):
-    pyrs = []
-    for _ in range(n):
-        lvls = tuple(rng.normal(size=(size * (2 ** l), size * (2 ** l), c))
-                     for l, c in enumerate(channels))
-        pyrs.append(FeaturePyramid(levels=lvls))
-    return pyrs
+    return stack_pyramid(make_step_levels(rng, n, channels, size))
 
 
 def randomized_refiner(seed):
@@ -151,6 +161,106 @@ class TestRefineTrack:
         weights = WeightBundle.initialize(FusionConfig(window=4), seed=8)
         with pytest.raises(ShapeMismatch):
             refine_track(self.make_state(rng), make_pyramids(rng, 3), weights)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-step refiner loop the windowed refiner replaced
+# ---------------------------------------------------------------------------
+
+def loop_sample_patch(level, center, r, stride=1):
+    """Single-centre bilinear patch, one gather per corner."""
+    h, w, c = level.shape
+    cx, cy = center[0] / stride, center[1] / stride
+    offs = np.arange(-r, r + 1, dtype=np.float64)
+    px = cx + offs[None, :]
+    py = cy + offs[:, None]
+    x0 = np.floor(px).astype(np.int64)
+    y0 = np.floor(py).astype(np.int64)
+    fx, fy = px - x0, py - y0
+    patch = np.zeros((2 * r + 1, 2 * r + 1, c))
+    for dy_i, wy in ((0, 1.0 - fy), (1, fy)):
+        for dx_i, wx in ((0, 1.0 - fx), (1, fx)):
+            xs, ys = x0 + dx_i, y0 + dy_i
+            ok = (xs >= 0) & (xs < w) & (ys >= 0) & (ys < h)
+            weight = np.where(ok, wy * wx, 0.0)
+            vals = level[np.clip(ys, 0, h - 1), np.clip(xs, 0, w - 1)]
+            patch += weight[:, :, None] * vals
+    return patch
+
+
+def loop_refine_track(state, step_pyramids, weights, iterations):
+    """refine_track over a list of per-step pyramids, sampling one window
+    step at a time."""
+    cfg = weights.config
+    r = cfg.patch_radius
+    state = state.copy()
+    for _ in range(iterations):
+        patches_per_level = []
+        for lvl in range(3):
+            stride = step_pyramids[0].strides[lvl]
+            taps = []
+            for t, pyr in enumerate(step_pyramids):
+                patch = loop_sample_patch(pyr.levels[lvl],
+                                          tuple(state.positions[t]), r, stride)
+                taps.append(patch.reshape(-1, patch.shape[-1]))
+            patches_per_level.append(np.stack(taps))
+        desc = correlation_features(patches_per_level, weights)
+        rel = state.positions - state.positions[0]
+        tokens = np.concatenate(
+            [desc, state.visibility_logits[:, None],
+             _motion_encoding(rel, cfg.motion_freqs)], axis=1)
+        x = tokens @ weights["ref.in.w"] + weights["ref.in.b"]
+        x = _refiner_transformer(x, weights)
+        delta = x @ weights["ref.head.w"] + weights["ref.head.b"]
+        state.positions = state.positions + delta[:, :2]
+        state.visibility_logits = state.visibility_logits + delta[:, 2]
+    return state
+
+
+class TestWindowedRefinerExactness:
+    """The windowed refiner keeps the per-step loop's arithmetic, so its
+    results are equal to the loop's, not merely close."""
+
+    @pytest.mark.parametrize("lvl,stride", [(0, 8), (1, 4), (2, 2)])
+    def test_windowed_patch_equals_stacked_single_centre_calls(self, lvl,
+                                                               stride):
+        rng = np.random.default_rng(30 + lvl)
+        levels = make_step_levels(rng, 6)
+        stacked = stack_pyramid(levels).levels[lvl]
+        # interior, border-straddling and fully outside centres (64 px input)
+        centers = np.array([[31.3, 30.7], [0.0, 0.0], [-3.5, 12.25],
+                            [63.9, 64.2], [70.0, -9.0], [-200.0, 300.0]])
+        got = sample_patch(stacked, centers, 3, stride)
+        assert got.shape == (6, 7, 7, stacked.shape[-1])
+        for t in range(6):
+            single = sample_patch(stacked[t], tuple(centers[t]), 3, stride)
+            assert np.array_equal(got[t], single)
+            assert np.array_equal(
+                got[t], loop_sample_patch(levels[t][lvl], centers[t], 3, stride))
+
+    def test_window_center_count_must_match(self):
+        level = np.zeros((4, 8, 8, 2))
+        with pytest.raises(ShapeMismatch):
+            sample_patch(level, np.zeros((3, 2)), 1)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_refine_track_equals_per_step_loop(self, seed):
+        weights = randomized_refiner(seed)
+        rng = np.random.default_rng(seed + 40)
+        w = weights.config.window
+        levels = make_step_levels(rng, w)
+        # near and beyond the border of the 64 px input at every stride
+        positions = rng.uniform(-12.0, 76.0, size=(w, 2))
+        positions[0] = (0.5, 63.5)
+        state = TrackState(positions=positions,
+                           visibility_logits=rng.normal(size=w),
+                           window_times=np.arange(w) * 1000)
+        got = refine_track(state, stack_pyramid(levels), weights, iterations=3)
+        want = loop_refine_track(
+            state, [FeaturePyramid(levels=lv) for lv in levels], weights, 3)
+        assert not np.array_equal(got.positions, state.positions)
+        assert np.array_equal(got.positions, want.positions)
+        assert np.array_equal(got.visibility_logits, want.visibility_logits)
 
 
 def small_sequence(seed=0, n_query=48, frame_every=4, size=32):
