@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -31,16 +30,14 @@ from .fusion import taf_init, taf_update
 from .metrics import EvalPair, evaluate
 from .representations import REPRESENTATIONS
 from .synth import render_intensity_video, simulate_events
-from .tracker import QueryPoint, parse_track_set, serialize_track_set, track_sequence
-from .weights import WeightBundle, load_weights, save_weights
-
-
-def thread_cap() -> int:
-    """Internal-parallelism cap from TAPFUSE_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("TAPFUSE_THREADS", "1")))
-    except ValueError:
-        return 1
+from .tracker import (
+    QueryPoint,
+    TrackSet,
+    parse_track_set,
+    serialize_track_set,
+    track_sequence,
+)
+from .weights import WeightBundle, load_weights
 
 
 def _sha256(path: Path) -> str:
@@ -66,7 +63,6 @@ def cmd_simulate(config: RunConfig, out_dir: Path, fmt: str = "evbin") -> dict:
     tracks_path = out_dir / "tracks.txt"
     _write(video_path, arrayio.write_array(video.frames))
     _write(stream_path, serialize_event_stream(stream, fmt))
-    from .tracker import TrackSet
     gt_tracks = TrackSet(times=gt.times, positions=gt.positions,
                          visibility=gt.visibility)
     _write(tracks_path, serialize_track_set(gt_tracks))
@@ -180,7 +176,6 @@ def cmd_bench(config: RunConfig) -> dict:
         },
         "steps_per_s": {"taf_update": n_steps / max(taf_s, 1e-12)},
         "n_events": n,
-        "threads": thread_cap(),
     }
     print(json.dumps(report, indent=2))
     return report

@@ -45,11 +45,10 @@ class RunConfig:
     eval_err_threshold: float = 8.0
 
     def fusion_config(self) -> FusionConfig:
-        return FusionConfig(
-            d=self.model_d, patch=self.model_patch, radius=self.model_radius,
-            subwindows=self.model_subwindows, window=self.model_window,
-            patch_radius=self.model_patch_radius,
-            iterations=self.model_iterations)
+        """The model_<name> fields as FusionConfig(<name>=...)."""
+        return FusionConfig(**{
+            f.name.removeprefix("model_"): getattr(self, f.name)
+            for f in fields(self) if f.name.startswith("model_")})
 
     def timeline(self) -> Timeline:
         """Regular query grid at query_hz with every stride-th step carrying
@@ -84,27 +83,11 @@ class RunConfig:
             objects=objects, background=self.scene_background)
 
 
+# key -> (RunConfig field, converter); a field's first "_" becomes the section
+# dot, and scene objects have their own scene.object<N> lines
 _KEYMAP = {
-    "scene.width": ("scene_width", int),
-    "scene.height": ("scene_height", int),
-    "scene.duration_us": ("scene_duration_us", int),
-    "scene.fps": ("scene_fps", float),
-    "scene.background": ("scene_background", float),
-    "scene.n_random_objects": ("scene_n_random_objects", int),
-    "sim.contrast": ("sim_contrast", float),
-    "timeline.query_hz": ("timeline_query_hz", float),
-    "timeline.frame_hz": ("timeline_frame_hz", float),
-    "timeline.exposure_us": ("timeline_exposure_us", int),
-    "model.d": ("model_d", int),
-    "model.patch": ("model_patch", int),
-    "model.radius": ("model_radius", int),
-    "model.subwindows": ("model_subwindows", int),
-    "model.window": ("model_window", int),
-    "model.patch_radius": ("model_patch_radius", int),
-    "model.iterations": ("model_iterations", int),
-    "seed": ("seed", int),
-    "bench.n_events": ("bench_n_events", int),
-    "eval.err_threshold": ("eval_err_threshold", float),
+    f.name.replace("_", ".", 1): (f.name, {"int": int, "float": float}[f.type])
+    for f in fields(RunConfig) if f.name != "scene_objects"
 }
 
 

@@ -66,10 +66,6 @@ class ShapeMismatch(ContractError):
     pass
 
 
-class EmptyNeighborhood(ContractError):
-    pass
-
-
 class MissingForwardCache(ContractError):
     pass
 
@@ -91,8 +87,4 @@ class GridMismatch(ContractError):
 
 
 class ZeroTotalSpeed(ContractError):
-    pass
-
-
-class DegenerateCovariance(ContractError):
     pass

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import io
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -156,16 +156,6 @@ class Timeline:
             raise MalformedRecord("every frame time must land on the query grid")
         if self.exposure_us <= 0:
             raise MalformedRecord("exposure_us must be positive")
-
-    @classmethod
-    def regular(cls, t_start: int, t_end: int, n_query: int, frame_every: int,
-                exposure_us: int) -> "Timeline":
-        """n_query evenly spaced query steps on [t_start, t_end]; every
-        frame_every-th query step (starting at the first) carries a frame."""
-        q = np.linspace(t_start, t_end, n_query).round().astype(np.int64)
-        return cls(frame_times=[int(v) for v in q[::frame_every]],
-                   query_times=[int(v) for v in q],
-                   exposure_us=exposure_us)
 
 
 # ---------------------------------------------------------------------------

@@ -14,15 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EmptyNeighborhood,
-    MissingForwardCache,
-    ShapeMismatch,
-    TimeRegression,
-)
+from .errors import MissingForwardCache, ShapeMismatch, TimeRegression
 from .events import EventBatch
 from .representations import EventTensor, sbt_time_surface
-from .weights import FusionConfig, WeightBundle
+from .weights import WeightBundle
 
 _LN_EPS = 1e-6
 
@@ -41,10 +36,6 @@ class Tokens:
                 f"{self.values.shape[0]} tokens on a {rows}x{cols} grid")
         if not np.all(np.isfinite(self.values)):
             raise ShapeMismatch("non-finite token values")
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -73,39 +64,64 @@ class FeaturePyramid:
 # Tokenizers
 # ---------------------------------------------------------------------------
 
-def _patchify(image: np.ndarray, patch: int) -> tuple[np.ndarray, tuple[int, int]]:
+def _embed_patches(image, weights: WeightBundle, prefix: str) -> Tokens:
+    """Non-overlapping patch embedding of an (H, W) or (H, W, C) image
+    through the prefix.w / prefix.b projection."""
     if image.ndim == 2:
         image = image[:, :, None]
     h, w, c = image.shape
+    patch = weights.config.patch
     if h % patch or w % patch:
         raise ShapeMismatch(f"{h}x{w} not divisible by patch size {patch}")
     rows, cols = h // patch, w // patch
     flat = (image.reshape(rows, patch, cols, patch, c)
             .transpose(0, 2, 1, 3, 4)
-            .reshape(rows * cols, patch * patch * c))
-    return flat.astype(np.float64), (rows, cols)
+            .reshape(rows * cols, patch * patch * c)).astype(np.float64)
+    proj = weights[f"{prefix}.w"]
+    if flat.shape[1] != proj.shape[0]:
+        raise ShapeMismatch(f"{prefix}: patch dim {flat.shape[1]} != "
+                            f"embedding fan-in {proj.shape[0]}")
+    return Tokens(values=flat @ proj + weights[f"{prefix}.b"], grid=(rows, cols))
 
 
 def tokenize_frame(image: np.ndarray, weights: WeightBundle) -> Tokens:
     """Non-overlapping patch embedding of an intensity frame."""
-    patch = weights.config.patch
-    flat, grid = _patchify(np.asarray(image, dtype=np.float64), patch)
-    w = weights["phi_i.w"]
-    if flat.shape[1] != w.shape[0]:
-        raise ShapeMismatch(
-            f"patch dim {flat.shape[1]} != embedding fan-in {w.shape[0]}")
-    return Tokens(values=flat @ w + weights["phi_i.b"], grid=grid)
+    return _embed_patches(np.asarray(image, dtype=np.float64), weights, "phi_i")
 
 
 def tokenize_events(tensor: EventTensor, weights: WeightBundle) -> Tokens:
     """Patch embedding of a dense event tensor (B input channels)."""
-    patch = weights.config.patch
-    flat, grid = _patchify(tensor.data, patch)
-    w = weights["phi_e.w"]
-    if flat.shape[1] != w.shape[0]:
-        raise ShapeMismatch(
-            f"event patch dim {flat.shape[1]} != embedding fan-in {w.shape[0]}")
-    return Tokens(values=flat @ w + weights["phi_e.b"], grid=grid)
+    return _embed_patches(tensor.data, weights, "phi_e")
+
+
+# ---------------------------------------------------------------------------
+# Attention primitives
+# ---------------------------------------------------------------------------
+
+def _softmax(logits):
+    """Softmax over the last axis; a -inf logit gets weight 0."""
+    a = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    a /= a.sum(axis=-1, keepdims=True)
+    return a
+
+
+def _qkv(q_in, k_in, v_in, weights, prefix):
+    """Query, key and value projections of attention block prefix."""
+    return tuple(x @ weights[f"{prefix}.w{n}"] + weights[f"{prefix}.b{n}"]
+                 for n, x in zip("qkv", (q_in, k_in, v_in)))
+
+
+def _sdpa(q, k, v):
+    """Scaled dot-product attention over the last two axes; returns the
+    readout and the attention weights."""
+    a = _softmax(q @ np.swapaxes(k, -1, -2) / np.sqrt(q.shape[-1]))
+    return a @ v, a
+
+
+def _attention_block(x, q_in, k_in, v_in, weights, prefix):
+    """Residual attention block: x + sdpa(q, k, v) @ wo + bo."""
+    read, _ = _sdpa(*_qkv(q_in, k_in, v_in, weights, prefix))
+    return x + read @ weights[f"{prefix}.wo"] + weights[f"{prefix}.bo"]
 
 
 # ---------------------------------------------------------------------------
@@ -129,14 +145,11 @@ def _neighbor_table(grid: tuple[int, int], radius: int
         ok = (nr >= 0) & (nr < rows) & (nc >= 0) & (nc < cols)
         idx[:, k] = np.where(ok, nr * cols + nc, 0)
         mask[:, k] = ok
-    if not mask.any(axis=1).all():
-        raise EmptyNeighborhood("a token has no neighbors")  # unreachable
     return idx, mask
 
 
 def clwf_fuse(event_tokens: Tokens, image_tokens: Tokens,
-              weights: WeightBundle, radius: int | None = None,
-              cache: dict | None = None) -> Tokens:
+              weights: WeightBundle, cache: dict | None = None) -> Tokens:
     """Locality-masked cross-attention: each event token queries image
     tokens within Chebyshev distance <= radius on the shared token grid and
     adds the attention readout as a residual.
@@ -144,25 +157,21 @@ def clwf_fuse(event_tokens: Tokens, image_tokens: Tokens,
     if event_tokens.grid != image_tokens.grid:
         raise ShapeMismatch(
             f"grids differ: {event_tokens.grid} vs {image_tokens.grid}")
-    radius = weights.config.radius if radius is None else radius
     E, I = event_tokens.values, image_tokens.values
     d = E.shape[1]
-    q = E @ weights["clwf.wq"] + weights["clwf.bq"]
-    k = I @ weights["clwf.wk"] + weights["clwf.bk"]
-    v = I @ weights["clwf.wv"] + weights["clwf.bv"]
-    idx, mask = _neighbor_table(event_tokens.grid, radius)
+    q, k, v = _qkv(E, I, I, weights, "clwf")
+    idx, mask = _neighbor_table(event_tokens.grid, weights.config.radius)
     bias = weights["clwf.bias_table"]
     if bias.shape[0] != idx.shape[1]:
         raise ShapeMismatch(
             f"bias table has {bias.shape[0]} entries for {idx.shape[1]} offsets")
+    # neighbour-gathered einsums rather than _sdpa: only the K neighbours of
+    # each token are scored
     logits = np.einsum("nd,nkd->nk", q, k[idx]) / np.sqrt(d) + bias[None, :]
-    logits = np.where(mask, logits, -np.inf)
-    a = np.exp(logits - logits.max(axis=1, keepdims=True))
-    a /= a.sum(axis=1, keepdims=True)
+    a = _softmax(np.where(mask, logits, -np.inf))
     out = E + np.einsum("nk,nkd->nd", a, v[idx])
     if cache is not None:
-        cache.update(E=E, I=I, q=q, k=k, v=v, a=a, idx=idx, mask=mask,
-                     radius=radius, d=d, grid=event_tokens.grid)
+        cache.update(E=E, I=I, q=q, k=k, v=v, a=a, idx=idx, mask=mask, d=d)
     return Tokens(values=out, grid=event_tokens.grid)
 
 
@@ -248,13 +257,7 @@ def taf_update(state: TransientState, batch: EventBatch,
     hq = _layer_norm(r, weights["upd.ln_state.g"], weights["upd.ln_state.b"])
     hk = _layer_norm(etok.values, weights["upd.ln_events.g"],
                      weights["upd.ln_events.b"])
-    q = hq @ weights["upd.wq"] + weights["upd.bq"]
-    k = hk @ weights["upd.wk"] + weights["upd.bk"]
-    v = hk @ weights["upd.wv"] + weights["upd.bv"]
-    logits = q @ k.T / np.sqrt(r.shape[1])
-    a = np.exp(logits - logits.max(axis=1, keepdims=True))
-    a /= a.sum(axis=1, keepdims=True)
-    out = r + (a @ v) @ weights["upd.wo"] + weights["upd.bo"]
+    out = _attention_block(r, hq, hk, hk, weights, "upd")
     return TransientState(tokens=Tokens(values=out, grid=state.tokens.grid),
                           state_time=batch.bin_end,
                           frame_anchor_time=state.frame_anchor_time)
@@ -289,15 +292,10 @@ def temporal_attention_forward(x: np.ndarray, weights: WeightBundle,
     t_len, n, d = x.shape
     pe = sinusoidal_encoding(np.arange(t_len), d)[:, None, :]
     xin = x + pe
-    q = xin @ weights["tattn.wq"] + weights["tattn.bq"]
-    k = xin @ weights["tattn.wk"] + weights["tattn.bk"]
-    v = x @ weights["tattn.wv"] + weights["tattn.bv"]
+    q, k, v = _qkv(xin, xin, x, weights, "tattn")
     # (N, T, d) views: attend across time independently per token position
-    qn, kn, vn = (m.transpose(1, 0, 2) for m in (q, k, v))
-    logits = qn @ kn.transpose(0, 2, 1) / np.sqrt(d)
-    a = np.exp(logits - logits.max(axis=2, keepdims=True))
-    a /= a.sum(axis=2, keepdims=True)
-    read = (a @ vn).transpose(1, 0, 2)
+    read, a = _sdpa(*(m.transpose(1, 0, 2) for m in (q, k, v)))
+    read = read.transpose(1, 0, 2)
     out = x + read @ weights["tattn.wo"] + weights["tattn.bo"]
     if cache is not None:
         cache.update(x=x, xin=xin, q=q, k=k, v=v, a=a, read=read, d=d)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -189,31 +189,11 @@ def speed_weighted_success(rve: np.ndarray, gt_speed: np.ndarray,
     return curve, auc
 
 
-def _power_iteration(mat: np.ndarray, rng: np.random.Generator,
-                     tol: float = 1e-10, max_iter: int = 10000
-                     ) -> tuple[float, np.ndarray]:
-    v = rng.standard_normal(mat.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = mat @ v
-        norm = np.linalg.norm(w)
-        if norm < tol:
-            return 0.0, v
-        w /= norm
-        if np.linalg.norm(w - v) < tol or np.linalg.norm(w + v) < tol:
-            v = w
-            lam = float(v @ mat @ v)
-            break
-        v = w
-        lam = norm
-    return float(v @ mat @ v), v
-
-
-def pca_dispersion(features: np.ndarray, seed: int = 0
+def pca_dispersion(features: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Project per-point, per-time feature vectors onto the pooled top-2
-    principal axes (power iteration with deflation).
+    principal axes (eigenvectors of the pooled covariance, each signed so
+    that its largest-magnitude entry is positive).
 
     features: (P, T, d). Returns (projections (P, T, 2), per-point means
     (P, 2), per-point 2x2 covariances, axes (2, d)). Rank-deficient pooled
@@ -225,17 +205,13 @@ def pca_dispersion(features: np.ndarray, seed: int = 0
     center = pooled.mean(axis=0)
     x = pooled - center
     cov = x.T @ x / max(len(x) - 1, 1)
-    rng = np.random.default_rng(seed)
-    lam1, ax1 = _power_iteration(cov, rng)
-    deflated = cov - lam1 * np.outer(ax1, ax1)
-    lam2, ax2 = _power_iteration(deflated, rng)
-    if lam2 <= max(lam1, 1.0) * 1e-12:
-        ax2 = np.zeros_like(ax1)
-    else:
-        # re-orthogonalize against the leading axis
-        ax2 = ax2 - (ax2 @ ax1) * ax1
-        ax2 /= np.linalg.norm(ax2)
-    axes = np.stack([ax1, ax2])
+    evals, evecs = np.linalg.eigh(cov)  # ascending eigenvalues
+    axes = np.zeros((2, d))
+    for i in range(min(d, 2)):
+        ax = evecs[:, -1 - i]
+        axes[i] = ax * np.sign(ax[np.argmax(np.abs(ax))])
+    if d < 2 or evals[-2] <= max(evals[-1], 1.0) * 1e-12:
+        axes[1] = 0.0
     proj = (features - center) @ axes.T
     means = proj.mean(axis=1)
     covs = np.zeros((p, 2, 2))

@@ -26,10 +26,6 @@ class EventTensor:
     bin_end: int
     kind: str  # time_surface | count_image | voxel_grid
 
-    @property
-    def channels(self) -> int:
-        return self.data.shape[2]
-
 
 def _check_geometry(batch: EventBatch, width: int, height: int):
     if len(batch) and (int(batch.x.max()) >= width or int(batch.y.max()) >= height):
@@ -58,7 +54,10 @@ def sbt_time_surface(batch: EventBatch, width: int, height: int,
         b = _subwindow_index(batch, B)
         len_b = batch.duration / B
         s_b = float(batch.bin_start) + b * len_b
-        val = batch.p.astype(np.float64) * (batch.t.astype(np.float64) - s_b) / len_b
+        # s_b is rounded apart from t, so an event at a sub-window's end can
+        # come out a few ulps above 1
+        mag = np.minimum((batch.t.astype(np.float64) - s_b) / len_b, 1.0)
+        val = batch.p.astype(np.float64) * mag
         flat = (batch.y.astype(np.int64) * width + batch.x.astype(np.int64)) * B + b
         # canonical batch order is time-ascending, so keep the last write
         # per cell: sort stably by cell, take each group's final entry

@@ -10,7 +10,7 @@ event-based double-integral blur relation piecewise-exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -20,7 +20,7 @@ from .errors import (
     EmptyWindow,
     NonPositiveIntensity,
 )
-from .events import EventBatch, EventStream, _canonical_order
+from .events import EventStream
 
 DEFAULT_CONTRAST = 0.2
 

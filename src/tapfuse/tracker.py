@@ -13,7 +13,7 @@ stacked pyramid that all queries share.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,12 +22,13 @@ from .events import EventStream, Timeline, bin_events, exposure_window_events
 from .fusion import (
     FeaturePyramid,
     TransientState,
+    _attention_block,
+    _layer_norm,
     decode_pyramid,
     sinusoidal_encoding,
     taf_init,
     taf_update,
     temporal_attention,
-    _layer_norm,
 )
 from .weights import WeightBundle
 
@@ -84,26 +85,34 @@ def serialize_track_set(ts: TrackSet) -> bytes:
 
 
 def parse_track_set(data: bytes) -> TrackSet:
-    lines = [ln for ln in data.decode("utf-8").split("\n") if ln.strip()]
+    """Parse the serialize_track_set format; a malformed file of any kind
+    raises GridMismatch."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise GridMismatch(f"track file is not UTF-8: {exc}") from exc
+    lines = [ln for ln in text.split("\n") if ln.strip()]
     if not lines or not lines[0].startswith("#"):
         raise GridMismatch("missing track header")
-    header = dict(tok.split("=") for tok in lines[0][1:].split())
-    q, t = int(header["queries"]), int(header["steps"])
-    if len(lines) - 1 != t:
-        raise GridMismatch(f"expected {t} step lines, got {len(lines) - 1}")
-    times = np.zeros(t, dtype=np.int64)
-    positions = np.zeros((q, t, 2))
-    visibility = np.zeros((q, t), dtype=np.int64)
-    for ti, line in enumerate(lines[1:]):
-        fields = line.split(",")
-        if len(fields) != 1 + 3 * q:
-            raise GridMismatch(f"step {ti}: expected {1 + 3 * q} fields")
-        times[ti] = int(fields[0])
-        for qi in range(q):
-            positions[qi, ti, 0] = float(fields[1 + 3 * qi])
-            positions[qi, ti, 1] = float(fields[2 + 3 * qi])
-            visibility[qi, ti] = int(float(fields[3 + 3 * qi]) > 0.5)
-    return TrackSet(times=times, positions=positions, visibility=visibility)
+    try:
+        header = dict(tok.split("=") for tok in lines[0][1:].split())
+        q, t = int(header["queries"]), int(header["steps"])
+    except (KeyError, ValueError) as exc:
+        raise GridMismatch(f"bad track header {lines[0]!r}") from exc
+    if q < 0 or len(lines) - 1 != t:
+        raise GridMismatch(f"expected {t} step lines of {q} queries, "
+                           f"got {len(lines) - 1}")
+    rows = [line.split(",") for line in lines[1:]]
+    try:
+        times = np.array([int(f[0]) for f in rows], dtype=np.int64)
+        # (T, Q, 3) of x, y, visibility; ragged lines fail np.array and a
+        # field count other than 1 + 3Q fails the reshape
+        vals = np.array([[float(v) for v in f[1:]] for f in rows])
+        vals = vals.reshape(t, q, 3)
+    except (ValueError, OverflowError) as exc:
+        raise GridMismatch(f"step lines do not hold {q} queries: {exc}") from exc
+    return TrackSet(times=times, positions=vals[:, :, :2].transpose(1, 0, 2),
+                    visibility=(vals[:, :, 2] > 0.5).astype(np.int64).T)
 
 
 # ---------------------------------------------------------------------------
@@ -184,18 +193,11 @@ def _motion_encoding(rel: np.ndarray, n_freq: int) -> np.ndarray:
 def _refiner_transformer(x: np.ndarray, weights: WeightBundle) -> np.ndarray:
     """Pre-norm blocks of (temporal self-attention, token MLP) on (W, rw)."""
     cfg = weights.config
-    rw = cfg.refiner_width
-    pe = sinusoidal_encoding(np.arange(x.shape[0]), rw)
+    pe = sinusoidal_encoding(np.arange(x.shape[0]), cfg.refiner_width)
     for blk in range(cfg.refiner_blocks):
         p = f"ref.b{blk}"
         h = _layer_norm(x, weights[f"{p}.ln1.g"], weights[f"{p}.ln1.b"])
-        q = (h + pe) @ weights[f"{p}.attn.wq"] + weights[f"{p}.attn.bq"]
-        k = (h + pe) @ weights[f"{p}.attn.wk"] + weights[f"{p}.attn.bk"]
-        v = h @ weights[f"{p}.attn.wv"] + weights[f"{p}.attn.bv"]
-        logits = q @ k.T / np.sqrt(rw)
-        a = np.exp(logits - logits.max(axis=1, keepdims=True))
-        a /= a.sum(axis=1, keepdims=True)
-        x = x + (a @ v) @ weights[f"{p}.attn.wo"] + weights[f"{p}.attn.bo"]
+        x = _attention_block(x, h + pe, h + pe, h, weights, f"{p}.attn")
         h = _layer_norm(x, weights[f"{p}.ln2.g"], weights[f"{p}.ln2.b"])
         x = x + _relu(h @ weights[f"{p}.mlp.w1"] + weights[f"{p}.mlp.b1"]) \
             @ weights[f"{p}.mlp.w2"] + weights[f"{p}.mlp.b2"]

@@ -11,7 +11,7 @@ the state and the untrained tracker is an identity tracker.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,6 +38,15 @@ class FusionConfig:
     refiner_blocks: int = 2
 
 
+def _attention_specs(prefix: str, d: int
+                     ) -> list[tuple[str, tuple[int, ...], str]]:
+    """wq, wk, wv, bq, bk, bv, then the zero-init output projection wo, bo
+    of one attention block; the seeded draws follow this order."""
+    return ([(f"{prefix}.w{n}", (d, d), "uniform") for n in "qkv"]
+            + [(f"{prefix}.b{n}", (d,), "zeros") for n in "qkv"]
+            + [(f"{prefix}.wo", (d, d), "zeros"), (f"{prefix}.bo", (d,), "zeros")])
+
+
 def parameter_specs(cfg: FusionConfig) -> list[tuple[str, tuple[int, ...], str]]:
     """Ordered (name, shape, init) triples; init is uniform|zeros|ones."""
     d = cfg.d
@@ -51,36 +60,18 @@ def parameter_specs(cfg: FusionConfig) -> list[tuple[str, tuple[int, ...], str]]
         ("phi_i.b", (d,), "zeros"),
         ("phi_e.w", (cfg.patch ** 2 * cfg.subwindows, d), "uniform"),
         ("phi_e.b", (d,), "zeros"),
-        # CLWF: event tokens query neighboring image tokens
-        ("clwf.wq", (d, d), "uniform"),
-        ("clwf.wk", (d, d), "uniform"),
-        ("clwf.wv", (d, d), "uniform"),
-        ("clwf.bq", (d,), "zeros"),
-        ("clwf.bk", (d,), "zeros"),
-        ("clwf.bv", (d,), "zeros"),
+        # CLWF: event tokens query neighboring image tokens; the readout
+        # is added without an output projection
+        *_attention_specs("clwf", d)[:6],
         ("clwf.bias_table", (k,), "zeros"),
         # state updater: one pre-norm cross-attention block
         ("upd.ln_state.g", (d,), "ones"),
         ("upd.ln_state.b", (d,), "zeros"),
         ("upd.ln_events.g", (d,), "ones"),
         ("upd.ln_events.b", (d,), "zeros"),
-        ("upd.wq", (d, d), "uniform"),
-        ("upd.wk", (d, d), "uniform"),
-        ("upd.wv", (d, d), "uniform"),
-        ("upd.bq", (d,), "zeros"),
-        ("upd.bk", (d,), "zeros"),
-        ("upd.bv", (d,), "zeros"),
-        ("upd.wo", (d, d), "zeros"),
-        ("upd.bo", (d,), "zeros"),
+        *_attention_specs("upd", d),
         # temporal self-attention across the window
-        ("tattn.wq", (d, d), "uniform"),
-        ("tattn.wk", (d, d), "uniform"),
-        ("tattn.wv", (d, d), "uniform"),
-        ("tattn.bq", (d,), "zeros"),
-        ("tattn.bk", (d,), "zeros"),
-        ("tattn.bv", (d,), "zeros"),
-        ("tattn.wo", (d, d), "zeros"),
-        ("tattn.bo", (d,), "zeros"),
+        *_attention_specs("tattn", d),
         # pyramid decoder
         ("dec.w0", (d, c0), "uniform"),
         ("dec.b0", (c0,), "zeros"),
@@ -103,14 +94,7 @@ def parameter_specs(cfg: FusionConfig) -> list[tuple[str, tuple[int, ...], str]]
         specs += [
             (f"ref.b{blk}.ln1.g", (rw,), "ones"),
             (f"ref.b{blk}.ln1.b", (rw,), "zeros"),
-            (f"ref.b{blk}.attn.wq", (rw, rw), "uniform"),
-            (f"ref.b{blk}.attn.wk", (rw, rw), "uniform"),
-            (f"ref.b{blk}.attn.wv", (rw, rw), "uniform"),
-            (f"ref.b{blk}.attn.bq", (rw,), "zeros"),
-            (f"ref.b{blk}.attn.bk", (rw,), "zeros"),
-            (f"ref.b{blk}.attn.bv", (rw,), "zeros"),
-            (f"ref.b{blk}.attn.wo", (rw, rw), "zeros"),
-            (f"ref.b{blk}.attn.bo", (rw,), "zeros"),
+            *_attention_specs(f"ref.b{blk}.attn", rw),
             (f"ref.b{blk}.ln2.g", (rw,), "ones"),
             (f"ref.b{blk}.ln2.b", (rw,), "zeros"),
             (f"ref.b{blk}.mlp.w1", (rw, 2 * rw), "uniform"),

@@ -1,10 +1,11 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from tapfuse import arrayio
+from tapfuse import arrayio, config
 from tapfuse.cli import cmd_bench, cmd_simulate, main
 from tapfuse.config import RunConfig, parse_run_config
 from tapfuse.errors import ConfigError
@@ -56,6 +57,62 @@ class TestConfigParsing:
     def test_malformed_object_rejected(self):
         with pytest.raises(ConfigError, match="line 1"):
             parse_run_config("scene.object0 = gaussian_blob, 1, 2\n")
+
+
+# every documented scalar key, the RunConfig field it sets, and its type
+CONFIG_KEYS = {
+    "scene.width": ("scene_width", int),
+    "scene.height": ("scene_height", int),
+    "scene.duration_us": ("scene_duration_us", int),
+    "scene.fps": ("scene_fps", float),
+    "scene.background": ("scene_background", float),
+    "scene.n_random_objects": ("scene_n_random_objects", int),
+    "sim.contrast": ("sim_contrast", float),
+    "timeline.query_hz": ("timeline_query_hz", float),
+    "timeline.frame_hz": ("timeline_frame_hz", float),
+    "timeline.exposure_us": ("timeline_exposure_us", int),
+    "model.d": ("model_d", int),
+    "model.patch": ("model_patch", int),
+    "model.radius": ("model_radius", int),
+    "model.subwindows": ("model_subwindows", int),
+    "model.window": ("model_window", int),
+    "model.patch_radius": ("model_patch_radius", int),
+    "model.iterations": ("model_iterations", int),
+    "seed": ("seed", int),
+    "bench.n_events": ("bench_n_events", int),
+    "eval.err_threshold": ("eval_err_threshold", float),
+}
+
+
+class TestConfigKeyTable:
+    @pytest.mark.parametrize("key", sorted(CONFIG_KEYS))
+    def test_key_sets_its_field_with_its_type(self, key):
+        attr, kind = CONFIG_KEYS[key]
+        cfg = parse_run_config(f"{key} = 7\n")
+        value = getattr(cfg, attr)
+        assert type(value) is kind
+        assert value == 7
+        assert getattr(RunConfig(), attr) != 7
+
+    @pytest.mark.parametrize(
+        "key", sorted(k for k, (_, kind) in CONFIG_KEYS.items() if kind is int))
+    def test_int_key_rejects_fraction(self, key):
+        with pytest.raises(ConfigError, match="line 1"):
+            parse_run_config(f"{key} = 1.5\n")
+
+    @pytest.mark.parametrize(
+        "key", sorted(k for k in CONFIG_KEYS if k.startswith("model.")))
+    def test_model_key_reaches_fusion_config(self, key):
+        fc = parse_run_config(f"{key} = 7\n").fusion_config()
+        assert fc == replace(RunConfig().fusion_config(),
+                             **{key.removeprefix("model."): 7})
+
+    def test_field_name_is_not_a_key(self):
+        with pytest.raises(ConfigError, match="unknown key 'scene_width'"):
+            parse_run_config("scene_width = 32\n")
+
+    def test_table_holds_exactly_the_documented_keys(self):
+        assert config._KEYMAP == CONFIG_KEYS
 
 
 class TestTimelineDerivation:
@@ -198,6 +255,20 @@ class TestEval:
         assert rc == 4
         assert len(lines) == 25
 
+    @pytest.mark.parametrize("data", [
+        b"# queries=x steps=1\n0,1,1,1\n",
+        b"# queries=1\n0,1,1,1\n",
+        b"\xff\xfe",
+    ])
+    def test_malformed_tracks_is_contract_error(self, tmp_path, small_cfg,
+                                                 capsys, data):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(data)
+        rc = run_cli(["--config", small_cfg, "--out", tmp_path / "ev", "eval",
+                      "--pred", bad, "--ref", bad])
+        assert rc == 4
+        assert "contract violation" in capsys.readouterr().err
+
     def test_bad_config_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("scene.nope = 1\n")
@@ -209,8 +280,7 @@ class TestBenchAndRepr:
     def test_bench_schema(self, capsys):
         cfg = parse_run_config(SMALL_CONFIG)
         report = cmd_bench(cfg)
-        assert set(report) == {"events_per_s", "steps_per_s", "n_events",
-                               "threads"}
+        assert set(report) == {"events_per_s", "steps_per_s", "n_events"}
         assert set(report["events_per_s"]) == {"parse", "bin", "time_surface",
                                                "count_image", "voxel_grid"}
         assert set(report["steps_per_s"]) == {"taf_update"}

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,13 @@ from tapfuse.fusion import (
     tokenize_frame,
 )
 from tapfuse.representations import EventTensor, sbt_time_surface
-from tapfuse.weights import FusionConfig, WeightBundle, load_weights, save_weights
+from tapfuse.weights import (
+    FusionConfig,
+    WeightBundle,
+    load_weights,
+    parameter_specs,
+    save_weights,
+)
 
 
 def small_weights(seed=0, **kw):
@@ -409,6 +417,17 @@ class TestWeightIO:
         blob = save_weights(bundle)
         with pytest.raises(ShapeMismatch):
             load_weights(blob, FusionConfig(d=32))
+
+    @pytest.mark.parametrize("cfg, digest", [
+        (FusionConfig(), "f67ee60c08c1509b"),
+        (FusionConfig(d=24, radius=2, refiner_width=40, refiner_blocks=3),
+         "36598a0ebe65048f"),
+    ])
+    def test_parameter_specs_are_pinned(self, cfg, digest):
+        # the seeded draws follow this list, so a reordered or renamed spec
+        # changes every initialized weight after it
+        specs = repr(parameter_specs(cfg)).encode()
+        assert hashlib.sha256(specs).hexdigest()[:16] == digest
 
     def test_residual_projections_start_at_zero(self):
         bundle = WeightBundle.initialize(FusionConfig(), seed=0)

@@ -216,7 +216,7 @@ class TestPcaDispersion:
     def test_matches_eigendecomposition(self):
         rng = np.random.default_rng(3)
         feats = rng.normal(size=(6, 40, 8)) * np.array([5, 3, 1, 1, 1, 1, 1, 1])
-        proj, means, covs, axes = pca_dispersion(feats, seed=0)
+        proj, means, covs, axes = pca_dispersion(feats)
         pooled = feats.reshape(-1, 8)
         center = pooled.mean(axis=0)
         cov = np.cov(pooled - center, rowvar=False)
@@ -227,6 +227,15 @@ class TestPcaDispersion:
         want = (feats - center) @ top2.T
         sign = np.sign(np.sum(axes * top2, axis=1))
         np.testing.assert_allclose(proj, want * sign, atol=1e-7)
+
+    def test_axes_signed_by_largest_entry(self):
+        rng = np.random.default_rng(6)
+        for _ in range(10):
+            mix = rng.normal(size=(5, 5))
+            _, _, _, axes = pca_dispersion(rng.normal(size=(3, 25, 5)) @ mix)
+            for ax in axes:
+                assert ax[np.argmax(np.abs(ax))] > 0
+                assert np.linalg.norm(ax) == pytest.approx(1.0)
 
     def test_projection_statistics(self):
         rng = np.random.default_rng(4)

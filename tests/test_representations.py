@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tapfuse.errors import GeometryMismatch
 from tapfuse.events import Event, EventBatch, EventStream
@@ -92,10 +93,35 @@ class TestTimeSurface:
         data = sbt_time_surface(random_batch(rng), 16, 12).data
         assert np.all(np.abs(data) <= 1.0)
 
+    def test_event_at_bin_end_stays_within_one(self):
+        # len_b = 4166.8 is inexact, so s_b of the last sub-window rounds
+        # apart from t and the unclamped value came out 1 + 6.7e-16
+        batch = make_batch([Event(0, 0, 41667, 1)], 20833, 41667)
+        data = sbt_time_surface(batch, 1, 1, B=5).data
+        assert data[0, 0, 4] == 1.0
+
     def test_geometry_mismatch(self):
         batch = make_batch([Event(10, 1, 5, 1)], 0, 10)
         with pytest.raises(GeometryMismatch):
             sbt_time_surface(batch, 8, 8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bin_start=st.integers(0, 10**9), duration=st.integers(1, 10**6),
+       B=st.integers(1, 8),
+       events=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(0, 3),
+                                 st.integers(0, 2), st.sampled_from([-1, 1])),
+                       max_size=40))
+def test_time_surface_values_lie_in_unit_interval(bin_start, duration, B,
+                                                  events):
+    evs = [Event(x, y, bin_start + max(1, round(f * duration)), p)
+           for f, x, y, p in events]
+    # the sub-window ends, where rounding pushes the value past 1
+    evs += [Event(0, 0, bin_start + max(1, round(k * duration / B)), 1)
+            for k in range(1, B + 1)]
+    data = sbt_time_surface(make_batch(evs, bin_start, bin_start + duration),
+                            4, 3, B=B).data
+    assert np.all(np.abs(data) <= 1.0)
 
 
 class TestCountImage:

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tapfuse.errors import GridMismatch, QueryOutOfRange, ShapeMismatch
+from tapfuse.errors import (
+    GridMismatch,
+    QueryOutOfRange,
+    ShapeMismatch,
+    TapfuseError,
+)
 from tapfuse.events import Timeline
 from tapfuse.synth import SceneConfig, SceneObject, render_intensity_video, simulate_events
 from tapfuse.tracker import (
@@ -368,3 +374,48 @@ class TestTrackFileFormat:
     def test_step_count_mismatch_rejected(self):
         with pytest.raises(GridMismatch):
             parse_track_set(b"# queries=1 steps=3\n0,1,2,1\n")
+
+    @pytest.mark.parametrize("data", [
+        b"# queries=x steps=1\n0,1,1,1\n",
+        b"# queries=1\n0,1,1,1\n",
+        b"# queries=1 steps\n0,1,1,1\n",
+        b"# queries=-1 steps=1\n0,1,1,1\n",
+        b"# queries=1 steps=1\n0,1,y,1\n",
+        b"# queries=1 steps=1\n0,1,1\n",
+        b"# queries=1 steps=2\n0,1,1,1\n1,1,1,1,1\n",
+        b"# queries=1 steps=1\n1e3,1,1,1\n",
+        b"# queries=1 steps=1\n99999999999999999999,1,1,1\n",
+        b"# queries=99999999999999999999 steps=0\n",
+        b"\xff\xfe",
+    ])
+    def test_malformed_file_is_grid_mismatch(self, data):
+        with pytest.raises(GridMismatch):
+            parse_track_set(data)
+
+
+VALID_TRACKS = serialize_track_set(TrackSet(
+    times=np.array([0, 20833, 41667]),
+    positions=np.array([[[16.5, 3.25], [17.0, 3.5], [17.75, 4.0]],
+                        [[40.0, 50.0], [-1.5, 2e-3], [63.999, 0.0]]]),
+    visibility=np.array([[1, 1, 0], [0, 1, 1]])))
+MUTATION_BYTES = st.one_of(
+    st.binary(max_size=3),
+    st.sampled_from([b"=", b",", b"#", b"\n", b"-", b" ", b".", b"e", b"x",
+                     b"\xff", b"9" * 25]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=st.lists(st.tuples(st.integers(0, len(VALID_TRACKS) - 1),
+                                MUTATION_BYTES), min_size=1, max_size=4),
+       cut=st.integers(0, len(VALID_TRACKS)))
+def test_mutated_track_file_raises_only_typed_errors(edits, cut):
+    """Each edit replaces one byte with a short byte string (a delete,
+    replace or insert); then the file is cut at a random length."""
+    blob = bytearray(VALID_TRACKS)
+    for pos, repl in edits:
+        pos = min(pos, len(blob) - 1)
+        blob[pos:pos + 1] = repl
+    try:
+        parse_track_set(bytes(blob[:cut]))
+    except TapfuseError:
+        pass
