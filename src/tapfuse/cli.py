@@ -99,6 +99,7 @@ def cmd_track(config: RunConfig, stream_path: Path, frames_path: Path,
     if frame_idx[-1] >= len(video):
         raise DataError("frames container shorter than the timeline")
     frames = video[frame_idx]
+    del video
 
     if weights_path is not None:
         weights = load_weights(weights_path.read_bytes(),

@@ -10,6 +10,7 @@ anywhere in this module.
 from __future__ import annotations
 
 import io
+import re
 import struct
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
@@ -17,6 +18,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import (
+    ConfigError,
     EmptyTimeline,
     GeometryViolation,
     MalformedRecord,
@@ -37,9 +39,17 @@ class Event(NamedTuple):
     p: int
 
 
-def _canonical_order(t, x, y, p):
-    """Sort permutation for the canonical (t, y, x, p) tie-break order."""
-    return np.lexsort((p, x, y, t))
+def _is_canonical(t, x, y, p) -> bool:
+    """Whether the columns are already in (t, y, x, p) order, in O(n): t
+    never decreases, and a packed (y, x, p) key never decreases where t
+    ties. p must hold only -1 and +1."""
+    if (t[1:] < t[:-1]).any():
+        return False
+    tied = t[1:] == t[:-1]
+    if not tied.any():
+        return True
+    key = (y.astype(np.uint64) << 17) | (x.astype(np.uint64) << 1) | (p > 0)
+    return not (key[1:][tied] < key[:-1][tied]).any()
 
 
 @dataclass(frozen=True)
@@ -76,8 +86,8 @@ class EventStream:
                 f"event outside {self.width}x{self.height} sensor")
         if len(self.t) and (self.t.min() < self.t_start or self.t.max() > self.t_end):
             raise NonMonotonicHeader("event timestamp outside [t_start, t_end]")
-        order = _canonical_order(self.t, self.x, self.y, self.p)
-        if not np.array_equal(order, np.arange(len(order))):
+        if not _is_canonical(self.t, self.x, self.y, self.p):
+            order = np.lexsort((self.p, self.x, self.y, self.t))
             object.__setattr__(self, "t", self.t[order])
             object.__setattr__(self, "x", self.x[order])
             object.__setattr__(self, "y", self.y[order])
@@ -168,7 +178,7 @@ def parse_event_stream(source: bytes, format: str = "csv") -> EventStream:
         return _parse_csv(source)
     if format == "evbin":
         return _parse_evbin(source)
-    raise ValueError(f"unknown format {format!r}")
+    raise ConfigError(f"unknown event format {format!r}")
 
 
 def serialize_event_stream(stream: EventStream, format: str = "csv") -> bytes:
@@ -176,61 +186,106 @@ def serialize_event_stream(stream: EventStream, format: str = "csv") -> bytes:
         return _write_csv(stream)
     if format == "evbin":
         return _write_evbin(stream)
-    raise ValueError(f"unknown format {format!r}")
+    raise ConfigError(f"unknown event format {format!r}")
+
+
+# One CSV record: loadtxt rejects a field that is not an integer of its
+# column's type, so a minus sign on t, x or y, x or y above 65535, t above
+# 2**64 - 1 and p outside int8 are parse errors; EventStream rejects the
+# other polarities.
+_CSV_RECORD = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "i1")])
+# spaces or tabs that open a blank or a header line: loadtxt skips a line
+# only when it is empty or starts with the comment character
+_LINE_INDENT = re.compile(rb"^[ \t]+(?=#|\r?$)", re.MULTILINE)
+_NON_SPACE = re.compile(rb"\S")
+# events per CSV formatting block, small enough for its scratch to stay in
+# cache
+_CSV_BLOCK = 1 << 14
+
+
+def _read_header_line(line: bytes, header: dict[str, int], lineno: int):
+    try:
+        tokens = line.decode("utf-8").split()
+    except UnicodeDecodeError as exc:
+        raise MalformedRecord(f"line {lineno}: header is not UTF-8: {exc}") from exc
+    for token in tokens:
+        if "=" not in token:
+            raise MalformedRecord(f"line {lineno}: bad header token {token!r}")
+        key, _, val = token.partition("=")
+        try:
+            header[key] = int(val)
+        except ValueError as exc:
+            raise MalformedRecord(f"line {lineno}: non-integer {token!r}") from exc
 
 
 def _parse_csv(source: bytes) -> EventStream:
-    try:
-        text = source.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise MalformedRecord(f"csv body is not UTF-8: {exc}") from exc
+    """Header lines are found with bytes.find, then one np.loadtxt pass
+    over the whole buffer parses the records and skips the header lines as
+    comments."""
     header: dict[str, int] = {}
-    ts, xs, ys, ps = [], [], [], []
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            for token in line[1:].split():
-                if "=" not in token:
-                    raise MalformedRecord(f"line {lineno}: bad header token {token!r}")
-                key, _, val = token.partition("=")
-                try:
-                    header[key] = int(val)
-                except ValueError as exc:
-                    raise MalformedRecord(f"line {lineno}: non-integer {token!r}") from exc
-            continue
-        fields = line.split(",")
-        if len(fields) != 4:
-            raise MalformedRecord(f"line {lineno}: expected 4 fields, got {len(fields)}")
-        try:
-            t, x, y, p = (int(f) for f in fields)
-        except ValueError as exc:
-            raise MalformedRecord(f"line {lineno}: non-integer field") from exc
-        if p not in (-1, 1):
-            raise MalformedRecord(f"line {lineno}: polarity {p} not in {{-1,+1}}")
-        if t < 0 or x < 0 or y < 0:
-            raise MalformedRecord(f"line {lineno}: negative field")
-        ts.append(t); xs.append(x); ys.append(y); ps.append(p)
+    has_data = spaced = False
+    pos, lineno = 0, 1      # the start of a line and its number
+    while True:
+        hash_at = source.find(b"#", pos)
+        data_end = len(source) if hash_at < 0 else hash_at
+        has_data = has_data or _NON_SPACE.search(source, pos, data_end) is not None
+        spaced = (spaced or source.find(b" ", pos, data_end) >= 0
+                  or source.find(b"\t", pos, data_end) >= 0)
+        if hash_at < 0:
+            break
+        lineno += source.count(b"\n", pos, hash_at)
+        line_start = max(pos, source.rfind(b"\n", pos, hash_at) + 1)
+        if source[line_start:hash_at].strip(b" \t"):
+            raise MalformedRecord(f"line {lineno}: '#' inside a data line")
+        eol = source.find(b"\n", hash_at)
+        eol = len(source) if eol < 0 else eol
+        _read_header_line(source[hash_at + 1:eol], header, lineno)
+        pos, lineno = eol + 1, lineno + 1
+    if spaced:
+        source = _LINE_INDENT.sub(b"", source)
     missing = {"width", "height", "t_start", "t_end"} - set(header)
     if missing:
         raise MalformedRecord(f"missing header keys: {sorted(missing)}")
+    rec = np.zeros(0, dtype=_CSV_RECORD)
+    if has_data:
+        try:
+            rec = np.loadtxt(io.BytesIO(source), dtype=_CSV_RECORD,
+                             delimiter=",", comments="#", ndmin=1)
+        except ValueError as exc:
+            raise MalformedRecord(f"csv record: {exc}") from exc
     return EventStream(
-        t=np.array(ts, dtype=np.uint64), x=np.array(xs, dtype=np.uint16),
-        y=np.array(ys, dtype=np.uint16), p=np.array(ps, dtype=np.int8),
-        width=header["width"], height=header["height"],
+        t=rec["t"].copy(), x=rec["x"].copy(), y=rec["y"].copy(),
+        p=rec["p"].copy(), width=header["width"], height=header["height"],
         t_start=header["t_start"], t_end=header["t_end"],
     )
 
 
 def _write_csv(stream: EventStream) -> bytes:
-    buf = io.StringIO()
-    buf.write(f"# width={stream.width} height={stream.height} "
-              f"t_start={stream.t_start} t_end={stream.t_end}\n")
-    for i in range(len(stream)):
-        buf.write(f"{int(stream.t[i])},{int(stream.x[i])},"
-                  f"{int(stream.y[i])},{int(stream.p[i])}\n")
-    return buf.getvalue().encode("utf-8")
+    """Lines of t,x,y,p in decimal, formatted in numpy a block at a time."""
+    chunks = [f"# width={stream.width} height={stream.height} "
+              f"t_start={stream.t_start} t_end={stream.t_end}\n".encode()]
+    for lo in range(0, len(stream), _CSV_BLOCK):
+        block = slice(lo, lo + _CSV_BLOCK)
+        numbers = (stream.t[block], stream.x[block], stream.y[block])
+        widths = [len(str(int(v.max()))) for v in numbers]
+        # text[i, k] is byte i of event k's line: each number zero-padded
+        # to its block width and a comma, then "-1" and a newline; keep
+        # drops the padding zeros, and the "-" where p is +1
+        text = np.empty((sum(widths) + 6, len(numbers[0])), dtype=np.uint8)
+        keep = np.ones(text.shape, dtype=bool)
+        row = 0
+        for v, width in zip(numbers, widths):
+            for i in range(row + width - 1, row, -1):
+                v, text[i] = np.divmod(v, 10)
+                keep[i - 1] = v != 0
+            text[row] = v
+            text[row:row + width] += ord("0")
+            text[row + width] = ord(",")
+            row += width + 1
+        text[row], text[row + 1], text[row + 2] = ord("-"), ord("1"), ord("\n")
+        keep[row] = stream.p[block] < 0
+        chunks.append(text.T[keep.T])
+    return b"".join(chunks)
 
 
 _EVBIN_HEADER = struct.Struct("<4sIIQQQ")
@@ -269,7 +324,7 @@ def _write_evbin(stream: EventStream) -> bytes:
     rec["p"] = stream.p
     header = _EVBIN_HEADER.pack(EVBIN_MAGIC, stream.width, stream.height,
                                 stream.t_start, stream.t_end, len(stream))
-    return header + rec.tobytes()
+    return b"".join((header, rec))
 
 
 # ---------------------------------------------------------------------------

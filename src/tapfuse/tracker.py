@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -283,20 +284,20 @@ def track_sequence(frames: np.ndarray, frame_times: list[int],
         counters.setdefault("taf_init", 0)
         counters.setdefault("taf_update", 0)
 
-    states: list[TransientState] = []
-    state = None
-    for step, t in enumerate(qtimes):
-        t = int(t)
-        if t in frame_at:
-            batch = exposure_window_events(stream, t, timeline.exposure_us)
-            state = taf_init(frames[frame_at[t]], t, batch, weights)
-            if counters is not None:
-                counters["taf_init"] += 1
-        else:
-            state = taf_update(state, batches[step], weights)
-            if counters is not None:
-                counters["taf_update"] += 1
-        states.append(state)
+    def step_states():
+        state = None
+        for step, t in enumerate(qtimes):
+            t = int(t)
+            if t in frame_at:
+                batch = exposure_window_events(stream, t, timeline.exposure_us)
+                state = taf_init(frames[frame_at[t]], t, batch, weights)
+                if counters is not None:
+                    counters["taf_init"] += 1
+            else:
+                state = taf_update(state, batches[step], weights)
+                if counters is not None:
+                    counters["taf_update"] += 1
+            yield state
 
     w = weights.config.window
     n_q = len(queries)
@@ -308,9 +309,18 @@ def track_sequence(frames: np.ndarray, frame_times: list[int],
         out_pos[qi, :, 1] = qp.y
         out_logit[qi, :] = 1.0
 
+    # live holds the states of steps first, first + 1, ...: each is built
+    # when a window first reaches its step and dropped once the windows
+    # start past it, so at most W are alive
+    states = step_states()
+    live: list[TransientState] = []
+    first = 0
     for start in _window_starts(n_steps, w):
         stop = min(start + w, n_steps)
-        win_states = temporal_attention(states[start:stop], weights)
+        del live[:start - first]
+        first = start
+        live.extend(islice(states, stop - start - len(live)))
+        win_states = temporal_attention(live, weights)
         pyramid = decode_pyramid(win_states, None, weights)
         for qi, qp in enumerate(queries):
             if active_from[qi] >= stop:

@@ -10,12 +10,13 @@ the state and the untrained tracker is an identity tracker.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import MalformedRecord, ShapeMismatch
 
 TFW_MAGIC = b"TFW1"
 
@@ -150,20 +151,40 @@ def save_weights(bundle: WeightBundle) -> bytes:
 
 def load_weights(data: bytes, config: FusionConfig = FusionConfig(),
                  seed: int = 0) -> WeightBundle:
-    """Parse a TFW1 container and validate shapes against the config."""
+    """Parse a TFW1 container and validate shapes against the config. A
+    record cut short, a name that is not UTF-8 or a shape numpy cannot
+    hold raises MalformedRecord."""
     if data[:4] != TFW_MAGIC:
         raise ShapeMismatch(f"bad weights magic {data[:4]!r}")
     pos = 4
+
+    def take(n: int) -> int:
+        """Offset of the next n bytes, which must all be in the file."""
+        nonlocal pos
+        if n > len(data) - pos:
+            raise MalformedRecord(f"weights record at byte {pos} needs {n} "
+                                  f"bytes, {len(data) - pos} left")
+        pos += n
+        return pos - n
+
     params: dict[str, np.ndarray] = {}
     while pos < len(data):
-        (nlen,) = struct.unpack_from("<I", data, pos); pos += 4
-        name = data[pos:pos + nlen].decode("utf-8"); pos += nlen
-        (rank,) = struct.unpack_from("<I", data, pos); pos += 4
-        dims = struct.unpack_from(f"<{rank}I", data, pos); pos += 4 * rank
-        count = int(np.prod(dims)) if rank else 1
-        arr = np.frombuffer(data, dtype="<f8", count=count, offset=pos).copy()
-        pos += 8 * count
-        params[name] = arr.reshape(dims)
+        (nlen,) = struct.unpack_from("<I", data, take(4))
+        at = take(nlen)
+        try:
+            name = data[at:at + nlen].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedRecord(f"weights name at byte {at} is not UTF-8") from exc
+        (rank,) = struct.unpack_from("<I", data, take(4))
+        dims = struct.unpack_from(f"<{rank}I", data, take(4 * rank))
+        count = math.prod(dims)
+        arr = np.frombuffer(data, dtype="<f8", count=count, offset=take(8 * count))
+        try:
+            # numpy refuses more than 64 dims, and a 0-size shape whose
+            # other dims would overflow
+            params[name] = arr.copy().reshape(dims)
+        except ValueError as exc:
+            raise MalformedRecord(f"weights record {name!r}: bad shape") from exc
     expected = {name: shape for name, shape, _ in parameter_specs(config)}
     if set(params) != set(expected):
         missing = set(expected) - set(params)

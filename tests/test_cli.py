@@ -10,6 +10,7 @@ from tapfuse.cli import cmd_bench, cmd_simulate, main
 from tapfuse.config import RunConfig, parse_run_config
 from tapfuse.errors import ConfigError
 from tapfuse.tracker import parse_track_set
+from tapfuse.weights import WeightBundle, save_weights
 
 SMALL_CONFIG = """\
 # compact scene for fast end-to-end runs
@@ -312,3 +313,49 @@ class TestBenchAndRepr:
         rc = run_cli(["--config", small_cfg, "--out", tmp_path / "r", "repr",
                       "--stream", out / "events.evbin", "--kind", "nope"])
         assert rc == 2
+
+
+class TestMalformedInputFiles:
+    """Inputs that once escaped as tracebacks exit with a data error."""
+
+    def simulate(self, tmp_path, small_cfg):
+        out = tmp_path / "sim"
+        assert run_cli(["--config", small_cfg, "--out", out, "simulate"]) == 0
+        return out
+
+    @pytest.mark.parametrize("record", [b"5,70000,1,1",
+                                        b"18446744073709551616,1,1,1"])
+    def test_csv_field_beyond_its_column_is_data_error(self, tmp_path,
+                                                       small_cfg, record,
+                                                       capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"# width=32 height=32 t_start=0 t_end=1000000\n"
+                        + record + b"\n")
+        rc = run_cli(["--config", small_cfg, "--out", tmp_path / "r", "repr",
+                      "--stream", bad])
+        assert rc == 3
+        assert "data error" in capsys.readouterr().err
+
+    def test_csv_stream_runs_repr(self, tmp_path, small_cfg, capsys):
+        out = tmp_path / "sim"
+        assert run_cli(["--config", small_cfg, "--out", out, "--format", "csv",
+                        "simulate"]) == 0
+        rc = run_cli(["--config", small_cfg, "--out", tmp_path / "r", "repr",
+                      "--stream", out / "events.csv"])
+        assert rc == 0
+
+    @pytest.mark.parametrize("keep", [10, 20, 100, 0.5])
+    def test_truncated_weights_is_data_error(self, tmp_path, small_cfg, keep,
+                                             capsys):
+        out = self.simulate(tmp_path, small_cfg)
+        cfg = parse_run_config(SMALL_CONFIG)
+        blob = save_weights(WeightBundle.initialize(cfg.fusion_config(),
+                                                    cfg.seed))
+        cut = tmp_path / "cut.tfw"
+        cut.write_bytes(blob[:int(len(blob) * keep) if isinstance(keep, float)
+                             else keep])
+        rc = run_cli(["--config", small_cfg, "--out", tmp_path / "trk",
+                      "track", "--stream", out / "events.evbin",
+                      "--frames", out / "video.tns", "--weights", cut,
+                      "--query", "0,16,16"])
+        assert rc == 3

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tapfuse.errors import (
+    ConfigError,
     EmptyTimeline,
     GeometryViolation,
     MalformedRecord,
     NonMonotonicHeader,
+    TapfuseError,
 )
 from tapfuse.events import (
     Event,
@@ -209,3 +211,252 @@ def test_batch_invariant_enforced():
                    x=np.zeros(1, dtype=np.uint16),
                    y=np.zeros(1, dtype=np.uint16),
                    p=np.ones(1, dtype=np.int8), bin_start=10, bin_end=20)
+
+
+# ---------------------------------------------------------------------------
+# The array codec against the per-line codec it replaced
+# ---------------------------------------------------------------------------
+
+def loop_parse_csv(source: bytes) -> EventStream:
+    """The per-line CSV parser the array codec replaced, kept as the oracle
+    for files in the documented grammar."""
+    text = source.decode("utf-8")
+    header: dict[str, int] = {}
+    ts, xs, ys, ps = [], [], [], []
+    for line in text.split("\n"):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            for token in line[1:].split():
+                key, _, val = token.partition("=")
+                header[key] = int(val)
+            continue
+        t, x, y, p = (int(f) for f in line.split(","))
+        ts.append(t); xs.append(x); ys.append(y); ps.append(p)
+    return EventStream(
+        t=np.array(ts, dtype=np.uint64), x=np.array(xs, dtype=np.uint16),
+        y=np.array(ys, dtype=np.uint16), p=np.array(ps, dtype=np.int8),
+        width=header["width"], height=header["height"],
+        t_start=header["t_start"], t_end=header["t_end"])
+
+
+def loop_write_csv(stream: EventStream) -> bytes:
+    """The per-event CSV writer the array codec replaced."""
+    lines = [f"# width={stream.width} height={stream.height} "
+             f"t_start={stream.t_start} t_end={stream.t_end}\n"]
+    for i in range(len(stream)):
+        lines.append(f"{int(stream.t[i])},{int(stream.x[i])},"
+                     f"{int(stream.y[i])},{int(stream.p[i])}\n")
+    return "".join(lines).encode("utf-8")
+
+
+def assert_same_stream(a: EventStream, b: EventStream):
+    for col in "txyp":
+        got, want = getattr(a, col), getattr(b, col)
+        assert got.dtype == want.dtype and np.array_equal(got, want), col
+    assert ((a.width, a.height, a.t_start, a.t_end)
+            == (b.width, b.height, b.t_start, b.t_end))
+
+
+T_MAX = 2 ** 64 - 1
+SPACES = st.sampled_from(["", " ", "  ", "\t", " \t"])
+EOL = st.sampled_from(["\n", "\r\n"])
+
+
+@st.composite
+def csv_variants(draw):
+    """A CSV in the documented grammar: header lines anywhere, indented or
+    split in two; blank and whitespace-only lines; LF or CRLF; spaces and
+    tabs around fields; '+' signs and leading zeros; t up to 2**64 - 1."""
+    width = draw(st.integers(1, 65536))
+    height = draw(st.integers(1, 65536))
+    t_start = draw(st.sampled_from([0, 1, 10 ** 6, T_MAX - 1000]))
+    t_end = draw(st.sampled_from([t_start, t_start + 1000, T_MAX]))
+
+    def number(v):
+        sign = draw(st.sampled_from(["", "+"]))
+        zeros = "0" * draw(st.integers(0, 3))
+        return draw(SPACES) + sign + zeros + str(v) + draw(SPACES)
+
+    lines = []
+    for _ in range(draw(st.integers(0, 30))):
+        t = draw(st.integers(t_start, t_end))
+        x = draw(st.integers(0, width - 1))
+        y = draw(st.integers(0, height - 1))
+        p = draw(st.sampled_from(["1", "+1", "-1", "01", "-01"]))
+        lines.append(",".join([number(t), number(x), number(y),
+                               draw(SPACES) + p + draw(SPACES)]))
+    tokens = [f"width={width}", f"height={height}", f"t_start={t_start}",
+              f"t_end={t_end}"]
+    cut = draw(st.integers(0, 4))
+    for part in (tokens[:cut], tokens[cut:]):
+        at = draw(st.integers(0, len(lines)))
+        lines.insert(at, draw(SPACES) + "#" + draw(SPACES) + " ".join(part))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(SPACES))
+    text = "".join(line + draw(EOL) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text.encode("ascii")
+
+
+class TestCsvCodecEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(csv_variants())
+    def test_parse_equals_per_line_parser(self, source):
+        assert_same_stream(parse_event_stream(source, "csv"),
+                           loop_parse_csv(source))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_written_bytes_equal_per_event_writer(self, data):
+        n = data.draw(st.integers(0, 40_000), label="n")
+        t_end = data.draw(st.sampled_from([0, 9, 10 ** 6, T_MAX]))
+        seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        t = rng.integers(0, t_end, size=n, dtype=np.uint64, endpoint=True)
+        stream = EventStream(
+            t=t, x=rng.integers(0, 65536, size=n), y=rng.integers(0, 65536, size=n),
+            p=rng.choice(np.array([-1, 1], dtype=np.int8), size=n),
+            width=65536, height=65536, t_start=0, t_end=t_end)
+        assert serialize_event_stream(stream, "csv") == loop_write_csv(stream)
+
+    @pytest.mark.parametrize("t,x,y", [
+        ([], [], []), ([T_MAX], [65535], [65535]), ([0], [0], [0]),
+        ([0, 9, 10, 99, 100, T_MAX], [0, 9, 10, 65535, 99, 100],
+         [65535, 100, 9, 0, 10, 99])])
+    def test_written_bytes_at_the_column_limits(self, t, x, y):
+        n = len(t)
+        stream = EventStream(
+            t=np.array(t, dtype=np.uint64), x=np.array(x, dtype=np.uint16),
+            y=np.array(y, dtype=np.uint16),
+            p=np.array([(-1) ** i for i in range(n)], dtype=np.int8),
+            width=65536, height=65536, t_start=0, t_end=T_MAX)
+        blob = serialize_event_stream(stream, "csv")
+        assert blob == loop_write_csv(stream)
+        assert_same_stream(parse_event_stream(blob, "csv"), stream)
+
+    @pytest.mark.parametrize("source", [
+        b"# width=4 height=4 t_start=0 t_end=10\n1,2,3,1 # note\n",
+        b"# width=4 height=4 t_start=0 t_end=10\n1,2,3,1\n2,2,#,1\n",
+        b"# width=4 height=4 t_start=0 t_end=10\n1.5,2,3,1\n",
+        b"# width=4 height=4 t_start=0 t_end=10\n1,,3,1\n",
+        b"# width=4 height=4 t_start=0 t_end=10\n1,2,3,1,\n",
+        b"# width=4 height=4 t_start=0 t_end=10\n-1,2,3,1\n",
+        b"# width=4 height=4 t_start=0 t_end=10\n1,-2,3,1\n",
+        b"# width=4 height=4 t_start=0 t_end=10\n1,2,3,2\n",
+        b"# width=4 height=4 t_start=0 t_end=10\n1,2,3,128\n",
+        b"# width=4 height=4 t_start=0 t_end=10\n1,2,3,1\r5,1,1,1\n",
+        b"# width=4 height=4 t_start=0 t_end=10\n1 2,2,3,1\n",
+        b"# width=4 height=4 t_start=0 t_end=10\n0x1,2,3,1\n",
+        b"# width=4 height=4 t_start=0 t_end=10\n1_0,2,3,1\n",
+        b"# width=4 height=4 t_start=0 t_end=10\n1,2,3,1\xff\n",
+        b"# width=4 height=4 t_start=0 t_end=10\n5,70000,1,1\n",
+        b"# width=4 height=4 t_start=0 t_end=10\n18446744073709551616,1,1,1\n",
+        b"# width=4 height=4 t_start=0 t_end=10\n1,2,3,99999999999999999999\n",
+        b"# width=4 height=4 t_start=0\n1,2,3,1\n",
+        b"# width=4 height=4 t_start=0 t_end=1x\n",
+        b"# width=4 height=4 t_start=0 t_end\n",
+        b"# width=4 height=\xff t_start=0 t_end=10\n",
+    ])
+    def test_malformed_record(self, source):
+        with pytest.raises(MalformedRecord):
+            parse_event_stream(source, "csv")
+
+    def test_header_values_keep_int_spellings(self):
+        src = b"# width=0_8 height=+8 t_start=00 t_end=1_000\n7,1,1,1\n"
+        stream = parse_event_stream(src, "csv")
+        assert (stream.width, stream.height, stream.t_end) == (8, 8, 1000)
+
+
+@pytest.mark.parametrize("fmt", ["bin", "CSV", ""])
+def test_unknown_format_is_config_error(fmt):
+    stream = EventStream.from_events([], 4, 4, 0, 10)
+    with pytest.raises(ConfigError):
+        parse_event_stream(b"", fmt)
+    with pytest.raises(ConfigError):
+        serialize_event_stream(stream, fmt)
+
+
+def lexsorted(t, x, y, p):
+    order = np.lexsort((p, x, y, t))
+    return t[order], x[order], y[order], p[order]
+
+
+class TestCanonicalFastPath:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 300), span=st.sampled_from([1, 3, 50, 10 ** 9]),
+           geometry=st.sampled_from([2, 5, 65536]),
+           layout=st.sampled_from(["shuffled", "sorted", "reversed",
+                                   "one_swap"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_lexsort(self, n, span, geometry, layout, seed):
+        """Tie-heavy (small spans and sensors), shuffled, reversed and
+        almost-sorted inputs give exactly the lexsort order."""
+        rng = np.random.default_rng(seed)
+        cols = (rng.integers(0, span, size=n).astype(np.uint64),
+                rng.integers(0, geometry, size=n).astype(np.uint16),
+                rng.integers(0, geometry, size=n).astype(np.uint16),
+                rng.choice(np.array([-1, 1], dtype=np.int8), size=n))
+        want = lexsorted(*cols)
+        if layout == "sorted":
+            cols = want
+        elif layout == "reversed":
+            cols = tuple(c[::-1].copy() for c in want)
+        elif layout == "one_swap" and n >= 2:
+            i = int(rng.integers(0, n - 1))
+            cols = tuple(np.concatenate([c[:i], c[i + 1:i + 2], c[i:i + 1],
+                                         c[i + 2:]]) for c in want)
+        stream = EventStream(*cols, width=geometry, height=geometry,
+                             t_start=0, t_end=span)
+        for got, exp in zip((stream.t, stream.x, stream.y, stream.p), want):
+            assert np.array_equal(got, exp)
+
+    def test_each_key_breaks_a_tie(self):
+        # t ties broken by y, then x, then p; each pair is out of order
+        for a, b in [((5, 0, 1, 1), (5, 0, 0, 1)), ((5, 1, 0, 1), (5, 0, 0, 1)),
+                     ((5, 0, 0, 1), (5, 0, 0, -1)), ((6, 0, 0, 1), (5, 9, 9, 1))]:
+            t, x, y, p = (np.array(c) for c in zip(a, b))
+            stream = EventStream(t=t, x=x, y=y, p=p, width=10, height=10,
+                                 t_start=0, t_end=10)
+            assert [stream[i] for i in range(2)] == [
+                Event(x=b[1], y=b[2], t=b[0], p=b[3]),
+                Event(x=a[1], y=a[2], t=a[0], p=a[3])]
+
+
+# ---------------------------------------------------------------------------
+# Byte-mutation fuzzing: only typed errors escape the parsers
+# ---------------------------------------------------------------------------
+
+VALID_CSV = (b"# width=8 height=6 t_start=0 t_end=5000\n"
+             b"10,1,2,1\n10,1,2,-1\n250,7,5,1\n  # note=1\n4999,0,0,-1\r\n")
+VALID_EVBIN = serialize_event_stream(parse_event_stream(VALID_CSV, "csv"),
+                                     "evbin")
+MUTATION_BYTES = st.one_of(
+    st.binary(max_size=3),
+    st.sampled_from([b"#", b",", b"\n", b"\r", b"-", b"+", b" ", b"=", b".",
+                     b"\x00", b"\xff", b"9" * 25, b"\x01\x00\x00\x00"]))
+
+
+def mutate(base: bytes, edits, cut) -> bytes:
+    """Each edit replaces one byte with a short byte string (a delete,
+    replace or insert); then the buffer is cut at a random length."""
+    blob = bytearray(base)
+    for pos, repl in edits:
+        pos = min(pos, max(len(blob) - 1, 0))
+        blob[pos:pos + 1] = repl
+    return bytes(blob[:cut])
+
+
+@pytest.mark.parametrize("fmt,base", [("csv", VALID_CSV),
+                                      ("evbin", VALID_EVBIN)])
+@settings(max_examples=300, deadline=None)
+@given(edits=st.lists(st.tuples(st.integers(0, 120), MUTATION_BYTES),
+                      min_size=1, max_size=4),
+       cut=st.integers(0, 130))
+def test_mutated_event_file_raises_only_typed_errors(fmt, base, edits, cut):
+    try:
+        parse_event_stream(mutate(base, edits, cut), fmt)
+    except TapfuseError:
+        pass

@@ -2,11 +2,15 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from _gradcheck import clwf_grad_max_rel_err, tattn_grad_max_rel_err
 from tapfuse.errors import (
+    DataError,
+    MalformedRecord,
     MissingForwardCache,
     ShapeMismatch,
+    TapfuseError,
     TimeRegression,
 )
 from tapfuse.events import Event, EventBatch
@@ -418,6 +422,29 @@ class TestWeightIO:
         with pytest.raises(ShapeMismatch):
             load_weights(blob, FusionConfig(d=32))
 
+    @pytest.mark.parametrize("keep", [5, 10, 20, 100, 0.5, -1])
+    def test_truncated_file_is_data_error(self, keep):
+        blob = save_weights(WeightBundle.initialize(FusionConfig(), seed=0))
+        cut = int(len(blob) * keep) if isinstance(keep, float) else keep
+        with pytest.raises(MalformedRecord):
+            load_weights(blob[:cut])
+        assert issubclass(MalformedRecord, DataError)
+
+    @pytest.mark.parametrize("record", [
+        b"\x02\x00\x00\x00\xff\xfe\x00\x00\x00\x00" + b"\x00" * 8,
+        b"\x01\x00\x00\x00a\xff\xff\xff\xff",
+        b"\x01\x00\x00\x00a\x02\x00\x00\x00\xff\xff\xff\xff\xff\xff\xff\xff",
+        b"\xff\xff\xff\xffa",
+        b"\x01\x00\x00\x00a\x03\x00\x00\x00\x00\x00\x00\x00" + b"\xff" * 8,
+        b"\x01\x00\x00\x00a\x41\x00\x00\x00" + b"\x01\x00\x00\x00" * 65
+        + b"\x00" * 8,
+    ])
+    def test_malformed_record_is_data_error(self, record):
+        # a non-UTF-8 name, a rank or dims far past the end, a long name,
+        # a 0-size shape too big for numpy, 65 dims
+        with pytest.raises(MalformedRecord):
+            load_weights(b"TFW1" + record)
+
     @pytest.mark.parametrize("cfg, digest", [
         (FusionConfig(), "f67ee60c08c1509b"),
         (FusionConfig(d=24, radius=2, refiner_width=40, refiner_blocks=3),
@@ -435,3 +462,30 @@ class TestWeightIO:
                      "ref.b0.mlp.w2", "ref.b1.mlp.w2", "ref.head.w",
                      "ref.head.b"):
             assert not bundle[name].any(), name
+
+
+TINY_TFW = save_weights(WeightBundle(
+    params={"a": np.arange(6.0).reshape(2, 3), "bb": np.ones(2),
+            "s": np.array(1.5)},
+    config=FusionConfig(), seed=0))
+TFW_MUTATIONS = st.one_of(
+    st.binary(max_size=4),
+    st.sampled_from([b"\x00", b"\xff", b"\xff\xff\xff\xff", b"\x07\x00\x00\x00",
+                     b"TFW1"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=st.lists(st.tuples(st.integers(0, len(TINY_TFW) - 1),
+                                TFW_MUTATIONS), min_size=1, max_size=4),
+       cut=st.integers(0, len(TINY_TFW) + 8))
+def test_mutated_weights_file_raises_only_typed_errors(edits, cut):
+    """Each edit replaces one byte with a short byte string (a delete,
+    replace or insert); then the file is cut at a random length."""
+    blob = bytearray(TINY_TFW)
+    for pos, repl in edits:
+        pos = min(pos, len(blob) - 1)
+        blob[pos:pos + 1] = repl
+    try:
+        load_weights(bytes(blob[:cut]))
+    except TapfuseError:
+        pass

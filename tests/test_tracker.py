@@ -296,6 +296,40 @@ class TestTrackSequence:
         assert counters["taf_init"] == 12
         assert counters["taf_update"] == 36
 
+    def test_states_are_built_per_window_and_dropped_after_it(self,
+                                                             monkeypatch):
+        """Each window's states are built when it is reached, and no more
+        than one window of them is alive at a time."""
+        import weakref
+
+        import tapfuse.tracker as tracker
+
+        frames, timeline, stream, _ = small_sequence()
+        weights = WeightBundle.initialize(FusionConfig(), seed=0)
+        built = []
+        seen = []
+
+        def keep_ref(fn):
+            def wrapped(*args):
+                state = fn(*args)
+                built.append(weakref.ref(state))
+                return state
+            return wrapped
+
+        def attend(states, w):
+            alive = sum(ref() is not None for ref in built)
+            seen.append((len(built), alive, len(states)))
+            return temporal_attention(states, w)
+
+        temporal_attention = tracker.temporal_attention
+        monkeypatch.setattr(tracker, "taf_init", keep_ref(tracker.taf_init))
+        monkeypatch.setattr(tracker, "taf_update", keep_ref(tracker.taf_update))
+        monkeypatch.setattr(tracker, "temporal_attention", attend)
+        track_sequence(frames, list(timeline.frame_times), stream, timeline,
+                       [QueryPoint(0, 16.0, 16.0)], weights)
+        # window starts 0, 8, 16, 24, 32 of 16 steps over 48 query steps
+        assert seen == [(stop, 16, 16) for stop in (16, 24, 32, 40, 48)]
+
     def test_untrained_network_is_identity_tracker(self):
         frames, timeline, stream, _ = small_sequence(seed=1)
         weights = WeightBundle.initialize(FusionConfig(), seed=1)
