@@ -53,11 +53,14 @@ class TransientState:
 
 @dataclass(frozen=True)
 class FeaturePyramid:
-    """Three fused feature maps at strides (8, 4, 2) of the input, each
-    (h, w, C), or (W, h, w, C) stacked over a window's W steps."""
+    """A window's three decoded feature levels at token resolution: level
+    l is (W, rows, cols, C_l), one slice per window step.
+
+    Level l stands for a map at stride patch / 2**l of the input on which
+    each token covers a 2**l x 2**l block of points; the sampler reads the
+    blocks in place, so no upsampled copy is ever built."""
 
     levels: tuple[np.ndarray, np.ndarray, np.ndarray]
-    strides: tuple[int, int, int] = (8, 4, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -359,40 +362,23 @@ def temporal_attention_backward(cache: dict, upstream: np.ndarray,
 # Pyramid decoder
 # ---------------------------------------------------------------------------
 
-def decode_pyramid(states: TransientState | Sequence[TransientState],
-                   skips: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
+def decode_pyramid(states: Sequence[TransientState],
                    weights: WeightBundle) -> FeaturePyramid:
-    """Decode the token grid into 3 feature maps at strides 8/4/2 via
-    nearest-neighbor upsampling, linear channel mixing, and skip addition.
+    """Decode a window of W states in one pass into 3 token-resolution
+    levels by chained channel mixes: level l is (W, rows, cols, C_l) with
+    C_l = C_{l-1} @ dec.w_l + dec.b_l, slice t being the decode of state t.
 
-    A single state decodes to (h, w, C) levels. A window of W states
-    decodes in one pass to stacked (W, h, w, C) levels, slice t being the
-    decode of state t."""
-    if isinstance(states, TransientState):
-        grid, x = states.tokens.grid, states.tokens.values
-    else:
-        grids = {s.tokens.grid for s in states}
-        if len(grids) != 1:
-            raise ShapeMismatch(f"a window needs one token grid, got {grids}")
-        (grid,) = grids
-        x = np.stack([s.tokens.values for s in states])
-    rows, cols = grid
-    x = x.reshape(x.shape[:-2] + (rows, cols, -1))
+    Nearest-neighbour upsampling commutes with the per-token mixes, so
+    level l, each token repeated into a 2**l x 2**l block, is the map an
+    upsampling decoder would build at stride patch / 2**l."""
+    grids = {s.tokens.grid for s in states}
+    if len(grids) != 1:
+        raise ShapeMismatch(f"a window needs one token grid, got {grids}")
+    (grid,) = grids
+    x = np.stack([s.tokens.values for s in states]).reshape(
+        (len(states),) + grid + (-1,))
     levels = []
     for lvl in range(3):
-        # 2x nearest-neighbour upsampling repeats columns before the channel
-        # mix and rows after it: a repeated row mixes to the same values, so
-        # this equals mixing the fully upsampled map, in half the memory
-        if lvl > 0:
-            x = np.repeat(x, 2, axis=-2)
         x = x @ weights[f"dec.w{lvl}"] + weights[f"dec.b{lvl}"]
-        if lvl > 0:
-            x = np.repeat(x, 2, axis=-3)
-        if skips is not None and skips[lvl] is not None:
-            skip = np.asarray(skips[lvl], dtype=np.float64)
-            if skip.shape != x.shape:
-                raise ShapeMismatch(
-                    f"skip {lvl} shape {skip.shape} != {x.shape}")
-            x = x + skip
         levels.append(x)
     return FeaturePyramid(levels=tuple(levels))

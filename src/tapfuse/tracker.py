@@ -4,10 +4,12 @@ The refiner samples bilinear feature patches around current position
 estimates on the 3-level pyramid, correlates them against the window's
 anchor patch, encodes the correlation matrices with per-level MLPs, and
 runs a small spatio-temporal transformer that predicts residual position
-and visibility updates. track_sequence drives the transient-fusion state
+and visibility updates. The pyramid stays at token resolution: level l
+is read at stride patch / 2**l, each token covering a 2**l x 2**l block
+of sample points. track_sequence drives the transient-fusion state
 machine along the query-time grid and slides W-step windows with 50%
 overlap over the resulting states, decoding each window once into a
-stacked pyramid that all queries share.
+pyramid that all queries share.
 """
 
 from __future__ import annotations
@@ -120,23 +122,22 @@ def parse_track_set(data: bytes) -> TrackSet:
 # Patch sampling and correlation features
 # ---------------------------------------------------------------------------
 
-def sample_patch(level: np.ndarray,
-                 center: tuple[float, float] | np.ndarray, r: int,
-                 stride: int = 1) -> np.ndarray:
-    """Bilinear (2r+1)x(2r+1)xC patch around center (input-resolution px),
-    with taps spaced by the level's stride. Out-of-bounds taps read 0.
+def sample_patch(level: np.ndarray, centers: np.ndarray, r: int,
+                 stride: float = 1, block: int = 1) -> np.ndarray:
+    """Bilinear (2r+1)x(2r+1)xC patches around (W, 2) centres (input px),
+    one per step of a (W, rows, cols, C) level, gathered for all W steps
+    at once per bilinear corner; returns (W, 2r+1, 2r+1, C).
 
-    A stacked (W, h, w, C) level with (W, 2) centers samples all W steps
-    in one gather per bilinear corner and returns (W, 2r+1, 2r+1, C);
-    step t equals the single-centre call on level[t] with center[t].
+    Taps are spaced by stride on a grid of rows * block x cols * block
+    points, on which each level cell covers a block x block square; a tap
+    outside that grid reads 0.
     """
     level = np.asarray(level, dtype=np.float64)
-    single = level.ndim == 3
-    levels = level[None] if single else level
-    n, h, w, c = levels.shape
-    centers = np.asarray(center, dtype=np.float64).reshape(-1, 2)
-    if len(centers) != n:
-        raise ShapeMismatch(f"{len(centers)} centers for {n} level steps")
+    n, rows, cols, c = level.shape
+    h, w = rows * block, cols * block
+    centers = np.asarray(centers, dtype=np.float64)
+    if centers.shape != (n, 2):
+        raise ShapeMismatch(f"centers {centers.shape} for {n} level steps")
     offs = np.arange(-r, r + 1, dtype=np.float64)
     px = centers[:, 0, None, None] / stride + offs[None, None, :]
     py = centers[:, 1, None, None] / stride + offs[None, :, None]
@@ -150,9 +151,10 @@ def sample_patch(level: np.ndarray,
             xs, ys = x0 + dx_i, y0 + dy_i
             ok = (xs >= 0) & (xs < w) & (ys >= 0) & (ys < h)
             weight = np.where(ok, wy * wx, 0.0)
-            vals = levels[steps, np.clip(ys, 0, h - 1), np.clip(xs, 0, w - 1)]
+            vals = level[steps, np.clip(ys, 0, h - 1) // block,
+                         np.clip(xs, 0, w - 1) // block]
             patch += weight[..., None] * vals
-    return patch[0] if single else patch
+    return patch
 
 
 def _relu(x):
@@ -210,8 +212,9 @@ def refine_track(state: TrackState, pyramid: FeaturePyramid,
                  ) -> TrackState:
     """Iteratively apply residual (dx, dy, dv) updates to a window track.
 
-    pyramid is the window's stacked pyramid: level l is (W, h_l, w_l, C_l),
-    one slice per window step."""
+    pyramid is the window's decoded pyramid: level l is
+    (W, rows, cols, C_l), one slice per window step, sampled with taps at
+    stride patch / 2**l and tokens of 2**l x 2**l points."""
     cfg = weights.config
     m = cfg.iterations if iterations is None else iterations
     if m < 1:
@@ -224,8 +227,9 @@ def refine_track(state: TrackState, pyramid: FeaturePyramid,
     for _ in range(m):
         patches_per_level = []
         for lvl in range(3):
+            block = 2 ** lvl
             patch = sample_patch(pyramid.levels[lvl], state.positions, r,
-                                 pyramid.strides[lvl])
+                                 cfg.patch / block, block)
             patches_per_level.append(patch.reshape(w, -1, patch.shape[-1]))
         desc = correlation_features(patches_per_level, weights)
         rel = state.positions - state.positions[0]
@@ -321,7 +325,7 @@ def track_sequence(frames: np.ndarray, frame_times: list[int],
         first = start
         live.extend(islice(states, stop - start - len(live)))
         win_states = temporal_attention(live, weights)
-        pyramid = decode_pyramid(win_states, None, weights)
+        pyramid = decode_pyramid(win_states, weights)
         for qi, qp in enumerate(queries):
             if active_from[qi] >= stop:
                 continue

@@ -152,10 +152,10 @@ def save_weights(bundle: WeightBundle) -> bytes:
 def load_weights(data: bytes, config: FusionConfig = FusionConfig(),
                  seed: int = 0) -> WeightBundle:
     """Parse a TFW1 container and validate shapes against the config. A
-    record cut short, a name that is not UTF-8 or a shape numpy cannot
-    hold raises MalformedRecord."""
+    missing magic, a record cut short, a name that is not UTF-8 or a shape
+    numpy cannot hold raises MalformedRecord."""
     if data[:4] != TFW_MAGIC:
-        raise ShapeMismatch(f"bad weights magic {data[:4]!r}")
+        raise MalformedRecord(f"bad weights magic {data[:4]!r}")
     pos = 4
 
     def take(n: int) -> int:

@@ -229,8 +229,7 @@ def test_criterion_09_refinement_constants_and_composition():
         weights.params[name] = rng.normal(scale=0.05,
                                           size=weights.params[name].shape)
     from tapfuse.fusion import FeaturePyramid
-    steps = [tuple(rng.normal(size=(8 * 2 ** l, 8 * 2 ** l, c))
-                   for l, c in enumerate(cfg.decoder_channels))
+    steps = [tuple(rng.normal(size=(8, 8, c)) for c in cfg.decoder_channels)
              for _ in range(cfg.window)]
     pyramids = FeaturePyramid(levels=tuple(np.stack(lvl) for lvl in zip(*steps)))
     state = TrackState(positions=rng.uniform(10, 50, size=(cfg.window, 2)),

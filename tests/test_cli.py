@@ -10,7 +10,7 @@ from tapfuse.cli import cmd_bench, cmd_simulate, main
 from tapfuse.config import RunConfig, parse_run_config
 from tapfuse.errors import ConfigError
 from tapfuse.tracker import parse_track_set
-from tapfuse.weights import WeightBundle, save_weights
+from tapfuse.weights import WeightBundle, parameter_specs, save_weights
 
 SMALL_CONFIG = """\
 # compact scene for fast end-to-end runs
@@ -231,6 +231,35 @@ class TestTrack:
         assert tracks.positions.shape == (2, 24, 2)
 
 
+    def test_golden_tracks_with_perturbed_weights(self, tmp_path, small_cfg,
+                                                  capsys):
+        """simulate -> track with small seeded values in every zero-init
+        matrix (the residual attention outputs, the refiner's MLP outputs
+        and its head), so the refiner moves the tracks; the second query
+        starts mid-window. The digest pins the tracks file byte for byte."""
+        cfg = parse_run_config(SMALL_CONFIG)
+        bundle = WeightBundle.initialize(cfg.fusion_config(), cfg.seed)
+        rng = np.random.default_rng(7)
+        for name, shape, init in parameter_specs(cfg.fusion_config()):
+            if init == "zeros" and len(shape) == 2:
+                bundle.params[name] = rng.uniform(
+                    -0.2, 0.2, size=shape) / np.sqrt(shape[0])
+        weights = tmp_path / "perturbed.tfw"
+        weights.write_bytes(save_weights(bundle))
+        out = tmp_path / "sim"
+        assert run_cli(["--config", small_cfg, "--out", out, "simulate"]) == 0
+        assert run_cli(["--config", small_cfg, "--out", tmp_path / "trk",
+                        "track", "--stream", out / "events.evbin",
+                        "--frames", out / "video.tns", "--weights", weights,
+                        "--query", "0,16,16", "--query", "208333,14,18"]) == 0
+        data = (tmp_path / "trk" / "tracks.txt").read_bytes()
+        tracks = parse_track_set(data)
+        # query 1 starts at step 5 of the first 16-step window
+        assert not tracks.visibility[1, :5].any()
+        assert np.all(tracks.positions[:, -1] != [[16, 16], [14, 18]])
+        assert hashlib.sha256(data).hexdigest()[:16] == "ffeba7e180c66cd8"
+
+
 class TestEval:
     def test_file_against_itself_scores_one(self, tmp_path, small_cfg, capsys):
         out = tmp_path / "sim"
@@ -343,6 +372,19 @@ class TestMalformedInputFiles:
         rc = run_cli(["--config", small_cfg, "--out", tmp_path / "r", "repr",
                       "--stream", out / "events.csv"])
         assert rc == 0
+
+    @pytest.mark.parametrize("blob", [b"", b"TF", b"XXXX" + b"\x00" * 16])
+    def test_bad_weights_magic_is_data_error(self, tmp_path, small_cfg, blob,
+                                             capsys):
+        out = self.simulate(tmp_path, small_cfg)
+        bad = tmp_path / "bad.tfw"
+        bad.write_bytes(blob)
+        rc = run_cli(["--config", small_cfg, "--out", tmp_path / "trk",
+                      "track", "--stream", out / "events.evbin",
+                      "--frames", out / "video.tns", "--weights", bad,
+                      "--query", "0,16,16"])
+        assert rc == 3
+        assert "bad weights magic" in capsys.readouterr().err
 
     @pytest.mark.parametrize("keep", [10, 20, 100, 0.5])
     def test_truncated_weights_is_data_error(self, tmp_path, small_cfg, keep,

@@ -333,45 +333,39 @@ class TestTemporalAttention:
         assert tattn_grad_max_rel_err(seed) < 1e-4
 
 
+def upsample(level, block):
+    """The full-resolution map a token-resolution level stands for: each
+    token repeated into a block x block square (nearest neighbour)."""
+    return np.repeat(np.repeat(level, block, axis=-3), block, axis=-2)
+
+
 class TestPyramidDecoder:
-    def test_level_shapes_and_strides(self):
+    def test_level_shapes_are_token_resolution(self):
         rng = np.random.default_rng(19)
         weights = small_weights(seed=20, d=8)
         state = TransientState(tokens=random_tokens(rng, (4, 6), 8),
                                state_time=0, frame_anchor_time=0)
-        pyr = decode_pyramid(state, None, weights)
-        assert pyr.strides == (8, 4, 2)
-        assert pyr.levels[0].shape == (4, 6, 64)
-        assert pyr.levels[1].shape == (8, 12, 32)
-        assert pyr.levels[2].shape == (16, 24, 16)
+        pyr = decode_pyramid([state], weights)
+        assert [lvl.shape for lvl in pyr.levels] == [
+            (1, 4, 6, 64), (1, 4, 6, 32), (1, 4, 6, 16)]
+        # the maps they stand for, at strides patch / 2**l
+        assert upsample(pyr.levels[1], 2).shape == (1, 8, 12, 32)
+        assert upsample(pyr.levels[2], 4).shape == (1, 16, 24, 16)
 
     def test_matches_manual_composition(self):
+        """Upsampled, the levels equal the full-resolution decoder:
+        nearest-neighbour 2x upsampling, then the channel mix."""
         rng = np.random.default_rng(20)
         weights = small_weights(seed=21, d=8)
         state = TransientState(tokens=random_tokens(rng, (3, 3), 8),
                                state_time=0, frame_anchor_time=0)
-        pyr = decode_pyramid(state, None, weights)
+        pyr = decode_pyramid([state], weights)
         x = state.tokens.values.reshape(3, 3, 8)
         l0 = x @ weights["dec.w0"] + weights["dec.b0"]
-        up = np.repeat(np.repeat(l0, 2, axis=0), 2, axis=1)
-        l1 = up @ weights["dec.w1"] + weights["dec.b1"]
-        up = np.repeat(np.repeat(l1, 2, axis=0), 2, axis=1)
-        l2 = up @ weights["dec.w2"] + weights["dec.b2"]
-        np.testing.assert_allclose(pyr.levels[0], l0)
-        np.testing.assert_allclose(pyr.levels[1], l1)
-        np.testing.assert_allclose(pyr.levels[2], l2)
-
-    def test_skip_addition_and_shape_check(self):
-        rng = np.random.default_rng(21)
-        weights = small_weights(seed=22, d=8)
-        state = TransientState(tokens=random_tokens(rng, (2, 2), 8),
-                               state_time=0, frame_anchor_time=0)
-        base = decode_pyramid(state, None, weights)
-        skip0 = rng.normal(size=base.levels[0].shape)
-        withskip = decode_pyramid(state, (skip0, None, None), weights)
-        np.testing.assert_allclose(withskip.levels[0], base.levels[0] + skip0)
-        with pytest.raises(ShapeMismatch):
-            decode_pyramid(state, (np.zeros((1, 1, 64)), None, None), weights)
+        l1 = upsample(l0, 2) @ weights["dec.w1"] + weights["dec.b1"]
+        l2 = upsample(l1, 2) @ weights["dec.w2"] + weights["dec.b2"]
+        for lvl, want in enumerate((l0, l1, l2)):
+            assert np.array_equal(upsample(pyr.levels[lvl][0], 2 ** lvl), want)
 
     def test_window_decode_equals_per_state_decodes(self):
         rng = np.random.default_rng(22)
@@ -379,17 +373,17 @@ class TestPyramidDecoder:
         states = [TransientState(tokens=random_tokens(rng, (3, 4), 8),
                                  state_time=t, frame_anchor_time=0)
                   for t in range(5)]
-        window = decode_pyramid(states, None, weights)
+        window = decode_pyramid(states, weights)
         for lvl, stacked in enumerate(window.levels):
             assert stacked.shape[0] == 5
             for t, state in enumerate(states):
-                single = decode_pyramid(state, None, weights).levels[lvl]
-                assert np.array_equal(stacked[t], single)
+                single = decode_pyramid([state], weights).levels[lvl]
+                assert np.array_equal(stacked[t], single[0])
         mixed = states[:2] + [TransientState(
             tokens=random_tokens(rng, (4, 3), 8), state_time=9,
             frame_anchor_time=0)]
         with pytest.raises(ShapeMismatch):
-            decode_pyramid(mixed, None, weights)
+            decode_pyramid(mixed, weights)
 
 
 def test_sinusoidal_encoding_odd_dim_has_one_more_sin_slot():
@@ -412,9 +406,10 @@ class TestWeightIO:
         for name in bundle.params:
             np.testing.assert_array_equal(back.params[name], bundle.params[name])
 
-    def test_bad_magic_rejected(self):
-        with pytest.raises(ShapeMismatch):
-            load_weights(b"XXXX" + b"\x00" * 16)
+    @pytest.mark.parametrize("data", [b"", b"TF", b"XXXX" + b"\x00" * 16])
+    def test_bad_magic_rejected(self, data):
+        with pytest.raises(MalformedRecord):
+            load_weights(data)
 
     def test_shape_validation(self):
         bundle = WeightBundle.initialize(FusionConfig(), seed=0)

@@ -34,8 +34,7 @@ def test_install_attributes_refiner_work_and_uninstall_restores():
         weights = WeightBundle.initialize(FusionConfig(window=4), seed=0)
         rng = np.random.default_rng(0)
         pyramid = FeaturePyramid(levels=tuple(
-            rng.normal(size=(4, 8 * 2 ** l, 8 * 2 ** l, c))
-            for l, c in enumerate((64, 32, 16))))
+            rng.normal(size=(4, 8, 8, c)) for c in (64, 32, 16)))
         state = TrackState(positions=rng.uniform(10, 50, size=(4, 2)),
                            visibility_logits=np.zeros(4),
                            window_times=np.arange(4) * 1000)

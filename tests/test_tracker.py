@@ -27,28 +27,34 @@ from tapfuse.fusion import FeaturePyramid
 from tapfuse.weights import FusionConfig, WeightBundle
 
 
+def sample_one(level, center, r, stride=1):
+    """sample_patch on a one-step window: an (h, w, C) map and one centre."""
+    return sample_patch(level[None], np.array([center], dtype=float), r,
+                        stride)[0]
+
+
 class TestSamplePatch:
     def test_integer_center_reads_exact_values(self):
         rng = np.random.default_rng(0)
         level = rng.normal(size=(10, 12, 3))
-        patch = sample_patch(level, (5.0, 4.0), r=1)
+        patch = sample_one(level, (5.0, 4.0), r=1)
         np.testing.assert_allclose(patch, level[3:6, 4:7])
 
     def test_constant_field_interior(self):
         level = np.full((8, 8, 2), 3.5)
-        patch = sample_patch(level, (4.25, 3.75), r=2)
+        patch = sample_one(level, (4.25, 3.75), r=2)
         np.testing.assert_allclose(patch, 3.5)
 
     def test_fractional_center_scalar_oracle(self):
         level = np.zeros((4, 4, 1))
         level[1, 1, 0] = 1.0
         # center (1.25, 1.5): tap (0,0) lands at that point
-        patch = sample_patch(level, (1.25, 1.5), r=0)
+        patch = sample_one(level, (1.25, 1.5), r=0)
         assert patch[0, 0, 0] == pytest.approx(0.75 * 0.5)
 
     def test_out_of_bounds_taps_read_zero(self):
         level = np.ones((4, 4, 1))
-        patch = sample_patch(level, (0.0, 0.0), r=1)
+        patch = sample_one(level, (0.0, 0.0), r=1)
         assert patch[0, 0, 0] == 0.0   # (-1, -1)
         assert patch[1, 1, 0] == 1.0   # center
         assert patch[0, 1, 0] == 0.0   # y = -1
@@ -56,8 +62,8 @@ class TestSamplePatch:
     def test_stride_scales_lookup(self):
         rng = np.random.default_rng(1)
         level = rng.normal(size=(6, 6, 2))
-        a = sample_patch(level, (8.0, 4.0), r=1, stride=2)
-        b = sample_patch(level, (4.0, 2.0), r=1, stride=1)
+        a = sample_one(level, (8.0, 4.0), r=1, stride=2)
+        b = sample_one(level, (4.0, 2.0), r=1, stride=1)
         np.testing.assert_allclose(a, b)
 
 
@@ -94,21 +100,17 @@ class TestCorrelationFeatures:
         assert WeightBundle.initialize(cfg, 0)["corr.l0.w1"].shape[0] == 2401
 
 
-def make_step_levels(rng, n, channels=(64, 32, 16), size=8):
-    """n per-step level triples, each level (h, w, C)."""
-    return [tuple(rng.normal(size=(size * (2 ** l), size * (2 ** l), c))
-                  for l, c in enumerate(channels))
-            for _ in range(n)]
-
-
-def stack_pyramid(step_levels):
-    """The window pyramid refine_track takes: level l is (W, h, w, C)."""
-    return FeaturePyramid(levels=tuple(np.stack(lvl)
-                                       for lvl in zip(*step_levels)))
-
-
 def make_pyramids(rng, n, channels=(64, 32, 16), size=8):
-    return stack_pyramid(make_step_levels(rng, n, channels, size))
+    """A window pyramid of random token-resolution levels, (n, size, size,
+    C_l) each: what decode_pyramid gives for a size x size token grid."""
+    return FeaturePyramid(levels=tuple(rng.normal(size=(n, size, size, c))
+                                       for c in channels))
+
+
+def upsample(level, block):
+    """The full-resolution map a token-resolution level stands for: each
+    token repeated into a block x block square (nearest neighbour)."""
+    return np.repeat(np.repeat(level, block, axis=-3), block, axis=-2)
 
 
 def randomized_refiner(seed):
@@ -170,11 +172,12 @@ class TestRefineTrack:
 
 
 # ---------------------------------------------------------------------------
-# Reference: the per-step refiner loop the windowed refiner replaced
+# Reference: the per-step refiner loop on full-resolution maps
 # ---------------------------------------------------------------------------
 
 def loop_sample_patch(level, center, r, stride=1):
-    """Single-centre bilinear patch, one gather per corner."""
+    """Single-centre bilinear patch on a full-resolution (h, w, C) map, one
+    gather per corner."""
     h, w, c = level.shape
     cx, cy = center[0] / stride, center[1] / stride
     offs = np.arange(-r, r + 1, dtype=np.float64)
@@ -194,20 +197,21 @@ def loop_sample_patch(level, center, r, stride=1):
     return patch
 
 
-def loop_refine_track(state, step_pyramids, weights, iterations):
-    """refine_track over a list of per-step pyramids, sampling one window
-    step at a time."""
+def loop_refine_track(state, dense_levels, weights, iterations):
+    """refine_track on the full-resolution maps of the window pyramid
+    (level l is (W, h_l, w_l, C_l) at stride patch / 2**l), sampling one
+    window step at a time."""
     cfg = weights.config
     r = cfg.patch_radius
     state = state.copy()
     for _ in range(iterations):
         patches_per_level = []
         for lvl in range(3):
-            stride = step_pyramids[0].strides[lvl]
+            stride = cfg.patch / 2 ** lvl
             taps = []
-            for t, pyr in enumerate(step_pyramids):
-                patch = loop_sample_patch(pyr.levels[lvl],
-                                          tuple(state.positions[t]), r, stride)
+            for t, level in enumerate(dense_levels[lvl]):
+                patch = loop_sample_patch(level, tuple(state.positions[t]), r,
+                                          stride)
                 taps.append(patch.reshape(-1, patch.shape[-1]))
             patches_per_level.append(np.stack(taps))
         desc = correlation_features(patches_per_level, weights)
@@ -224,25 +228,28 @@ def loop_refine_track(state, step_pyramids, weights, iterations):
 
 
 class TestWindowedRefinerExactness:
-    """The windowed refiner keeps the per-step loop's arithmetic, so its
-    results are equal to the loop's, not merely close."""
+    """Sampling a token-resolution level in blocks keeps the per-step
+    loop's arithmetic on the upsampled map, so the results are equal, not
+    merely close."""
 
-    @pytest.mark.parametrize("lvl,stride", [(0, 8), (1, 4), (2, 2)])
-    def test_windowed_patch_equals_stacked_single_centre_calls(self, lvl,
-                                                               stride):
+    @pytest.mark.parametrize("patch", [4, 8, 16])
+    @pytest.mark.parametrize("lvl", range(3))
+    def test_token_level_patch_equals_loop_on_upsampled_map(self, patch, lvl):
         rng = np.random.default_rng(30 + lvl)
-        levels = make_step_levels(rng, 6)
-        stacked = stack_pyramid(levels).levels[lvl]
-        # interior, border-straddling and fully outside centres (64 px input)
+        block, stride = 2 ** lvl, patch / 2 ** lvl
+        tokens = make_pyramids(rng, 6).levels[lvl]
+        dense = upsample(tokens, block)
+        # interior, border-straddling and fully outside centres of the
+        # 8 * patch px input
         centers = np.array([[31.3, 30.7], [0.0, 0.0], [-3.5, 12.25],
-                            [63.9, 64.2], [70.0, -9.0], [-200.0, 300.0]])
-        got = sample_patch(stacked, centers, 3, stride)
-        assert got.shape == (6, 7, 7, stacked.shape[-1])
+                            [63.9, 64.2], [70.0, -9.0], [-200.0, 300.0]]
+                           ) * patch / 8
+        got = sample_patch(tokens, centers, 3, stride, block)
+        assert got.shape == (6, 7, 7, tokens.shape[-1])
+        assert np.array_equal(got, sample_patch(dense, centers, 3, stride))
         for t in range(6):
-            single = sample_patch(stacked[t], tuple(centers[t]), 3, stride)
-            assert np.array_equal(got[t], single)
             assert np.array_equal(
-                got[t], loop_sample_patch(levels[t][lvl], centers[t], 3, stride))
+                got[t], loop_sample_patch(dense[t], centers[t], 3, stride))
 
     def test_window_center_count_must_match(self):
         level = np.zeros((4, 8, 8, 2))
@@ -254,19 +261,52 @@ class TestWindowedRefinerExactness:
         weights = randomized_refiner(seed)
         rng = np.random.default_rng(seed + 40)
         w = weights.config.window
-        levels = make_step_levels(rng, w)
+        pyramid = make_pyramids(rng, w)
+        dense = [upsample(lvl, 2 ** l) for l, lvl in enumerate(pyramid.levels)]
         # near and beyond the border of the 64 px input at every stride
         positions = rng.uniform(-12.0, 76.0, size=(w, 2))
         positions[0] = (0.5, 63.5)
         state = TrackState(positions=positions,
                            visibility_logits=rng.normal(size=w),
                            window_times=np.arange(w) * 1000)
-        got = refine_track(state, stack_pyramid(levels), weights, iterations=3)
-        want = loop_refine_track(
-            state, [FeaturePyramid(levels=lv) for lv in levels], weights, 3)
+        got = refine_track(state, pyramid, weights, iterations=3)
+        want = loop_refine_track(state, dense, weights, 3)
         assert not np.array_equal(got.positions, state.positions)
         assert np.array_equal(got.positions, want.positions)
         assert np.array_equal(got.visibility_logits, want.visibility_logits)
+
+
+@pytest.mark.parametrize("patch", [4, 8, 16])
+def test_refiner_reads_the_token_containing_each_centre(patch, monkeypatch):
+    """With patch p, level l is read at stride p / 2**l in blocks of 2**l:
+    at every level a centre on a token corner reads that token, across the
+    whole 64 px input."""
+    import tapfuse.tracker as tracker
+
+    weights = WeightBundle.initialize(
+        FusionConfig(patch=patch, window=4, patch_radius=1), seed=0)
+    n = 64 // patch
+    rows, cols = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    token_ids = np.broadcast_to(np.stack([rows, cols], axis=-1).astype(float),
+                                (4, n, n, 2))
+    seen = []
+
+    def capture(patches_per_level, w):
+        seen.append(patches_per_level)
+        return np.zeros((len(patches_per_level[0]),
+                         3 * w.config.corr_embed))
+
+    monkeypatch.setattr(tracker, "correlation_features", capture)
+    cells = np.array([[0, 0], [1, 3], [n - 1, 2], [n - 1, n - 1]])  # (col, row)
+    state = TrackState(positions=cells * float(patch),
+                       visibility_logits=np.zeros(4),
+                       window_times=np.arange(4) * 1000)
+    refine_track(state, FeaturePyramid(levels=(token_ids,) * 3), weights,
+                 iterations=1)
+    (levels,) = seen
+    for patches in levels:
+        centre_tap = patches[:, patches.shape[1] // 2]
+        assert np.array_equal(centre_tap, cells[:, ::-1])
 
 
 def small_sequence(seed=0, n_query=48, frame_every=4, size=32):
