@@ -1,10 +1,13 @@
 """Fusion core: tokenizers, locality-biased cross-attention, the transient
 state machine, temporal self-attention, and the pyramid decoder.
 
-Forward passes are pure float64 functions of (inputs, weights). The two
-attention blocks that feed gradient verification (CLWF and temporal
-attention) also ship analytic backward passes checked against central
-finite differences.
+Forward passes are pure float64 functions of (inputs, weights): they
+never write into their input arrays or the weights. The intermediates
+they allocate themselves are reused in place: the attention logits become
+the softmax weights, and a product takes its bias and residual adds, so
+an attention call holds one N x N array. The two attention blocks that
+feed gradient verification (CLWF and temporal attention) also ship
+analytic backward passes checked against central finite differences.
 """
 
 from __future__ import annotations
@@ -84,7 +87,8 @@ def _embed_patches(image, weights: WeightBundle, prefix: str) -> Tokens:
     if flat.shape[1] != proj.shape[0]:
         raise ShapeMismatch(f"{prefix}: patch dim {flat.shape[1]} != "
                             f"embedding fan-in {proj.shape[0]}")
-    return Tokens(values=flat @ proj + weights[f"{prefix}.b"], grid=(rows, cols))
+    return Tokens(values=_linear(flat, proj, weights[f"{prefix}.b"]),
+                  grid=(rows, cols))
 
 
 def tokenize_frame(image: np.ndarray, weights: WeightBundle) -> Tokens:
@@ -101,30 +105,53 @@ def tokenize_events(tensor: EventTensor, weights: WeightBundle) -> Tokens:
 # Attention primitives
 # ---------------------------------------------------------------------------
 
+def _linear(x, w, b):
+    """x @ w + b, adding b into the product's buffer."""
+    y = x @ w
+    y += b
+    return y
+
+
+def _residual_out(x, read, wo, bo):
+    """x + read @ wo + bo, computed as (read @ wo + x) + bo in the
+    product's buffer; IEEE addition is commutative, so the two are equal
+    bit for bit."""
+    y = read @ wo
+    y += x
+    y += bo
+    return y
+
+
 def _softmax(logits):
-    """Softmax over the last axis; a -inf logit gets weight 0."""
-    a = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    a /= a.sum(axis=-1, keepdims=True)
-    return a
+    """Softmax over the last axis, computed in place: it overwrites
+    logits with the weights and returns it. A -inf logit gets weight 0."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 def _qkv(q_in, k_in, v_in, weights, prefix):
     """Query, key and value projections of attention block prefix."""
-    return tuple(x @ weights[f"{prefix}.w{n}"] + weights[f"{prefix}.b{n}"]
+    return tuple(_linear(x, weights[f"{prefix}.w{n}"],
+                         weights[f"{prefix}.b{n}"])
                  for n, x in zip("qkv", (q_in, k_in, v_in)))
 
 
 def _sdpa(q, k, v):
     """Scaled dot-product attention over the last two axes; returns the
-    readout and the attention weights."""
-    a = _softmax(q @ np.swapaxes(k, -1, -2) / np.sqrt(q.shape[-1]))
+    readout and the attention weights, which live in the logits buffer."""
+    logits = q @ np.swapaxes(k, -1, -2)
+    logits /= np.sqrt(q.shape[-1])
+    a = _softmax(logits)
     return a @ v, a
 
 
 def _attention_block(x, q_in, k_in, v_in, weights, prefix):
     """Residual attention block: x + sdpa(q, k, v) @ wo + bo."""
     read, _ = _sdpa(*_qkv(q_in, k_in, v_in, weights, prefix))
-    return x + read @ weights[f"{prefix}.wo"] + weights[f"{prefix}.bo"]
+    return _residual_out(x, read, weights[f"{prefix}.wo"],
+                         weights[f"{prefix}.bo"])
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +326,7 @@ def temporal_attention_forward(x: np.ndarray, weights: WeightBundle,
     # (N, T, d) views: attend across time independently per token position
     read, a = _sdpa(*(m.transpose(1, 0, 2) for m in (q, k, v)))
     read = read.transpose(1, 0, 2)
-    out = x + read @ weights["tattn.wo"] + weights["tattn.bo"]
+    out = _residual_out(x, read, weights["tattn.wo"], weights["tattn.bo"])
     if cache is not None:
         cache.update(x=x, xin=xin, q=q, k=k, v=v, a=a, read=read, d=d)
     return out
@@ -379,6 +406,6 @@ def decode_pyramid(states: Sequence[TransientState],
         (len(states),) + grid + (-1,))
     levels = []
     for lvl in range(3):
-        x = x @ weights[f"dec.w{lvl}"] + weights[f"dec.b{lvl}"]
+        x = _linear(x, weights[f"dec.w{lvl}"], weights[f"dec.b{lvl}"])
         levels.append(x)
     return FeaturePyramid(levels=tuple(levels))

@@ -130,6 +130,35 @@ class TestTimelineDerivation:
             cfg.timeline()
 
 
+# 128x128 sensor, 256 tokens at the default patch size, 24 query steps
+LARGE_CONFIG = """\
+scene.width = 128
+scene.height = 128
+scene.duration_us = 500000
+scene.fps = 48
+scene.n_random_objects = 0
+scene.object0 = textured_square, 40, 64, 30, -20, 10, 2
+scene.object1 = gaussian_blob, 88, 60, -25, 15, 8, 2
+timeline.query_hz = 48
+timeline.frame_hz = 12
+"""
+
+
+def write_perturbed_weights(config_text, path):
+    """The config's seeded init with small seeded values in every zero-init
+    matrix (the residual attention outputs, the refiner's MLP outputs and
+    its head), so the refiner moves the tracks."""
+    cfg = parse_run_config(config_text)
+    bundle = WeightBundle.initialize(cfg.fusion_config(), cfg.seed)
+    rng = np.random.default_rng(7)
+    for name, shape, init in parameter_specs(cfg.fusion_config()):
+        if init == "zeros" and len(shape) == 2:
+            bundle.params[name] = rng.uniform(
+                -0.2, 0.2, size=shape) / np.sqrt(shape[0])
+    path.write_bytes(save_weights(bundle))
+    return path
+
+
 @pytest.fixture
 def small_cfg(tmp_path):
     path = tmp_path / "run.cfg"
@@ -230,22 +259,13 @@ class TestTrack:
         tracks = parse_track_set(path.read_bytes())
         assert tracks.positions.shape == (2, 24, 2)
 
-
     def test_golden_tracks_with_perturbed_weights(self, tmp_path, small_cfg,
                                                   capsys):
-        """simulate -> track with small seeded values in every zero-init
-        matrix (the residual attention outputs, the refiner's MLP outputs
-        and its head), so the refiner moves the tracks; the second query
-        starts mid-window. The digest pins the tracks file byte for byte."""
-        cfg = parse_run_config(SMALL_CONFIG)
-        bundle = WeightBundle.initialize(cfg.fusion_config(), cfg.seed)
-        rng = np.random.default_rng(7)
-        for name, shape, init in parameter_specs(cfg.fusion_config()):
-            if init == "zeros" and len(shape) == 2:
-                bundle.params[name] = rng.uniform(
-                    -0.2, 0.2, size=shape) / np.sqrt(shape[0])
-        weights = tmp_path / "perturbed.tfw"
-        weights.write_bytes(save_weights(bundle))
+        """simulate -> track with perturbed weights, so the refiner moves
+        the tracks; the second query starts mid-window. The digest pins the
+        tracks file byte for byte."""
+        weights = write_perturbed_weights(SMALL_CONFIG,
+                                          tmp_path / "perturbed.tfw")
         out = tmp_path / "sim"
         assert run_cli(["--config", small_cfg, "--out", out, "simulate"]) == 0
         assert run_cli(["--config", small_cfg, "--out", tmp_path / "trk",
@@ -258,6 +278,27 @@ class TestTrack:
         assert not tracks.visibility[1, :5].any()
         assert np.all(tracks.positions[:, -1] != [[16, 16], [14, 18]])
         assert hashlib.sha256(data).hexdigest()[:16] == "ffeba7e180c66cd8"
+
+    def test_golden_tracks_at_256_tokens(self, tmp_path, capsys):
+        """The perturbed-weights digest on a 128x128 sensor: 256 tokens, a
+        size at which BLAS may pick other kernels for taf_update's attention
+        and the decoder's products than it does at 16 tokens."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(LARGE_CONFIG)
+        weights = write_perturbed_weights(LARGE_CONFIG,
+                                          tmp_path / "perturbed.tfw")
+        out = tmp_path / "sim"
+        assert run_cli(["--config", cfg, "--out", out, "simulate"]) == 0
+        assert run_cli(["--config", cfg, "--out", tmp_path / "trk",
+                        "track", "--stream", out / "events.evbin",
+                        "--frames", out / "video.tns", "--weights", weights,
+                        "--query", "0,40,64",
+                        "--query", "41667,88.5,60.25"]) == 0
+        data = (tmp_path / "trk" / "tracks.txt").read_bytes()
+        tracks = parse_track_set(data)
+        assert tracks.positions.shape == (2, 24, 2)
+        assert np.all(tracks.positions[:, -1] != [[40, 64], [88.5, 60.25]])
+        assert hashlib.sha256(data).hexdigest()[:16] == "480d584cac3a4061"
 
 
 class TestEval:

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,9 +19,16 @@ from tapfuse.events import Event, EventBatch
 from tapfuse.fusion import (
     Tokens,
     TransientState,
+    _attention_block,
+    _linear,
+    _neighbor_table,
+    _residual_out,
+    _sdpa,
+    _softmax,
     clwf_backward,
     clwf_fuse,
     decode_pyramid,
+    sinusoidal_encoding,
     taf_init,
     taf_update,
     temporal_attention,
@@ -298,7 +307,6 @@ class TestTemporalAttention:
     def test_matches_dense_reference(self):
         rng = np.random.default_rng(17)
         weights = self.rand_weights(18)
-        from tapfuse.fusion import sinusoidal_encoding
         t_len, n, d = 4, 3, 6
         x = rng.normal(size=(t_len, n, d))
         got = temporal_attention_forward(x, weights)
@@ -386,8 +394,235 @@ class TestPyramidDecoder:
             decode_pyramid(mixed, weights)
 
 
+# ---------------------------------------------------------------------------
+# In-place forward passes
+# ---------------------------------------------------------------------------
+
+# Out-of-place references: the same operations in the same order, each
+# into a fresh array. The in-place forward passes must equal them bit for
+# bit.
+
+def ref_softmax(logits):
+    a = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    a /= a.sum(axis=-1, keepdims=True)
+    return a
+
+
+def ref_sdpa(q, k, v):
+    a = ref_softmax(q @ np.swapaxes(k, -1, -2) / np.sqrt(q.shape[-1]))
+    return a @ v, a
+
+
+def ref_linear(x, w, b):
+    return x @ w + b
+
+
+def ref_residual_out(x, read, wo, bo):
+    return x + read @ wo + bo
+
+
+def ref_qkv(q_in, k_in, v_in, weights, prefix):
+    return tuple(ref_linear(x, weights[f"{prefix}.w{n}"],
+                            weights[f"{prefix}.b{n}"])
+                 for n, x in zip("qkv", (q_in, k_in, v_in)))
+
+
+def perturbed_weights(seed, **kw):
+    """Seeded init with every all-zero parameter (the residual output
+    projections, the biases, the bias table) drawn instead, so every branch
+    of every pass contributes."""
+    weights = small_weights(seed=seed, **kw)
+    rng = np.random.default_rng(seed + 1000)
+    for name, value in weights.params.items():
+        if not value.any():
+            weights.params[name] = rng.normal(scale=0.3, size=value.shape)
+    return weights
+
+
+class TestInPlaceExactness:
+    @pytest.mark.parametrize("d", [24, 63, 64])
+    def test_sdpa_2d(self, d):
+        # sqrt(d) is a power of two only for d = 64, where dividing by it is
+        # exact in any order
+        rng = np.random.default_rng(d)
+        q = 3.0 * rng.normal(size=(70, d))
+        k, v = rng.normal(size=(90, d)), rng.normal(size=(90, d))
+        read, a = _sdpa(q, k, v)
+        want_read, want_a = ref_sdpa(q, k, v)
+        assert np.array_equal(read, want_read)
+        assert np.array_equal(a, want_a)
+
+    def test_sdpa_batched_over_time(self):
+        """(N, T, T) attention on transposed (T, N, d) projections, the
+        layout temporal attention hands to _sdpa."""
+        rng = np.random.default_rng(30)
+        q, k, v = (rng.normal(size=(16, 40, 24)).transpose(1, 0, 2)
+                   for _ in range(3))
+        read, a = _sdpa(q, k, v)
+        want_read, want_a = ref_sdpa(q, k, v)
+        assert a.shape == (40, 16, 16)
+        assert np.array_equal(read, want_read)
+        assert np.array_equal(a, want_a)
+
+    def test_temporal_attention_forward(self):
+        rng = np.random.default_rng(31)
+        weights = perturbed_weights(32, d=24)
+        x = rng.normal(size=(16, 12, 24))
+        t_len, _, d = x.shape
+        xin = x + sinusoidal_encoding(np.arange(t_len), d)[:, None, :]
+        q, k, v = ref_qkv(xin, xin, x, weights, "tattn")
+        read, a = ref_sdpa(*(m.transpose(1, 0, 2) for m in (q, k, v)))
+        read = read.transpose(1, 0, 2)
+        want = ref_residual_out(x, read, weights["tattn.wo"],
+                                weights["tattn.bo"])
+        cache = {}
+        assert np.array_equal(temporal_attention_forward(x, weights, cache),
+                              want)
+        assert np.array_equal(cache["a"], a)
+        assert np.array_equal(cache["read"], read)
+
+    def test_attention_block_at_token_count(self):
+        """taf_update's block on 256 tokens of width 64."""
+        rng = np.random.default_rng(33)
+        weights = perturbed_weights(34, d=64)
+        x, h, e = (rng.normal(size=(256, 64)) for _ in range(3))
+        read, _ = ref_sdpa(*ref_qkv(h, e, e, weights, "upd"))
+        want = ref_residual_out(x, read, weights["upd.wo"], weights["upd.bo"])
+        assert np.array_equal(_attention_block(x, h, e, e, weights, "upd"),
+                              want)
+
+    def test_softmax_rows_with_masked_logits(self):
+        """CLWF rows: -inf outside each token's neighbourhood."""
+        rng = np.random.default_rng(35)
+        logits = rng.normal(scale=4.0, size=(50, 9))
+        mask = rng.random(size=(50, 9)) < 0.6
+        mask[:, 4] = True  # every token sees itself
+        masked = np.where(mask, logits, -np.inf)
+        got = _softmax(masked.copy())
+        assert np.array_equal(got, ref_softmax(masked))
+        assert not got[~mask].any()
+
+    def test_clwf_fuse(self):
+        rng = np.random.default_rng(36)
+        grid, d = (5, 7), 24
+        weights = perturbed_weights(37, d=d)
+        ev, im = random_tokens(rng, grid, d), random_tokens(rng, grid, d)
+        E, I = ev.values, im.values
+        q, k, v = ref_qkv(E, I, I, weights, "clwf")
+        idx, mask = _neighbor_table(grid, weights.config.radius)
+        logits = (np.einsum("nd,nkd->nk", q, k[idx]) / np.sqrt(d)
+                  + weights["clwf.bias_table"][None, :])
+        a = ref_softmax(np.where(mask, logits, -np.inf))
+        want = E + np.einsum("nk,nkd->nd", a, v[idx])
+        cache = {}
+        assert np.array_equal(clwf_fuse(ev, im, weights, cache).values, want)
+        assert np.array_equal(cache["a"], a)
+
+    @pytest.mark.parametrize("lead", [(37,), (5, 37), (3, 4, 5)])
+    def test_linear_and_residual_broadcast_bias(self, lead):
+        rng = np.random.default_rng(len(lead))
+        x = rng.normal(size=lead + (24,))
+        w, b = rng.normal(size=(24, 63)), rng.normal(size=63)
+        assert np.array_equal(_linear(x, w, b), ref_linear(x, w, b))
+        read = rng.normal(size=lead + (63,))
+        wo, bo = rng.normal(size=(63, 24)), rng.normal(size=24)
+        assert np.array_equal(_residual_out(x, read, wo, bo),
+                              ref_residual_out(x, read, wo, bo))
+
+
+def arrays_in(obj):
+    """Every ndarray reachable from obj through dataclass fields, dicts,
+    lists and tuples."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if dataclasses.is_dataclass(obj):
+        obj = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    elif isinstance(obj, dict):
+        obj = list(obj.values())
+    elif not isinstance(obj, (list, tuple)):
+        return []
+    return [a for item in obj for a in arrays_in(item)]
+
+
+def call_untouched(fn, *args):
+    """fn(*args), asserting that it leaves every array in args, the weights
+    among them, byte-equal to a copy taken before the call."""
+    arrays = arrays_in(args)
+    before = [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+    out = fn(*args)
+    assert [(a.dtype, a.shape, a.tobytes()) for a in arrays] == before, \
+        fn.__name__
+    return out
+
+
+def test_forward_passes_leave_inputs_and_weights_alone():
+    """The passes of one track run, on perturbed weights. Two overlapping
+    windows share TransientState objects, as in track_sequence, so a pass
+    that wrote into its inputs would corrupt the second window."""
+    rng = np.random.default_rng(40)
+    weights = perturbed_weights(41, d=8, patch=8)
+    size = 32
+
+    def batch(start, end, n=60):
+        return make_batch([Event(x=int(rng.integers(0, size)),
+                                 y=int(rng.integers(0, size)),
+                                 t=int(rng.integers(start + 1, end + 1)),
+                                 p=int(rng.choice([-1, 1])))
+                           for _ in range(n)], start, end)
+
+    frame = rng.normal(size=(size, size)) ** 2 + 1.0
+    exposure = batch(0, 1000)
+    tensor = sbt_time_surface(exposure, size, size, weights.config.subwindows)
+    itok = call_untouched(tokenize_frame, frame, weights)
+    etok = call_untouched(tokenize_events, tensor, weights)
+    call_untouched(clwf_fuse, etok, itok, weights)
+    states = [call_untouched(taf_init, frame, 1000, exposure, weights)]
+    for step in range(1, 7):
+        n = 0 if step == 3 else 60  # one empty batch
+        states.append(call_untouched(taf_update, states[-1],
+                                     batch(1000 * step, 1000 * (step + 1), n),
+                                     weights))
+    first, second = states[:5], states[3:]
+    alone = temporal_attention(
+        [dataclasses.replace(s, tokens=Tokens(s.tokens.values.copy(),
+                                              s.tokens.grid))
+         for s in second], weights)
+    for window in (first, second):
+        fused = call_untouched(temporal_attention, window, weights)
+        call_untouched(decode_pyramid, fused, weights)
+    for s, want in zip(fused, alone):
+        assert np.array_equal(s.tokens.values, want.tokens.values)
+
+
+def traced_peak(fn, *args):
+    """Peak bytes allocated while fn(*args) runs, as tracemalloc sees them;
+    numpy reports its data buffers to it."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestAllocationPeaks:
+    def test_sdpa_holds_one_logits_matrix(self):
+        # out of place: logits, shifted logits and exp, 3.0 N x N arrays;
+        # in place: the logits plus the readout, 1.13
+        rng = np.random.default_rng(42)
+        q, k, v = (rng.normal(size=(512, 64)) for _ in range(3))
+        assert traced_peak(_sdpa, q, k, v) < 1.5 * 512 * 512 * 8
+
+    def test_temporal_attention_peak(self):
+        # out of place: 7.29 x the input's size; in place: 6.29
+        rng = np.random.default_rng(43)
+        weights = small_weights(seed=44, d=64)
+        x = rng.normal(size=(16, 256, 64))
+        assert traced_peak(temporal_attention_forward, x, weights) \
+            < 6.8 * x.nbytes
+
+
 def test_sinusoidal_encoding_odd_dim_has_one_more_sin_slot():
-    from tapfuse.fusion import sinusoidal_encoding
     pos = np.arange(5.0)
     odd, even = sinusoidal_encoding(pos, 7), sinusoidal_encoding(pos, 6)
     assert odd.shape == (5, 7)
