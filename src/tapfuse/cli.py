@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -89,13 +90,7 @@ def cmd_track(config: RunConfig, stream_path: Path, frames_path: Path,
     if video.ndim != 3:
         raise DataError(f"frames container must be rank 3, got {video.ndim}")
     timeline = config.timeline()
-    # map the rendered-video grid (scene.fps) onto the timeline
-    fv = config.scene_fps / config.timeline_query_hz
-    if abs(fv - round(fv)) > 1e-9 or round(fv) < 1:
-        raise ConfigError("scene.fps must be an integer multiple of query_hz")
-    fv = round(fv)
-    frame_stride = round(config.timeline_query_hz / config.timeline_frame_hz)
-    frame_idx = [qi * fv for qi in range(0, len(timeline.query_times), frame_stride)]
+    frame_idx = config.frame_indices()
     if frame_idx[-1] >= len(video):
         raise DataError("frames container shorter than the timeline")
     frames = video[frame_idx]
@@ -200,15 +195,31 @@ def cmd_repr(config: RunConfig, stream_path: Path, bin_index: int, kind: str,
 
 def _parse_query(text: str) -> QueryPoint:
     parts = text.split(",")
-    if len(parts) != 3:
-        raise ConfigError(f"query must be t_us,x,y: {text!r}")
-    return QueryPoint(t_q=int(parts[0]), x=float(parts[1]), y=float(parts[2]))
+    try:
+        if len(parts) != 3:
+            raise ValueError("expected 3 fields")
+        t_q, x, y = int(parts[0]), float(parts[1]), float(parts[2])
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError("x and y must be finite")
+    except ValueError as exc:
+        raise ConfigError(f"--query must be t_us,x,y: {text!r}: {exc}") from exc
+    return QueryPoint(t_q=t_q, x=x, y=y)
+
+
+def _parse_thresholds(text: str) -> tuple[float, ...]:
+    try:
+        thresholds = tuple(float(t) for t in text.split(","))
+        if not all(math.isfinite(t) and t > 0 for t in thresholds):
+            raise ValueError("thresholds must be finite and positive")
+    except ValueError as exc:
+        raise ConfigError(f"--thresholds must be comma-separated numbers: "
+                          f"{text!r}: {exc}") from exc
+    return thresholds
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="tapfuse")
     ap.add_argument("--config", type=Path, help="flat-text config file")
-    ap.add_argument("--seed", type=int, help="override config seed")
     ap.add_argument("--out", type=Path, default=Path("out"), help="output dir")
     ap.add_argument("--format", choices=["csv", "evbin"], default="evbin")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -224,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--pred", type=Path, required=True)
     p_eval.add_argument("--ref", type=Path, required=True)
     p_eval.add_argument("--thresholds", default="1,2,4,8,16")
-    p_eval.add_argument("--err-threshold", type=float, default=None)
     sub.add_parser("bench")
     p_repr = sub.add_parser("repr")
     p_repr.add_argument("--stream", type=Path, required=True)
@@ -238,8 +248,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_run_config(args.config) if args.config else RunConfig()
-        if args.seed is not None:
-            config.seed = args.seed
         if args.command == "simulate":
             cmd_simulate(config, args.out, args.format)
         elif args.command == "track":
@@ -247,11 +255,9 @@ def main(argv: list[str] | None = None) -> int:
             cmd_track(config, args.stream, args.frames, args.weights,
                       queries, args.out / "tracks.txt")
         elif args.command == "eval":
-            thresholds = tuple(float(t) for t in args.thresholds.split(","))
-            err_th = (args.err_threshold if args.err_threshold is not None
-                      else config.eval_err_threshold)
-            cmd_eval(args.pred, args.ref, config.scene_height, thresholds,
-                     err_th, args.out)
+            cmd_eval(args.pred, args.ref, config.scene_height,
+                     _parse_thresholds(args.thresholds),
+                     config.eval_err_threshold, args.out)
         elif args.command == "bench":
             cmd_bench(config)
         elif args.command == "repr":

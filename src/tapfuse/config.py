@@ -1,48 +1,79 @@
 """Flat-text run configuration.
 
 One "key = value" per line, "#" comments, dotted section prefixes
-(e.g. scene.fps = 48). Every key has a default; unknown keys are a hard
-error reported with the offending line number.
+(e.g. scene.fps = 48). Every key has a default and a domain declared
+next to it; unknown keys are a hard error reported with the offending
+line number. validate() checks each value against its domain and the
+rules that tie the rates and sizes together.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
-from .errors import ConfigError
-from .events import Timeline
+from .errors import ConfigError, DegenerateScene
+from .events import MAX_SENSOR_SIDE, Timeline
 from .synth import SceneConfig, SceneObject
 from .weights import FusionConfig
+
+
+@dataclass(frozen=True)
+class Domain:
+    """lo <= value <= hi (lo < value when above); floats must be finite."""
+
+    lo: float
+    hi: float = math.inf
+    above: bool = False
+
+    def __contains__(self, value) -> bool:
+        if isinstance(value, float) and not math.isfinite(value):
+            return False
+        return value <= self.hi and (value > self.lo if self.above
+                                     else value >= self.lo)
+
+    def __str__(self) -> str:
+        if self.hi < math.inf:
+            return f"{self.lo:g}..{self.hi:g}"
+        return f"{'>' if self.above else '>='} {self.lo:g}"
+
+
+def _setting(default, lo, hi=math.inf, above=False):
+    return field(default=default, metadata={"domain": Domain(lo, hi, above)})
+
+
+# random objects start at least this far inside the sensor, px
+RANDOM_OBJECT_MARGIN = 12
 
 
 @dataclass
 class RunConfig:
     # scene
-    scene_width: int = 64
-    scene_height: int = 64
-    scene_duration_us: int = 2_000_000
-    scene_fps: float = 48.0
-    scene_background: float = 1.0
-    scene_n_random_objects: int = 2
+    scene_width: int = _setting(64, 1, MAX_SENSOR_SIDE)
+    scene_height: int = _setting(64, 1, MAX_SENSOR_SIDE)
+    scene_duration_us: int = _setting(2_000_000, 1)
+    scene_fps: float = _setting(48.0, 0, above=True)
+    scene_background: float = _setting(1.0, 0, above=True)
+    scene_n_random_objects: int = _setting(2, 0)
     scene_objects: list[SceneObject] = field(default_factory=list)
     # event simulation
-    sim_contrast: float = 0.2
+    sim_contrast: float = _setting(0.2, 0, above=True)
     # timeline
-    timeline_query_hz: float = 48.0
-    timeline_frame_hz: float = 12.0
-    timeline_exposure_us: int = 4_000
+    timeline_query_hz: float = _setting(48.0, 0, above=True)
+    timeline_frame_hz: float = _setting(12.0, 0, above=True)
+    timeline_exposure_us: int = _setting(4_000, 1)
     # model hyperparameters
-    model_d: int = 64
-    model_patch: int = 8
-    model_radius: int = 1
-    model_subwindows: int = 5
-    model_window: int = 16
-    model_patch_radius: int = 3
-    model_iterations: int = 3
+    model_d: int = _setting(64, 1)
+    model_patch: int = _setting(8, 1)
+    model_radius: int = _setting(1, 0)
+    model_subwindows: int = _setting(5, 1)
+    model_window: int = _setting(16, 2)
+    model_patch_radius: int = _setting(3, 0)
+    model_iterations: int = _setting(3, 1)
     # misc
-    seed: int = 0
-    bench_n_events: int = 1_000_000
-    eval_err_threshold: float = 8.0
+    seed: int = _setting(0, 0)
+    bench_n_events: int = _setting(1_000_000, 1)
+    eval_err_threshold: float = _setting(8.0, 0)
 
     def fusion_config(self) -> FusionConfig:
         """The model_<name> fields as FusionConfig(<name>=...)."""
@@ -50,29 +81,78 @@ class RunConfig:
             f.name.removeprefix("model_"): getattr(self, f.name)
             for f in fields(self) if f.name.startswith("model_")})
 
-    def timeline(self) -> Timeline:
-        """Regular query grid at query_hz with every stride-th step carrying
-        a frame; query_hz must be an integer multiple of frame_hz."""
-        stride = self.timeline_query_hz / self.timeline_frame_hz
-        if abs(stride - round(stride)) > 1e-9 or round(stride) < 1:
-            raise ConfigError(
-                f"query_hz={self.timeline_query_hz} must be an integer "
-                f"multiple of frame_hz={self.timeline_frame_hz}")
+    def _get(self, key: str):
+        return getattr(self, _KEYMAP[key][0])
+
+    def _multiple(self, key: str, base: str) -> int:
+        """k such that the value of key is k times the value of base."""
+        value, of = self._get(key), self._get(base)
+        k = round(value / of)
+        if k < 1 or abs(value / of - k) > 1e-9:
+            raise ConfigError(f"{key} = {value:g} must be an integer multiple "
+                              f"of {base} = {of:g}")
+        return k
+
+    def _query_steps(self) -> int:
         n = round(self.scene_duration_us * self.timeline_query_hz / 1e6)
         if n < 1:
-            raise ConfigError("timeline has no query steps")
-        q = [round(k * 1e6 / self.timeline_query_hz) for k in range(n)]
-        return Timeline(frame_times=q[::round(stride)], query_times=q,
+            raise ConfigError("scene.duration_us * timeline.query_hz gives "
+                              "no query steps")
+        return n
+
+    def timeline(self) -> Timeline:
+        """Regular query grid at query_hz with every stride-th step carrying
+        a frame."""
+        stride = self._multiple("timeline.query_hz", "timeline.frame_hz")
+        q = [round(k * 1e6 / self.timeline_query_hz)
+             for k in range(self._query_steps())]
+        return Timeline(frame_times=q[::stride], query_times=q,
                         exposure_us=self.timeline_exposure_us)
+
+    def frame_indices(self) -> range:
+        """Index into the rendered video (scene.fps) of each frame step of
+        timeline()."""
+        per_step = self._multiple("scene.fps", "timeline.query_hz")
+        stride = self._multiple("timeline.query_hz", "timeline.frame_hz")
+        return range(0, self._query_steps() * per_step, stride * per_step)
+
+    def validate(self) -> RunConfig:
+        """Raise ConfigError naming the first key outside its domain or the
+        first broken rule between keys; return self otherwise."""
+        for key, domain in DOMAINS.items():
+            if self._get(key) not in domain:
+                raise ConfigError(f"{key} = {self._get(key)} is outside its domain "
+                                  f"{domain}")
+        self._multiple("timeline.query_hz", "timeline.frame_hz")
+        self._multiple("scene.fps", "timeline.query_hz")
+        for key in ("scene.width", "scene.height"):
+            if self._get(key) % self.model_patch:
+                raise ConfigError(f"{key} = {self._get(key)} must be a multiple "
+                                  f"of model.patch = {self.model_patch}")
+        if self.scene_n_random_objects and min(
+                self.scene_width, self.scene_height) < 2 * RANDOM_OBJECT_MARGIN:
+            raise ConfigError(
+                f"scene.n_random_objects needs scene.width and scene.height "
+                f">= {2 * RANDOM_OBJECT_MARGIN}")
+        self._query_steps()
+        if round(self.scene_fps * self.scene_duration_us / 1e6) < 2:
+            raise ConfigError("scene.fps * scene.duration_us gives fewer "
+                              "than 2 rendered frames")
+        try:
+            self.scene_config()
+        except DegenerateScene as exc:
+            raise ConfigError(f"scene.object: {exc}") from exc
+        return self
 
     def scene_config(self, rng=None) -> SceneConfig:
         objects = list(self.scene_objects)
+        m = RANDOM_OBJECT_MARGIN
         if self.scene_n_random_objects and rng is not None:
             for _ in range(self.scene_n_random_objects):
                 objects.append(SceneObject(
                     shape=str(rng.choice(["gaussian_blob", "textured_square"])),
-                    position=(float(rng.uniform(12, self.scene_width - 12)),
-                              float(rng.uniform(12, self.scene_height - 12))),
+                    position=(float(rng.uniform(m, self.scene_width - m)),
+                              float(rng.uniform(m, self.scene_height - m))),
                     velocity=(float(rng.uniform(-10, 10)),
                               float(rng.uniform(-10, 10))),
                     size=float(rng.uniform(2.5, 5.0)),
@@ -85,10 +165,12 @@ class RunConfig:
 
 # key -> (RunConfig field, converter); a field's first "_" becomes the section
 # dot, and scene objects have their own scene.object<N> lines
-_KEYMAP = {
-    f.name.replace("_", ".", 1): (f.name, {"int": int, "float": float}[f.type])
-    for f in fields(RunConfig) if f.name != "scene_objects"
-}
+_FIELDS = {f.name.replace("_", ".", 1): f
+           for f in fields(RunConfig) if f.name != "scene_objects"}
+_KEYMAP = {key: (f.name, {"int": int, "float": float}[f.type])
+           for key, f in _FIELDS.items()}
+# key -> its declared domain
+DOMAINS = {key: f.metadata["domain"] for key, f in _FIELDS.items()}
 
 
 def _parse_object(value: str, lineno: int) -> SceneObject:
@@ -131,6 +213,7 @@ def parse_run_config(text: str) -> RunConfig:
 def load_run_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_run_config(fh.read())
-    except OSError as exc:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return parse_run_config(text).validate()

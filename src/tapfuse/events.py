@@ -26,6 +26,8 @@ from .errors import (
 )
 
 EVBIN_MAGIC = b"EVB1"
+# x and y are u16, so a sensor side holds at most 2**16 pixels
+MAX_SENSOR_SIDE = 65536
 # (u64 t, u16 x, u16 y, i8 p, 3 zero pad bytes), little-endian, 16 bytes.
 EVBIN_RECORD = np.dtype([
     ("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "i1"), ("pad", "u1", 3),

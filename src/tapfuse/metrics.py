@@ -13,6 +13,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,13 +39,13 @@ class EvalPair:
         if not np.array_equal(p.times, r.times):
             raise GridMismatch("time grids differ")
 
-    @property
+    @cached_property
     def errors(self) -> np.ndarray:
         """Euclidean position error per (query, step), in pixels."""
         return np.linalg.norm(self.predicted.positions - self.reference.positions,
                               axis=2)
 
-    @property
+    @cached_property
     def normalized_errors(self) -> np.ndarray:
         return self.errors * (256.0 / self.image_height)
 
@@ -140,9 +141,12 @@ def feature_age(pair: EvalPair,
                 ) -> tuple[float, float]:
     """(FA, EFA): FA averages ages over tracks that survive their first
     step; EFA averages over all tracks, immediate failures counted at 0."""
-    err = pair.errors
-    ages = track_ages(pair, err_threshold)
-    survivors = err[:, 0] <= err_threshold
+    return _fa_efa(pair, track_ages(pair, err_threshold), err_threshold)
+
+
+def _fa_efa(pair: EvalPair, ages: np.ndarray, err_threshold: float
+            ) -> tuple[float, float]:
+    survivors = pair.errors[:, 0] <= err_threshold
     fa = float(np.mean(ages[survivors])) if survivors.any() else 0.0
     efa = float(np.mean(ages))
     return fa, efa
@@ -225,20 +229,14 @@ def evaluate(pair: EvalPair,
              thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS,
              err_threshold: float = DEFAULT_AGE_THRESHOLD) -> MetricReport:
     """Compute the full metric suite for one prediction/reference pair."""
-    fa, efa = feature_age(pair, err_threshold)
     ages = track_ages(pair, err_threshold)
-    err = pair.normalized_errors
-    vis = pair.reference.visibility.astype(bool)
-    per_threshold = {}
-    for th in thresholds:
-        sub = average_jaccard(pair, (th,))
-        dsub = delta_avg_vis(pair, (th,)) if vis.any() else 0.0
-        per_threshold[f"{th:g}"] = {"jaccard": sub, "delta_vis": dsub}
-    per_track = [
-        {"age": float(ages[qi]),
-         "mean_error_px": float(pair.errors[qi].mean())}
-        for qi in range(err.shape[0])
-    ]
+    fa, efa = _fa_efa(pair, ages, err_threshold)
+    per_threshold = {
+        f"{th:g}": {"jaccard": average_jaccard(pair, (th,)),
+                    "delta_vis": delta_avg_vis(pair, (th,))}
+        for th in thresholds}
+    per_track = [{"age": float(age), "mean_error_px": float(row.mean())}
+                 for age, row in zip(ages, pair.errors)]
     return MetricReport(
         aj=average_jaccard(pair, thresholds),
         delta_avg_vis=delta_avg_vis(pair, thresholds),

@@ -18,9 +18,10 @@ import numpy as np
 from .errors import (
     DegenerateScene,
     EmptyWindow,
+    GeometryViolation,
     NonPositiveIntensity,
 )
-from .events import EventStream
+from .events import MAX_SENSOR_SIDE, EventStream
 
 DEFAULT_CONTRAST = 0.2
 
@@ -75,6 +76,9 @@ class SceneConfig:
         if self.background <= 0:
             raise DegenerateScene("background intensity must be positive")
         for obj in self.objects:
+            if not all(map(math.isfinite, (*obj.position, *obj.velocity,
+                                           obj.size, obj.intensity))):
+                raise DegenerateScene(f"non-finite object value in {obj}")
             if obj.size <= 0:
                 raise DegenerateScene("zero-size object")
             if obj.intensity <= 0:
@@ -158,8 +162,11 @@ def simulate_events(video: IntensityVideo, c: float = DEFAULT_CONTRAST
         raise DegenerateScene("need at least 2 frames to simulate")
     if np.any(video.frames <= 0):
         raise NonPositiveIntensity("intensity must be positive everywhere")
-
     H, W = video.frames.shape[1:]
+    if max(H, W) > MAX_SENSOR_SIDE:
+        raise GeometryViolation(f"{W}x{H} video: event x and y are u16, so "
+                                f"a side is at most {MAX_SENSOR_SIDE} px")
+
     L = np.log(video.frames.reshape(len(video.frames), -1))  # T x (H*W)
     n_pix = H * W
     ref = L[0].copy()
@@ -182,7 +189,11 @@ def simulate_events(video: IntensityVideo, c: float = DEFAULT_CONTRAST
             # level index 1..n per pixel
             k = np.concatenate([np.arange(1, m + 1) for m in counts])
             levels = ref[pix] + sign * k * c
-            tt = t0 + (levels - L0[pix]) / slope[pix] * (t1 - t0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                tt = t0 + (levels - L0[pix]) / slope[pix] * (t1 - t0)
+            # float rounding can carry a level crossed at the end of the
+            # previous interval over to a pixel that holds still in this one
+            tt[~np.isfinite(tt)] = t0
             ts_out.append(np.round(tt).astype(np.int64))
             pix_out.append(pix)
             pol_out.append(np.full(pix.shape, int(sign), dtype=np.int8))

@@ -10,12 +10,12 @@ the state and the untrained tracker is an identity tracker.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from .arrayio import read_tensor_record, span, tensor_record
 from .errors import MalformedRecord, ShapeMismatch
 
 TFW_MAGIC = b"TFW1"
@@ -136,16 +136,12 @@ class WeightBundle:
 
 def save_weights(bundle: WeightBundle) -> bytes:
     """Tagged container: magic, then per-parameter records of
-    (u32 name length, UTF-8 name, u32 rank, u32 dims..., f64 payload)."""
+    (u32 name length, UTF-8 name, tensor record) in name order."""
     chunks = [TFW_MAGIC]
     for name in sorted(bundle.params):
-        arr = np.ascontiguousarray(bundle.params[name], dtype=np.float64)
         nb = name.encode("utf-8")
-        chunks.append(struct.pack("<I", len(nb)))
-        chunks.append(nb)
-        chunks.append(struct.pack("<I", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(arr.tobytes())
+        chunks += [struct.pack("<I", len(nb)), nb,
+                   *tensor_record(bundle.params[name])]
     return b"".join(chunks)
 
 
@@ -157,34 +153,17 @@ def load_weights(data: bytes, config: FusionConfig = FusionConfig(),
     if data[:4] != TFW_MAGIC:
         raise MalformedRecord(f"bad weights magic {data[:4]!r}")
     pos = 4
-
-    def take(n: int) -> int:
-        """Offset of the next n bytes, which must all be in the file."""
-        nonlocal pos
-        if n > len(data) - pos:
-            raise MalformedRecord(f"weights record at byte {pos} needs {n} "
-                                  f"bytes, {len(data) - pos} left")
-        pos += n
-        return pos - n
-
     params: dict[str, np.ndarray] = {}
     while pos < len(data):
-        (nlen,) = struct.unpack_from("<I", data, take(4))
-        at = take(nlen)
+        at = span(data, pos, 4, "weights record")
+        (nlen,) = struct.unpack_from("<I", data, pos)
+        pos = span(data, at, nlen, "weights record name")
         try:
-            name = data[at:at + nlen].decode("utf-8")
+            name = data[at:pos].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise MalformedRecord(f"weights name at byte {at} is not UTF-8") from exc
-        (rank,) = struct.unpack_from("<I", data, take(4))
-        dims = struct.unpack_from(f"<{rank}I", data, take(4 * rank))
-        count = math.prod(dims)
-        arr = np.frombuffer(data, dtype="<f8", count=count, offset=take(8 * count))
-        try:
-            # numpy refuses more than 64 dims, and a 0-size shape whose
-            # other dims would overflow
-            params[name] = arr.copy().reshape(dims)
-        except ValueError as exc:
-            raise MalformedRecord(f"weights record {name!r}: bad shape") from exc
+        params[name], pos = read_tensor_record(data, pos,
+                                               f"weights record {name!r}")
     expected = {name: shape for name, shape, _ in parameter_specs(config)}
     if set(params) != set(expected):
         missing = set(expected) - set(params)

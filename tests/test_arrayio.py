@@ -1,8 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tapfuse.arrayio import read_array, write_array
-from tapfuse.errors import MalformedRecord
+from tapfuse.errors import MalformedRecord, TapfuseError
 
 
 @pytest.mark.parametrize("cut", [5, 8, 11, 16])
@@ -16,3 +19,62 @@ def test_truncated_header_is_malformed_record(cut):
 def test_rank_only_header_is_malformed_record():
     with pytest.raises(MalformedRecord):
         read_array(b"TNS1\x03")
+
+
+def test_layout_is_magic_rank_dims_payload():
+    arr = np.arange(6.0).reshape(2, 3)
+    data = write_array(arr)
+    assert data == (b"TNS1" + struct.pack("<3I", 2, 2, 3)
+                    + struct.pack("<6d", *range(6)))
+    # a 0-d array is written as shape (1,)
+    assert write_array(np.float64(2.5)) == (b"TNS1" + struct.pack("<2I", 1, 1)
+                                            + struct.pack("<d", 2.5))
+
+
+@pytest.mark.parametrize("arr", [np.zeros(0), np.arange(24.0).reshape(2, 3, 4),
+                                 np.ones((3, 0, 2)),
+                                 np.arange(12).reshape(3, 4).T])
+def test_round_trip_exact(arr):
+    back = read_array(write_array(arr))
+    assert back.dtype == np.float64 and back.shape == arr.shape
+    np.testing.assert_array_equal(back, arr)
+    back[...] = 1.0  # the result owns its memory
+
+
+@pytest.mark.parametrize("data", [
+    # 65 dims of 1, more than numpy holds
+    b"TNS1" + struct.pack("<66I", 65, *[1] * 65) + b"\x00" * 8,
+    # a 0-size shape whose other dims overflow
+    b"TNS1" + struct.pack("<4I", 3, 0, 2**32 - 1, 2**32 - 1),
+    # a payload one value short, and one value over
+    write_array(np.zeros(3))[:-8],
+    write_array(np.zeros(3)) + b"\x00" * 8,
+], ids=["65_dims", "zero_size_overflow", "payload_short", "payload_long"])
+def test_bad_shape_or_payload_is_malformed_record(data):
+    with pytest.raises(MalformedRecord):
+        read_array(data)
+
+
+VALID_TNS = write_array(np.arange(6.0).reshape(1, 2, 3))
+TNS_MUTATIONS = st.one_of(
+    st.binary(max_size=4),
+    st.sampled_from([b"\x00", b"\xff", b"\xff\xff\xff\xff", b"\x41\x00\x00\x00",
+                     b"\x00\x00\x00\x00", b"TNS1"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=st.lists(st.tuples(st.integers(0, len(VALID_TNS) - 1),
+                                TNS_MUTATIONS), min_size=1, max_size=4),
+       cut=st.integers(0, len(VALID_TNS) + 8))
+def test_mutated_array_file_raises_only_typed_errors(edits, cut):
+    """Each edit replaces one byte with a short byte string (a delete,
+    replace or insert); then the file is cut at a random length."""
+    blob = bytearray(VALID_TNS)
+    for pos, repl in edits:
+        pos = min(pos, len(blob) - 1)
+        blob[pos:pos + 1] = repl
+    try:
+        arr = read_array(bytes(blob[:cut]))
+    except TapfuseError:
+        return
+    assert arr.dtype == np.float64

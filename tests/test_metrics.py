@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -10,6 +11,7 @@ from _metric_oracle import (
     bf_occlusion_accuracy,
     random_pair,
 )
+from tapfuse import metrics
 from tapfuse.errors import GridMismatch, ZeroTotalSpeed
 from tapfuse.metrics import (
     EvalPair,
@@ -277,3 +279,28 @@ class TestReport:
         assert report.delta_avg_vis == 1.0
         assert report.oa == 1.0
         assert report.fa == 1.0 and report.efa == 1.0
+
+    @pytest.mark.parametrize("seed, thresholds, err_threshold, digest", [
+        (9, THRESHOLDS, 8.0, "82b30438757f6c99"),
+        (3, (0.5, 3.0), 2.0, "912f60e95b1ecc51"),
+    ])
+    def test_report_json_is_pinned(self, seed, thresholds, err_threshold,
+                                   digest):
+        text = evaluate(random_pair(seed), thresholds, err_threshold).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+    def test_evaluate_computes_errors_and_ages_once(self, monkeypatch):
+        calls = {"norm": 0, "track_ages": 0}
+        norm, ages = np.linalg.norm, metrics.track_ages
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "norm", counted("norm", norm))
+        monkeypatch.setattr(metrics, "track_ages",
+                            counted("track_ages", ages))
+        evaluate(random_pair(9), THRESHOLDS, 8.0)
+        assert calls == {"norm": 1, "track_ages": 1}

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from tapfuse.errors import DegenerateScene, EmptyWindow
+from tapfuse.errors import DegenerateScene, EmptyWindow, GeometryViolation
 from tapfuse.events import EventStream
 from tapfuse.synth import (
     IntensityVideo,
@@ -59,6 +61,14 @@ class TestRender:
                         objects=[SceneObject("gaussian_blob", (4, 4), (0, 0),
                                              0.0, 1.0)])
 
+    @pytest.mark.parametrize("obj", [
+        blob(np.nan, 4), blob(4, 4, vx=np.inf), blob(4, 4, size=np.inf),
+        blob(4, 4, intensity=np.nan)])
+    def test_non_finite_object_rejected(self, obj):
+        with pytest.raises(DegenerateScene, match="non-finite"):
+            SceneConfig(width=8, height=8, duration_us=100_000, fps=24,
+                        objects=[obj])
+
 
 class TestSimulate:
     def test_constant_video_no_events(self):
@@ -106,6 +116,42 @@ class TestSimulate:
         for (ta, xa, ya, pa), (tb, xb, yb, pb) in zip(a, b):
             assert (xa, ya, pa) == (xb, yb, pb)
             assert abs(ta - tb) <= 1
+
+    @pytest.mark.parametrize("shape", [(1, 65537), (65537, 1)])
+    def test_side_beyond_u16_is_geometry_violation(self, shape):
+        # a pixel past x or y = 65535 brightens; its events would wrap mod 2**16
+        frames = np.ones((2, *shape))
+        frames[1, -1, -1] = 3.0
+        video = IntensityVideo(frames=frames, frame_times=np.array([0, 1000]),
+                               fps=1000.0)
+        with pytest.raises(GeometryViolation, match="u16"):
+            simulate_events(video, c=0.2)
+
+    def test_side_of_65536_keeps_its_coordinates(self):
+        frames = np.ones((2, 1, 65536))
+        frames[1, 0, 65535] = 3.0
+        video = IntensityVideo(frames=frames, frame_times=np.array([0, 1000]),
+                               fps=1000.0)
+        stream = simulate_events(video, c=0.2)
+        assert len(stream) == 5
+        assert np.all(stream.x == 65535)
+
+    def test_level_left_over_on_a_still_pixel_fires_at_interval_start(self):
+        """Float rounding leaves pixel (0, 0) one level short when its last
+        moving interval ends at 666667 us. Its pixel then holds still, and
+        the left-over event fires at that interval boundary, not at a
+        0/0 time clipped to t = 0."""
+        cfg = SceneConfig(width=4, height=2, duration_us=1_000_000, fps=6.0,
+                          objects=[SceneObject("textured_square", (2.0, 1.0),
+                                               (-5.0, 0.0), 1.0, 2.0)],
+                          background=0.890625)
+        video, _ = render_intensity_video(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            stream = simulate_events(video, c=0.1)
+        at = (stream.x == 0) & (stream.y == 0)
+        assert stream.t[at].min() > 0
+        assert stream.t[at][-1] == 666_667 and stream.p[at][-1] == -1
 
     def test_event_count_non_increasing_in_threshold(self):
         cfg = SceneConfig(width=24, height=24, duration_us=400_000, fps=50,
