@@ -34,6 +34,8 @@ class Domain:
 
     def __str__(self) -> str:
         if self.hi < math.inf:
+            if self.above:
+                return f"> {self.lo:g} and <= {self.hi:g}"
             return f"{self.lo:g}..{self.hi:g}"
         return f"{'>' if self.above else '>='} {self.lo:g}"
 
@@ -44,6 +46,12 @@ def _setting(default, lo, hi=math.inf, above=False):
 
 # random objects start at least this far inside the sensor, px
 RANDOM_OBJECT_MARGIN = 12
+# a scene.object's size (blob sigma or square half-side, px) and its
+# intensity above the background: the pixel grid does not sample a size
+# below a tenth of a pixel, a size above the sensor side covers the whole
+# sensor, and 1e6 is an event sensor's 120 dB dynamic range
+OBJECT_DOMAINS = {"size": Domain(0.1, MAX_SENSOR_SIDE),
+                  "intensity": Domain(0, 1e6, above=True)}
 
 
 @dataclass
@@ -57,7 +65,9 @@ class RunConfig:
     scene_n_random_objects: int = _setting(2, 0)
     scene_objects: list[SceneObject] = field(default_factory=list)
     # event simulation
-    sim_contrast: float = _setting(0.2, 0, above=True)
+    # events grow as 1/contrast: 0.01 gives 27x the events of 0.2 on the
+    # default scene, 1e-9 would ask for tens of GiB
+    sim_contrast: float = _setting(0.2, 0.01)
     # timeline
     timeline_query_hz: float = _setting(48.0, 0, above=True)
     timeline_frame_hz: float = _setting(12.0, 0, above=True)
@@ -138,6 +148,12 @@ class RunConfig:
         if round(self.scene_fps * self.scene_duration_us / 1e6) < 2:
             raise ConfigError("scene.fps * scene.duration_us gives fewer "
                               "than 2 rendered frames")
+        for obj in self.scene_objects:
+            for name, domain in OBJECT_DOMAINS.items():
+                if getattr(obj, name) not in domain:
+                    raise ConfigError(
+                        f"scene.object {name} = {getattr(obj, name):g} is "
+                        f"outside its domain {domain}")
         try:
             self.scene_config()
         except DegenerateScene as exc:

@@ -5,7 +5,10 @@ Forward passes are pure float64 functions of (inputs, weights): they
 never write into their input arrays or the weights. The intermediates
 they allocate themselves are reused in place: the attention logits become
 the softmax weights, and a product takes its bias and residual adds, so
-an attention call holds one N x N array. The two attention blocks that
+an attention call holds one N x N array. taf_update attends to the
+tokens of the event patches that hold an event plus one shared key for
+all event-free patches, whose logit carries the log of their count, so
+its attention is N x (live + 1), not N x N. The two attention blocks that
 feed gradient verification (CLWF and temporal attention) also ship
 analytic backward passes checked against central finite differences.
 """
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -70,24 +74,32 @@ class FeaturePyramid:
 # Tokenizers
 # ---------------------------------------------------------------------------
 
-def _embed_patches(image, weights: WeightBundle, prefix: str) -> Tokens:
-    """Non-overlapping patch embedding of an (H, W) or (H, W, C) image
-    through the prefix.w / prefix.b projection."""
+def _patch_blocks(image, weights: WeightBundle, prefix: str) -> np.ndarray:
+    """(rows, cols, patch, patch, C) view of the non-overlapping patches of
+    an (H, W) or (H, W, C) image; a patch's patch * patch * C values must
+    match the fan-in of the prefix.w projection."""
     if image.ndim == 2:
         image = image[:, :, None]
     h, w, c = image.shape
     patch = weights.config.patch
     if h % patch or w % patch:
         raise ShapeMismatch(f"{h}x{w} not divisible by patch size {patch}")
-    rows, cols = h // patch, w // patch
-    flat = (image.reshape(rows, patch, cols, patch, c)
-            .transpose(0, 2, 1, 3, 4)
-            .reshape(rows * cols, patch * patch * c)).astype(np.float64)
-    proj = weights[f"{prefix}.w"]
-    if flat.shape[1] != proj.shape[0]:
-        raise ShapeMismatch(f"{prefix}: patch dim {flat.shape[1]} != "
-                            f"embedding fan-in {proj.shape[0]}")
-    return Tokens(values=_linear(flat, proj, weights[f"{prefix}.b"]),
+    fan_in = weights[f"{prefix}.w"].shape[0]
+    if patch * patch * c != fan_in:
+        raise ShapeMismatch(f"{prefix}: patch dim {patch * patch * c} != "
+                            f"embedding fan-in {fan_in}")
+    return (image.reshape(h // patch, patch, w // patch, patch, c)
+            .transpose(0, 2, 1, 3, 4))
+
+
+def _embed_patches(image, weights: WeightBundle, prefix: str) -> Tokens:
+    """Non-overlapping patch embedding of an (H, W) or (H, W, C) image
+    through the prefix.w / prefix.b projection."""
+    blocks = _patch_blocks(image, weights, prefix)
+    rows, cols = blocks.shape[:2]
+    flat = blocks.reshape(rows * cols, -1).astype(np.float64, copy=False)
+    return Tokens(values=_linear(flat, weights[f"{prefix}.w"],
+                                 weights[f"{prefix}.b"]),
                   grid=(rows, cols))
 
 
@@ -138,18 +150,21 @@ def _qkv(q_in, k_in, v_in, weights, prefix):
                  for n, x in zip("qkv", (q_in, k_in, v_in)))
 
 
-def _sdpa(q, k, v):
+def _sdpa(q, k, v, key_bias=None):
     """Scaled dot-product attention over the last two axes; returns the
-    readout and the attention weights, which live in the logits buffer."""
+    readout and the attention weights, which live in the logits buffer.
+    key_bias, one value per key, is added to the scaled logits."""
     logits = q @ np.swapaxes(k, -1, -2)
     logits /= np.sqrt(q.shape[-1])
+    if key_bias is not None:
+        logits += key_bias
     a = _softmax(logits)
     return a @ v, a
 
 
-def _attention_block(x, q_in, k_in, v_in, weights, prefix):
-    """Residual attention block: x + sdpa(q, k, v) @ wo + bo."""
-    read, _ = _sdpa(*_qkv(q_in, k_in, v_in, weights, prefix))
+def _attention_block(x, q_in, k_in, v_in, weights, prefix, key_bias=None):
+    """Residual attention block: x + sdpa(q, k, v, key_bias) @ wo + bo."""
+    read, _ = _sdpa(*_qkv(q_in, k_in, v_in, weights, prefix), key_bias)
     return _residual_out(x, read, weights[f"{prefix}.wo"],
                          weights[f"{prefix}.bo"])
 
@@ -158,11 +173,13 @@ def _attention_block(x, q_in, k_in, v_in, weights, prefix):
 # Cross-modal locally weighted fusion
 # ---------------------------------------------------------------------------
 
+@lru_cache
 def _neighbor_table(grid: tuple[int, int], radius: int
                     ) -> tuple[np.ndarray, np.ndarray]:
     """(N, K) neighbor token indices and validity mask for Chebyshev
     neighborhoods of the given radius; K = (2*radius+1)**2 offsets in
-    row-major offset order (matching the locality-bias table)."""
+    row-major offset order (matching the locality-bias table). Cached per
+    (grid, radius), so both arrays are read-only."""
     rows, cols = grid
     rr, cc = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
     rr, cc = rr.ravel(), cc.ravel()
@@ -175,6 +192,7 @@ def _neighbor_table(grid: tuple[int, int], radius: int
         ok = (nr >= 0) & (nr < rows) & (nc >= 0) & (nc < cols)
         idx[:, k] = np.where(ok, nr * cols + nc, 0)
         mask[:, k] = ok
+    idx.flags.writeable = mask.flags.writeable = False
     return idx, mask
 
 
@@ -268,10 +286,39 @@ def taf_init(frame: np.ndarray, frame_time: int, exposure_batch: EventBatch,
                           frame_anchor_time=frame_time)
 
 
+def _live_event_tokens(tensor: EventTensor, weights: WeightBundle
+                       ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Event tokens as attention keys: those of the patches that hold a
+    non-zero value, then, if any patch is all zero, one token standing for
+    them all, and the logit bias per key (None when no patch is all zero).
+
+    An all-zero patch always tokenizes to zeros @ phi_e.w + phi_e.b, so its
+    n_empty copies give n_empty equal keys and values; one copy whose logit
+    is raised by log(n_empty) takes their joint softmax weight."""
+    blocks = _patch_blocks(tensor.data, weights, "phi_e")
+    live = blocks.any(axis=(2, 3, 4))
+    n_empty = live.size - np.count_nonzero(live)
+    if not n_empty:
+        return tokenize_events(tensor, weights).values, None
+    proj = weights["phi_e.w"]
+    flat = np.concatenate([blocks[live].reshape(-1, proj.shape[0]),
+                           np.zeros((1, proj.shape[0]))])
+    tokens = _linear(flat, proj, weights["phi_e.b"])
+    if not np.all(np.isfinite(tokens)):
+        raise ShapeMismatch("non-finite token values")
+    key_bias = np.zeros(len(tokens))
+    key_bias[-1] = np.log(n_empty)
+    return tokens, key_bias
+
+
 def taf_update(state: TransientState, batch: EventBatch,
                weights: WeightBundle) -> TransientState:
     """Refine the state with one event batch through a pre-norm residual
-    cross-attention block; an empty batch only advances state_time."""
+    cross-attention block; an empty batch only advances state_time.
+
+    The state attends to the tokens of the event patches that hold an
+    event and to one shared key for all event-free patches, weighted by
+    their count, which equals attending to every event token."""
     if batch.bin_end < state.state_time:
         raise TimeRegression(
             f"batch ends at {batch.bin_end} before state time {state.state_time}")
@@ -280,14 +327,14 @@ def taf_update(state: TransientState, batch: EventBatch,
                               frame_anchor_time=state.frame_anchor_time)
     rows, cols = state.tokens.grid
     patch = weights.config.patch
-    tensor = sbt_time_surface(batch, cols * patch, rows * patch,
-                              weights.config.subwindows)
-    etok = tokenize_events(tensor, weights)
+    etok, key_bias = _live_event_tokens(
+        sbt_time_surface(batch, cols * patch, rows * patch,
+                         weights.config.subwindows), weights)
     r = state.tokens.values
     hq = _layer_norm(r, weights["upd.ln_state.g"], weights["upd.ln_state.b"])
-    hk = _layer_norm(etok.values, weights["upd.ln_events.g"],
+    hk = _layer_norm(etok, weights["upd.ln_events.g"],
                      weights["upd.ln_events.b"])
-    out = _attention_block(r, hq, hk, hk, weights, "upd")
+    out = _attention_block(r, hq, hk, hk, weights, "upd", key_bias)
     return TransientState(tokens=Tokens(values=out, grid=state.tokens.grid),
                           state_time=batch.bin_end,
                           frame_anchor_time=state.frame_anchor_time)

@@ -54,9 +54,9 @@ class EvalPair:
 class MetricReport:
     aj: float
     delta_avg_vis: float
-    oa: float
+    oa: float | None      # None where undefined: no tracks
     fa: float
-    efa: float
+    efa: float | None
     auc_v: float | None
     thresholds: tuple[float, ...]
     per_threshold: dict[str, dict[str, float]]
@@ -69,7 +69,7 @@ class MetricReport:
             "thresholds": list(self.thresholds),
             "per_threshold": self.per_threshold,
             "per_track": self.per_track,
-        }, indent=2)
+        }, indent=2, allow_nan=False)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -94,9 +94,11 @@ def delta_avg_vis(pair: EvalPair,
     return float(np.mean(fracs))
 
 
-def occlusion_accuracy(pair: EvalPair) -> float:
-    """Fraction of (query, step) pairs with matching visibility."""
-    return float(np.mean(pair.predicted.visibility == pair.reference.visibility))
+def occlusion_accuracy(pair: EvalPair) -> float | None:
+    """Fraction of (query, step) pairs with matching visibility; None when
+    there are no pairs."""
+    match = pair.predicted.visibility == pair.reference.visibility
+    return float(np.mean(match)) if match.size else None
 
 
 def average_jaccard(pair: EvalPair,
@@ -138,17 +140,18 @@ def track_ages(pair: EvalPair,
 
 def feature_age(pair: EvalPair,
                 err_threshold: float = DEFAULT_AGE_THRESHOLD
-                ) -> tuple[float, float]:
+                ) -> tuple[float, float | None]:
     """(FA, EFA): FA averages ages over tracks that survive their first
-    step; EFA averages over all tracks, immediate failures counted at 0."""
+    step; EFA averages over all tracks, immediate failures counted at 0,
+    and is None when there are no tracks."""
     return _fa_efa(pair, track_ages(pair, err_threshold), err_threshold)
 
 
 def _fa_efa(pair: EvalPair, ages: np.ndarray, err_threshold: float
-            ) -> tuple[float, float]:
+            ) -> tuple[float, float | None]:
     survivors = pair.errors[:, 0] <= err_threshold
     fa = float(np.mean(ages[survivors])) if survivors.any() else 0.0
-    efa = float(np.mean(ages))
+    efa = float(np.mean(ages)) if ages.size else None
     return fa, efa
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -313,6 +314,31 @@ class TestEval:
         assert report["delta_avg_vis"] == 1.0
         assert report["oa"] == 1.0
         assert (tmp_path / "ev" / "metrics.csv").exists()
+
+    def test_zero_tracks_write_strict_json(self, tmp_path, capsys):
+        """No objects and no --query: the metrics that average over tracks
+        are undefined and written as null, never as NaN."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(line for line in SMALL_CONFIG.split("\n")
+                                 if not line.startswith("scene.object")))
+        sim, trk, ev = tmp_path / "sim", tmp_path / "trk", tmp_path / "ev"
+        assert run_cli(["--config", cfg, "--out", sim, "simulate"]) == 0
+        assert run_cli(["--config", cfg, "--out", trk, "track",
+                        "--stream", sim / "events.evbin",
+                        "--frames", sim / "video.tns"]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["--config", cfg, "--out", ev, "eval",
+                            "--pred", trk / "tracks.txt",
+                            "--ref", sim / "tracks.txt"]) == 0
+
+        def reject(constant):
+            raise AssertionError(f"{constant} in metrics.json")
+
+        report = json.loads((ev / "metrics.json").read_text(),
+                            parse_constant=reject)
+        assert report["oa"] is None and report["efa"] is None
+        assert report["auc_v"] is None and report["per_track"] == []
 
     def test_grid_mismatch_is_contract_error(self, tmp_path, small_cfg, capsys):
         out = tmp_path / "sim"

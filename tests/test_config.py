@@ -129,6 +129,38 @@ def test_bad_config_exits_2_naming_its_key(tmp_path, capsys, command, extra):
     assert extra.split("\n")[-1].split(" = ")[0] in err
 
 
+@pytest.mark.parametrize("obj, name", [
+    ("gaussian_blob, 16, 16, 6, -4, 1e300, 2", "size"),
+    ("gaussian_blob, 16, 16, 6, -4, 1e-300, 2", "size"),
+    ("gaussian_blob, 16, 16, 6, -4, 3, 1e300", "intensity"),
+])
+@pytest.mark.parametrize("command", ["simulate", "track"])
+def test_extreme_object_magnitude_exits_2_naming_it(tmp_path, capsys, command,
+                                                    obj, name):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CONFIG + f"scene.object1 = {obj}\n")
+    assert run_cli(command_args(command, cfg, tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: scene.object {name} = ")
+
+
+def test_tiny_contrast_is_a_config_error(tmp_path):
+    # load only: simulate on sim.contrast = 1e-9 would ask for 21.6 GiB
+    path = tmp_path / "run.cfg"
+    path.write_text(SMALL_CONFIG + "sim.contrast = 1e-9\n")
+    with pytest.raises(ConfigError, match="sim.contrast = 1e-09"):
+        load_run_config(path)
+
+
+@pytest.mark.parametrize("contrast", [0.044, 0.2])
+@pytest.mark.parametrize("size", [4.5, 6.0, 13.0])
+def test_benchmark_magnitudes_stay_valid(contrast, size):
+    cfg = parse_run_config(
+        SMALL_CONFIG + f"sim.contrast = {contrast}\n"
+        f"scene.object1 = textured_square, 16, 16, 25, 0, {size}, 2.5\n")
+    assert cfg.validate() is cfg
+
+
 class TestFlags:
     def test_every_flag_is_declared_once(self):
         """No flag shadows a config key: `seed` and `eval.err_threshold`

@@ -20,6 +20,7 @@ from tapfuse.fusion import (
     Tokens,
     TransientState,
     _attention_block,
+    _layer_norm,
     _linear,
     _neighbor_table,
     _residual_out,
@@ -620,6 +621,148 @@ class TestAllocationPeaks:
         x = rng.normal(size=(16, 256, 64))
         assert traced_peak(temporal_attention_forward, x, weights) \
             < 6.8 * x.nbytes
+
+
+# ---------------------------------------------------------------------------
+# taf_update on live event patches
+# ---------------------------------------------------------------------------
+
+def update_inputs(state, batch, weights):
+    """The residual x and the normed queries and keys of taf_update's block
+    over all N event tokens, the dense path."""
+    rows, cols = state.tokens.grid
+    patch = weights.config.patch
+    tensor = sbt_time_surface(batch, cols * patch, rows * patch,
+                              weights.config.subwindows)
+    r = state.tokens.values
+    hq = _layer_norm(r, weights["upd.ln_state.g"], weights["upd.ln_state.b"])
+    hk = _layer_norm(tokenize_events(tensor, weights).values,
+                     weights["upd.ln_events.g"], weights["upd.ln_events.b"])
+    return r, hq, hk, tensor
+
+
+def live_patches(tensor, patch):
+    h, w, c = tensor.data.shape
+    blocks = tensor.data.reshape(h // patch, patch, w // patch, patch, c)
+    return int(np.count_nonzero(blocks.any(axis=(1, 3, 4))))
+
+
+def grid_state(rng, grid, d):
+    return TransientState(tokens=random_tokens(rng, grid, d),
+                          state_time=1000, frame_anchor_time=1000)
+
+
+SPARSE_PATCH = 4
+SPARSE_WEIGHTS = perturbed_weights(50, d=8, patch=SPARSE_PATCH, subwindows=3)
+
+
+@st.composite
+def sparse_batches(draw):
+    """A token grid and a batch in (1000, 2000] whose live patches are none,
+    one, all or a drawn set. Polarity-0 events give a time-surface value of
+    0, so their patch stays all zero; they alone fill the batch when no
+    patch is live."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n = rows * cols
+    kind = draw(st.sampled_from(["none", "one", "all", "some"]))
+    live = {"none": set(), "one": {draw(st.integers(0, n - 1))},
+            "all": set(range(n)),
+            "some": draw(st.sets(st.integers(0, n - 1), min_size=1))}[kind]
+    pix = st.integers(0, SPARSE_PATCH - 1)
+    t = st.integers(1001, 2000)
+
+    def event(tile, p):
+        r, c = divmod(tile, cols)
+        return Event(x=c * SPARSE_PATCH + draw(pix),
+                     y=r * SPARSE_PATCH + draw(pix), t=draw(t), p=p)
+
+    events = [event(tile, draw(st.sampled_from([-1, 1])))
+              for tile in sorted(live)
+              for _ in range(draw(st.integers(1, 3)))]
+    dead = sorted(set(range(n)) - live)
+    if dead:
+        events += [event(draw(st.sampled_from(dead)), 0)
+                   for _ in range(draw(st.integers(not live, 3)))]
+    return (rows, cols), kind, make_batch(events, 1000, 2000)
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=sparse_batches(), seed=st.integers(0, 2**16))
+def test_update_matches_dense_attention_over_every_event_token(drawn, seed):
+    grid, kind, batch = drawn
+    weights = SPARSE_WEIGHTS
+    state = grid_state(np.random.default_rng(seed), grid, 8)
+    r, hq, hk, tensor = update_inputs(state, batch, weights)
+    n_live = live_patches(tensor, SPARSE_PATCH)
+    assert n_live == {"none": 0, "one": 1, "all": len(r)}.get(kind, n_live)
+    read, _ = ref_sdpa(*ref_qkv(hq, hk, hk, weights, "upd"))
+    want = ref_residual_out(r, read, weights["upd.wo"], weights["upd.bo"])
+    got = taf_update(state, batch, weights).tokens.values
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+class TestSparseTafUpdate:
+    def test_no_empty_patch_is_the_dense_path_bit_for_bit(self):
+        rng = np.random.default_rng(51)
+        weights = perturbed_weights(52, d=16, patch=4)
+        grid = (6, 8)
+        events = [Event(x=4 * c + int(rng.integers(0, 4)),
+                        y=4 * r + int(rng.integers(0, 4)),
+                        t=int(rng.integers(1001, 2001)),
+                        p=int(rng.choice([-1, 1])))
+                  for r in range(grid[0]) for c in range(grid[1])]
+        batch = make_batch(events, 1000, 2000)
+        state = grid_state(rng, grid, 16)
+        r, hq, hk, tensor = update_inputs(state, batch, weights)
+        assert live_patches(tensor, 4) == len(r)
+        want = _attention_block(r, hq, hk, hk, weights, "upd")
+        assert np.array_equal(taf_update(state, batch, weights).tokens.values,
+                              want)
+
+    def test_shared_token_is_projected_not_assumed(self):
+        """A polarity-0 event leaves every patch event-free; an inf in
+        phi_e.w makes their token zeros @ phi_e.w + phi_e.b NaN although
+        phi_e.b is finite."""
+        rng = np.random.default_rng(53)
+        weights = perturbed_weights(54, d=8, patch=4)
+        weights.params["phi_e.w"] = weights["phi_e.w"].copy()
+        weights.params["phi_e.w"][-1, 0] = np.inf
+        batch = make_batch([Event(1, 1, 1500, 0)], 1000, 2000)
+        with pytest.raises(ShapeMismatch, match="non-finite"), \
+                np.errstate(invalid="ignore"):
+            taf_update(grid_state(rng, (2, 2), 8), batch, weights)
+
+    def test_fan_in_mismatch_rejected(self):
+        rng = np.random.default_rng(55)
+        weights = perturbed_weights(56, d=8, patch=4)
+        weights.params["phi_e.w"] = np.zeros((4 * 4 * 5 + 1, 8))
+        batch = make_batch([Event(1, 1, 1500, 1)], 1000, 2000)
+        with pytest.raises(ShapeMismatch, match="fan-in"):
+            taf_update(grid_state(rng, (2, 2), 8), batch, weights)
+
+    def test_peak_is_well_under_one_token_by_token_matrix(self):
+        # 1,024 tokens, 32 live patches: the dense path peaked at 1.75
+        # N x N float64 arrays, the live-patch path at 0.34 (the 2.6 MB
+        # time surface)
+        rng = np.random.default_rng(57)
+        weights = perturbed_weights(58, d=64, patch=8)
+        n = 32 * 32
+        tiles = rng.choice(n, size=32, replace=False)
+        batch = make_batch([Event(x=8 * int(t % 32) + int(rng.integers(0, 8)),
+                                  y=8 * int(t // 32) + int(rng.integers(0, 8)),
+                                  t=int(rng.integers(1001, 2001)), p=1)
+                            for t in tiles for _ in range(4)], 1000, 2000)
+        state = grid_state(rng, (32, 32), 64)
+        assert traced_peak(taf_update, state, batch, weights) < 0.5 * n * n * 8
+
+
+def test_neighbor_table_is_cached_read_only():
+    idx, mask = _neighbor_table((5, 7), 2)
+    again = _neighbor_table((5, 7), 2)
+    assert again[0] is idx and again[1] is mask
+    assert not idx.flags.writeable and not mask.flags.writeable
+    with pytest.raises(ValueError):
+        idx[0, 0] = 1
 
 
 def test_sinusoidal_encoding_odd_dim_has_one_more_sin_slot():

@@ -280,6 +280,12 @@ class TestReport:
         assert report.oa == 1.0
         assert report.fa == 1.0 and report.efa == 1.0
 
+    def test_json_refuses_nan(self):
+        report = evaluate(perfect_pair(), THRESHOLDS, 8.0)
+        report.fa = float("nan")
+        with pytest.raises(ValueError):
+            report.to_json()
+
     @pytest.mark.parametrize("seed, thresholds, err_threshold, digest", [
         (9, THRESHOLDS, 8.0, "82b30438757f6c99"),
         (3, (0.5, 3.0), 2.0, "912f60e95b1ecc51"),
