@@ -42,7 +42,6 @@ from .fusion import (
     taf_update,
     temporal_attention,
     temporal_attention_backward,
-    temporal_attention_forward,
     tokenize_events,
     tokenize_frame,
 )

@@ -15,7 +15,6 @@ analytic backward passes checked against central finite differences.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -298,16 +297,16 @@ def _live_event_tokens(tensor: EventTensor, weights: WeightBundle
     blocks = _patch_blocks(tensor.data, weights, "phi_e")
     live = blocks.any(axis=(2, 3, 4))
     n_empty = live.size - np.count_nonzero(live)
-    if not n_empty:
-        return tokenize_events(tensor, weights).values, None
     proj = weights["phi_e.w"]
-    flat = np.concatenate([blocks[live].reshape(-1, proj.shape[0]),
-                           np.zeros((1, proj.shape[0]))])
+    flat = blocks[live].reshape(-1, proj.shape[0])
+    key_bias = None
+    if n_empty:
+        flat = np.concatenate([flat, np.zeros((1, proj.shape[0]))])
+        key_bias = np.zeros(len(flat))
+        key_bias[-1] = np.log(n_empty)
     tokens = _linear(flat, proj, weights["phi_e.b"])
     if not np.all(np.isfinite(tokens)):
         raise ShapeMismatch("non-finite token values")
-    key_bias = np.zeros(len(tokens))
-    key_bias[-1] = np.log(n_empty)
     return tokens, key_bias
 
 
@@ -357,9 +356,10 @@ def sinusoidal_encoding(positions: np.ndarray, dim: int) -> np.ndarray:
     return enc
 
 
-def temporal_attention_forward(x: np.ndarray, weights: WeightBundle,
-                               cache: dict | None = None) -> np.ndarray:
-    """Per-token-position self-attention across time on a (T, N, d) stack.
+def temporal_attention(x: np.ndarray, weights: WeightBundle,
+                       cache: dict | None = None) -> np.ndarray:
+    """Per-token-position self-attention across time on a (T, N, d) window
+    of state tokens; returns the (T, N, d) result.
 
     Temporal sinusoidal encodings of the step index are added to queries
     and keys only, so time-constant values stay time-constant; residual
@@ -379,25 +379,12 @@ def temporal_attention_forward(x: np.ndarray, weights: WeightBundle,
     return out
 
 
-def temporal_attention(states: list[TransientState],
-                       weights: WeightBundle) -> list[TransientState]:
-    """Apply temporal self-attention across a window of states."""
-    if not states:
-        return []
-    x = np.stack([s.tokens.values for s in states])
-    out = temporal_attention_forward(x, weights)
-    return [TransientState(tokens=Tokens(values=out[i], grid=s.tokens.grid),
-                           state_time=s.state_time,
-                           frame_anchor_time=s.frame_anchor_time)
-            for i, s in enumerate(states)]
-
-
 def temporal_attention_backward(cache: dict, upstream: np.ndarray,
                                 weights: WeightBundle) -> dict[str, np.ndarray]:
-    """Analytic gradients for temporal_attention_forward; returns d_x and
+    """Analytic gradients for temporal_attention; returns d_x and
     d_<param> for every tattn.* parameter."""
     if not cache or "a" not in cache:
-        raise MissingForwardCache("run temporal_attention_forward with cache= first")
+        raise MissingForwardCache("run temporal_attention with cache= first")
     x, xin = cache["x"], cache["xin"]
     q, k, v, a, d = cache["q"], cache["k"], cache["v"], cache["a"], cache["d"]
     g = np.asarray(upstream, dtype=np.float64)
@@ -436,21 +423,15 @@ def temporal_attention_backward(cache: dict, upstream: np.ndarray,
 # Pyramid decoder
 # ---------------------------------------------------------------------------
 
-def decode_pyramid(states: Sequence[TransientState],
-                   weights: WeightBundle) -> FeaturePyramid:
-    """Decode a window of W states in one pass into 3 token-resolution
-    levels by chained channel mixes: level l is (W, rows, cols, C_l) with
-    C_l = C_{l-1} @ dec.w_l + dec.b_l, slice t being the decode of state t.
+def decode_pyramid(x: np.ndarray, weights: WeightBundle) -> FeaturePyramid:
+    """Decode a (W, rows, cols, d) window of state tokens in one pass into
+    3 token-resolution levels by chained channel mixes: level l is
+    (W, rows, cols, C_l) with C_l = C_{l-1} @ dec.w_l + dec.b_l, slice t
+    being the decode of step t.
 
     Nearest-neighbour upsampling commutes with the per-token mixes, so
     level l, each token repeated into a 2**l x 2**l block, is the map an
     upsampling decoder would build at stride patch / 2**l."""
-    grids = {s.tokens.grid for s in states}
-    if len(grids) != 1:
-        raise ShapeMismatch(f"a window needs one token grid, got {grids}")
-    (grid,) = grids
-    x = np.stack([s.tokens.values for s in states]).reshape(
-        (len(states),) + grid + (-1,))
     levels = []
     for lvl in range(3):
         x = _linear(x, weights[f"dec.w{lvl}"], weights[f"dec.b{lvl}"])

@@ -52,14 +52,15 @@ class EvalPair:
 
 @dataclass
 class MetricReport:
-    aj: float
-    delta_avg_vis: float
-    oa: float | None      # None where undefined: no tracks
-    fa: float
+    # each score is None where undefined: a pair without tracks
+    aj: float | None
+    delta_avg_vis: float | None
+    oa: float | None
+    fa: float | None
     efa: float | None
     auc_v: float | None
     thresholds: tuple[float, ...]
-    per_threshold: dict[str, dict[str, float]]
+    per_threshold: dict[str, dict[str, float | None]]
     per_track: list[dict[str, float]]
 
     def to_json(self) -> str:
@@ -231,20 +232,25 @@ def pca_dispersion(features: np.ndarray
 def evaluate(pair: EvalPair,
              thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS,
              err_threshold: float = DEFAULT_AGE_THRESHOLD) -> MetricReport:
-    """Compute the full metric suite for one prediction/reference pair."""
+    """Compute the full metric suite for one prediction/reference pair. A
+    pair without tracks has no score: every one of them is None."""
     ages = track_ages(pair, err_threshold)
     fa, efa = _fa_efa(pair, ages, err_threshold)
+
+    def score(metric, ths):
+        return metric(pair, ths) if ages.size else None
+
     per_threshold = {
-        f"{th:g}": {"jaccard": average_jaccard(pair, (th,)),
-                    "delta_vis": delta_avg_vis(pair, (th,))}
+        f"{th:g}": {"jaccard": score(average_jaccard, (th,)),
+                    "delta_vis": score(delta_avg_vis, (th,))}
         for th in thresholds}
     per_track = [{"age": float(age), "mean_error_px": float(row.mean())}
                  for age, row in zip(ages, pair.errors)]
     return MetricReport(
-        aj=average_jaccard(pair, thresholds),
-        delta_avg_vis=delta_avg_vis(pair, thresholds),
+        aj=score(average_jaccard, thresholds),
+        delta_avg_vis=score(delta_avg_vis, thresholds),
         oa=occlusion_accuracy(pair),
-        fa=fa, efa=efa, auc_v=None,
+        fa=fa if ages.size else None, efa=efa, auc_v=None,
         thresholds=tuple(thresholds),
         per_threshold=per_threshold,
         per_track=per_track,

@@ -51,10 +51,6 @@ class TrackState:
     visibility_logits: np.ndarray  # W
     window_times: np.ndarray       # W, microseconds
 
-    def copy(self) -> "TrackState":
-        return TrackState(self.positions.copy(), self.visibility_logits.copy(),
-                          self.window_times.copy())
-
 
 @dataclass(frozen=True)
 class TrackSet:
@@ -88,8 +84,9 @@ def serialize_track_set(ts: TrackSet) -> bytes:
 
 
 def parse_track_set(data: bytes) -> TrackSet:
-    """Parse the serialize_track_set format; a malformed file of any kind
-    raises GridMismatch."""
+    """Parse the serialize_track_set format; a malformed file of any kind,
+    including one without steps, with a non-finite field or with step
+    times that do not strictly increase, raises GridMismatch."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -102,7 +99,7 @@ def parse_track_set(data: bytes) -> TrackSet:
         q, t = int(header["queries"]), int(header["steps"])
     except (KeyError, ValueError) as exc:
         raise GridMismatch(f"bad track header {lines[0]!r}") from exc
-    if q < 0 or len(lines) - 1 != t:
+    if q < 0 or t < 1 or len(lines) - 1 != t:
         raise GridMismatch(f"expected {t} step lines of {q} queries, "
                            f"got {len(lines) - 1}")
     rows = [line.split(",") for line in lines[1:]]
@@ -114,6 +111,10 @@ def parse_track_set(data: bytes) -> TrackSet:
         vals = vals.reshape(t, q, 3)
     except (ValueError, OverflowError) as exc:
         raise GridMismatch(f"step lines do not hold {q} queries: {exc}") from exc
+    if not np.isfinite(vals).all():
+        raise GridMismatch("non-finite track field")
+    if (np.diff(times) <= 0).any():
+        raise GridMismatch("step times do not strictly increase")
     return TrackSet(times=times, positions=vals[:, :, :2].transpose(1, 0, 2),
                     visibility=(vals[:, :, 2] > 0.5).astype(np.int64).T)
 
@@ -214,7 +215,8 @@ def refine_track(state: TrackState, pyramid: FeaturePyramid,
 
     pyramid is the window's decoded pyramid: level l is
     (W, rows, cols, C_l), one slice per window step, sampled with taps at
-    stride patch / 2**l and tokens of 2**l x 2**l points."""
+    stride patch / 2**l and tokens of 2**l x 2**l points. The result is
+    built from new arrays; state is only read, so it may hold views."""
     cfg = weights.config
     m = cfg.iterations if iterations is None else iterations
     if m < 1:
@@ -223,25 +225,26 @@ def refine_track(state: TrackState, pyramid: FeaturePyramid,
     if any(lvl.ndim != 4 or len(lvl) != w for lvl in pyramid.levels):
         raise ShapeMismatch("one pyramid step per window step required")
     r = cfg.patch_radius
-    state = state.copy()
+    pos, logit = state.positions, state.visibility_logits
     for _ in range(m):
         patches_per_level = []
         for lvl in range(3):
             block = 2 ** lvl
-            patch = sample_patch(pyramid.levels[lvl], state.positions, r,
+            patch = sample_patch(pyramid.levels[lvl], pos, r,
                                  cfg.patch / block, block)
             patches_per_level.append(patch.reshape(w, -1, patch.shape[-1]))
         desc = correlation_features(patches_per_level, weights)
-        rel = state.positions - state.positions[0]
+        rel = pos - pos[0]
         tokens = np.concatenate(
-            [desc, state.visibility_logits[:, None],
+            [desc, logit[:, None],
              _motion_encoding(rel, cfg.motion_freqs)], axis=1)
         x = tokens @ weights["ref.in.w"] + weights["ref.in.b"]
         x = _refiner_transformer(x, weights)
         delta = x @ weights["ref.head.w"] + weights["ref.head.b"]
-        state.positions = state.positions + delta[:, :2]
-        state.visibility_logits = state.visibility_logits + delta[:, 2]
-    return state
+        pos = pos + delta[:, :2]
+        logit = logit + delta[:, 2]
+    return TrackState(positions=pos, visibility_logits=logit,
+                      window_times=state.window_times)
 
 
 # ---------------------------------------------------------------------------
@@ -324,18 +327,20 @@ def track_sequence(frames: np.ndarray, frame_times: list[int],
         del live[:start - first]
         first = start
         live.extend(islice(states, stop - start - len(live)))
-        win_states = temporal_attention(live, weights)
-        pyramid = decode_pyramid(win_states, weights)
-        for qi, qp in enumerate(queries):
+        x = temporal_attention(np.stack([s.tokens.values for s in live]),
+                               weights)
+        pyramid = decode_pyramid(
+            x.reshape(len(live), *live[0].tokens.grid, -1), weights)
+        for qi in range(n_q):
             if active_from[qi] >= stop:
                 continue
-            ts = TrackState(
-                positions=out_pos[qi, start:stop].copy(),
-                visibility_logits=out_logit[qi, start:stop].copy(),
-                window_times=qtimes[start:stop].copy())
             # steps not yet covered by a previous window start from the
-            # last carried-over estimate
-            refined = refine_track(ts, pyramid, weights)
+            # last carried-over estimate; refine_track only reads the views
+            refined = refine_track(
+                TrackState(positions=out_pos[qi, start:stop],
+                           visibility_logits=out_logit[qi, start:stop],
+                           window_times=qtimes[start:stop]),
+                pyramid, weights)
             out_pos[qi, start:stop] = refined.positions
             out_logit[qi, start:stop] = refined.visibility_logits
             # carry the freshest estimate into steps beyond this window

@@ -27,7 +27,6 @@ class FusionConfig:
     patch: int = 8              # token patch size, px
     radius: int = 1             # CLWF Chebyshev neighborhood radius
     subwindows: int = 5         # event-tensor channel count B
-    frame_channels: int = 1
     decoder_channels: tuple[int, int, int] = (64, 32, 16)
     window: int = 16            # refiner temporal window W
     patch_radius: int = 3       # correlation patch radius r
@@ -57,7 +56,7 @@ def parameter_specs(cfg: FusionConfig) -> list[tuple[str, tuple[int, ...], str]]
     rin = 3 * cfg.corr_embed + 1 + 4 * cfg.motion_freqs
     rw = cfg.refiner_width
     specs: list[tuple[str, tuple[int, ...], str]] = [
-        ("phi_i.w", (cfg.patch ** 2 * cfg.frame_channels, d), "uniform"),
+        ("phi_i.w", (cfg.patch ** 2, d), "uniform"),
         ("phi_i.b", (d,), "zeros"),
         ("phi_e.w", (cfg.patch ** 2 * cfg.subwindows, d), "uniform"),
         ("phi_e.b", (d,), "zeros"),
@@ -148,8 +147,8 @@ def save_weights(bundle: WeightBundle) -> bytes:
 def load_weights(data: bytes, config: FusionConfig = FusionConfig(),
                  seed: int = 0) -> WeightBundle:
     """Parse a TFW1 container and validate shapes against the config. A
-    missing magic, a record cut short, a name that is not UTF-8 or a shape
-    numpy cannot hold raises MalformedRecord."""
+    missing magic, a record cut short, a name that is not UTF-8, a shape
+    numpy cannot hold or a non-finite value raises MalformedRecord."""
     if data[:4] != TFW_MAGIC:
         raise MalformedRecord(f"bad weights magic {data[:4]!r}")
     pos = 4
@@ -164,6 +163,9 @@ def load_weights(data: bytes, config: FusionConfig = FusionConfig(),
             raise MalformedRecord(f"weights name at byte {at} is not UTF-8") from exc
         params[name], pos = read_tensor_record(data, pos,
                                                f"weights record {name!r}")
+        if not np.isfinite(params[name]).all():
+            raise MalformedRecord(f"weights record {name!r} holds a "
+                                  "non-finite value")
     expected = {name: shape for name, shape, _ in parameter_specs(config)}
     if set(params) != set(expected):
         missing = set(expected) - set(params)

@@ -9,8 +9,8 @@ from tapfuse.fusion import (
     Tokens,
     clwf_backward,
     clwf_fuse,
+    temporal_attention,
     temporal_attention_backward,
-    temporal_attention_forward,
 )
 from tapfuse.weights import FusionConfig, WeightBundle
 
@@ -88,10 +88,10 @@ def tattn_grad_max_rel_err(seed, t_len=3, n=4, d=4):
     g = rng.normal(size=(t_len, n, d))
 
     def loss():
-        return float(np.sum(g * temporal_attention_forward(x, weights)))
+        return float(np.sum(g * temporal_attention(x, weights)))
 
     cache = {}
-    temporal_attention_forward(x, weights, cache=cache)
+    temporal_attention(x, weights, cache=cache)
     grads = temporal_attention_backward(cache, g, weights)
 
     worst = _rel_err(grads["d_x"], _fd_grad(loss, x))

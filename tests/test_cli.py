@@ -339,6 +339,12 @@ class TestEval:
                             parse_constant=reject)
         assert report["oa"] is None and report["efa"] is None
         assert report["auc_v"] is None and report["per_track"] == []
+        # no tracks, no score: none of them reads as perfect or as failed
+        for key in ("aj", "delta_avg_vis", "fa"):
+            assert report[key] is None, key
+        assert report["per_threshold"] and all(
+            value is None for row in report["per_threshold"].values()
+            for value in row.values())
 
     def test_grid_mismatch_is_contract_error(self, tmp_path, small_cfg, capsys):
         out = tmp_path / "sim"
@@ -452,6 +458,24 @@ class TestMalformedInputFiles:
                       "--query", "0,16,16"])
         assert rc == 3
         assert "bad weights magic" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["phi_e.w", "tattn.wq", "dec.w2",
+                                      "ref.head.w"])
+    def test_non_finite_weight_is_data_error(self, tmp_path, small_cfg, name,
+                                             capsys):
+        out = self.simulate(tmp_path, small_cfg)
+        cfg = parse_run_config(SMALL_CONFIG)
+        bundle = WeightBundle.initialize(cfg.fusion_config(), cfg.seed)
+        bundle.params[name].flat[1] = np.nan
+        bad = tmp_path / "nan.tfw"
+        bad.write_bytes(save_weights(bundle))
+        rc = run_cli(["--config", small_cfg, "--out", tmp_path / "trk",
+                      "track", "--stream", out / "events.evbin",
+                      "--frames", out / "video.tns", "--weights", bad,
+                      "--query", "0,16,16"])
+        assert rc == 3
+        assert name in capsys.readouterr().err
+        assert not (tmp_path / "trk" / "tracks.txt").exists()
 
     @pytest.mark.parametrize("keep", [10, 20, 100, 0.5])
     def test_truncated_weights_is_data_error(self, tmp_path, small_cfg, keep,

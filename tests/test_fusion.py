@@ -33,7 +33,6 @@ from tapfuse.fusion import (
     taf_init,
     taf_update,
     temporal_attention,
-    temporal_attention_forward,
     tokenize_events,
     tokenize_frame,
 )
@@ -286,7 +285,7 @@ class TestTemporalAttention:
         weights = self.rand_weights(15)
         xc = rng.normal(size=(4, 6))
         x = np.broadcast_to(xc, (5, 4, 6)).copy()
-        out = temporal_attention_forward(x, weights)
+        out = temporal_attention(x, weights)
         for t in range(1, 5):
             np.testing.assert_allclose(out[t], out[0], atol=1e-12)
 
@@ -294,7 +293,7 @@ class TestTemporalAttention:
         rng = np.random.default_rng(15)
         weights = self.rand_weights(16)
         x = rng.normal(size=(1, 3, 6))
-        out = temporal_attention_forward(x, weights)
+        out = temporal_attention(x, weights)
         v = x @ weights["tattn.wv"] + weights["tattn.bv"]
         want = x + v @ weights["tattn.wo"] + weights["tattn.bo"]
         np.testing.assert_allclose(out, want, atol=1e-12)
@@ -303,14 +302,14 @@ class TestTemporalAttention:
         rng = np.random.default_rng(16)
         weights = small_weights(seed=17, d=6)
         x = rng.normal(size=(4, 5, 6))
-        np.testing.assert_array_equal(temporal_attention_forward(x, weights), x)
+        np.testing.assert_array_equal(temporal_attention(x, weights), x)
 
     def test_matches_dense_reference(self):
         rng = np.random.default_rng(17)
         weights = self.rand_weights(18)
         t_len, n, d = 4, 3, 6
         x = rng.normal(size=(t_len, n, d))
-        got = temporal_attention_forward(x, weights)
+        got = temporal_attention(x, weights)
         pe = sinusoidal_encoding(np.arange(t_len), d)
         want = np.zeros_like(x)
         for j in range(n):
@@ -324,18 +323,6 @@ class TestTemporalAttention:
             want[:, j, :] = x[:, j, :] + (a @ v) @ weights["tattn.wo"] \
                 + weights["tattn.bo"]
         np.testing.assert_allclose(got, want, atol=1e-12)
-
-    def test_state_wrapper_preserves_metadata(self):
-        rng = np.random.default_rng(18)
-        weights = self.rand_weights(19)
-        states = [TransientState(tokens=random_tokens(rng, (2, 2), 6),
-                                 state_time=1000 * (k + 1),
-                                 frame_anchor_time=1000)
-                  for k in range(3)]
-        out = temporal_attention(states, weights)
-        assert [s.state_time for s in out] == [1000, 2000, 3000]
-        assert all(s.tokens.grid == (2, 2) for s in out)
-        assert temporal_attention([], weights) == []
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gradients_match_finite_differences(self, seed):
@@ -352,9 +339,7 @@ class TestPyramidDecoder:
     def test_level_shapes_are_token_resolution(self):
         rng = np.random.default_rng(19)
         weights = small_weights(seed=20, d=8)
-        state = TransientState(tokens=random_tokens(rng, (4, 6), 8),
-                               state_time=0, frame_anchor_time=0)
-        pyr = decode_pyramid([state], weights)
+        pyr = decode_pyramid(rng.normal(size=(1, 4, 6, 8)), weights)
         assert [lvl.shape for lvl in pyr.levels] == [
             (1, 4, 6, 64), (1, 4, 6, 32), (1, 4, 6, 16)]
         # the maps they stand for, at strides patch / 2**l
@@ -366,10 +351,8 @@ class TestPyramidDecoder:
         nearest-neighbour 2x upsampling, then the channel mix."""
         rng = np.random.default_rng(20)
         weights = small_weights(seed=21, d=8)
-        state = TransientState(tokens=random_tokens(rng, (3, 3), 8),
-                               state_time=0, frame_anchor_time=0)
-        pyr = decode_pyramid([state], weights)
-        x = state.tokens.values.reshape(3, 3, 8)
+        x = rng.normal(size=(3, 3, 8))
+        pyr = decode_pyramid(x[None], weights)
         l0 = x @ weights["dec.w0"] + weights["dec.b0"]
         l1 = upsample(l0, 2) @ weights["dec.w1"] + weights["dec.b1"]
         l2 = upsample(l1, 2) @ weights["dec.w2"] + weights["dec.b2"]
@@ -379,20 +362,13 @@ class TestPyramidDecoder:
     def test_window_decode_equals_per_state_decodes(self):
         rng = np.random.default_rng(22)
         weights = small_weights(seed=23, d=8)
-        states = [TransientState(tokens=random_tokens(rng, (3, 4), 8),
-                                 state_time=t, frame_anchor_time=0)
-                  for t in range(5)]
-        window = decode_pyramid(states, weights)
+        x = rng.normal(size=(5, 3, 4, 8))
+        window = decode_pyramid(x, weights)
         for lvl, stacked in enumerate(window.levels):
             assert stacked.shape[0] == 5
-            for t, state in enumerate(states):
-                single = decode_pyramid([state], weights).levels[lvl]
+            for t in range(5):
+                single = decode_pyramid(x[t:t + 1], weights).levels[lvl]
                 assert np.array_equal(stacked[t], single[0])
-        mixed = states[:2] + [TransientState(
-            tokens=random_tokens(rng, (4, 3), 8), state_time=9,
-            frame_anchor_time=0)]
-        with pytest.raises(ShapeMismatch):
-            decode_pyramid(mixed, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +441,7 @@ class TestInPlaceExactness:
         assert np.array_equal(read, want_read)
         assert np.array_equal(a, want_a)
 
-    def test_temporal_attention_forward(self):
+    def test_temporal_attention(self):
         rng = np.random.default_rng(31)
         weights = perturbed_weights(32, d=24)
         x = rng.normal(size=(16, 12, 24))
@@ -477,7 +453,7 @@ class TestInPlaceExactness:
         want = ref_residual_out(x, read, weights["tattn.wo"],
                                 weights["tattn.bo"])
         cache = {}
-        assert np.array_equal(temporal_attention_forward(x, weights, cache),
+        assert np.array_equal(temporal_attention(x, weights, cache),
                               want)
         assert np.array_equal(cache["a"], a)
         assert np.array_equal(cache["read"], read)
@@ -558,8 +534,8 @@ def call_untouched(fn, *args):
 
 def test_forward_passes_leave_inputs_and_weights_alone():
     """The passes of one track run, on perturbed weights. Two overlapping
-    windows share TransientState objects, as in track_sequence, so a pass
-    that wrote into its inputs would corrupt the second window."""
+    windows are views of one token stack, so a pass that wrote into its
+    inputs would corrupt the second window."""
     rng = np.random.default_rng(40)
     weights = perturbed_weights(41, d=8, patch=8)
     size = 32
@@ -583,16 +559,15 @@ def test_forward_passes_leave_inputs_and_weights_alone():
         states.append(call_untouched(taf_update, states[-1],
                                      batch(1000 * step, 1000 * (step + 1), n),
                                      weights))
-    first, second = states[:5], states[3:]
-    alone = temporal_attention(
-        [dataclasses.replace(s, tokens=Tokens(s.tokens.values.copy(),
-                                              s.tokens.grid))
-         for s in second], weights)
+    tokens = np.stack([s.tokens.values for s in states])
+    first, second = tokens[:5], tokens[3:]
+    alone = temporal_attention(second.copy(), weights)
     for window in (first, second):
         fused = call_untouched(temporal_attention, window, weights)
-        call_untouched(decode_pyramid, fused, weights)
-    for s, want in zip(fused, alone):
-        assert np.array_equal(s.tokens.values, want.tokens.values)
+        call_untouched(decode_pyramid,
+                       fused.reshape(len(fused), *states[0].tokens.grid, -1),
+                       weights)
+    assert np.array_equal(fused, alone)
 
 
 def traced_peak(fn, *args):
@@ -619,7 +594,7 @@ class TestAllocationPeaks:
         rng = np.random.default_rng(43)
         weights = small_weights(seed=44, d=64)
         x = rng.normal(size=(16, 256, 64))
-        assert traced_peak(temporal_attention_forward, x, weights) \
+        assert traced_peak(temporal_attention, x, weights) \
             < 6.8 * x.nbytes
 
 

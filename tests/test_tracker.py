@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -164,6 +166,25 @@ class TestRefineTrack:
         np.testing.assert_array_equal(a.positions, b.positions)
         np.testing.assert_array_equal(state.positions, snapshot)
 
+    def test_read_only_inputs_give_the_same_result(self):
+        """track_sequence passes views of its output arrays, which
+        refine_track only reads."""
+        rng = np.random.default_rng(9)
+        weights = randomized_refiner(10)
+        state = self.make_state(rng)
+        pyrs = make_pyramids(rng, 4)
+        frozen = TrackState(positions=state.positions.copy(),
+                            visibility_logits=state.visibility_logits.copy(),
+                            window_times=state.window_times.copy())
+        for arr in (frozen.positions, frozen.visibility_logits,
+                    frozen.window_times):
+            arr.flags.writeable = False
+        got = refine_track(frozen, pyrs, weights)
+        want = refine_track(state, pyrs, weights)
+        assert not np.array_equal(got.positions, state.positions)
+        assert np.array_equal(got.positions, want.positions)
+        assert np.array_equal(got.visibility_logits, want.visibility_logits)
+
     def test_pyramid_count_must_match_window(self):
         rng = np.random.default_rng(7)
         weights = WeightBundle.initialize(FusionConfig(window=4), seed=8)
@@ -203,7 +224,7 @@ def loop_refine_track(state, dense_levels, weights, iterations):
     window step at a time."""
     cfg = weights.config
     r = cfg.patch_radius
-    state = state.copy()
+    state = dataclasses.replace(state)
     for _ in range(iterations):
         patches_per_level = []
         for lvl in range(3):
@@ -461,6 +482,15 @@ class TestTrackFileFormat:
         b"# queries=1 steps=1\n99999999999999999999,1,1,1\n",
         b"# queries=99999999999999999999 steps=0\n",
         b"\xff\xfe",
+        # what the writer never writes: no steps, a non-finite field, step
+        # times that repeat or fall
+        b"# queries=1 steps=0\n",
+        b"# queries=0 steps=0\n",
+        b"# queries=1 steps=1\n0,nan,1,1\n",
+        b"# queries=1 steps=1\n0,1,inf,1\n",
+        b"# queries=1 steps=1\n0,1,1,-inf\n",
+        b"# queries=1 steps=2\n5,1,1,1\n5,1,1,1\n",
+        b"# queries=1 steps=2\n5,1,1,1\n4,1,1,1\n",
     ])
     def test_malformed_file_is_grid_mismatch(self, data):
         with pytest.raises(GridMismatch):
