@@ -41,13 +41,11 @@ from .tracker import (
 from .weights import WeightBundle, load_weights
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
-
-
-def _write(path: Path, data: bytes):
+def _write(path: Path, data: bytes) -> str:
+    """Write data to path; return the first 16 hex digits of its sha256."""
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
 def cmd_simulate(config: RunConfig, out_dir: Path, fmt: str = "evbin") -> dict:
@@ -59,18 +57,15 @@ def cmd_simulate(config: RunConfig, out_dir: Path, fmt: str = "evbin") -> dict:
     video, gt = render_intensity_video(scene, query_times=timeline.query_times)
     stream = simulate_events(video, config.sim_contrast)
 
-    video_path = out_dir / "video.tns"
-    stream_path = out_dir / f"events.{fmt}"
-    tracks_path = out_dir / "tracks.txt"
-    _write(video_path, arrayio.write_array(video.frames))
-    _write(stream_path, serialize_event_stream(stream, fmt))
     gt_tracks = TrackSet(times=gt.times, positions=gt.positions,
                          visibility=gt.visibility)
-    _write(tracks_path, serialize_track_set(gt_tracks))
     manifest = {
-        "video": _sha256(video_path),
-        "events": _sha256(stream_path),
-        "tracks": _sha256(tracks_path),
+        "video": _write(out_dir / "video.tns",
+                        arrayio.write_array(video.frames)),
+        "events": _write(out_dir / f"events.{fmt}",
+                         serialize_event_stream(stream, fmt)),
+        "tracks": _write(out_dir / "tracks.txt",
+                         serialize_track_set(gt_tracks)),
     }
     print("simulate " + " ".join(f"{k}={v}" for k, v in manifest.items()))
     return manifest

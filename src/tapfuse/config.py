@@ -46,12 +46,21 @@ def _setting(default, lo, hi=math.inf, above=False):
 
 # random objects start at least this far inside the sensor, px
 RANDOM_OBJECT_MARGIN = 12
-# a scene.object's size (blob sigma or square half-side, px) and its
-# intensity above the background: the pixel grid does not sample a size
-# below a tenth of a pixel, a size above the sensor side covers the whole
-# sensor, and 1e6 is an event sensor's 120 dB dynamic range
-OBJECT_DOMAINS = {"size": Domain(0.1, MAX_SENSOR_SIDE),
-                  "intensity": Domain(0, 1e6, above=True)}
+# an intensity above 1e6 is beyond an event sensor's 120 dB dynamic range
+MAX_INTENSITY = 1e6
+# the fields of a scene.object line after its shape. A position (x, y, px)
+# stays within one largest sensor side of the sensor at the start and at
+# the end of the scene, so at every time between; a velocity (vx, vy, px/s)
+# moves at most one pixel per microsecond, the event time resolution. The
+# pixel grid does not sample a size (blob sigma or square half-side, px)
+# below a tenth of a pixel, and a size above the sensor side covers the
+# whole sensor. The intensity is above the background.
+_POSITION = Domain(-MAX_SENSOR_SIDE, 2 * MAX_SENSOR_SIDE)
+_VELOCITY = Domain(-1e6, 1e6)
+OBJECT_DOMAINS = {"x": _POSITION, "y": _POSITION,
+                  "vx": _VELOCITY, "vy": _VELOCITY,
+                  "size": Domain(0.1, MAX_SENSOR_SIDE),
+                  "intensity": Domain(0, MAX_INTENSITY, above=True)}
 
 
 @dataclass
@@ -61,7 +70,7 @@ class RunConfig:
     scene_height: int = _setting(64, 1, MAX_SENSOR_SIDE)
     scene_duration_us: int = _setting(2_000_000, 1)
     scene_fps: float = _setting(48.0, 0, above=True)
-    scene_background: float = _setting(1.0, 0, above=True)
+    scene_background: float = _setting(1.0, 0, MAX_INTENSITY, above=True)
     scene_n_random_objects: int = _setting(2, 0)
     scene_objects: list[SceneObject] = field(default_factory=list)
     # event simulation
@@ -149,11 +158,13 @@ class RunConfig:
             raise ConfigError("scene.fps * scene.duration_us gives fewer "
                               "than 2 rendered frames")
         for obj in self.scene_objects:
-            for name, domain in OBJECT_DOMAINS.items():
-                if getattr(obj, name) not in domain:
-                    raise ConfigError(
-                        f"scene.object {name} = {getattr(obj, name):g} is "
-                        f"outside its domain {domain}")
+            values = (*obj.position, *obj.velocity, obj.size, obj.intensity)
+            for name, value in zip(OBJECT_DOMAINS, values):
+                _check_object_field(name, value, OBJECT_DOMAINS[name])
+            end = obj.position_at(self.scene_duration_us)
+            for name, value in zip("xy", end):
+                _check_object_field(f"{name} at the scene's end", value,
+                                    OBJECT_DOMAINS[name])
         try:
             self.scene_config()
         except DegenerateScene as exc:
@@ -177,6 +188,12 @@ class RunConfig:
             width=self.scene_width, height=self.scene_height,
             duration_us=self.scene_duration_us, fps=self.scene_fps,
             objects=objects, background=self.scene_background)
+
+
+def _check_object_field(name: str, value: float, domain: Domain):
+    if value not in domain:
+        raise ConfigError(f"scene.object {name} = {value:g} is outside its "
+                          f"domain {domain}")
 
 
 # key -> (RunConfig field, converter); a field's first "_" becomes the section

@@ -96,20 +96,25 @@ class GroundTruth:
     visibility: np.ndarray  # Q x T, {0, 1}
 
 
-def _rasterize(config: SceneConfig, t_us: float) -> np.ndarray:
-    yy, xx = np.mgrid[0:config.height, 0:config.width].astype(np.float64)
-    img = np.full((config.height, config.width), config.background)
+def _rasterize(config: SceneConfig, t_us: float, out: np.ndarray) -> None:
+    """Write the scene at t_us into the (H, W) array out. An (H, 1) row
+    coordinate broadcasts against a (1, W) column coordinate; each pixel
+    takes the same float operations as on a full np.mgrid, so the frame is
+    byte-identical to that as long as numpy's exp and sin give an element
+    the same value whatever the array's shape (pinned in test_synth.py)."""
+    yy = np.arange(config.height, dtype=np.float64)[:, None]
+    xx = np.arange(config.width, dtype=np.float64)
+    out.fill(config.background)
     for obj in config.objects:
         cx, cy = obj.position_at(t_us)
         if obj.shape == "gaussian_blob":
-            img += obj.intensity * np.exp(
+            out += obj.intensity * np.exp(
                 -((xx - cx) ** 2 + (yy - cy) ** 2) / (2.0 * obj.size ** 2))
         else:  # textured_square, texture anchored to the object
             inside = (np.abs(xx - cx) <= obj.size) & (np.abs(yy - cy) <= obj.size)
             tex = 0.6 + 0.4 * np.sin(2 * np.pi * (xx - cx) / 4.0) \
                 * np.sin(2 * np.pi * (yy - cy) / 4.0)
-            img = np.where(inside, config.background + obj.intensity * tex, img)
-    return img
+            np.copyto(out, config.background + obj.intensity * tex, where=inside)
 
 
 def render_intensity_video(config: SceneConfig,
@@ -126,7 +131,9 @@ def render_intensity_video(config: SceneConfig,
     if n_frames < 2:
         raise DegenerateScene("need at least 2 frames (fps * duration >= 2)")
     frame_times = np.round(np.arange(n_frames) * 1e6 / config.fps).astype(np.int64)
-    frames = np.stack([_rasterize(config, t) for t in frame_times])
+    frames = np.empty((n_frames, config.height, config.width))
+    for frame, t in zip(frames, frame_times):
+        _rasterize(config, t, frame)
     video = IntensityVideo(frames=frames, frame_times=frame_times, fps=config.fps)
 
     gt_times = np.asarray(query_times if query_times is not None else frame_times,
@@ -154,7 +161,9 @@ def simulate_events(video: IntensityVideo, c: float = DEFAULT_CONTRAST
     Log intensity is interpolated linearly in time between frames (the
     trigger condition lives in the log domain, which makes crossing times
     closed-form). Timestamps are rounded to the nearest microsecond and
-    the merged stream is returned in canonical order.
+    the merged stream is returned in canonical order. The level index is
+    built in one array expression whose integers equal one np.arange per
+    pixel, so the stream is byte-identical to that loop's.
     """
     if c <= 0:
         raise DegenerateScene("contrast threshold must be positive")
@@ -186,8 +195,9 @@ def simulate_events(video: IntensityVideo, c: float = DEFAULT_CONTRAST
                 continue
             counts = n[active]
             pix = np.repeat(active, counts)
-            # level index 1..n per pixel
-            k = np.concatenate([np.arange(1, m + 1) for m in counts])
+            # level index 1..n per pixel: running index minus pixel start
+            k = np.arange(1, pix.size + 1) - np.repeat(np.cumsum(counts) - counts,
+                                                        counts)
             levels = ref[pix] + sign * k * c
             with np.errstate(divide="ignore", invalid="ignore"):
                 tt = t0 + (levels - L0[pix]) / slope[pix] * (t1 - t0)

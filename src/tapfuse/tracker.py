@@ -69,8 +69,20 @@ class TrackSet:
 
 def serialize_track_set(ts: TrackSet) -> bytes:
     """Header '# queries=Q steps=T', then one line per step:
-    t_us,q0x,q0y,q0v,q1x,... with 9 significant digits."""
+    t_us,q0x,q0y,q0v,q1x,... with 9 significant digits. What
+    parse_track_set rejects raises GridMismatch instead: no steps, times
+    that do not strictly increase, or a non-finite field, named by its
+    query and step."""
     q, t = ts.positions.shape[:2]
+    if t < 1 or (np.diff(ts.times) <= 0).any():
+        raise GridMismatch(f"track set of {t} steps: needs at least one, "
+                           f"at strictly increasing times")
+    bad = np.argwhere(~np.isfinite(ts.positions).all(axis=2)
+                      | ~np.isfinite(ts.visibility))
+    if len(bad):
+        qi, ti = bad[0]
+        raise GridMismatch(f"non-finite position or visibility of query {qi} "
+                           f"at step {ti} (t = {ts.times[ti]} us)")
     buf = io.StringIO()
     buf.write(f"# queries={q} steps={t}\n")
     for ti in range(t):

@@ -144,6 +144,20 @@ timeline.query_hz = 48
 timeline.frame_hz = 12
 """
 
+# a W x 24 sensor, one textured square and one blob crossing it
+WIDTH_CONFIG = """\
+seed = {w}
+scene.width = {w}
+scene.height = 24
+scene.duration_us = 250000
+scene.fps = 48
+scene.object0 = textured_square, 10.3, 11.7, 17, -9, 5.5, 2.5
+scene.object1 = gaussian_blob, 13.1, 12.2, -11, 6, 3.5, 1.75
+timeline.query_hz = 48
+timeline.frame_hz = 12
+sim.contrast = 0.05
+"""
+
 
 def write_perturbed_weights(config_text, path):
     """The config's seeded init with small seeded values in every zero-init
@@ -182,6 +196,25 @@ class TestSimulate:
                      "tracks": "tracks.txt"}[name]
             data = (tmp_path / "a" / fname).read_bytes()
             assert hashlib.sha256(data).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("width, manifest", [
+        # the default config: two seeded random objects on 64x64
+        (None, {"video": "0f6b010ae62df3c0", "events": "3eef3cb8af924a06",
+                "tracks": "84803b2ca827e51b"}),
+        # widths off the SIMD lane counts, both shapes at c = 0.05
+        (24, {"video": "73fba71c3369e809", "events": "bf530ea6100ca6a8",
+              "tracks": "74f6e76fd18655b5"}),
+        (40, {"video": "1a6041042bde2294", "events": "26ea07be755d6d9d",
+              "tracks": "c2252ec17b467549"}),
+        (200, {"video": "e9fa049ded666ccb", "events": "4f7860305e7110bb",
+               "tracks": "31f101e2afefd314"}),
+    ], ids=["default", "w24", "w40", "w200"])
+    def test_golden_manifest(self, tmp_path, capsys, width, manifest):
+        """Video, events and ground truth byte for byte, as the per-frame
+        np.mgrid rasterizer and the per-pixel level index wrote them."""
+        text = "" if width is None else WIDTH_CONFIG.format(w=width)
+        assert cmd_simulate(parse_run_config(text).validate(),
+                            tmp_path) == manifest
 
     def test_seed_changes_output(self, tmp_path):
         cfg = parse_run_config(SMALL_CONFIG + "scene.n_random_objects = 1\n")
@@ -300,6 +333,29 @@ class TestTrack:
         assert tracks.positions.shape == (2, 24, 2)
         assert np.all(tracks.positions[:, -1] != [[40, 64], [88.5, 60.25]])
         assert hashlib.sha256(data).hexdigest()[:16] == "480d584cac3a4061"
+
+    def test_overflowing_weights_exit_4_without_a_tracks_file(
+            self, tmp_path, small_cfg, capsys):
+        """A finite but huge decoder weight overflows the pyramid, so the
+        refiner writes nan positions; the tracks writer refuses them."""
+        cfg = parse_run_config(SMALL_CONFIG)
+        bundle = WeightBundle.initialize(cfg.fusion_config(), cfg.seed)
+        bundle.params["dec.w1"][0, 0] = 1e300
+        weights = tmp_path / "huge.tfw"
+        weights.write_bytes(save_weights(bundle))
+        out = tmp_path / "sim"
+        assert run_cli(["--config", small_cfg, "--out", out, "simulate"]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rc = run_cli(["--config", small_cfg, "--out", tmp_path / "trk",
+                          "track", "--stream", out / "events.evbin",
+                          "--frames", out / "video.tns", "--weights", weights,
+                          "--query", "0,16,16"])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "non-finite" in err and "query 0 at step 0" in err
+        assert not (tmp_path / "trk" / "tracks.txt").exists()
 
 
 class TestEval:

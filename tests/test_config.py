@@ -5,7 +5,9 @@ import contextlib
 import io
 import math
 import re
+import sys
 import tempfile
+import types
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from tapfuse.cli import build_parser, main
 from tapfuse.config import (
     DOMAINS,
+    OBJECT_DOMAINS,
     RunConfig,
     _KEYMAP,
     load_run_config,
@@ -159,6 +162,60 @@ def test_benchmark_magnitudes_stay_valid(contrast, size):
         SMALL_CONFIG + f"sim.contrast = {contrast}\n"
         f"scene.object1 = textured_square, 16, 16, 25, 0, {size}, 2.5\n")
     assert cfg.validate() is cfg
+
+
+@pytest.mark.parametrize("extra, message", [
+    # overflowed to inf in the ground-truth tracks once
+    ("scene.object1 = gaussian_blob, 16, 16, 1e308, 0, 3, 2",
+     "scene.object vx = 1e+308 is outside its domain -1e+06..1e+06"),
+    ("scene.object1 = gaussian_blob, 16, 16, 0, -2e6, 3, 2",
+     "scene.object vy = -2e+06"),
+    ("scene.object1 = gaussian_blob, 1e308, 16, 0, 0, 3, 2",
+     "scene.object x = 1e+308 is outside its domain -65536..131072"),
+    ("scene.object1 = textured_square, 16, -70000, 0, 0, 3, 2",
+     "scene.object y = -70000"),
+    # inside both domains at the start, 200016 px at the end of 1 s
+    ("scene.object1 = gaussian_blob, 16, 16, 2e5, 0, 3, 2",
+     "scene.object x at the scene's end = 200016"),
+    ("scene.object1 = gaussian_blob, 16, 16, 0, -1e6, 3, 2\n"
+     "scene.duration_us = 2000000", "scene.object y at the scene's end"),
+    ("scene.background = 1e7", "scene.background = 10000000.0"),
+])
+def test_unbounded_scene_magnitudes_are_config_errors(tmp_path, extra,
+                                                      message):
+    path = tmp_path / "run.cfg"
+    path.write_text(SMALL_CONFIG + extra + "\n")
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_run_config(path)
+
+
+@pytest.mark.parametrize("extra", [
+    "scene.object1 = gaussian_blob, -65536, 131072, 0, 0, 3, 2",
+    "scene.object1 = textured_square, 131072, -65536, -1e5, 1e5, 3, 2\n"
+    "scene.duration_us = 1000000",
+    "scene.background = 1e6",
+])
+def test_scene_magnitudes_on_their_bounds_are_valid(extra):
+    cfg = parse_run_config(SMALL_CONFIG + extra + "\n")
+    assert cfg.validate() is cfg
+
+
+def load_workloads():
+    """perfbench/workloads.py, without writing bytecode next to it."""
+    module = types.ModuleType("perfbench_workloads")
+    path = README.parent / "perfbench" / "workloads.py"
+    sys.modules[module.__name__] = module  # dataclasses look the module up
+    exec(compile(path.read_bytes(), str(path), "exec"), module.__dict__)
+    return module
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_benchmark_workloads_stay_valid(seed):
+    wl = load_workloads()
+    for workload in wl.WORKLOADS.values():
+        text = wl.config_text(workload, seed, wl.scene_objects(workload, seed))
+        cfg = parse_run_config(text)
+        assert cfg.validate() is cfg
 
 
 class TestFlags:
@@ -331,3 +388,9 @@ def test_readme_config_table_matches_the_declared_domains():
     defaults = RunConfig()
     for key, (attr, _) in _KEYMAP.items():
         assert rows[key] == (repr(getattr(defaults, attr)), str(DOMAINS[key])), key
+
+
+def test_readme_lists_the_object_domains():
+    text = README.read_text(encoding="utf-8")
+    for names in (("x", "y"), ("vx", "vy"), ("size",), ("intensity",)):
+        assert f"| {', '.join(names)} | {OBJECT_DOMAINS[names[0]]} |" in text

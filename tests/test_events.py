@@ -143,6 +143,33 @@ class TestBinning:
         keep = stream.t <= 10_000
         assert np.array_equal(np.sort(ts), np.sort(stream.t[keep]))
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 300),
+           t_start=st.integers(0, 10**6), span=st.integers(0, 5000),
+           data=st.data())
+    def test_partition_property_drawn(self, seed, n, t_start, span, data):
+        """Batches are consecutive slices of the stream: concatenated, they
+        are exactly its events with t_start < t <= the last query time, in
+        stream order, and each lies in its own (bin_start, bin_end]."""
+        rng = np.random.default_rng(seed)
+        stream = EventStream(
+            t=rng.integers(t_start, t_start + span + 1, size=n),
+            x=rng.integers(0, 5, size=n), y=rng.integers(0, 4, size=n),
+            p=rng.choice(np.array([-1, 1], dtype=np.int8), size=n),
+            width=5, height=4, t_start=t_start, t_end=t_start + span)
+        times = data.draw(st.lists(
+            st.integers(t_start, t_start + span + 100), min_size=1,
+            max_size=30, unique=True).map(sorted))
+        batches = bin_events(stream, self.make_timeline(times))
+        assert len(batches) == len(times)
+        keep = (stream.t > t_start) & (stream.t <= times[-1])
+        for col in "txyp":
+            got = np.concatenate([getattr(b, col) for b in batches])
+            assert np.array_equal(got, getattr(stream, col)[keep])
+        for b, lo, hi in zip(batches, [t_start, *times], times):
+            assert (b.bin_start, b.bin_end) == (lo, hi)
+            assert np.all((b.t > lo) & (b.t <= hi))
+
     def test_refinement_merge_equals_coarse(self):
         rng = np.random.default_rng(5)
         stream = random_stream(rng, n=800, t_end=8000)

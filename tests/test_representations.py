@@ -181,6 +181,25 @@ class TestVoxelGrid:
         assert data.sum() == pytest.approx(batch.p.astype(np.float64).sum(),
                                            abs=1e-9)
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), width=st.integers(1, 9), height=st.integers(1, 9),
+           B=st.integers(1, 7), bin_start=st.integers(0, 10**9),
+           duration=st.integers(1, 10**6))
+    def test_mass_conservation_property(self, data, width, height, B,
+                                        bin_start, duration):
+        """Every event's polarity lands in its own pixel's channels, whole,
+        wherever it falls in the bin (the first and last half channels
+        included)."""
+        events = data.draw(st.lists(st.builds(
+            Event, x=st.integers(0, width - 1), y=st.integers(0, height - 1),
+            t=st.integers(bin_start + 1, bin_start + duration),
+            p=st.sampled_from([-1, 1])), max_size=60))
+        batch = make_batch(events, bin_start, bin_start + duration)
+        want = np.zeros((height, width))
+        np.add.at(want, (batch.y.astype(int), batch.x.astype(int)), batch.p)
+        got = voxel_grid(batch, width, height, B).data.sum(axis=2)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
     def test_matches_per_event_kernel_oracle(self):
         rng = np.random.default_rng(16)
         batch = random_batch(rng, n=200)

@@ -1,14 +1,17 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tapfuse.errors import DegenerateScene, EmptyWindow, GeometryViolation
-from tapfuse.events import EventStream
+from tapfuse.events import Event, EventStream
 from tapfuse.synth import (
     IntensityVideo,
     SceneConfig,
     SceneObject,
+    _rasterize,
     edi_blur,
     reconstruct_log_intensity,
     render_intensity_video,
@@ -259,3 +262,143 @@ class TestEdiBlur:
         stream = EventStream.from_events([], 4, 4, 0, 100)
         with pytest.raises(EmptyWindow):
             edi_blur(np.zeros((4, 4)), stream, 50, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sharp=st.integers(0, 2**32 - 1), width=st.integers(1, 12),
+       height=st.integers(1, 12), t_center=st.integers(-10**6, 10**7),
+       window_us=st.integers(1, 10**6), c=st.floats(0.01, 1.0),
+       outside=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11),
+                                  st.integers(0, 10**6),
+                                  st.sampled_from([-1, 1])), max_size=20))
+def test_edi_blur_without_window_events_returns_sharp_log(
+        sharp, width, height, t_center, window_us, c, outside):
+    """With no event in (t_center - T/2, t_center + T/2] every pixel
+    integrates exp(0) over the window, so the blurred frame is sharp_log
+    itself, whatever the window, its centre and the events outside it."""
+    sharp_log = np.random.default_rng(sharp).normal(size=(height, width))
+    half = window_us / 2
+    events = [Event(x % width, y % height, t, p) for x, y, t, p in outside
+              if not t_center - half < t <= t_center + half]
+    stream = EventStream.from_events(events, width, height, 0, 10**6)
+    out = edi_blur(sharp_log, stream, t_center, window_us, c)
+    assert out.tobytes() == sharp_log.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Exactness of the array rasterizer and level index against the formulas
+# they replace
+# ---------------------------------------------------------------------------
+
+def ref_rasterize(config, t_us):
+    """The frame on a full np.mgrid coordinate grid, one image per object."""
+    yy, xx = np.mgrid[0:config.height, 0:config.width].astype(np.float64)
+    img = np.full((config.height, config.width), config.background)
+    for obj in config.objects:
+        cx, cy = obj.position_at(t_us)
+        if obj.shape == "gaussian_blob":
+            img += obj.intensity * np.exp(
+                -((xx - cx) ** 2 + (yy - cy) ** 2) / (2.0 * obj.size ** 2))
+        else:
+            inside = (np.abs(xx - cx) <= obj.size) & (np.abs(yy - cy) <= obj.size)
+            tex = 0.6 + 0.4 * np.sin(2 * np.pi * (xx - cx) / 4.0) \
+                * np.sin(2 * np.pi * (yy - cy) / 4.0)
+            img = np.where(inside, config.background + obj.intensity * tex, img)
+    return img
+
+
+def ref_simulate_events(video, c):
+    """simulate_events with the level index built by one np.arange per
+    active pixel."""
+    H, W = video.frames.shape[1:]
+    L = np.log(video.frames.reshape(len(video.frames), -1))
+    ref = L[0].copy()
+    ts_out, pix_out, pol_out = [np.zeros(0, dtype=np.int64)], \
+        [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int8)]
+    for j in range(len(video.frame_times) - 1):
+        L0, L1 = L[j], L[j + 1]
+        t0 = float(video.frame_times[j])
+        t1 = float(video.frame_times[j + 1])
+        slope = L1 - L0
+        for sign in (1.0, -1.0):
+            n = np.maximum(np.floor(sign * (L1 - ref) / c).astype(np.int64), 0)
+            active = np.flatnonzero(n > 0)
+            if active.size == 0:
+                continue
+            counts = n[active]
+            pix = np.repeat(active, counts)
+            k = np.concatenate([np.arange(1, m + 1) for m in counts])
+            levels = ref[pix] + sign * k * c
+            with np.errstate(divide="ignore", invalid="ignore"):
+                tt = t0 + (levels - L0[pix]) / slope[pix] * (t1 - t0)
+            tt[~np.isfinite(tt)] = t0
+            ts_out.append(np.round(tt).astype(np.int64))
+            pix_out.append(pix)
+            pol_out.append(np.full(pix.shape, int(sign), dtype=np.int8))
+            ref[active] += sign * counts * c
+    t = np.clip(np.concatenate(ts_out), video.frame_times[0],
+                video.frame_times[-1])
+    pix = np.concatenate(pix_out)
+    return EventStream(
+        t=t.astype(np.uint64), x=(pix % W).astype(np.uint16),
+        y=(pix // W).astype(np.uint16), p=np.concatenate(pol_out),
+        width=W, height=H, t_start=int(video.frame_times[0]),
+        t_end=int(video.frame_times[-1]))
+
+
+# widths and heights off any SIMD lane count, and the benchmark's widths
+SIDES = [1, 3, 5, 7, 17, 24, 33, 40, 64, 129, 200]
+
+
+@st.composite
+def scenes(draw):
+    width, height = draw(st.sampled_from(SIDES)), draw(st.sampled_from(SIDES))
+
+    def obj():
+        return SceneObject(
+            shape=draw(st.sampled_from(["gaussian_blob", "textured_square"])),
+            position=(draw(st.floats(-8, width + 8)),
+                      draw(st.floats(-8, height + 8))),
+            velocity=(draw(st.floats(-80, 80)), draw(st.floats(-80, 80))),
+            size=draw(st.floats(0.5, 12)), intensity=draw(st.floats(0.1, 3)))
+
+    return SceneConfig(width=width, height=height,
+                       duration_us=draw(st.integers(200_000, 400_000)),
+                       fps=draw(st.sampled_from([10.0, 24.0, 30.0])),
+                       objects=[obj() for _ in range(draw(st.integers(1, 3)))],
+                       background=draw(st.floats(0.25, 4.0)))
+
+
+class TestArraySimulationExactness:
+    @settings(max_examples=150, deadline=None)
+    @given(cfg=scenes(), t_us=st.integers(0, 10**6))
+    def test_rasterize_matches_full_grid(self, cfg, t_us):
+        out = np.empty((cfg.height, cfg.width))
+        _rasterize(cfg, t_us, out)
+        assert out.tobytes() == ref_rasterize(cfg, t_us).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=scenes(), c=st.sampled_from([0.03, 0.044, 0.2]))
+    def test_video_and_events_match_reference(self, cfg, c):
+        video, _ = render_intensity_video(cfg)
+        want = np.stack([ref_rasterize(cfg, t) for t in video.frame_times])
+        assert video.frames.tobytes() == want.tobytes()
+        got, ref = simulate_events(video, c), ref_simulate_events(video, c)
+        for col in "txyp":
+            assert getattr(got, col).tobytes() == getattr(ref, col).tobytes()
+
+    def test_render_peaks_near_its_output(self):
+        """The frames are written into one preallocated video: the peak is
+        the video plus a frame's temporaries and the positivity mask, not
+        the 2x of a frame list stacked at the end."""
+        cfg = SceneConfig(width=64, height=48, duration_us=2_000_000, fps=48,
+                          objects=[blob(20, 20, vx=10.0),
+                                   SceneObject("textured_square", (40, 30),
+                                               (-5, 5), 6.0, 2.0)])
+        tracemalloc.start()
+        try:
+            video, _ = render_intensity_video(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * video.frames.nbytes

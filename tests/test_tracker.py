@@ -462,6 +462,28 @@ class TestTrackFileFormat:
         assert len(lines) == 3
         assert lines[1].split(",")[0] == "0"
 
+    @pytest.mark.parametrize("field, value", [
+        ("x", np.nan), ("y", np.inf), ("x", -np.inf), ("v", np.nan)])
+    def test_writer_refuses_non_finite_field_naming_query_and_step(
+            self, field, value):
+        ts = TrackSet(times=np.array([0, 10, 20]),
+                      positions=np.zeros((2, 3, 2)),
+                      visibility=np.ones((2, 3)))
+        if field == "v":
+            ts.visibility[1, 2] = value
+        else:
+            ts.positions[1, 2, "xy".index(field)] = value
+        with pytest.raises(GridMismatch, match="query 1 at step 2"):
+            serialize_track_set(ts)
+
+    @pytest.mark.parametrize("times", [[], [0, 0], [10, 5]])
+    def test_writer_refuses_what_the_parser_rejects(self, times):
+        ts = TrackSet(times=np.array(times, dtype=np.int64),
+                      positions=np.zeros((1, len(times), 2)),
+                      visibility=np.ones((1, len(times))))
+        with pytest.raises(GridMismatch, match="strictly increasing"):
+            serialize_track_set(ts)
+
     def test_missing_header_rejected(self):
         with pytest.raises(GridMismatch):
             parse_track_set(b"0,1,2,3\n")
