@@ -18,8 +18,8 @@ TNS_MAGIC = b"TNS1"
 
 
 def tensor_record(arr: np.ndarray) -> list:
-    """The record of arr as chunks for b"".join: the header bytes and the
-    array itself, whose buffer is joined without a tobytes() copy."""
+    """The record of arr as chunks: the header bytes and the array itself,
+    whose buffer b"".join or a file write reads without a tobytes() copy."""
     arr = np.ascontiguousarray(arr, dtype="<f8")
     return [struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape), arr]
 

@@ -41,11 +41,16 @@ from .tracker import (
 from .weights import WeightBundle, load_weights
 
 
-def _write(path: Path, data: bytes) -> str:
-    """Write data to path; return the first 16 hex digits of its sha256."""
+def _write(path: Path, *chunks) -> str:
+    """Write the chunks (bytes or contiguous arrays) to path in turn;
+    return the first 16 hex digits of the sha256 of what was written."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(data)
-    return hashlib.sha256(data).hexdigest()[:16]
+    digest = hashlib.sha256()
+    with open(path, "wb") as f:
+        for chunk in chunks:
+            f.write(chunk)
+            digest.update(chunk)
+    return digest.hexdigest()[:16]
 
 
 def cmd_simulate(config: RunConfig, out_dir: Path, fmt: str = "evbin") -> dict:
@@ -60,8 +65,8 @@ def cmd_simulate(config: RunConfig, out_dir: Path, fmt: str = "evbin") -> dict:
     gt_tracks = TrackSet(times=gt.times, positions=gt.positions,
                          visibility=gt.visibility)
     manifest = {
-        "video": _write(out_dir / "video.tns",
-                        arrayio.write_array(video.frames)),
+        "video": _write(out_dir / "video.tns", arrayio.TNS_MAGIC,
+                        *arrayio.tensor_record(video.frames)),
         "events": _write(out_dir / f"events.{fmt}",
                          serialize_event_stream(stream, fmt)),
         "tracks": _write(out_dir / "tracks.txt",

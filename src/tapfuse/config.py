@@ -48,6 +48,11 @@ def _setting(default, lo, hi=math.inf, above=False):
 RANDOM_OBJECT_MARGIN = 12
 # an intensity above 1e6 is beyond an event sensor's 120 dB dynamic range
 MAX_INTENSITY = 1e6
+# frame and query times are whole microseconds, so above 1 MHz two steps
+# would share a time
+MAX_RATE_HZ = 1e6
+# event times are int64 microseconds; 1e18 us is some 31,700 years
+MAX_DURATION_US = 10**18
 # the fields of a scene.object line after its shape. A position (x, y, px)
 # stays within one largest sensor side of the sensor at the start and at
 # the end of the scene, so at every time between; a velocity (vx, vy, px/s)
@@ -68,8 +73,8 @@ class RunConfig:
     # scene
     scene_width: int = _setting(64, 1, MAX_SENSOR_SIDE)
     scene_height: int = _setting(64, 1, MAX_SENSOR_SIDE)
-    scene_duration_us: int = _setting(2_000_000, 1)
-    scene_fps: float = _setting(48.0, 0, above=True)
+    scene_duration_us: int = _setting(2_000_000, 1, MAX_DURATION_US)
+    scene_fps: float = _setting(48.0, 0, MAX_RATE_HZ, above=True)
     scene_background: float = _setting(1.0, 0, MAX_INTENSITY, above=True)
     scene_n_random_objects: int = _setting(2, 0)
     scene_objects: list[SceneObject] = field(default_factory=list)
@@ -78,8 +83,8 @@ class RunConfig:
     # default scene, 1e-9 would ask for tens of GiB
     sim_contrast: float = _setting(0.2, 0.01)
     # timeline
-    timeline_query_hz: float = _setting(48.0, 0, above=True)
-    timeline_frame_hz: float = _setting(12.0, 0, above=True)
+    timeline_query_hz: float = _setting(48.0, 0, MAX_RATE_HZ, above=True)
+    timeline_frame_hz: float = _setting(12.0, 0, MAX_RATE_HZ, above=True)
     timeline_exposure_us: int = _setting(4_000, 1)
     # model hyperparameters
     model_d: int = _setting(64, 1)
@@ -106,8 +111,10 @@ class RunConfig:
     def _multiple(self, key: str, base: str) -> int:
         """k such that the value of key is k times the value of base."""
         value, of = self._get(key), self._get(base)
-        k = round(value / of)
-        if k < 1 or abs(value / of - k) > 1e-9:
+        ratio = value / of
+        # a base rate near 0 makes the ratio overflow to inf
+        k = round(ratio) if math.isfinite(ratio) else 0
+        if k < 1 or abs(ratio - k) > 1e-9:
             raise ConfigError(f"{key} = {value:g} must be an integer multiple "
                               f"of {base} = {of:g}")
         return k

@@ -27,6 +27,8 @@ from .fusion import (
     TransientState,
     _attention_block,
     _layer_norm,
+    _linear,
+    _residual_out,
     decode_pyramid,
     sinusoidal_encoding,
     taf_init,
@@ -138,12 +140,17 @@ def parse_track_set(data: bytes) -> TrackSet:
 def sample_patch(level: np.ndarray, centers: np.ndarray, r: int,
                  stride: float = 1, block: int = 1) -> np.ndarray:
     """Bilinear (2r+1)x(2r+1)xC patches around (W, 2) centres (input px),
-    one per step of a (W, rows, cols, C) level, gathered for all W steps
-    at once per bilinear corner; returns (W, 2r+1, 2r+1, C).
+    one per step of a (W, rows, cols, C) level; returns (W, 2r+1, 2r+1, C).
 
     Taps are spaced by stride on a grid of rows * block x cols * block
     points, on which each level cell covers a block x block square; a tap
     outside that grid reads 0.
+
+    Tap coordinates, fractions, in-range masks and clamped cells are
+    computed once per axis, and one take from the flattened level gathers
+    all four bilinear corners of every tap. The weighted corners are added
+    into zeros in the order (y0, x0), (y0, x1), (y1, x0), (y1, x1), so
+    rounding and signed zeros are those of one gather per corner.
     """
     level = np.asarray(level, dtype=np.float64)
     n, rows, cols, c = level.shape
@@ -152,26 +159,35 @@ def sample_patch(level: np.ndarray, centers: np.ndarray, r: int,
     if centers.shape != (n, 2):
         raise ShapeMismatch(f"centers {centers.shape} for {n} level steps")
     offs = np.arange(-r, r + 1, dtype=np.float64)
-    px = centers[:, 0, None, None] / stride + offs[None, None, :]
-    py = centers[:, 1, None, None] / stride + offs[None, :, None]
+    px = centers[:, 0, None, None] / stride + offs[None, None, :]  # W x 1 x k
+    py = centers[:, 1, None, None] / stride + offs[None, :, None]  # W x k x 1
     x0 = np.floor(px).astype(np.int64)
     y0 = np.floor(py).astype(np.int64)
     fx, fy = px - x0, py - y0
+    # per axis, the low and high corner stacked on a leading axis of 2
+    xs, ys = np.stack([x0, x0 + 1]), np.stack([y0, y0 + 1])
+    wx, wy = np.stack([1.0 - fx, fx]), np.stack([1.0 - fy, fy])
+    okx, oky = (xs >= 0) & (xs < w), (ys >= 0) & (ys < h)
+    xcell = np.minimum(np.maximum(xs, 0), w - 1) // block
+    ycell = np.minimum(np.maximum(ys, 0), h - 1) // block
     steps = np.arange(n)[:, None, None]
+    # corners (dy, dx) in row-major order: 4 x W x k x k
+    idx = ((steps * rows + ycell)[:, None] * cols + xcell[None]).reshape(
+        4, n, 2 * r + 1, 2 * r + 1)
+    weight = np.where(oky[:, None] & okx[None], wy[:, None] * wx[None], 0.0
+                      ).reshape(idx.shape)
+    vals = level.reshape(n * rows * cols, c).take(idx, axis=0)
+    vals *= weight[..., None]
     patch = np.zeros((n, 2 * r + 1, 2 * r + 1, c))
-    for dy_i, wy in ((0, 1.0 - fy), (1, fy)):
-        for dx_i, wx in ((0, 1.0 - fx), (1, fx)):
-            xs, ys = x0 + dx_i, y0 + dy_i
-            ok = (xs >= 0) & (xs < w) & (ys >= 0) & (ys < h)
-            weight = np.where(ok, wy * wx, 0.0)
-            vals = level[steps, np.clip(ys, 0, h - 1) // block,
-                         np.clip(xs, 0, w - 1) // block]
-            patch += weight[..., None] * vals
+    for corner in vals:
+        patch += corner
     return patch
 
 
-def _relu(x):
-    return np.maximum(x, 0.0)
+def _relu_linear(x, w, b):
+    """relu(x @ w + b), computed in the product's buffer."""
+    y = _linear(x, w, b)
+    return np.maximum(y, 0.0, out=y)
 
 
 def correlation_features(patches_per_level: list[np.ndarray],
@@ -193,8 +209,10 @@ def correlation_features(patches_per_level: list[np.ndarray],
             raise ShapeMismatch(
                 f"level {lvl}: correlation size {flat.shape[1]} != "
                 f"MLP fan-in {weights[f'corr.l{lvl}.w1'].shape[0]}")
-        h = _relu(flat @ weights[f"corr.l{lvl}.w1"] + weights[f"corr.l{lvl}.b1"])
-        embeds.append(h @ weights[f"corr.l{lvl}.w2"] + weights[f"corr.l{lvl}.b2"])
+        h = _relu_linear(flat, weights[f"corr.l{lvl}.w1"],
+                         weights[f"corr.l{lvl}.b1"])
+        embeds.append(_linear(h, weights[f"corr.l{lvl}.w2"],
+                              weights[f"corr.l{lvl}.b2"]))
     return np.concatenate(embeds, axis=1)
 
 
@@ -206,17 +224,19 @@ def _motion_encoding(rel: np.ndarray, n_freq: int) -> np.ndarray:
     return np.concatenate([enc_x, enc_y], axis=1)
 
 
-def _refiner_transformer(x: np.ndarray, weights: WeightBundle) -> np.ndarray:
-    """Pre-norm blocks of (temporal self-attention, token MLP) on (W, rw)."""
+def _refiner_transformer(x: np.ndarray, weights: WeightBundle,
+                         pe: np.ndarray) -> np.ndarray:
+    """Pre-norm blocks of (temporal self-attention, token MLP) on (W, rw);
+    pe is the (W, rw) time encoding added to queries and keys."""
     cfg = weights.config
-    pe = sinusoidal_encoding(np.arange(x.shape[0]), cfg.refiner_width)
     for blk in range(cfg.refiner_blocks):
         p = f"ref.b{blk}"
         h = _layer_norm(x, weights[f"{p}.ln1.g"], weights[f"{p}.ln1.b"])
-        x = _attention_block(x, h + pe, h + pe, h, weights, f"{p}.attn")
+        hp = h + pe
+        x = _attention_block(x, hp, hp, h, weights, f"{p}.attn")
         h = _layer_norm(x, weights[f"{p}.ln2.g"], weights[f"{p}.ln2.b"])
-        x = x + _relu(h @ weights[f"{p}.mlp.w1"] + weights[f"{p}.mlp.b1"]) \
-            @ weights[f"{p}.mlp.w2"] + weights[f"{p}.mlp.b2"]
+        h = _relu_linear(h, weights[f"{p}.mlp.w1"], weights[f"{p}.mlp.b1"])
+        x = _residual_out(x, h, weights[f"{p}.mlp.w2"], weights[f"{p}.mlp.b2"])
     return x
 
 
@@ -238,6 +258,7 @@ def refine_track(state: TrackState, pyramid: FeaturePyramid,
         raise ShapeMismatch("one pyramid step per window step required")
     r = cfg.patch_radius
     pos, logit = state.positions, state.visibility_logits
+    pe = sinusoidal_encoding(np.arange(w), cfg.refiner_width)
     for _ in range(m):
         patches_per_level = []
         for lvl in range(3):
@@ -250,9 +271,9 @@ def refine_track(state: TrackState, pyramid: FeaturePyramid,
         tokens = np.concatenate(
             [desc, logit[:, None],
              _motion_encoding(rel, cfg.motion_freqs)], axis=1)
-        x = tokens @ weights["ref.in.w"] + weights["ref.in.b"]
-        x = _refiner_transformer(x, weights)
-        delta = x @ weights["ref.head.w"] + weights["ref.head.b"]
+        x = _linear(tokens, weights["ref.in.w"], weights["ref.in.b"])
+        x = _refiner_transformer(x, weights, pe)
+        delta = _linear(x, weights["ref.head.w"], weights["ref.head.b"])
         pos = pos + delta[:, :2]
         logit = logit + delta[:, 2]
     return TrackState(positions=pos, visibility_logits=logit,

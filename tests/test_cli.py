@@ -334,6 +334,30 @@ class TestTrack:
         assert np.all(tracks.positions[:, -1] != [[40, 64], [88.5, 60.25]])
         assert hashlib.sha256(data).hexdigest()[:16] == "480d584cac3a4061"
 
+    def test_golden_tracks_on_the_border_and_mid_window(self, tmp_path,
+                                                        small_cfg, capsys):
+        """Perturbed weights and six queries: on the sensor's corners and
+        edges, just outside it, and starting mid-way through the first and
+        the second window. Most of their taps fall on or beyond the border
+        at every pyramid level, so the digest pins how border taps are
+        weighted and clamped."""
+        weights = write_perturbed_weights(SMALL_CONFIG,
+                                          tmp_path / "perturbed.tfw")
+        out = tmp_path / "sim"
+        assert run_cli(["--config", small_cfg, "--out", out, "simulate"]) == 0
+        queries = ["0,0,0", "0,31.5,16", "0,32,32", "208333,0,31",
+                   "500000,16,0", "833333,-0.5,20"]
+        assert run_cli(["--config", small_cfg, "--out", tmp_path / "trk",
+                        "track", "--stream", out / "events.evbin",
+                        "--frames", out / "video.tns", "--weights", weights,
+                        *[a for q in queries for a in ("--query", q)]]) == 0
+        data = (tmp_path / "trk" / "tracks.txt").read_bytes()
+        tracks = parse_track_set(data)
+        # steps 5, 12 and 20: mid first window, mid second, second's end
+        for qi, start in ((3, 5), (4, 12), (5, 20)):
+            assert not tracks.visibility[qi, :start].any()
+        assert hashlib.sha256(data).hexdigest()[:16] == "7406725dd00813e7"
+
     def test_overflowing_weights_exit_4_without_a_tracks_file(
             self, tmp_path, small_cfg, capsys):
         """A finite but huge decoder weight overflows the pyramid, so the

@@ -200,6 +200,43 @@ def test_scene_magnitudes_on_their_bounds_are_valid(extra):
     assert cfg.validate() is cfg
 
 
+@pytest.mark.parametrize("extra, message", [
+    # each raised OverflowError (a traceback, exit 1) inside validate()
+    ("scene.duration_us = 1" + "0" * 399, "scene.duration_us = 1000"),
+    ("scene.fps = 1e308\ntimeline.query_hz = 1e308\ntimeline.frame_hz = 1e308",
+     "scene.fps = 1e+308 is outside its domain > 0 and <= 1e+06"),
+    ("timeline.query_hz = 1e308\ntimeline.frame_hz = 1e308",
+     "timeline.query_hz = 1e+308 is outside its domain > 0 and <= 1e+06"),
+    ("timeline.frame_hz = 1e-308",
+     "must be an integer multiple of timeline.frame_hz = 1e-308"),
+    ("timeline.query_hz = 1e-308\ntimeline.frame_hz = 1e-308",
+     "must be an integer multiple of timeline.query_hz = 1e-308"),
+    # query times are whole microseconds: 2 MHz steps would collide
+    ("scene.fps = 2e6\ntimeline.query_hz = 2e6\ntimeline.frame_hz = 2e6",
+     "scene.fps = 2000000.0 is outside its domain"),
+])
+def test_overflowing_rates_and_durations_are_config_errors(tmp_path, extra,
+                                                           message):
+    # validate() and load only: none of these is ever run
+    cfg = parse_run_config(SMALL_CONFIG + extra + "\n")
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        cfg.validate()
+    path = tmp_path / "run.cfg"
+    path.write_text(SMALL_CONFIG + extra + "\n")
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_run_config(path)
+
+
+def test_rates_and_duration_on_their_bounds_validate():
+    # validate() only: 1e18 us at 1 MHz would be 1e18 query steps
+    cfg = parse_run_config(
+        "scene.duration_us = 1000000000000000000\n"
+        "scene.n_random_objects = 0\n"
+        "scene.object0 = gaussian_blob, 16, 16, 0, 0, 3, 2\n"
+        "scene.fps = 1e6\ntimeline.query_hz = 1e6\ntimeline.frame_hz = 1e6\n")
+    assert cfg.validate() is cfg
+
+
 def load_workloads():
     """perfbench/workloads.py, without writing bytecode next to it."""
     module = types.ModuleType("perfbench_workloads")

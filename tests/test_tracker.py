@@ -25,8 +25,10 @@ from tapfuse.tracker import (
     serialize_track_set,
     track_sequence,
 )
-from tapfuse.fusion import FeaturePyramid
+from tapfuse.fusion import FeaturePyramid, sinusoidal_encoding
 from tapfuse.weights import FusionConfig, WeightBundle
+
+from test_fusion import traced_peak
 
 
 def sample_one(level, center, r, stride=1):
@@ -241,7 +243,8 @@ def loop_refine_track(state, dense_levels, weights, iterations):
             [desc, state.visibility_logits[:, None],
              _motion_encoding(rel, cfg.motion_freqs)], axis=1)
         x = tokens @ weights["ref.in.w"] + weights["ref.in.b"]
-        x = _refiner_transformer(x, weights)
+        x = _refiner_transformer(
+            x, weights, sinusoidal_encoding(np.arange(len(x)), cfg.refiner_width))
         delta = x @ weights["ref.head.w"] + weights["ref.head.b"]
         state.positions = state.positions + delta[:, :2]
         state.visibility_logits = state.visibility_logits + delta[:, 2]
@@ -328,6 +331,123 @@ def test_refiner_reads_the_token_containing_each_centre(patch, monkeypatch):
     for patches in levels:
         centre_tap = patches[:, patches.shape[1] // 2]
         assert np.array_equal(centre_tap, cells[:, ::-1])
+
+
+# ---------------------------------------------------------------------------
+# The one-take sampler against the per-corner sampler it replaced
+# ---------------------------------------------------------------------------
+
+def ref_sample_patch(level, centers, r, stride=1, block=1):
+    """The windowed sampler with one 3-D fancy-index gather and np.clip per
+    bilinear corner, as sample_patch computed it before one take gathered
+    all four corners."""
+    level = np.asarray(level, dtype=np.float64)
+    n, rows, cols, c = level.shape
+    h, w = rows * block, cols * block
+    centers = np.asarray(centers, dtype=np.float64)
+    offs = np.arange(-r, r + 1, dtype=np.float64)
+    px = centers[:, 0, None, None] / stride + offs[None, None, :]
+    py = centers[:, 1, None, None] / stride + offs[None, :, None]
+    x0 = np.floor(px).astype(np.int64)
+    y0 = np.floor(py).astype(np.int64)
+    fx, fy = px - x0, py - y0
+    steps = np.arange(n)[:, None, None]
+    patch = np.zeros((n, 2 * r + 1, 2 * r + 1, c))
+    for dy_i, wy in ((0, 1.0 - fy), (1, fy)):
+        for dx_i, wx in ((0, 1.0 - fx), (1, fx)):
+            xs, ys = x0 + dx_i, y0 + dy_i
+            ok = (xs >= 0) & (xs < w) & (ys >= 0) & (ys < h)
+            weight = np.where(ok, wy * wx, 0.0)
+            vals = level[steps, np.clip(ys, 0, h - 1) // block,
+                         np.clip(xs, 0, w - 1) // block]
+            patch += weight[..., None] * vals
+    return patch
+
+
+@st.composite
+def sampler_cases(draw):
+    """A level with -0.0 entries in one of three layouts, and centres
+    inside, on the edge of, beyond and left of or above its grid."""
+    n = draw(st.integers(1, 4))
+    r = draw(st.integers(0, 4))
+    c = draw(st.integers(1, 5))
+    lvl = draw(st.integers(0, 2))
+    patch = draw(st.sampled_from([1, 2, 3, 4, 6, 16]))
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    block, stride = 2 ** lvl, patch / 2 ** lvl
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=(n, rows, cols, c))
+    values[rng.random(values.shape) < 0.3] = -0.0
+    layout = draw(st.sampled_from(["contiguous", "read-only", "strided"]))
+    if layout == "read-only":
+        values.flags.writeable = False
+        level = values
+    elif layout == "strided":
+        # every other channel of a wider, column-reversed array
+        wide = np.zeros((n, rows, cols, 2 * c))
+        wide[..., ::2] = values[:, :, ::-1]
+        level = wide[:, :, ::-1, ::2]
+    else:
+        level = values
+    # the input px extent of the grid, and the values that land on its edge
+    ext = np.array([cols, rows]) * patch
+    centers = np.empty((n, 2))
+    for t in range(n):
+        for axis in range(2):
+            kind = draw(st.sampled_from(["inside", "edge", "beyond", "negative"]))
+            if kind == "inside":
+                v = draw(st.floats(0, ext[axis], allow_nan=False))
+            elif kind == "edge":
+                v = draw(st.sampled_from([0.0, -0.0, ext[axis],
+                                          ext[axis] - stride]))
+                nudge = draw(st.sampled_from([None, 1e-9, -1e-9, 0.5, -0.5]))
+                if nudge is not None:
+                    v += nudge
+            elif kind == "beyond":
+                v = ext[axis] + draw(st.floats(0, 2 * ext[axis] + 40))
+            else:
+                v = -draw(st.floats(0, 2 * ext[axis] + 40))
+            centers[t, axis] = v
+    return level, centers, r, stride, block
+
+
+@settings(max_examples=300, deadline=None)
+@given(sampler_cases())
+def test_sample_patch_equals_the_per_corner_sampler_byte_for_byte(case):
+    level, centers, r, stride, block = case
+    got = sample_patch(level, centers, r, stride, block)
+    want = ref_sample_patch(level, centers, r, stride, block)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+class TestRefinerAllocationPeaks:
+    """One take gathers the four corners of one window: 4 patches of
+    values plus the output. A gather batched over queries, or one buffer
+    per window step, would multiply that."""
+
+    def test_sample_patch_peak(self):
+        # one take: 5.17 x the output at C = 64
+        rng = np.random.default_rng(60)
+        level = rng.normal(size=(16, 8, 8, 64))
+        centers = rng.uniform(-10.0, 80.0, size=(16, 2))
+        out = sample_patch(level, centers, 3, 8.0, 1)
+        assert traced_peak(sample_patch, level, centers, 3, 8.0, 1) \
+            < 6 * out.nbytes
+
+    def test_refine_track_peak(self):
+        # 5.58 x one level-0 patch window (W x 49 taps x 64 channels),
+        # reached inside the level-0 gather
+        weights = WeightBundle.initialize(FusionConfig(), seed=0)
+        w = weights.config.window
+        rng = np.random.default_rng(61)
+        pyramid = make_pyramids(rng, w)
+        state = TrackState(positions=rng.uniform(0.0, 64.0, size=(w, 2)),
+                           visibility_logits=np.zeros(w),
+                           window_times=np.arange(w) * 1000)
+        patch_bytes = w * 49 * 64 * 8
+        assert traced_peak(refine_track, state, pyramid, weights) \
+            < 6.5 * patch_bytes
 
 
 def small_sequence(seed=0, n_query=48, frame_every=4, size=32):
