@@ -17,7 +17,6 @@ from tapfuse import (
     SceneConfig,
     SceneObject,
     Timeline,
-    TrackSet,
     WeightBundle,
     evaluate,
     render_intensity_video,
@@ -41,13 +40,11 @@ weights = WeightBundle.initialize(FusionConfig(), seed=0)
 queries = [QueryPoint(0, float(gt.positions[qi, 0, 0]),
                       float(gt.positions[qi, 0, 1]))
            for qi in range(gt.positions.shape[0])]
-tracks = track_sequence(video.frames[::4], list(timeline.frame_times),
-                        stream, timeline, queries, weights)
+tracks = track_sequence(video.frames[::4], stream, timeline, queries, weights)
 print(f"tracked {len(queries)} queries over {len(tracks.times)} steps")
 
-reference = TrackSet(times=gt.times, positions=gt.positions,
-                     visibility=gt.visibility)
-pair = EvalPair(predicted=tracks, reference=reference, image_height=64)
+# the ground truth is a TrackSet too, so it is the reference as it stands
+pair = EvalPair(predicted=tracks, reference=gt, image_height=64)
 report = evaluate(pair)
 print(f"AJ={report.aj:.3f}  delta_avg_vis={report.delta_avg_vis:.3f}  "
       f"OA={report.oa:.3f}  FA={report.fa:.3f}  EFA={report.efa:.3f}")

@@ -22,7 +22,6 @@ from .representations import (
     voxel_grid,
 )
 from .synth import (
-    GroundTruth,
     IntensityVideo,
     SceneConfig,
     SceneObject,
@@ -32,7 +31,6 @@ from .synth import (
     simulate_events,
 )
 from .fusion import (
-    FeaturePyramid,
     Tokens,
     TransientState,
     clwf_backward,
@@ -48,7 +46,6 @@ from .fusion import (
 from .tracker import (
     QueryPoint,
     TrackSet,
-    TrackState,
     correlation_features,
     parse_track_set,
     refine_track,

@@ -33,7 +33,6 @@ from .representations import REPRESENTATIONS
 from .synth import render_intensity_video, simulate_events
 from .tracker import (
     QueryPoint,
-    TrackSet,
     parse_track_set,
     serialize_track_set,
     track_sequence,
@@ -62,15 +61,13 @@ def cmd_simulate(config: RunConfig, out_dir: Path, fmt: str = "evbin") -> dict:
     video, gt = render_intensity_video(scene, query_times=timeline.query_times)
     stream = simulate_events(video, config.sim_contrast)
 
-    gt_tracks = TrackSet(times=gt.times, positions=gt.positions,
-                         visibility=gt.visibility)
     manifest = {
         "video": _write(out_dir / "video.tns", arrayio.TNS_MAGIC,
                         *arrayio.tensor_record(video.frames)),
         "events": _write(out_dir / f"events.{fmt}",
                          serialize_event_stream(stream, fmt)),
         "tracks": _write(out_dir / "tracks.txt",
-                         serialize_track_set(gt_tracks)),
+                         serialize_track_set(gt)),
     }
     print("simulate " + " ".join(f"{k}={v}" for k, v in manifest.items()))
     return manifest
@@ -101,8 +98,7 @@ def cmd_track(config: RunConfig, stream_path: Path, frames_path: Path,
                                config.fusion_config(), config.seed)
     else:
         weights = WeightBundle.initialize(config.fusion_config(), config.seed)
-    tracks = track_sequence(frames, list(timeline.frame_times), stream,
-                            timeline, queries, weights)
+    tracks = track_sequence(frames, stream, timeline, queries, weights)
     _write(out_path, serialize_track_set(tracks))
     return out_path
 

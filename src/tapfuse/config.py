@@ -76,7 +76,10 @@ class RunConfig:
     scene_duration_us: int = _setting(2_000_000, 1, MAX_DURATION_US)
     scene_fps: float = _setting(48.0, 0, MAX_RATE_HZ, above=True)
     scene_background: float = _setting(1.0, 0, MAX_INTENSITY, above=True)
-    scene_n_random_objects: int = _setting(2, 0)
+    # ground truth tests each object for occlusion by every later one at
+    # every query step, so the work grows as n**2: 100 objects are ~5,000
+    # tests a step
+    scene_n_random_objects: int = _setting(2, 0, 100)
     scene_objects: list[SceneObject] = field(default_factory=list)
     # event simulation
     # events grow as 1/contrast: 0.01 gives 27x the events of 0.2 on the

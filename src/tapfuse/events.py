@@ -138,13 +138,6 @@ class EventBatch:
     def duration(self) -> int:
         return self.bin_end - self.bin_start
 
-    @classmethod
-    def empty(cls, bin_start: int, bin_end: int) -> "EventBatch":
-        z = np.zeros(0)
-        return cls(t=z.astype(np.uint64), x=z.astype(np.uint16),
-                   y=z.astype(np.uint16), p=z.astype(np.int8),
-                   bin_start=bin_start, bin_end=bin_end)
-
 
 @dataclass(frozen=True)
 class Timeline:

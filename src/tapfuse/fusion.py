@@ -11,6 +11,10 @@ all event-free patches, whose logit carries the log of their count, so
 its attention is N x (live + 1), not N x N. The two attention blocks that
 feed gradient verification (CLWF and temporal attention) also ship
 analytic backward passes checked against central finite differences.
+
+A TransientState is the fused tokens and the time they stand for: a frame
+sets it and each event batch advances it. decode_pyramid returns a
+window's three levels as a plain tuple of arrays.
 """
 
 from __future__ import annotations
@@ -46,27 +50,11 @@ class Tokens:
 
 @dataclass(frozen=True)
 class TransientState:
-    """The fused token representation maintained between frames."""
+    """The fused token representation maintained between frames; a frame
+    sets state_time and each event batch advances it to the batch end."""
 
     tokens: Tokens
     state_time: int
-    frame_anchor_time: int
-
-    def __post_init__(self):
-        if self.state_time < self.frame_anchor_time:
-            raise TimeRegression("state_time precedes frame anchor")
-
-
-@dataclass(frozen=True)
-class FeaturePyramid:
-    """A window's three decoded feature levels at token resolution: level
-    l is (W, rows, cols, C_l), one slice per window step.
-
-    Level l stands for a map at stride patch / 2**l of the input on which
-    each token covers a 2**l x 2**l block of points; the sampler reads the
-    blocks in place, so no upsampled copy is ever built."""
-
-    levels: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +269,7 @@ def taf_init(frame: np.ndarray, frame_time: int, exposure_batch: EventBatch,
     etok = tokenize_events(tensor, weights)
     itok = tokenize_frame(frame, weights)
     fused = clwf_fuse(etok, itok, weights)
-    return TransientState(tokens=fused, state_time=frame_time,
-                          frame_anchor_time=frame_time)
+    return TransientState(tokens=fused, state_time=frame_time)
 
 
 def _live_event_tokens(tensor: EventTensor, weights: WeightBundle
@@ -322,8 +309,7 @@ def taf_update(state: TransientState, batch: EventBatch,
         raise TimeRegression(
             f"batch ends at {batch.bin_end} before state time {state.state_time}")
     if len(batch) == 0:
-        return TransientState(tokens=state.tokens, state_time=batch.bin_end,
-                              frame_anchor_time=state.frame_anchor_time)
+        return TransientState(tokens=state.tokens, state_time=batch.bin_end)
     rows, cols = state.tokens.grid
     patch = weights.config.patch
     etok, key_bias = _live_event_tokens(
@@ -335,8 +321,7 @@ def taf_update(state: TransientState, batch: EventBatch,
                      weights["upd.ln_events.b"])
     out = _attention_block(r, hq, hk, hk, weights, "upd", key_bias)
     return TransientState(tokens=Tokens(values=out, grid=state.tokens.grid),
-                          state_time=batch.bin_end,
-                          frame_anchor_time=state.frame_anchor_time)
+                          state_time=batch.bin_end)
 
 
 # ---------------------------------------------------------------------------
@@ -423,17 +408,19 @@ def temporal_attention_backward(cache: dict, upstream: np.ndarray,
 # Pyramid decoder
 # ---------------------------------------------------------------------------
 
-def decode_pyramid(x: np.ndarray, weights: WeightBundle) -> FeaturePyramid:
+def decode_pyramid(x: np.ndarray, weights: WeightBundle
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decode a (W, rows, cols, d) window of state tokens in one pass into
-    3 token-resolution levels by chained channel mixes: level l is
-    (W, rows, cols, C_l) with C_l = C_{l-1} @ dec.w_l + dec.b_l, slice t
-    being the decode of step t.
+    the tuple of 3 token-resolution levels by chained channel mixes: level
+    l is (W, rows, cols, C_l) with C_l = C_{l-1} @ dec.w_l + dec.b_l, slice
+    t being the decode of step t.
 
     Nearest-neighbour upsampling commutes with the per-token mixes, so
     level l, each token repeated into a 2**l x 2**l block, is the map an
-    upsampling decoder would build at stride patch / 2**l."""
+    upsampling decoder would build at stride patch / 2**l. The refiner's
+    sampler reads those blocks in place, so no upsampled copy is built."""
     levels = []
     for lvl in range(3):
         x = _linear(x, weights[f"dec.w{lvl}"], weights[f"dec.b{lvl}"])
         levels.append(x)
-    return FeaturePyramid(levels=tuple(levels))
+    return tuple(levels)

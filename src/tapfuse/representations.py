@@ -22,9 +22,6 @@ DEFAULT_SUBWINDOWS = 5
 @dataclass(frozen=True)
 class EventTensor:
     data: np.ndarray  # H x W x B float64
-    bin_start: int
-    bin_end: int
-    kind: str  # time_surface | count_image | voxel_grid
 
 
 def _check_geometry(batch: EventBatch, width: int, height: int):
@@ -65,8 +62,7 @@ def sbt_time_surface(batch: EventBatch, width: int, height: int,
         flat, val = flat[order], val[order]
         last = np.flatnonzero(np.r_[flat[1:] != flat[:-1], True])
         data.reshape(-1)[flat[last]] = val[last]
-    return EventTensor(data=data, bin_start=batch.bin_start,
-                       bin_end=batch.bin_end, kind="time_surface")
+    return EventTensor(data=data)
 
 
 def event_count_image(batch: EventBatch, width: int, height: int,
@@ -78,8 +74,7 @@ def event_count_image(batch: EventBatch, width: int, height: int,
         b = _subwindow_index(batch, B)
         np.add.at(data, (batch.y.astype(np.int64), batch.x.astype(np.int64), b),
                   batch.p.astype(np.float64))
-    return EventTensor(data=data, bin_start=batch.bin_start,
-                       bin_end=batch.bin_end, kind="count_image")
+    return EventTensor(data=data)
 
 
 def voxel_grid(batch: EventBatch, width: int, height: int,
@@ -105,8 +100,7 @@ def voxel_grid(batch: EventBatch, width: int, height: int,
         xx = batch.x.astype(np.int64)
         np.add.at(data, (yy, xx, lo), pol * (1.0 - w_hi))
         np.add.at(data, (yy, xx, hi), pol * w_hi)
-    return EventTensor(data=data, bin_start=batch.bin_start,
-                       bin_end=batch.bin_end, kind="voxel_grid")
+    return EventTensor(data=data)
 
 
 REPRESENTATIONS = {

@@ -22,6 +22,7 @@ from .errors import (
     NonPositiveIntensity,
 )
 from .events import MAX_SENSOR_SIDE, EventStream
+from .tracker import TrackSet
 
 DEFAULT_CONTRAST = 0.2
 
@@ -87,15 +88,6 @@ class SceneConfig:
                 raise DegenerateScene(f"unknown shape {obj.shape!r}")
 
 
-@dataclass(frozen=True)
-class GroundTruth:
-    """Analytic per-object trajectories sampled on a query-time grid."""
-
-    times: np.ndarray       # T, int64 microseconds
-    positions: np.ndarray   # Q x T x 2, (x, y) px
-    visibility: np.ndarray  # Q x T, {0, 1}
-
-
 def _rasterize(config: SceneConfig, t_us: float, out: np.ndarray) -> None:
     """Write the scene at t_us into the (H, W) array out. An (H, 1) row
     coordinate broadcasts against a (1, W) column coordinate; each pixel
@@ -119,8 +111,9 @@ def _rasterize(config: SceneConfig, t_us: float, out: np.ndarray) -> None:
 
 def render_intensity_video(config: SceneConfig,
                            query_times: Sequence[int] | None = None
-                           ) -> tuple[IntensityVideo, GroundTruth]:
-    """Render the scene at each frame time and sample exact ground truth.
+                           ) -> tuple[IntensityVideo, TrackSet]:
+    """Render the scene at each frame time and sample exact ground truth,
+    one track per object.
 
     Ground truth is sampled on query_times when given (must contain the
     frame grid or be denser), else on the frame grid itself. Visibility
@@ -149,8 +142,8 @@ def render_intensity_video(config: SceneConfig,
             occluded = any(other.covers(px, py, t)
                            for other in config.objects[qi + 1:])
             visibility[qi, ti] = int(in_bounds and not occluded)
-    return video, GroundTruth(times=gt_times, positions=positions,
-                              visibility=visibility)
+    return video, TrackSet(times=gt_times, positions=positions,
+                           visibility=visibility)
 
 
 def simulate_events(video: IntensityVideo, c: float = DEFAULT_CONTRAST

@@ -9,7 +9,9 @@ is read at stride patch / 2**l, each token covering a 2**l x 2**l block
 of sample points. track_sequence drives the transient-fusion state
 machine along the query-time grid and slides W-step windows with 50%
 overlap over the resulting states, decoding each window once into a
-pyramid that all queries share.
+pyramid that all queries share. A window track is two arrays, (W, 2)
+positions and W visibility logits, which refine_track reads and returns
+refined.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import numpy as np
 from .errors import GridMismatch, QueryOutOfRange, ShapeMismatch
 from .events import EventStream, Timeline, bin_events, exposure_window_events
 from .fusion import (
-    FeaturePyramid,
     TransientState,
     _attention_block,
     _layer_norm,
@@ -43,15 +44,6 @@ class QueryPoint:
     t_q: int
     x: float
     y: float
-
-
-@dataclass
-class TrackState:
-    """One query's per-window estimate: positions, visibility logits."""
-
-    positions: np.ndarray          # W x 2
-    visibility_logits: np.ndarray  # W
-    window_times: np.ndarray       # W, microseconds
 
 
 @dataclass(frozen=True)
@@ -240,44 +232,44 @@ def _refiner_transformer(x: np.ndarray, weights: WeightBundle,
     return x
 
 
-def refine_track(state: TrackState, pyramid: FeaturePyramid,
-                 weights: WeightBundle, iterations: int | None = None
-                 ) -> TrackState:
-    """Iteratively apply residual (dx, dy, dv) updates to a window track.
+def refine_track(positions: np.ndarray, logits: np.ndarray,
+                 levels: tuple[np.ndarray, ...], weights: WeightBundle
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Apply weights.config.iterations residual (dx, dy, dv) updates to a
+    window track of (W, 2) positions and W visibility logits; return the
+    refined (positions, logits).
 
-    pyramid is the window's decoded pyramid: level l is
+    levels is the window's decoded pyramid: level l is
     (W, rows, cols, C_l), one slice per window step, sampled with taps at
     stride patch / 2**l and tokens of 2**l x 2**l points. The result is
-    built from new arrays; state is only read, so it may hold views."""
+    built from new arrays; the inputs are only read, so they may be
+    views."""
     cfg = weights.config
-    m = cfg.iterations if iterations is None else iterations
-    if m < 1:
+    if cfg.iterations < 1:
         raise ShapeMismatch("iteration count must be >= 1")
-    w = len(state.window_times)
-    if any(lvl.ndim != 4 or len(lvl) != w for lvl in pyramid.levels):
+    w = len(positions)
+    if any(lvl.ndim != 4 or len(lvl) != w for lvl in levels):
         raise ShapeMismatch("one pyramid step per window step required")
     r = cfg.patch_radius
-    pos, logit = state.positions, state.visibility_logits
     pe = sinusoidal_encoding(np.arange(w), cfg.refiner_width)
-    for _ in range(m):
+    for _ in range(cfg.iterations):
         patches_per_level = []
         for lvl in range(3):
             block = 2 ** lvl
-            patch = sample_patch(pyramid.levels[lvl], pos, r,
+            patch = sample_patch(levels[lvl], positions, r,
                                  cfg.patch / block, block)
             patches_per_level.append(patch.reshape(w, -1, patch.shape[-1]))
         desc = correlation_features(patches_per_level, weights)
-        rel = pos - pos[0]
+        rel = positions - positions[0]
         tokens = np.concatenate(
-            [desc, logit[:, None],
+            [desc, logits[:, None],
              _motion_encoding(rel, cfg.motion_freqs)], axis=1)
         x = _linear(tokens, weights["ref.in.w"], weights["ref.in.b"])
         x = _refiner_transformer(x, weights, pe)
         delta = _linear(x, weights["ref.head.w"], weights["ref.head.b"])
-        pos = pos + delta[:, :2]
-        logit = logit + delta[:, 2]
-    return TrackState(positions=pos, visibility_logits=logit,
-                      window_times=state.window_times)
+        positions = positions + delta[:, :2]
+        logits = logits + delta[:, 2]
+    return positions, logits
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +285,11 @@ def _window_starts(n_steps: int, window: int) -> list[int]:
     return starts
 
 
-def track_sequence(frames: np.ndarray, frame_times: list[int],
-                   stream: EventStream, timeline: Timeline,
-                   queries: list[QueryPoint], weights: WeightBundle,
-                   counters: dict | None = None) -> TrackSet:
-    """Run the full pipeline over a sequence.
+def track_sequence(frames: np.ndarray, stream: EventStream,
+                   timeline: Timeline, queries: list[QueryPoint],
+                   weights: WeightBundle) -> TrackSet:
+    """Run the full pipeline over a sequence; frames holds one frame per
+    timeline.frame_times entry.
 
     At each frame time the transient state is re-initialized from the
     frame and its exposure-window events; every other query step applies
@@ -306,9 +298,7 @@ def track_sequence(frames: np.ndarray, frame_times: list[int],
     """
     qtimes = np.asarray(timeline.query_times, dtype=np.int64)
     n_steps = len(qtimes)
-    ft = [int(t) for t in frame_times]
-    if list(timeline.frame_times) != ft:
-        raise GridMismatch("frame_times disagree with timeline")
+    ft = timeline.frame_times
     if ft[0] != int(qtimes[0]):
         raise GridMismatch("the first query step must carry a frame")
     if len(frames) != len(ft):
@@ -320,9 +310,6 @@ def track_sequence(frames: np.ndarray, frame_times: list[int],
 
     frame_at = {t: i for i, t in enumerate(ft)}
     batches = bin_events(stream, timeline)
-    if counters is not None:
-        counters.setdefault("taf_init", 0)
-        counters.setdefault("taf_update", 0)
 
     def step_states():
         state = None
@@ -331,12 +318,8 @@ def track_sequence(frames: np.ndarray, frame_times: list[int],
             if t in frame_at:
                 batch = exposure_window_events(stream, t, timeline.exposure_us)
                 state = taf_init(frames[frame_at[t]], t, batch, weights)
-                if counters is not None:
-                    counters["taf_init"] += 1
             else:
                 state = taf_update(state, batches[step], weights)
-                if counters is not None:
-                    counters["taf_update"] += 1
             yield state
 
     w = weights.config.window
@@ -362,26 +345,24 @@ def track_sequence(frames: np.ndarray, frame_times: list[int],
         live.extend(islice(states, stop - start - len(live)))
         x = temporal_attention(np.stack([s.tokens.values for s in live]),
                                weights)
-        pyramid = decode_pyramid(
+        levels = decode_pyramid(
             x.reshape(len(live), *live[0].tokens.grid, -1), weights)
         for qi in range(n_q):
             if active_from[qi] >= stop:
                 continue
             # steps not yet covered by a previous window start from the
             # last carried-over estimate; refine_track only reads the views
-            refined = refine_track(
-                TrackState(positions=out_pos[qi, start:stop],
-                           visibility_logits=out_logit[qi, start:stop],
-                           window_times=qtimes[start:stop]),
-                pyramid, weights)
-            out_pos[qi, start:stop] = refined.positions
-            out_logit[qi, start:stop] = refined.visibility_logits
+            pos, logit = refine_track(out_pos[qi, start:stop],
+                                      out_logit[qi, start:stop], levels,
+                                      weights)
+            out_pos[qi, start:stop] = pos
+            out_logit[qi, start:stop] = logit
             # carry the freshest estimate into steps beyond this window
             if stop < n_steps:
-                out_pos[qi, stop:] = refined.positions[-1]
-                out_logit[qi, stop:] = refined.visibility_logits[-1]
+                out_pos[qi, stop:] = pos[-1]
+                out_logit[qi, stop:] = logit[-1]
         # free this window's levels before the next window decodes its own
-        del pyramid
+        del levels
 
     visibility = (out_logit > 0).astype(np.int64)
     for qi in range(n_q):

@@ -2,6 +2,7 @@
 single pass/fail line under pytest -v."""
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,8 +33,10 @@ from tapfuse.synth import (
     render_intensity_video,
     simulate_events,
 )
-from tapfuse.tracker import QueryPoint, TrackSet, TrackState, refine_track, track_sequence
+from tapfuse.tracker import QueryPoint, refine_track, track_sequence
 from tapfuse.weights import FusionConfig, WeightBundle
+
+from test_tracker import count_state_calls
 
 
 def random_scene(rng, width=64, height=64, duration_us=2_000_000, fps=48.0):
@@ -126,7 +129,7 @@ def test_criterion_04_backward_passes_match_finite_differences():
     assert worst_tattn < 1e-4, f"temporal attention max rel err {worst_tattn}"
 
 
-def test_criterion_05_state_machine_cadence_24_init_72_update():
+def test_criterion_05_state_machine_cadence_24_init_72_update(monkeypatch):
     config = RunConfig()
     timeline = config.timeline()
     rng = np.random.default_rng(42)
@@ -135,13 +138,12 @@ def test_criterion_05_state_machine_cadence_24_init_72_update():
     stream = simulate_events(video, config.sim_contrast)
     frames = video.frames[::4]
     weights = WeightBundle.initialize(config.fusion_config(), seed=0)
-    counters = {}
-    tracks = track_sequence(frames, list(timeline.frame_times), stream,
-                            timeline, [QueryPoint(0, 32.0, 32.0)], weights,
-                            counters=counters)
+    counts = count_state_calls(monkeypatch)
+    tracks = track_sequence(frames, stream, timeline,
+                            [QueryPoint(0, 32.0, 32.0)], weights)
     assert len(tracks.times) == 96
-    assert counters["taf_init"] == 24
-    assert counters["taf_update"] == 72
+    assert counts["taf_init"] == 24
+    assert counts["taf_update"] == 72
 
 
 def test_criterion_06_identity_tracker_matches_static_ground_truth():
@@ -159,13 +161,11 @@ def test_criterion_06_identity_tracker_matches_static_ground_truth():
     queries = [QueryPoint(0, float(gt.positions[qi, 0, 0]),
                           float(gt.positions[qi, 0, 1]))
                for qi in range(len(cfg.objects))]
-    tracks = track_sequence(video.frames[::4], list(timeline.frame_times),
-                            stream, timeline, queries, weights)
+    tracks = track_sequence(video.frames[::4], stream, timeline, queries,
+                            weights)
     np.testing.assert_array_equal(tracks.positions, gt.positions)
     np.testing.assert_array_equal(tracks.visibility, gt.visibility)
-    ref = TrackSet(times=gt.times, positions=gt.positions,
-                   visibility=gt.visibility)
-    pair = EvalPair(predicted=tracks, reference=ref, image_height=64)
+    pair = EvalPair(predicted=tracks, reference=gt, image_height=64)
     assert average_jaccard(pair) == 1.0
     assert delta_avg_vis(pair) == 1.0
     assert occlusion_accuracy(pair) == 1.0
@@ -189,7 +189,7 @@ def test_criterion_07_metrics_match_brute_force_on_200_instances():
         assert aj <= d + 1e-12
 
 
-def test_criterion_08_frame_rate_sweep_on_fixed_query_grid():
+def test_criterion_08_frame_rate_sweep_on_fixed_query_grid(monkeypatch):
     rng = np.random.default_rng(7)
     scene = random_scene(rng, width=32, height=32, duration_us=400_000, fps=75)
     video, _ = render_intensity_video(scene)
@@ -199,17 +199,16 @@ def test_criterion_08_frame_rate_sweep_on_fixed_query_grid():
     assert n_steps == 30
     weights = WeightBundle.initialize(FusionConfig(), seed=0)
     step_counts = []
+    counts = count_state_calls(monkeypatch)
     for stride in (1, 2, 3, 4, 6, 8):   # 75 .. 9.375 FPS
         timeline = Timeline(frame_times=qtimes[::stride], query_times=qtimes,
                             exposure_us=4000)
-        counters = {}
-        tracks = track_sequence(video.frames[::stride],
-                                list(timeline.frame_times), stream, timeline,
-                                [QueryPoint(0, 16.0, 16.0)], weights,
-                                counters=counters)
+        counts.update(taf_init=0, taf_update=0)
+        tracks = track_sequence(video.frames[::stride], stream, timeline,
+                                [QueryPoint(0, 16.0, 16.0)], weights)
         n_init = len(timeline.frame_times)
-        assert counters["taf_init"] == n_init
-        assert counters["taf_update"] == n_steps - n_init
+        assert counts["taf_init"] == n_init
+        assert counts["taf_update"] == n_steps - n_init
         step_counts.append(len(tracks.times))
     assert step_counts == [n_steps] * 6
 
@@ -228,19 +227,17 @@ def test_criterion_09_refinement_constants_and_composition():
                  "ref.b1.attn.wo", "ref.b0.mlp.w2", "ref.b1.mlp.w2"):
         weights.params[name] = rng.normal(scale=0.05,
                                           size=weights.params[name].shape)
-    from tapfuse.fusion import FeaturePyramid
     steps = [tuple(rng.normal(size=(8, 8, c)) for c in cfg.decoder_channels)
              for _ in range(cfg.window)]
-    pyramids = FeaturePyramid(levels=tuple(np.stack(lvl) for lvl in zip(*steps)))
-    state = TrackState(positions=rng.uniform(10, 50, size=(cfg.window, 2)),
-                       visibility_logits=rng.normal(size=cfg.window),
-                       window_times=np.arange(cfg.window) * 1000)
-    twice = refine_track(refine_track(state, pyramids, weights, iterations=1),
-                         pyramids, weights, iterations=1)
-    once = refine_track(state, pyramids, weights, iterations=2)
-    np.testing.assert_allclose(once.positions, twice.positions, atol=1e-12)
-    np.testing.assert_allclose(once.visibility_logits, twice.visibility_logits,
-                               atol=1e-12)
+    levels = tuple(np.stack(lvl) for lvl in zip(*steps))
+    track = (rng.uniform(10, 50, size=(cfg.window, 2)),
+             rng.normal(size=cfg.window))
+    one, two = (replace(weights, config=replace(cfg, iterations=m))
+                for m in (1, 2))
+    twice = refine_track(*refine_track(*track, levels, one), levels, one)
+    once = refine_track(*track, levels, two)
+    np.testing.assert_allclose(once[0], twice[0], atol=1e-12)
+    np.testing.assert_allclose(once[1], twice[1], atol=1e-12)
 
 
 def test_criterion_10_bench_on_one_million_events(capsys):

@@ -10,7 +10,8 @@ from tapfuse import arrayio, config
 from tapfuse.cli import cmd_bench, cmd_simulate, main
 from tapfuse.config import RunConfig, parse_run_config
 from tapfuse.errors import ConfigError
-from tapfuse.tracker import parse_track_set
+from tapfuse.synth import render_intensity_video, simulate_events
+from tapfuse.tracker import QueryPoint, parse_track_set, track_sequence
 from tapfuse.weights import WeightBundle, parameter_specs, save_weights
 
 SMALL_CONFIG = """\
@@ -159,7 +160,7 @@ sim.contrast = 0.05
 """
 
 
-def write_perturbed_weights(config_text, path):
+def perturbed_weights(config_text):
     """The config's seeded init with small seeded values in every zero-init
     matrix (the residual attention outputs, the refiner's MLP outputs and
     its head), so the refiner moves the tracks."""
@@ -170,7 +171,11 @@ def write_perturbed_weights(config_text, path):
         if init == "zeros" and len(shape) == 2:
             bundle.params[name] = rng.uniform(
                 -0.2, 0.2, size=shape) / np.sqrt(shape[0])
-    path.write_bytes(save_weights(bundle))
+    return bundle
+
+
+def write_perturbed_weights(config_text, path):
+    path.write_bytes(save_weights(perturbed_weights(config_text)))
     return path
 
 
@@ -312,6 +317,26 @@ class TestTrack:
         assert not tracks.visibility[1, :5].any()
         assert np.all(tracks.positions[:, -1] != [[16, 16], [14, 18]])
         assert hashlib.sha256(data).hexdigest()[:16] == "ffeba7e180c66cd8"
+
+    def test_perturbed_tracks_in_memory_to_the_last_bit(self):
+        """The run of test_golden_tracks_with_perturbed_weights without the
+        files, pinned on the float64 arrays: the tracks file keeps 9
+        significant digits, so it cannot show a last-bit change in the
+        refiner."""
+        cfg = parse_run_config(SMALL_CONFIG).validate()
+        timeline = cfg.timeline()
+        video, _ = render_intensity_video(
+            cfg.scene_config(np.random.default_rng(cfg.seed)),
+            query_times=timeline.query_times)
+        stream = simulate_events(video, cfg.sim_contrast)
+        queries = [QueryPoint(0, 16.0, 16.0), QueryPoint(208333, 14.0, 18.0)]
+        tracks = track_sequence(video.frames[cfg.frame_indices()], stream,
+                                timeline, queries,
+                                perturbed_weights(SMALL_CONFIG))
+        assert hashlib.sha256(tracks.positions.tobytes()).hexdigest() == (
+            "065f081d00491fb990787a110421be14618bb9db151ab1829c8f4eb8759b2e37")
+        assert hashlib.sha256(tracks.visibility.tobytes()).hexdigest() == (
+            "961812259bbd85bdf3acad666148901c0465dc8beac9771a746bee1c5825960d")
 
     def test_golden_tracks_at_256_tokens(self, tmp_path, capsys):
         """The perturbed-weights digest on a 128x128 sensor: 256 tokens, a

@@ -147,6 +147,29 @@ def test_extreme_object_magnitude_exits_2_naming_it(tmp_path, capsys, command,
     assert err.startswith(f"config error: scene.object {name} = ")
 
 
+# validate() builds no random object, so only the bound stops a count that
+# simulate would then build one by one
+HUGE_OBJECT_COUNT = "scene.n_random_objects = 1000000000000\n"
+
+
+def test_huge_random_object_count_is_a_config_error():
+    cfg = parse_run_config(SMALL_CONFIG + HUGE_OBJECT_COUNT)
+    with pytest.raises(ConfigError,
+                       match=r"scene\.n_random_objects = 1000000000000 is "
+                             r"outside its domain 0\.\.100"):
+        cfg.validate()
+
+
+def test_huge_random_object_count_exits_2_from_simulate(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CONFIG + HUGE_OBJECT_COUNT)
+    assert run_cli(["--config", cfg, "--out", tmp_path / "sim",
+                    "simulate"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: scene.n_random_objects = ")
+    assert not (tmp_path / "sim").exists()
+
+
 def test_tiny_contrast_is_a_config_error(tmp_path):
     # load only: simulate on sim.contrast = 1e-9 would ask for 21.6 GiB
     path = tmp_path / "run.cfg"

@@ -81,8 +81,7 @@ class TestTokenizers:
         rng = np.random.default_rng(1)
         weights = small_weights(d=6, patch=4, subwindows=3)
         data = rng.normal(size=(8, 8, 3))
-        toks = tokenize_events(EventTensor(data=data, bin_start=0, bin_end=10,
-                                           kind="voxel_grid"), weights)
+        toks = tokenize_events(EventTensor(data=data), weights)
         patch = data[0:4, 4:8].transpose(0, 1, 2).reshape(-1)
         want = patch @ weights["phi_e.w"] + weights["phi_e.b"]
         np.testing.assert_allclose(toks.values[1], want)
@@ -226,7 +225,6 @@ class TestTransientState:
                          tokenize_frame(frame, weights), weights)
         np.testing.assert_array_equal(state.tokens.values, want.values)
         assert state.state_time == 1000
-        assert state.frame_anchor_time == 1000
 
     def test_empty_batch_skip_is_bit_identical(self):
         rng = np.random.default_rng(10)
@@ -236,7 +234,6 @@ class TestTransientState:
         out = taf_update(state, make_batch([], 1000, 2000), weights)
         assert out.tokens.values is state.tokens.values
         assert out.state_time == 2000
-        assert out.frame_anchor_time == 1000
 
     def test_time_regression_rejected(self):
         rng = np.random.default_rng(11)
@@ -340,11 +337,11 @@ class TestPyramidDecoder:
         rng = np.random.default_rng(19)
         weights = small_weights(seed=20, d=8)
         pyr = decode_pyramid(rng.normal(size=(1, 4, 6, 8)), weights)
-        assert [lvl.shape for lvl in pyr.levels] == [
+        assert [lvl.shape for lvl in pyr] == [
             (1, 4, 6, 64), (1, 4, 6, 32), (1, 4, 6, 16)]
         # the maps they stand for, at strides patch / 2**l
-        assert upsample(pyr.levels[1], 2).shape == (1, 8, 12, 32)
-        assert upsample(pyr.levels[2], 4).shape == (1, 16, 24, 16)
+        assert upsample(pyr[1], 2).shape == (1, 8, 12, 32)
+        assert upsample(pyr[2], 4).shape == (1, 16, 24, 16)
 
     def test_matches_manual_composition(self):
         """Upsampled, the levels equal the full-resolution decoder:
@@ -357,17 +354,17 @@ class TestPyramidDecoder:
         l1 = upsample(l0, 2) @ weights["dec.w1"] + weights["dec.b1"]
         l2 = upsample(l1, 2) @ weights["dec.w2"] + weights["dec.b2"]
         for lvl, want in enumerate((l0, l1, l2)):
-            assert np.array_equal(upsample(pyr.levels[lvl][0], 2 ** lvl), want)
+            assert np.array_equal(upsample(pyr[lvl][0], 2 ** lvl), want)
 
     def test_window_decode_equals_per_state_decodes(self):
         rng = np.random.default_rng(22)
         weights = small_weights(seed=23, d=8)
         x = rng.normal(size=(5, 3, 4, 8))
         window = decode_pyramid(x, weights)
-        for lvl, stacked in enumerate(window.levels):
+        for lvl, stacked in enumerate(window):
             assert stacked.shape[0] == 5
             for t in range(5):
-                single = decode_pyramid(x[t:t + 1], weights).levels[lvl]
+                single = decode_pyramid(x[t:t + 1], weights)[lvl]
                 assert np.array_equal(stacked[t], single[0])
 
 
@@ -623,8 +620,7 @@ def live_patches(tensor, patch):
 
 
 def grid_state(rng, grid, d):
-    return TransientState(tokens=random_tokens(rng, grid, d),
-                          state_time=1000, frame_anchor_time=1000)
+    return TransientState(tokens=random_tokens(rng, grid, d), state_time=1000)
 
 
 SPARSE_PATCH = 4

@@ -10,8 +10,6 @@ import numpy as np
 import tapfuse
 import tapfuse.arrayio  # noqa: F401  (the harness wraps these modules too)
 import tapfuse.cli  # noqa: F401
-from tapfuse.fusion import FeaturePyramid
-from tapfuse.tracker import TrackState
 from tapfuse.weights import FusionConfig, WeightBundle
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -31,14 +29,12 @@ def test_install_attributes_refiner_work_and_uninstall_restores():
     try:
         tracing.install(tracer, tapfuse)
         assert tapfuse.tracker.sample_patch is not original
-        weights = WeightBundle.initialize(FusionConfig(window=4), seed=0)
+        weights = WeightBundle.initialize(
+            FusionConfig(window=4, iterations=2), seed=0)
         rng = np.random.default_rng(0)
-        pyramid = FeaturePyramid(levels=tuple(
-            rng.normal(size=(4, 8, 8, c)) for c in (64, 32, 16)))
-        state = TrackState(positions=rng.uniform(10, 50, size=(4, 2)),
-                           visibility_logits=np.zeros(4),
-                           window_times=np.arange(4) * 1000)
-        tapfuse.tracker.refine_track(state, pyramid, weights, iterations=2)
+        levels = tuple(rng.normal(size=(4, 8, 8, c)) for c in (64, 32, 16))
+        tapfuse.tracker.refine_track(rng.uniform(10, 50, size=(4, 2)),
+                                     np.zeros(4), levels, weights)
     finally:
         tracer.uninstall()
     assert tapfuse.tracker.sample_patch is original

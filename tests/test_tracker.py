@@ -15,7 +15,6 @@ from tapfuse.synth import SceneConfig, SceneObject, render_intensity_video, simu
 from tapfuse.tracker import (
     QueryPoint,
     TrackSet,
-    TrackState,
     _motion_encoding,
     _refiner_transformer,
     correlation_features,
@@ -25,7 +24,7 @@ from tapfuse.tracker import (
     serialize_track_set,
     track_sequence,
 )
-from tapfuse.fusion import FeaturePyramid, sinusoidal_encoding
+from tapfuse.fusion import sinusoidal_encoding
 from tapfuse.weights import FusionConfig, WeightBundle
 
 from test_fusion import traced_peak
@@ -107,14 +106,19 @@ class TestCorrelationFeatures:
 def make_pyramids(rng, n, channels=(64, 32, 16), size=8):
     """A window pyramid of random token-resolution levels, (n, size, size,
     C_l) each: what decode_pyramid gives for a size x size token grid."""
-    return FeaturePyramid(levels=tuple(rng.normal(size=(n, size, size, c))
-                                       for c in channels))
+    return tuple(rng.normal(size=(n, size, size, c)) for c in channels)
 
 
 def upsample(level, block):
     """The full-resolution map a token-resolution level stands for: each
     token repeated into a block x block square (nearest neighbour)."""
     return np.repeat(np.repeat(level, block, axis=-3), block, axis=-2)
+
+
+def with_iterations(weights, m):
+    """weights refining m times: the same arrays under another config."""
+    return dataclasses.replace(
+        weights, config=dataclasses.replace(weights.config, iterations=m))
 
 
 def randomized_refiner(seed):
@@ -128,70 +132,70 @@ def randomized_refiner(seed):
 
 
 class TestRefineTrack:
-    def make_state(self, rng, w=4):
-        return TrackState(
-            positions=rng.uniform(10, 40, size=(w, 2)),
-            visibility_logits=rng.normal(size=w),
-            window_times=np.arange(w) * 1000)
+    def make_track(self, rng, w=4):
+        """(W, 2) positions and W visibility logits."""
+        return rng.uniform(10, 40, size=(w, 2)), rng.normal(size=w)
 
     def test_zero_initialized_head_is_identity(self):
         rng = np.random.default_rng(4)
         weights = WeightBundle.initialize(FusionConfig(window=4), seed=5)
-        state = self.make_state(rng)
+        pos, logit = self.make_track(rng)
         pyrs = make_pyramids(rng, 4)
-        out = refine_track(state, pyrs, weights)
-        np.testing.assert_array_equal(out.positions, state.positions)
-        np.testing.assert_array_equal(out.visibility_logits,
-                                      state.visibility_logits)
+        out_pos, out_logit = refine_track(pos, logit, pyrs, weights)
+        np.testing.assert_array_equal(out_pos, pos)
+        np.testing.assert_array_equal(out_logit, logit)
 
     def test_iterations_compose(self):
         rng = np.random.default_rng(5)
         weights = randomized_refiner(6)
-        state = self.make_state(rng)
+        track = self.make_track(rng)
         pyrs = make_pyramids(rng, 4)
-        fused = refine_track(state, pyrs, weights, iterations=3)
-        step = state
+        fused = refine_track(*track, pyrs, with_iterations(weights, 3))
+        step = track
         for _ in range(3):
-            step = refine_track(step, pyrs, weights, iterations=1)
-        np.testing.assert_allclose(fused.positions, step.positions, atol=1e-12)
-        np.testing.assert_allclose(fused.visibility_logits,
-                                   step.visibility_logits, atol=1e-12)
+            step = refine_track(*step, pyrs, with_iterations(weights, 1))
+        np.testing.assert_allclose(fused[0], step[0], atol=1e-12)
+        np.testing.assert_allclose(fused[1], step[1], atol=1e-12)
 
     def test_deterministic_and_input_preserved(self):
         rng = np.random.default_rng(6)
         weights = randomized_refiner(7)
-        state = self.make_state(rng)
-        snapshot = state.positions.copy()
+        pos, logit = self.make_track(rng)
+        snapshot = pos.copy()
         pyrs = make_pyramids(rng, 4)
-        a = refine_track(state, pyrs, weights)
-        b = refine_track(state, pyrs, weights)
-        np.testing.assert_array_equal(a.positions, b.positions)
-        np.testing.assert_array_equal(state.positions, snapshot)
+        a = refine_track(pos, logit, pyrs, weights)
+        b = refine_track(pos, logit, pyrs, weights)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(pos, snapshot)
 
     def test_read_only_inputs_give_the_same_result(self):
         """track_sequence passes views of its output arrays, which
         refine_track only reads."""
         rng = np.random.default_rng(9)
         weights = randomized_refiner(10)
-        state = self.make_state(rng)
+        pos, logit = self.make_track(rng)
         pyrs = make_pyramids(rng, 4)
-        frozen = TrackState(positions=state.positions.copy(),
-                            visibility_logits=state.visibility_logits.copy(),
-                            window_times=state.window_times.copy())
-        for arr in (frozen.positions, frozen.visibility_logits,
-                    frozen.window_times):
+        frozen = pos.copy(), logit.copy()
+        for arr in frozen:
             arr.flags.writeable = False
-        got = refine_track(frozen, pyrs, weights)
-        want = refine_track(state, pyrs, weights)
-        assert not np.array_equal(got.positions, state.positions)
-        assert np.array_equal(got.positions, want.positions)
-        assert np.array_equal(got.visibility_logits, want.visibility_logits)
+        got = refine_track(*frozen, pyrs, weights)
+        want = refine_track(pos, logit, pyrs, weights)
+        assert not np.array_equal(got[0], pos)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
 
     def test_pyramid_count_must_match_window(self):
         rng = np.random.default_rng(7)
         weights = WeightBundle.initialize(FusionConfig(window=4), seed=8)
         with pytest.raises(ShapeMismatch):
-            refine_track(self.make_state(rng), make_pyramids(rng, 3), weights)
+            refine_track(*self.make_track(rng), make_pyramids(rng, 3), weights)
+
+    def test_zero_iterations_rejected(self):
+        rng = np.random.default_rng(8)
+        weights = WeightBundle.initialize(FusionConfig(window=4), seed=9)
+        with pytest.raises(ShapeMismatch, match="iteration count"):
+            refine_track(*self.make_track(rng), make_pyramids(rng, 4),
+                         with_iterations(weights, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -220,35 +224,34 @@ def loop_sample_patch(level, center, r, stride=1):
     return patch
 
 
-def loop_refine_track(state, dense_levels, weights, iterations):
+def loop_refine_track(positions, logits, dense_levels, weights):
     """refine_track on the full-resolution maps of the window pyramid
     (level l is (W, h_l, w_l, C_l) at stride patch / 2**l), sampling one
     window step at a time."""
     cfg = weights.config
     r = cfg.patch_radius
-    state = dataclasses.replace(state)
-    for _ in range(iterations):
+    for _ in range(cfg.iterations):
         patches_per_level = []
         for lvl in range(3):
             stride = cfg.patch / 2 ** lvl
             taps = []
             for t, level in enumerate(dense_levels[lvl]):
-                patch = loop_sample_patch(level, tuple(state.positions[t]), r,
+                patch = loop_sample_patch(level, tuple(positions[t]), r,
                                           stride)
                 taps.append(patch.reshape(-1, patch.shape[-1]))
             patches_per_level.append(np.stack(taps))
         desc = correlation_features(patches_per_level, weights)
-        rel = state.positions - state.positions[0]
+        rel = positions - positions[0]
         tokens = np.concatenate(
-            [desc, state.visibility_logits[:, None],
+            [desc, logits[:, None],
              _motion_encoding(rel, cfg.motion_freqs)], axis=1)
         x = tokens @ weights["ref.in.w"] + weights["ref.in.b"]
         x = _refiner_transformer(
             x, weights, sinusoidal_encoding(np.arange(len(x)), cfg.refiner_width))
         delta = x @ weights["ref.head.w"] + weights["ref.head.b"]
-        state.positions = state.positions + delta[:, :2]
-        state.visibility_logits = state.visibility_logits + delta[:, 2]
-    return state
+        positions = positions + delta[:, :2]
+        logits = logits + delta[:, 2]
+    return positions, logits
 
 
 class TestWindowedRefinerExactness:
@@ -261,7 +264,7 @@ class TestWindowedRefinerExactness:
     def test_token_level_patch_equals_loop_on_upsampled_map(self, patch, lvl):
         rng = np.random.default_rng(30 + lvl)
         block, stride = 2 ** lvl, patch / 2 ** lvl
-        tokens = make_pyramids(rng, 6).levels[lvl]
+        tokens = make_pyramids(rng, 6)[lvl]
         dense = upsample(tokens, block)
         # interior, border-straddling and fully outside centres of the
         # 8 * patch px input
@@ -286,18 +289,17 @@ class TestWindowedRefinerExactness:
         rng = np.random.default_rng(seed + 40)
         w = weights.config.window
         pyramid = make_pyramids(rng, w)
-        dense = [upsample(lvl, 2 ** l) for l, lvl in enumerate(pyramid.levels)]
+        dense = [upsample(lvl, 2 ** l) for l, lvl in enumerate(pyramid)]
         # near and beyond the border of the 64 px input at every stride
         positions = rng.uniform(-12.0, 76.0, size=(w, 2))
         positions[0] = (0.5, 63.5)
-        state = TrackState(positions=positions,
-                           visibility_logits=rng.normal(size=w),
-                           window_times=np.arange(w) * 1000)
-        got = refine_track(state, pyramid, weights, iterations=3)
-        want = loop_refine_track(state, dense, weights, 3)
-        assert not np.array_equal(got.positions, state.positions)
-        assert np.array_equal(got.positions, want.positions)
-        assert np.array_equal(got.visibility_logits, want.visibility_logits)
+        logits = rng.normal(size=w)
+        assert weights.config.iterations == 3
+        got = refine_track(positions, logits, pyramid, weights)
+        want = loop_refine_track(positions, logits, dense, weights)
+        assert not np.array_equal(got[0], positions)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
 
 
 @pytest.mark.parametrize("patch", [4, 8, 16])
@@ -308,7 +310,8 @@ def test_refiner_reads_the_token_containing_each_centre(patch, monkeypatch):
     import tapfuse.tracker as tracker
 
     weights = WeightBundle.initialize(
-        FusionConfig(patch=patch, window=4, patch_radius=1), seed=0)
+        FusionConfig(patch=patch, window=4, patch_radius=1, iterations=1),
+        seed=0)
     n = 64 // patch
     rows, cols = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     token_ids = np.broadcast_to(np.stack([rows, cols], axis=-1).astype(float),
@@ -322,11 +325,7 @@ def test_refiner_reads_the_token_containing_each_centre(patch, monkeypatch):
 
     monkeypatch.setattr(tracker, "correlation_features", capture)
     cells = np.array([[0, 0], [1, 3], [n - 1, 2], [n - 1, n - 1]])  # (col, row)
-    state = TrackState(positions=cells * float(patch),
-                       visibility_logits=np.zeros(4),
-                       window_times=np.arange(4) * 1000)
-    refine_track(state, FeaturePyramid(levels=(token_ids,) * 3), weights,
-                 iterations=1)
+    refine_track(cells * float(patch), np.zeros(4), (token_ids,) * 3, weights)
     (levels,) = seen
     for patches in levels:
         centre_tap = patches[:, patches.shape[1] // 2]
@@ -442,12 +441,10 @@ class TestRefinerAllocationPeaks:
         w = weights.config.window
         rng = np.random.default_rng(61)
         pyramid = make_pyramids(rng, w)
-        state = TrackState(positions=rng.uniform(0.0, 64.0, size=(w, 2)),
-                           visibility_logits=np.zeros(w),
-                           window_times=np.arange(w) * 1000)
+        positions = rng.uniform(0.0, 64.0, size=(w, 2))
         patch_bytes = w * 49 * 64 * 8
-        assert traced_peak(refine_track, state, pyramid, weights) \
-            < 6.5 * patch_bytes
+        assert traced_peak(refine_track, positions, np.zeros(w), pyramid,
+                           weights) < 6.5 * patch_bytes
 
 
 def small_sequence(seed=0, n_query=48, frame_every=4, size=32):
@@ -465,17 +462,36 @@ def small_sequence(seed=0, n_query=48, frame_every=4, size=32):
     return frames, timeline, stream, gt
 
 
+def count_state_calls(monkeypatch):
+    """Patch tracker's taf_init and taf_update, the names track_sequence
+    calls, to count their calls in the returned dict."""
+    import tapfuse.tracker as tracker
+
+    counts = {"taf_init": 0, "taf_update": 0}
+
+    def counted(name):
+        fn = getattr(tracker, name)
+
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapped
+
+    for name in counts:
+        monkeypatch.setattr(tracker, name, counted(name))
+    return counts
+
+
 class TestTrackSequence:
-    def test_scheduler_cadence(self):
+    def test_scheduler_cadence(self, monkeypatch):
         frames, timeline, stream, _ = small_sequence()
         weights = WeightBundle.initialize(FusionConfig(), seed=0)
-        counters = {}
-        tracks = track_sequence(frames, list(timeline.frame_times), stream,
-                                timeline, [QueryPoint(0, 16.0, 16.0)],
-                                weights, counters=counters)
+        counts = count_state_calls(monkeypatch)
+        tracks = track_sequence(frames, stream, timeline,
+                                [QueryPoint(0, 16.0, 16.0)], weights)
         assert len(tracks.times) == 48
-        assert counters["taf_init"] == 12
-        assert counters["taf_update"] == 36
+        assert counts["taf_init"] == 12
+        assert counts["taf_update"] == 36
 
     def test_states_are_built_per_window_and_dropped_after_it(self,
                                                              monkeypatch):
@@ -506,7 +522,7 @@ class TestTrackSequence:
         monkeypatch.setattr(tracker, "taf_init", keep_ref(tracker.taf_init))
         monkeypatch.setattr(tracker, "taf_update", keep_ref(tracker.taf_update))
         monkeypatch.setattr(tracker, "temporal_attention", attend)
-        track_sequence(frames, list(timeline.frame_times), stream, timeline,
+        track_sequence(frames, stream, timeline,
                        [QueryPoint(0, 16.0, 16.0)], weights)
         # window starts 0, 8, 16, 24, 32 of 16 steps over 48 query steps
         assert seen == [(stop, 16, 16) for stop in (16, 24, 32, 40, 48)]
@@ -515,8 +531,7 @@ class TestTrackSequence:
         frames, timeline, stream, _ = small_sequence(seed=1)
         weights = WeightBundle.initialize(FusionConfig(), seed=1)
         q = QueryPoint(int(timeline.query_times[0]), 12.0, 20.0)
-        tracks = track_sequence(frames, list(timeline.frame_times), stream,
-                                timeline, [q], weights)
+        tracks = track_sequence(frames, stream, timeline, [q], weights)
         np.testing.assert_array_equal(tracks.positions[0, :, 0], 12.0)
         np.testing.assert_array_equal(tracks.positions[0, :, 1], 20.0)
         assert tracks.visibility[0].all()
@@ -525,8 +540,8 @@ class TestTrackSequence:
         frames, timeline, stream, _ = small_sequence(seed=2)
         weights = WeightBundle.initialize(FusionConfig(), seed=2)
         t_q = int(timeline.query_times[10])
-        tracks = track_sequence(frames, list(timeline.frame_times), stream,
-                                timeline, [QueryPoint(t_q, 8.0, 8.0)], weights)
+        tracks = track_sequence(frames, stream, timeline,
+                                [QueryPoint(t_q, 8.0, 8.0)], weights)
         assert not tracks.visibility[0, :10].any()
         assert tracks.visibility[0, 10:].all()
         np.testing.assert_array_equal(tracks.positions[0, :10],
@@ -536,10 +551,8 @@ class TestTrackSequence:
         frames, timeline, stream, _ = small_sequence(seed=3)
         weights = WeightBundle.initialize(FusionConfig(), seed=3)
         qs = [QueryPoint(0, 10.0, 10.0), QueryPoint(0, 22.0, 18.0)]
-        a = track_sequence(frames, list(timeline.frame_times), stream,
-                           timeline, qs, weights)
-        b = track_sequence(frames, list(timeline.frame_times), stream,
-                           timeline, qs, weights)
+        a = track_sequence(frames, stream, timeline, qs, weights)
+        b = track_sequence(frames, stream, timeline, qs, weights)
         np.testing.assert_array_equal(a.positions, b.positions)
         np.testing.assert_array_equal(a.visibility, b.visibility)
 
@@ -547,8 +560,8 @@ class TestTrackSequence:
         frames, timeline, stream, _ = small_sequence(seed=4)
         weights = WeightBundle.initialize(FusionConfig(), seed=4)
         with pytest.raises(QueryOutOfRange):
-            track_sequence(frames, list(timeline.frame_times), stream,
-                           timeline, [QueryPoint(123, 5.0, 5.0)], weights)
+            track_sequence(frames, stream, timeline,
+                           [QueryPoint(123, 5.0, 5.0)], weights)
 
     def test_first_step_must_carry_frame(self):
         frames, timeline, stream, _ = small_sequence(seed=5)
@@ -557,8 +570,7 @@ class TestTrackSequence:
                            query_times=list(timeline.query_times),
                            exposure_us=timeline.exposure_us)
         with pytest.raises(GridMismatch):
-            track_sequence(frames[1:], list(shifted.frame_times), stream,
-                           shifted, [], weights)
+            track_sequence(frames[1:], stream, shifted, [], weights)
 
 
 class TestTrackFileFormat:
