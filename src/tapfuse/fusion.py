@@ -15,6 +15,12 @@ analytic backward passes checked against central finite differences.
 A TransientState is the fused tokens and the time they stand for: a frame
 sets it and each event batch advances it. decode_pyramid returns a
 window's three levels as a plain tuple of arrays.
+
+Temporal attention attends across time at each token position, and the
+decoder mixes each token's channels, so neither mixes token positions:
+run on any two or more of a window's token columns, x[:, cols], they give
+the dense result's columns bit for bit. The tracker relies on that to
+decode a window only where its refiner reads.
 """
 
 from __future__ import annotations
@@ -413,7 +419,8 @@ def decode_pyramid(x: np.ndarray, weights: WeightBundle
     """Decode a (W, rows, cols, d) window of state tokens in one pass into
     the tuple of 3 token-resolution levels by chained channel mixes: level
     l is (W, rows, cols, C_l) with C_l = C_{l-1} @ dec.w_l + dec.b_l, slice
-    t being the decode of step t.
+    t being the decode of step t. The mixes act on the last axis alone, so
+    a (W, n, d) array of some of the window's tokens decodes the same way.
 
     Nearest-neighbour upsampling commutes with the per-token mixes, so
     level l, each token repeated into a 2**l x 2**l block, is the map an

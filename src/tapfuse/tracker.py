@@ -8,15 +8,29 @@ and visibility updates. The pyramid stays at token resolution: level l
 is read at stride patch / 2**l, each token covering a 2**l x 2**l block
 of sample points. track_sequence drives the transient-fusion state
 machine along the query-time grid and slides W-step windows with 50%
-overlap over the resulting states, decoding each window once into a
-pyramid that all queries share. A window track is two arrays, (W, 2)
+overlap over the resulting states. A window track is two arrays, (W, 2)
 positions and W visibility logits, which refine_track reads and returns
 refined.
+
+A window's pyramid, which all queries share, is decoded only at the
+tokens the refiner reads. Temporal attention attends across time at each
+token position and the decoder mixes each token's channels, so a token's
+levels depend on that token's states alone: both layers run on the
+union of the tokens around the queries' carried-in estimates, and a
+refiner iteration whose taps reach a token not decoded yet decodes it
+then. Any subset of two or more tokens decodes to the dense result's
+values bit for bit. numpy's matmul takes a vector path, with other
+rounding, for a one-row operand: so a single token is never decoded
+alone, and a one-token-wide grid, whose dense decode multiplies one-token
+rows, is decoded one token per row.
 """
 
 from __future__ import annotations
 
 import io
+import math
+import mmap
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import islice
 
@@ -233,7 +247,8 @@ def _refiner_transformer(x: np.ndarray, weights: WeightBundle,
 
 
 def refine_track(positions: np.ndarray, logits: np.ndarray,
-                 levels: tuple[np.ndarray, ...], weights: WeightBundle
+                 levels: tuple[np.ndarray, ...], weights: WeightBundle,
+                 fill: Callable[[np.ndarray], object] | None = None
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Apply weights.config.iterations residual (dx, dy, dv) updates to a
     window track of (W, 2) positions and W visibility logits; return the
@@ -241,18 +256,25 @@ def refine_track(positions: np.ndarray, logits: np.ndarray,
 
     levels is the window's decoded pyramid: level l is
     (W, rows, cols, C_l), one slice per window step, sampled with taps at
-    stride patch / 2**l and tokens of 2**l x 2**l points. The result is
-    built from new arrays; the inputs are only read, so they may be
-    views."""
+    stride patch / 2**l and tokens of 2**l x 2**l points. If levels is
+    only partly decoded, fill(positions) is called before each iteration
+    samples it and must decode every token that iteration's taps read.
+    The result is built from new arrays; the inputs are only read, so they
+    may be views."""
     cfg = weights.config
     if cfg.iterations < 1:
         raise ShapeMismatch("iteration count must be >= 1")
     w = len(positions)
+    if len(logits) != w:
+        raise ShapeMismatch(f"{len(logits)} visibility logits for {w} "
+                            f"window positions")
     if any(lvl.ndim != 4 or len(lvl) != w for lvl in levels):
         raise ShapeMismatch("one pyramid step per window step required")
     r = cfg.patch_radius
     pe = sinusoidal_encoding(np.arange(w), cfg.refiner_width)
     for _ in range(cfg.iterations):
+        if fill is not None:
+            fill(positions)
         patches_per_level = []
         for lvl in range(3):
             block = 2 ** lvl
@@ -285,6 +307,98 @@ def _window_starts(n_steps: int, window: int) -> list[int]:
     return starts
 
 
+def _nan_buffer(shape: tuple[int, ...]) -> np.ndarray:
+    """A NaN-filled float64 array in an anonymous memory mapping of its own,
+    which goes back to the OS when the array is freed. From malloc's heap,
+    the levels would stay resident after a track whenever the heap's freed
+    top is below glibc's trim threshold, and raise the peak of whatever
+    runs next."""
+    n = math.prod(shape)
+    buf = np.frombuffer(mmap.mmap(-1, max(8 * n, 1)), np.float64, count=n)
+    buf.fill(np.nan)
+    return buf.reshape(shape)
+
+
+class _WindowPyramid:
+    """The current window's pyramid, decoded only at the tokens the refiner
+    reads.
+
+    One instance serves every window of a sequence, each of `steps` states
+    on a (rows, cols) token grid: load makes a window's list of (N, d)
+    state arrays the current one, and levels holds the three
+    (steps, rows, cols, C_l) levels refine_track samples, allocated once.
+    A token's cells are NaN until cover decodes it, so a cell read before
+    it is decoded poisons the track instead of passing for a value."""
+
+    def __init__(self, steps: int, grid: tuple[int, int],
+                 weights: WeightBundle):
+        self.weights = weights
+        self.decoded = np.zeros(grid, dtype=bool)
+        self.states: list[np.ndarray] = []
+        self.levels = tuple(
+            _nan_buffer((steps, *grid, weights[f"dec.w{lvl}"].shape[1]))
+            for lvl in range(3))
+
+    def _tokens(self, level: np.ndarray) -> np.ndarray:
+        """(steps, N, C_l) view of a level."""
+        return level.reshape(len(level), self.decoded.size, -1)
+
+    def load(self, states: list[np.ndarray]) -> None:
+        """Make the window of these (N, d) states the current one, with no
+        token decoded: the cells the last window decoded go back to NaN."""
+        self.states = states
+        for level in self.levels:
+            self._tokens(level)[:, self.decoded.ravel()] = np.nan
+        self.decoded[:] = False
+
+    def _box(self, positions: np.ndarray) -> tuple[slice, slice]:
+        """Token rows and cols holding every token that sample_patch reads
+        around (W, 2) positions at any level. Level 0's taps reach
+        farthest, from r tokens before a centre's token to r + 1 after it;
+        one more token on each side covers the rounding of the tap
+        coordinates. A centre that is not finite, or so far out that its
+        taps' int64 cast overflows, gets the whole grid."""
+        cfg = self.weights.config
+        reach = cfg.patch_radius + 1
+        lo = (np.floor(positions.min(axis=0) / cfg.patch) - reach).tolist()
+        hi = (np.floor(positions.max(axis=0) / cfg.patch) + reach + 1).tolist()
+        if not all(abs(v) < 2.0 ** 40 for v in lo + hi):
+            return slice(None), slice(None)
+        last = self.decoded.shape[::-1]                  # cols, rows
+        (c0, r0), (c1, r1) = ([int(min(max(v, 0.0), n - 1))
+                               for v, n in zip(end, last)] for end in (lo, hi))
+        return slice(r0, r1 + 1), slice(c0, c1 + 1)
+
+    def cover(self, *tracks: np.ndarray) -> None:
+        """Decode every token the refiner reads around the (W, 2) tracks
+        that is not decoded yet, in one temporal attention and decoder
+        pass over just those tokens."""
+        if self.decoded.all():
+            return
+        boxes = [self._box(positions) for positions in tracks]
+        if all(self.decoded[box].all() for box in boxes):
+            return
+        need = np.zeros_like(self.decoded)
+        for box in boxes:
+            need[box] = True
+        tokens = np.flatnonzero(need & ~self.decoded)
+        if len(tokens) == 1 and need.size > 1:
+            # one token alone would take matmul's vector path: add another
+            tokens = np.append(tokens, (tokens[0] + 1) % need.size)
+        x = np.empty((len(self.states), len(tokens), self.states[0].shape[1]))
+        for step, state in zip(x, self.states):
+            state.take(tokens, axis=0, out=step)
+        x = temporal_attention(x, self.weights)
+        if self.decoded.shape[1] == 1:
+            # a dense decode of a one-column grid multiplies rows of one
+            # token, on the vector path: decode one token per row too
+            x = x[:, :, None]
+        for level, part in zip(self.levels, decode_pyramid(x, self.weights)):
+            self._tokens(level)[:, tokens] = part.reshape(len(x), len(tokens),
+                                                          -1)
+        self.decoded.flat[tokens] = True
+
+
 def track_sequence(frames: np.ndarray, stream: EventStream,
                    timeline: Timeline, queries: list[QueryPoint],
                    weights: WeightBundle) -> TrackSet:
@@ -299,7 +413,7 @@ def track_sequence(frames: np.ndarray, stream: EventStream,
     qtimes = np.asarray(timeline.query_times, dtype=np.int64)
     n_steps = len(qtimes)
     ft = timeline.frame_times
-    if ft[0] != int(qtimes[0]):
+    if not ft or ft[0] != int(qtimes[0]):
         raise GridMismatch("the first query step must carry a frame")
     if len(frames) != len(ft):
         raise GridMismatch("one frame per frame time required")
@@ -338,31 +452,31 @@ def track_sequence(frames: np.ndarray, stream: EventStream,
     states = step_states()
     live: list[TransientState] = []
     first = 0
+    pyramid = None
     for start in _window_starts(n_steps, w):
         stop = min(start + w, n_steps)
         del live[:start - first]
         first = start
         live.extend(islice(states, stop - start - len(live)))
-        x = temporal_attention(np.stack([s.tokens.values for s in live]),
-                               weights)
-        levels = decode_pyramid(
-            x.reshape(len(live), *live[0].tokens.grid, -1), weights)
-        for qi in range(n_q):
-            if active_from[qi] >= stop:
-                continue
+        active = [qi for qi in range(n_q) if active_from[qi] < stop]
+        if pyramid is None:   # every window has min(W, n_steps) steps
+            pyramid = _WindowPyramid(len(live), live[0].tokens.grid, weights)
+        pyramid.load([s.tokens.values for s in live])
+        # one decode for what all the carried-in estimates read; a refiner
+        # iteration that reaches beyond it decodes the rest
+        pyramid.cover(*(out_pos[qi, start:stop] for qi in active))
+        for qi in active:
             # steps not yet covered by a previous window start from the
             # last carried-over estimate; refine_track only reads the views
             pos, logit = refine_track(out_pos[qi, start:stop],
-                                      out_logit[qi, start:stop], levels,
-                                      weights)
+                                      out_logit[qi, start:stop],
+                                      pyramid.levels, weights, pyramid.cover)
             out_pos[qi, start:stop] = pos
             out_logit[qi, start:stop] = logit
             # carry the freshest estimate into steps beyond this window
             if stop < n_steps:
                 out_pos[qi, stop:] = pos[-1]
                 out_logit[qi, stop:] = logit[-1]
-        # free this window's levels before the next window decodes its own
-        del levels
 
     visibility = (out_logit > 0).astype(np.int64)
     for qi in range(n_q):

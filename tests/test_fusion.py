@@ -368,6 +368,48 @@ class TestPyramidDecoder:
                 assert np.array_equal(stacked[t], single[0])
 
 
+@st.composite
+def token_subsets(draw):
+    """A (T, rows, cols) window shape and a subset of at least two of its
+    rows * cols token positions, in any order."""
+    t_len = draw(st.integers(1, 16))
+    rows = draw(st.integers(1, 12))
+    cols = draw(st.integers(2 if rows == 1 else 1, 12))
+    n = rows * cols
+    subset = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n,
+                           unique=True))
+    return t_len, rows, cols, subset
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=token_subsets(), d=st.sampled_from([8, 24, 64]),
+       seed=st.integers(0, 2**16))
+def test_attention_and_decoder_act_per_token_column(drawn, d, seed):
+    """The tracker decodes a window only at the tokens its refiner reads:
+    temporal attention and the decoder on any two or more token columns
+    give the dense window's values for them bit for bit. A layer that
+    mixed token positions would fail here.
+
+    The columns are decoded as the tracker decodes them: as one row of
+    tokens, or one token per row where the grid is one token wide, since
+    the dense decode then multiplies one-token rows, which matmul rounds
+    on its vector path."""
+    t_len, rows, cols, subset = drawn
+    weights = perturbed_weights(seed % 50, d=d)
+    x = np.random.default_rng(seed).normal(size=(t_len, rows * cols, d))
+    dense = temporal_attention(x, weights)
+    dense_levels = decode_pyramid(dense.reshape(t_len, rows, cols, d),
+                                  weights)
+    part = temporal_attention(x[:, subset], weights)
+    assert np.array_equal(part.view(np.uint64),
+                          dense[:, subset].view(np.uint64))
+    rows_of = part if cols > 1 else part[:, :, None]
+    for got, want in zip(decode_pyramid(rows_of, weights), dense_levels):
+        got = got.reshape(t_len, len(subset), -1)
+        want = want.reshape(t_len, rows * cols, -1)[:, subset]
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 # ---------------------------------------------------------------------------
 # In-place forward passes
 # ---------------------------------------------------------------------------

@@ -10,7 +10,10 @@ import numpy as np
 import tapfuse
 import tapfuse.arrayio  # noqa: F401  (the harness wraps these modules too)
 import tapfuse.cli  # noqa: F401
+from tapfuse.tracker import QueryPoint
 from tapfuse.weights import FusionConfig, WeightBundle
+
+from test_tracker import drifting_weights, small_sequence
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -43,3 +46,26 @@ def test_install_attributes_refiner_work_and_uninstall_restores():
     # one windowed gather per level per iteration
     assert counts["tracker.sample_patch_calls"] == 3 * 2
     assert counts["tracker.correlation_s"] >= 0.0
+
+
+def test_one_temporal_attention_call_per_window_of_a_one_query_track():
+    """The tracker decodes each window only at the tokens its refiner
+    reads; a query whose estimates stay near their token still costs one
+    temporal attention call per window, so fusion.windows counts
+    windows."""
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    frames, timeline, stream, _ = small_sequence()
+    weights = drifting_weights(drift=0.0)
+    try:
+        tracing.install(tracer, tapfuse)
+        tapfuse.tracker.track_sequence(frames, stream, timeline,
+                                       [QueryPoint(0, 16.0, 16.0)], weights)
+    finally:
+        tracer.uninstall()
+    counts = tracer.snapshot()
+    # window starts 0, 8, 16, 24, 32 of 16 steps over 48 query steps
+    assert counts["fusion.windows"] == 5
+    assert counts["tracker.refine_calls"] == 5
+    assert counts["tracker.sample_patch_calls"] == (
+        3 * weights.config.iterations * counts["tracker.refine_calls"])

@@ -10,13 +10,15 @@ from tapfuse.errors import (
     ShapeMismatch,
     TapfuseError,
 )
-from tapfuse.events import Timeline
+from tapfuse.events import Timeline, bin_events, exposure_window_events
 from tapfuse.synth import SceneConfig, SceneObject, render_intensity_video, simulate_events
 from tapfuse.tracker import (
     QueryPoint,
     TrackSet,
     _motion_encoding,
     _refiner_transformer,
+    _window_starts,
+    _WindowPyramid,
     correlation_features,
     parse_track_set,
     refine_track,
@@ -24,7 +26,13 @@ from tapfuse.tracker import (
     serialize_track_set,
     track_sequence,
 )
-from tapfuse.fusion import sinusoidal_encoding
+from tapfuse.fusion import (
+    decode_pyramid,
+    sinusoidal_encoding,
+    taf_init,
+    taf_update,
+    temporal_attention,
+)
 from tapfuse.weights import FusionConfig, WeightBundle
 
 from test_fusion import traced_peak
@@ -196,6 +204,13 @@ class TestRefineTrack:
         with pytest.raises(ShapeMismatch, match="iteration count"):
             refine_track(*self.make_track(rng), make_pyramids(rng, 4),
                          with_iterations(weights, 0))
+
+    def test_logit_count_must_match_window(self):
+        rng = np.random.default_rng(10)
+        weights = WeightBundle.initialize(FusionConfig(window=4), seed=11)
+        pos, logit = self.make_track(rng)
+        with pytest.raises(ShapeMismatch, match="3 visibility logits for 4"):
+            refine_track(pos, logit[:3], make_pyramids(rng, 4), weights)
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +586,175 @@ class TestTrackSequence:
                            exposure_us=timeline.exposure_us)
         with pytest.raises(GridMismatch):
             track_sequence(frames[1:], stream, shifted, [], weights)
+
+
+    def test_timeline_without_frames_is_grid_mismatch(self):
+        weights = WeightBundle.initialize(FusionConfig(), seed=6)
+        timeline = Timeline(frame_times=[], query_times=[0, 10],
+                            exposure_us=5)
+        stream = small_sequence()[2]
+        with pytest.raises(GridMismatch, match="first query step"):
+            track_sequence(np.zeros((0, 32, 32)), stream, timeline, [],
+                           weights)
+
+
+# ---------------------------------------------------------------------------
+# Decoding each window only where the refiner reads
+# ---------------------------------------------------------------------------
+
+def drifting_weights(drift=5.0, **kw):
+    """The seeded init with small draws in every zero-init matrix, so every
+    layer contributes, and a refiner head bias that moves each estimate
+    drift px right per iteration, so the tracks cross tokens and leave the
+    sensor."""
+    weights = WeightBundle.initialize(FusionConfig(**kw), seed=0)
+    rng = np.random.default_rng(11)
+    for name, value in weights.params.items():
+        if value.ndim == 2 and not value.any():
+            weights.params[name] = rng.uniform(
+                -0.2, 0.2, size=value.shape) / np.sqrt(value.shape[0])
+    weights.params["ref.head.b"] = np.array([drift, 0.0, 0.0])
+    return weights
+
+
+def dense_track_sequence(frames, stream, timeline, queries, weights):
+    """track_sequence with every window decoded at all its tokens: temporal
+    attention and the decoder over the whole window, then refine_track on
+    the full levels. Returns (positions, visibility)."""
+    qtimes = list(timeline.query_times)
+    frame_at = {t: i for i, t in enumerate(timeline.frame_times)}
+    batches = bin_events(stream, timeline)
+    states = []
+    for step, t in enumerate(qtimes):
+        if t in frame_at:
+            batch = exposure_window_events(stream, t, timeline.exposure_us)
+            states.append(taf_init(frames[frame_at[t]], t, batch, weights))
+        else:
+            states.append(taf_update(states[-1], batches[step], weights))
+    n_steps, w = len(qtimes), weights.config.window
+    begin = [qtimes.index(q.t_q) for q in queries]
+    pos = np.array([[(q.x, q.y)] * n_steps for q in queries], dtype=float)
+    logit = np.ones((len(queries), n_steps))
+    for start in _window_starts(n_steps, w):
+        stop = min(start + w, n_steps)
+        window = states[start:stop]
+        x = temporal_attention(np.stack([s.tokens.values for s in window]),
+                               weights)
+        levels = decode_pyramid(
+            x.reshape(len(window), *window[0].tokens.grid, -1), weights)
+        for qi, a in enumerate(begin):
+            if a < stop:
+                p, lg = refine_track(pos[qi, start:stop],
+                                     logit[qi, start:stop], levels, weights)
+                pos[qi, start:stop], logit[qi, start:stop] = p, lg
+                pos[qi, stop:], logit[qi, stop:] = p[-1], lg[-1]
+    visibility = (logit > 0).astype(np.int64)
+    for qi, a in enumerate(begin):
+        pos[qi, :a] = queries[qi].x, queries[qi].y
+        visibility[qi, :a] = 0
+    return pos, visibility
+
+
+class TestOnDemandDecode:
+    def test_tracks_equal_the_dense_decode_to_the_last_bit(self, monkeypatch):
+        """On 16 x 16 tokens: a query in a corner, whose taps are clamped,
+        one that starts mid-window, and one the head drives off the
+        sensor."""
+        import tapfuse.tracker as tracker
+
+        frames, timeline, stream, _ = small_sequence(size=128)
+        weights = drifting_weights(patch_radius=1)
+        qs = [QueryPoint(int(timeline.query_times[step]), x, y)
+              for step, x, y in [(0, 1.0, 126.0), (5, 40.0, 30.0),
+                                 (0, 110.0, 60.0)]]
+        want = dense_track_sequence(frames, stream, timeline, qs, weights)
+        decoded = []
+
+        def attend(x, w):
+            decoded.append(x.shape[1])
+            return temporal_attention(x, w)
+
+        monkeypatch.setattr(tracker, "temporal_attention", attend)
+        got = track_sequence(frames, stream, timeline, qs, weights)
+        assert got.positions.tobytes() == want[0].tobytes()
+        assert got.visibility.tobytes() == want[1].tobytes()
+        assert (got.positions[:, -1, 0] > 128).any()
+        # the 5 windows decode well under half of their tokens, some only
+        # when a refiner iteration reaches them
+        assert len(decoded) > 5
+        assert sum(decoded) < 0.5 * 256 * 5
+
+    def window(self, seed, grid=(8, 8), steps=4):
+        """Drifting weights, a window of random states loaded into a
+        _WindowPyramid, and that window's dense levels."""
+        weights = drifting_weights(window=steps)
+        x = np.random.default_rng(seed).normal(
+            size=(steps, grid[0] * grid[1], weights.config.d))
+        pyramid = _WindowPyramid(steps, grid, weights)
+        pyramid.load(list(x))
+        dense = decode_pyramid(temporal_attention(x, weights).reshape(
+            steps, *grid, -1), weights)
+        return weights, pyramid, dense
+
+    def test_non_finite_centre_reads_no_undecoded_cell(self, monkeypatch):
+        """A level cell stays NaN until it is decoded, and sample_patch
+        multiplies the cells a NaN centre reads by 0: a cell read before
+        it was decoded makes a NaN patch where the dense levels give 0."""
+        import tapfuse.tracker as tracker
+
+        weights, pyramid, dense = self.window(12)
+        pos = np.random.default_rng(13).uniform(16.0, 40.0, size=(4, 2))
+        pos[2, 0] = np.nan
+        patches = []
+
+        def sample(*args):
+            patches.append(sample_patch(*args))
+            return patches[-1]
+
+        monkeypatch.setattr(tracker, "sample_patch", sample)
+        with np.errstate(invalid="ignore"):
+            want = refine_track(pos, np.zeros(4), dense, weights)
+            dense_patches, patches[:] = patches[:], []
+            got = refine_track(pos, np.zeros(4), pyramid.levels, weights,
+                               pyramid.cover)
+        assert len(patches) == len(dense_patches) == 3 * 3
+        for a, b in zip(patches, dense_patches):
+            assert a.tobytes() == b.tobytes()
+        assert not np.isnan(patches[0]).any()
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+    def test_a_lone_token_is_decoded_beside_another(self):
+        """One token alone would take matmul's vector path, whose rounding
+        differs from the dense decode's."""
+        weights, pyramid, dense = self.window(14)
+        pyramid.decoded[:] = True
+        pyramid.decoded[3, 4] = False
+        pyramid.cover(np.full((4, 2), (4.5 * 8, 3.5 * 8)))
+        assert pyramid.decoded.all()
+        for got, want in zip(pyramid.levels, dense):
+            assert got[:, 3, 4].tobytes() == want[:, 3, 4].tobytes()
+
+    def test_one_token_wide_grid_decodes_as_the_dense_decoder(self):
+        """The dense decoder multiplies a one-column grid one token at a
+        time, on matmul's vector path; the window decodes it so too."""
+        weights, pyramid, dense = self.window(16, grid=(8, 1))
+        pyramid.cover(np.full((4, 2), (4.0, 10.0)))
+        assert pyramid.decoded.sum() == 7   # rows 0..6, clamped at 0
+        for got, want in zip(pyramid.levels, dense):
+            assert got[:, :7].tobytes() == want[:, :7].tobytes()
+
+    def test_cover_decodes_the_box_around_the_taps(self):
+        weights, pyramid, dense = self.window(15, grid=(12, 12))
+        # centres in tokens (5, 6) and (6, 6); level 0 taps reach 3 tokens
+        # left and up and 4 right and down, plus a token of margin
+        pyramid.cover(np.array([[6.5, 5.5], [6.5, 6.5]]) * 8)
+        want = np.zeros((12, 12), dtype=bool)
+        want[1:12, 2:12] = True
+        assert np.array_equal(pyramid.decoded, want)
+        for got, ref in zip(pyramid.levels, dense):
+            assert got[:, want].tobytes() == ref[:, want].tobytes()
+            assert np.isnan(got[:, ~want]).all()
 
 
 class TestTrackFileFormat:
