@@ -8,19 +8,39 @@ the softmax weights, and a product takes its bias and residual adds, so
 an attention call holds one N x N array. taf_update attends to the
 tokens of the event patches that hold an event plus one shared key for
 all event-free patches, whose logit carries the log of their count, so
-its attention is N x (live + 1), not N x N. The two attention blocks that
-feed gradient verification (CLWF and temporal attention) also ship
-analytic backward passes checked against central finite differences.
+its attention is N x (live + 1), not N x N. The live patches are found
+from the batch's event coordinates: only a patch that holds an event is
+tested for a non-zero value. The two attention blocks that feed gradient
+verification (CLWF and temporal attention) also ship analytic backward
+passes checked against central finite differences.
 
 A TransientState is the fused tokens and the time they stand for: a frame
 sets it and each event batch advances it. decode_pyramid returns a
 window's three levels as a plain tuple of arrays.
 
+taf_update's event side (time surface, event tokens, keys and values)
+spans the sensor, but its state side (layer norm, query, softmax over the
+shared keys, output projection, residual) acts on one token row at a
+time. So a state may hold only some tokens: taf_update applies its batch
+to the tokens the state holds and keeps the batch's keys on the result,
+and _update_rows replays kept keys on more tokens later. The rows equal
+the dense update's bit for bit at every width: the layer norm, softmax
+and residual act on each row alone, and each of the four products runs
+at the dense call's shape, the rows at their token positions in an
+otherwise zero operand. A product of just the rows would not do: BLAS
+kernels round a row differently by where it falls in the operand's
+blocking, which depends on the row count and the widths (on OpenBLAS's
+Haswell kernels, at d = 17, 65 or 100, or with 1, 2 or 17 keys).
+
 Temporal attention attends across time at each token position, and the
-decoder mixes each token's channels, so neither mixes token positions:
-run on any two or more of a window's token columns, x[:, cols], they give
-the dense result's columns bit for bit. The tracker relies on that to
-decode a window only where its refiner reads.
+decoder mixes each token's channels, so neither mixes token positions.
+The tracker relies on that to decode a window only where its refiner
+reads, running both on just those token columns. For the same reason as
+above, that gives the dense result's columns bit for bit only at some
+widths: the tests pin it at d = 8, 24 and 64 (the default) with the
+default decoder channels; at d = 17, 65 and 100, or with decoder
+channels (33, 17, 9), the tracks differ from the dense ones in the last
+bits.
 """
 
 from __future__ import annotations
@@ -38,29 +58,47 @@ from .weights import WeightBundle
 _LN_EPS = 1e-6
 
 
+def _check_finite(values: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise ShapeMismatch("non-finite token values")
+    return values
+
+
 @dataclass(frozen=True)
 class Tokens:
-    """Token values on a rectangular token grid, row-major order."""
+    """Token values on a rectangular token grid, row-major order, or those
+    of some of its tokens: index lists the tokens values holds, in order."""
 
-    values: np.ndarray        # N x d
+    values: np.ndarray        # N x d, or len(index) x d
     grid: tuple[int, int]     # (rows, cols), N = rows * cols
+    index: np.ndarray | None = None
 
     def __post_init__(self):
         rows, cols = self.grid
-        if self.values.shape[0] != rows * cols:
+        n = rows * cols if self.index is None else len(self.index)
+        if self.values.shape[0] != n:
             raise ShapeMismatch(
-                f"{self.values.shape[0]} tokens on a {rows}x{cols} grid")
-        if not np.all(np.isfinite(self.values)):
-            raise ShapeMismatch("non-finite token values")
+                f"{self.values.shape[0]} values for {n} tokens of a "
+                f"{rows}x{cols} grid")
+        _check_finite(self.values)
+
+
+# an event batch's attention keys and values for taf_update's block, and the
+# logit bias per key (None when every patch holds an event)
+UpdateKeys = tuple[np.ndarray, np.ndarray, np.ndarray | None]
 
 
 @dataclass(frozen=True)
 class TransientState:
     """The fused token representation maintained between frames; a frame
-    sets state_time and each event batch advances it to the batch end."""
+    sets state_time and each event batch advances it to the batch end.
+    keys are those of the batch that made the state (None for a frame's
+    state or an empty batch's), so that rows the state does not hold can
+    be computed later."""
 
     tokens: Tokens
     state_time: int
+    keys: UpdateKeys | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -143,21 +181,18 @@ def _qkv(q_in, k_in, v_in, weights, prefix):
                  for n, x in zip("qkv", (q_in, k_in, v_in)))
 
 
-def _sdpa(q, k, v, key_bias=None):
+def _sdpa(q, k, v):
     """Scaled dot-product attention over the last two axes; returns the
-    readout and the attention weights, which live in the logits buffer.
-    key_bias, one value per key, is added to the scaled logits."""
+    readout and the attention weights, which live in the logits buffer."""
     logits = q @ np.swapaxes(k, -1, -2)
     logits /= np.sqrt(q.shape[-1])
-    if key_bias is not None:
-        logits += key_bias
     a = _softmax(logits)
     return a @ v, a
 
 
-def _attention_block(x, q_in, k_in, v_in, weights, prefix, key_bias=None):
-    """Residual attention block: x + sdpa(q, k, v, key_bias) @ wo + bo."""
-    read, _ = _sdpa(*_qkv(q_in, k_in, v_in, weights, prefix), key_bias)
+def _attention_block(x, q_in, k_in, v_in, weights, prefix):
+    """Residual attention block: x + sdpa(q, k, v) @ wo + bo."""
+    read, _ = _sdpa(*_qkv(q_in, k_in, v_in, weights, prefix))
     return _residual_out(x, read, weights[f"{prefix}.wo"],
                          weights[f"{prefix}.bo"])
 
@@ -278,17 +313,33 @@ def taf_init(frame: np.ndarray, frame_time: int, exposure_batch: EventBatch,
     return TransientState(tokens=fused, state_time=frame_time)
 
 
-def _live_event_tokens(tensor: EventTensor, weights: WeightBundle
+def _live_patches(blocks: np.ndarray, batch: EventBatch,
+                  patch: int) -> np.ndarray:
+    """(rows, cols) mask of the (rows, cols, patch, patch, C) blocks of
+    batch's time surface that hold a non-zero value. Only a patch that
+    holds one of the batch's events can, so only those are tested; an
+    event can still write a zero (one of polarity 0, or at a sub-window's
+    start)."""
+    live = np.zeros(blocks.shape[:2], dtype=bool)
+    live[batch.y // patch, batch.x // patch] = True
+    r, c = np.nonzero(live)
+    live[r, c] = blocks[r, c].any(axis=(1, 2, 3))
+    return live
+
+
+def _live_event_tokens(tensor: EventTensor, batch: EventBatch,
+                       weights: WeightBundle
                        ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Event tokens as attention keys: those of the patches that hold a
-    non-zero value, then, if any patch is all zero, one token standing for
-    them all, and the logit bias per key (None when no patch is all zero).
+    """Event tokens of batch's time surface as attention keys: those of the
+    patches that hold a non-zero value, then, if any patch is all zero, one
+    token standing for them all, and the logit bias per key (None when no
+    patch is all zero).
 
     An all-zero patch always tokenizes to zeros @ phi_e.w + phi_e.b, so its
     n_empty copies give n_empty equal keys and values; one copy whose logit
     is raised by log(n_empty) takes their joint softmax weight."""
     blocks = _patch_blocks(tensor.data, weights, "phi_e")
-    live = blocks.any(axis=(2, 3, 4))
+    live = _live_patches(blocks, batch, weights.config.patch)
     n_empty = live.size - np.count_nonzero(live)
     proj = weights["phi_e.w"]
     flat = blocks[live].reshape(-1, proj.shape[0])
@@ -297,10 +348,42 @@ def _live_event_tokens(tensor: EventTensor, weights: WeightBundle
         flat = np.concatenate([flat, np.zeros((1, proj.shape[0]))])
         key_bias = np.zeros(len(flat))
         key_bias[-1] = np.log(n_empty)
-    tokens = _linear(flat, proj, weights["phi_e.b"])
-    if not np.all(np.isfinite(tokens)):
-        raise ShapeMismatch("non-finite token values")
+    tokens = _check_finite(_linear(flat, proj, weights["phi_e.b"]))
     return tokens, key_bias
+
+
+def _at_rows(x: np.ndarray, w: np.ndarray, index: np.ndarray,
+             n: int) -> np.ndarray:
+    """The rows index of y @ w, where y is an (n, ·) array holding the rows
+    of x at index and zeros elsewhere: each row of the result is the row
+    of the dense (n, ·) product, whatever the BLAS's blocking."""
+    placed = np.zeros((n, x.shape[1]))
+    placed[index] = x
+    return (placed @ w)[index]
+
+
+def _update_rows(values: np.ndarray, index: np.ndarray, n: int,
+                 keys: UpdateKeys, weights: WeightBundle) -> np.ndarray:
+    """taf_update's state side on the (M, d) values of the tokens index
+    lists in an n-token state: the pre-norm residual block attending to
+    one batch's keys. Each row's result is the dense call's row bit for
+    bit: the layer norm, softmax and residual act on each row alone, and
+    the four products run at the dense shape (_at_rows), in the dense
+    call's order of operations."""
+    k, v, key_bias = keys
+    hq = _layer_norm(values, weights["upd.ln_state.g"],
+                     weights["upd.ln_state.b"])
+    q = _at_rows(hq, weights["upd.wq"], index, n)
+    q += weights["upd.bq"]
+    logits = _at_rows(q, k.T, index, n)
+    logits /= np.sqrt(q.shape[1])
+    if key_bias is not None:
+        logits += key_bias
+    read = _at_rows(_softmax(logits), v, index, n)
+    out = _at_rows(read, weights["upd.wo"], index, n)
+    out += values
+    out += weights["upd.bo"]
+    return out
 
 
 def taf_update(state: TransientState, batch: EventBatch,
@@ -310,24 +393,31 @@ def taf_update(state: TransientState, batch: EventBatch,
 
     The state attends to the tokens of the event patches that hold an
     event and to one shared key for all event-free patches, weighted by
-    their count, which equals attending to every event token."""
+    their count, which equals attending to every event token. The batch
+    updates the tokens the state holds, none or some or all, and its keys
+    stay on the result."""
     if batch.bin_end < state.state_time:
         raise TimeRegression(
             f"batch ends at {batch.bin_end} before state time {state.state_time}")
     if len(batch) == 0:
         return TransientState(tokens=state.tokens, state_time=batch.bin_end)
-    rows, cols = state.tokens.grid
+    tokens = state.tokens
+    rows, cols = tokens.grid
     patch = weights.config.patch
     etok, key_bias = _live_event_tokens(
         sbt_time_surface(batch, cols * patch, rows * patch,
-                         weights.config.subwindows), weights)
-    r = state.tokens.values
-    hq = _layer_norm(r, weights["upd.ln_state.g"], weights["upd.ln_state.b"])
+                         weights.config.subwindows), batch, weights)
     hk = _layer_norm(etok, weights["upd.ln_events.g"],
                      weights["upd.ln_events.b"])
-    out = _attention_block(r, hq, hk, hk, weights, "upd", key_bias)
-    return TransientState(tokens=Tokens(values=out, grid=state.tokens.grid),
-                          state_time=batch.bin_end)
+    keys = (*(_linear(hk, weights[f"upd.w{n}"], weights[f"upd.b{n}"])
+              for n in "kv"), key_bias)
+    values = tokens.values
+    if len(values):
+        index = (np.arange(rows * cols) if tokens.index is None
+                 else tokens.index)
+        values = _update_rows(values, index, rows * cols, keys, weights)
+    return TransientState(tokens=Tokens(values, tokens.grid, tokens.index),
+                          state_time=batch.bin_end, keys=keys)
 
 
 # ---------------------------------------------------------------------------

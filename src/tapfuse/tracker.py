@@ -12,17 +12,34 @@ overlap over the resulting states. A window track is two arrays, (W, 2)
 positions and W visibility logits, which refine_track reads and returns
 refined.
 
-A window's pyramid, which all queries share, is decoded only at the
-tokens the refiner reads. Temporal attention attends across time at each
-token position and the decoder mixes each token's channels, so a token's
-levels depend on that token's states alone: both layers run on the
-union of the tokens around the queries' carried-in estimates, and a
-refiner iteration whose taps reach a token not decoded yet decodes it
-then. Any subset of two or more tokens decodes to the dense result's
-values bit for bit. numpy's matmul takes a vector path, with other
-rounding, for a one-row operand: so a single token is never decoded
-alone, and a one-token-wide grid, whose dense decode multiplies one-token
-rows, is decoded one token per row.
+A window's states and pyramid, which all queries share, are computed
+only at the tokens the refiner reads. The state update acts on one token
+row at a time given its batch's keys, temporal attention attends across
+time at each token position and the decoder mixes each token's channels,
+so a token's levels depend only on its row of the last frame's state and
+on the keys of the steps since. Between frames at most W steps apart,
+the steps' states hold no rows but their batch's keys; for the union of
+the tokens around the queries' carried-in estimates, the tracker replays
+the rows from the last frame and runs both layers on them, and a refiner
+iteration whose taps reach a token not done yet does it then; from the
+first such iteration on, the rows of every token are computed, since a
+step's products cost as much for some rows as for all, and each further
+replay would pay them again. Between
+frames farther apart every state holds every row, as a frame's does, so
+that a replay, and the states kept for it, never span more than a
+window; the replays from one frame would otherwise grow with the square
+of the gap.
+
+The replayed rows equal the dense update's bit for bit at every width
+(see fusion). Decoding some token columns does so only at some widths:
+the tests pin the tracks to the dense computation's at d = 8, 24 and 64
+(the default) with the default decoder channels; at d = 17, 65 and 100,
+or with decoder channels (33, 17, 9), matmul rounds a subset of columns
+apart from the full product, and the tracks differ in the last bits.
+matmul also takes a vector path, with other rounding, for a one-row
+operand: so a single token is never decoded alone, and a one-token-wide
+grid, whose dense decode multiplies one-token rows, is decoded one token
+per row.
 """
 
 from __future__ import annotations
@@ -39,11 +56,14 @@ import numpy as np
 from .errors import GridMismatch, QueryOutOfRange, ShapeMismatch
 from .events import EventStream, Timeline, bin_events, exposure_window_events
 from .fusion import (
+    Tokens,
     TransientState,
     _attention_block,
+    _check_finite,
     _layer_norm,
     _linear,
     _residual_out,
+    _update_rows,
     decode_pyramid,
     sinusoidal_encoding,
     taf_init,
@@ -307,49 +327,96 @@ def _window_starts(n_steps: int, window: int) -> list[int]:
     return starts
 
 
-def _nan_buffer(shape: tuple[int, ...]) -> np.ndarray:
-    """A NaN-filled float64 array in an anonymous memory mapping of its own,
-    which goes back to the OS when the array is freed. From malloc's heap,
-    the levels would stay resident after a track whenever the heap's freed
-    top is below glibc's trim threshold, and raise the peak of whatever
-    runs next."""
+def _mapped(shape: tuple[int, ...], fill: float | None = None) -> np.ndarray:
+    """A float64 array of zeros, or of fill, in an anonymous memory mapping
+    of its own, which goes back to the OS when the array is freed. From
+    malloc's heap, the window's buffers would stay resident after a track
+    whenever the heap's freed top is below glibc's trim threshold, and
+    raise the peak of whatever runs next; and a page of zeros becomes
+    resident only when it is written."""
     n = math.prod(shape)
     buf = np.frombuffer(mmap.mmap(-1, max(8 * n, 1)), np.float64, count=n)
-    buf.fill(np.nan)
+    if fill is not None:
+        buf.fill(fill)
     return buf.reshape(shape)
 
 
 class _WindowPyramid:
-    """The current window's pyramid, decoded only at the tokens the refiner
-    reads.
+    """The current window's states and pyramid, computed only at the tokens
+    the refiner reads.
 
-    One instance serves every window of a sequence, each of `steps` states
-    on a (rows, cols) token grid: load makes a window's list of (N, d)
-    state arrays the current one, and levels holds the three
-    (steps, rows, cols, C_l) levels refine_track samples, allocated once.
-    A token's cells are NaN until cover decodes it, so a cell read before
-    it is decoded poisons the track instead of passing for a value."""
+    One instance serves every window of a sequence, each of `steps` steps
+    on a (rows, cols) token grid. load makes a window current from the
+    per-step states of track_sequence, each of which holds every token or
+    none; one that holds none keeps its batch's keys. states holds the
+    (steps, N, d) state rows and levels the three (steps, rows, cols, C_l)
+    levels refine_track samples, all allocated once. held counts, per
+    token, the leading window steps whose rows are in states; states is
+    left unfilled, so that only the pages of rows computed become
+    resident. A token's level cells are NaN until cover decodes it, so a
+    cell read before that poisons the track instead of passing for a
+    value."""
 
     def __init__(self, steps: int, grid: tuple[int, int],
                  weights: WeightBundle):
         self.weights = weights
         self.decoded = np.zeros(grid, dtype=bool)
-        self.states: list[np.ndarray] = []
+        self.held = np.zeros(self.decoded.size, dtype=np.int64)
+        self.start = 0
+        self.history: list[TransientState] = []
+        self.states = _mapped((steps, self.decoded.size, weights.config.d))
         self.levels = tuple(
-            _nan_buffer((steps, *grid, weights[f"dec.w{lvl}"].shape[1]))
+            _mapped((steps, *grid, weights[f"dec.w{lvl}"].shape[1]),
+                    fill=np.nan)
             for lvl in range(3))
 
     def _tokens(self, level: np.ndarray) -> np.ndarray:
         """(steps, N, C_l) view of a level."""
         return level.reshape(len(level), self.decoded.size, -1)
 
-    def load(self, states: list[np.ndarray]) -> None:
-        """Make the window of these (N, d) states the current one, with no
-        token decoded: the cells the last window decoded go back to NaN."""
-        self.states = states
+    def load(self, history: list[TransientState], start: int) -> None:
+        """Make the window of steps start, start + 1, ... current, with no
+        token decoded. history holds the per-step states from the last
+        one at or before start that holds every token to the window's
+        last step. The rows the last window computed at every step are
+        kept at the steps both windows share; the cells it decoded go back
+        to NaN."""
+        kept = self.held == len(self.states)
+        shared = self.start + len(self.states) - start
+        self.states[:shared, kept] = self.states[start - self.start:, kept]
+        self.held[:] = np.where(kept, shared, 0)
         for level in self.levels:
             self._tokens(level)[:, self.decoded.ravel()] = np.nan
         self.decoded[:] = False
+        self.history, self.start = history, start
+
+    def _state_rows(self, tokens: np.ndarray) -> None:
+        """Compute the window's state rows at tokens where they are not
+        held: each token from its first step not held, from the row before
+        it or, at the window start, from history's first state, through the
+        kept keys of each step. Every step runs one _update_rows call on
+        the rows that step needs."""
+        steps = len(self.states)
+        before = len(self.history) - steps    # steps replayed, not stored
+        held = self.held[tokens]
+        rows = None
+        for i, state in enumerate(self.history):
+            t = i - before
+            need = tokens[held <= max(t, 0)]
+            if not len(need):
+                continue
+            if state.tokens.index is None:     # the state holds every row
+                rows = state.tokens.values[need]
+            else:
+                if t > 0:
+                    rows = self.states[t - 1][need]
+                if state.keys is not None:
+                    rows = _check_finite(_update_rows(
+                        rows, need, self.decoded.size, state.keys,
+                        self.weights))
+            if t >= 0:
+                self.states[t][need] = rows
+        self.held[tokens] = steps
 
     def _box(self, positions: np.ndarray) -> tuple[slice, slice]:
         """Token rows and cols holding every token that sample_patch reads
@@ -370,9 +437,9 @@ class _WindowPyramid:
         return slice(r0, r1 + 1), slice(c0, c1 + 1)
 
     def cover(self, *tracks: np.ndarray) -> None:
-        """Decode every token the refiner reads around the (W, 2) tracks
-        that is not decoded yet, in one temporal attention and decoder
-        pass over just those tokens."""
+        """Compute the states of, and decode, every token the refiner reads
+        around the (W, 2) tracks that is not decoded yet, in one temporal
+        attention and decoder pass over just those tokens."""
         if self.decoded.all():
             return
         boxes = [self._box(positions) for positions in tracks]
@@ -385,10 +452,14 @@ class _WindowPyramid:
         if len(tokens) == 1 and need.size > 1:
             # one token alone would take matmul's vector path: add another
             tokens = np.append(tokens, (tokens[0] + 1) % need.size)
-        x = np.empty((len(self.states), len(tokens), self.states[0].shape[1]))
-        for step, state in zip(x, self.states):
-            state.take(tokens, axis=0, out=step)
-        x = temporal_attention(x, self.weights)
+        # once a refiner iteration reaches past the first pass, compute the
+        # rows of every token, here and, as they are all held, in every
+        # later window: a step's products run at the dense shape, so they
+        # cost as much for some rows as for all, and each further replay
+        # would pay them again
+        self._state_rows(np.arange(need.size)
+                         if self.decoded.any() or self.held.all() else tokens)
+        x = temporal_attention(self.states[:, tokens], self.weights)
         if self.decoded.shape[1] == 1:
             # a dense decode of a one-column grid multiplies rows of one
             # token, on the vector path: decode one token per row too
@@ -424,19 +495,34 @@ def track_sequence(frames: np.ndarray, stream: EventStream,
 
     frame_at = {t: i for i, t in enumerate(ft)}
     batches = bin_events(stream, timeline)
+    w = weights.config.window
+    # full[step]: the step's state holds every token, as a frame's does,
+    # and so do the states between frames more than W steps apart; the
+    # states between closer frames hold none. anchor[step] is the last
+    # step at or before it whose state holds every token.
+    frame_steps = [step for step, t in enumerate(qtimes) if int(t) in frame_at]
+    full = np.zeros(n_steps, dtype=bool)
+    for f, g in zip(frame_steps, frame_steps[1:] + [n_steps]):
+        full[f:g if g - f > w else f + 1] = True
+    anchor = np.maximum.accumulate(np.where(full, np.arange(n_steps), 0))
 
     def step_states():
-        state = None
+        """Each step's state. taf_update on a state that holds no token
+        runs only the batch's event side and keeps its keys, from which
+        the pyramid computes the rows it needs."""
         for step, t in enumerate(qtimes):
             t = int(t)
             if t in frame_at:
                 batch = exposure_window_events(stream, t, timeline.exposure_us)
                 state = taf_init(frames[frame_at[t]], t, batch, weights)
             else:
+                if not full[step]:   # update a state that holds no token
+                    state = TransientState(Tokens(
+                        state.tokens.values[:0], state.tokens.grid,
+                        np.arange(0)), state.state_time)
                 state = taf_update(state, batches[step], weights)
             yield state
 
-    w = weights.config.window
     n_q = len(queries)
     out_pos = np.zeros((n_q, n_steps, 2))
     out_logit = np.zeros((n_q, n_steps))
@@ -447,23 +533,25 @@ def track_sequence(frames: np.ndarray, stream: EventStream,
         out_logit[qi, :] = 1.0
 
     # live holds the states of steps first, first + 1, ...: each is built
-    # when a window first reaches its step and dropped once the windows
-    # start past it, so at most W are alive
+    # when a window first reaches its step, and dropped once the windows
+    # start at or past a later state that holds every token, from which
+    # the rows replay; so fewer than 2 W are alive
     states = step_states()
     live: list[TransientState] = []
     first = 0
     pyramid = None
     for start in _window_starts(n_steps, w):
         stop = min(start + w, n_steps)
-        del live[:start - first]
-        first = start
-        live.extend(islice(states, stop - start - len(live)))
+        del live[:anchor[start] - first]
+        first = int(anchor[start])
+        live.extend(islice(states, stop - first - len(live)))
         active = [qi for qi in range(n_q) if active_from[qi] < stop]
         if pyramid is None:   # every window has min(W, n_steps) steps
-            pyramid = _WindowPyramid(len(live), live[0].tokens.grid, weights)
-        pyramid.load([s.tokens.values for s in live])
-        # one decode for what all the carried-in estimates read; a refiner
-        # iteration that reaches beyond it decodes the rest
+            pyramid = _WindowPyramid(stop - start, live[0].tokens.grid,
+                                     weights)
+        pyramid.load(live, start)
+        # one pass for what all the carried-in estimates read; a refiner
+        # iteration that reaches beyond it computes the rest
         pyramid.cover(*(out_pos[qi, start:stop] for qi in active))
         for qi in active:
             # steps not yet covered by a previous window start from the

@@ -22,10 +22,12 @@ from tapfuse.fusion import (
     _attention_block,
     _layer_norm,
     _linear,
+    _live_patches,
     _neighbor_table,
     _residual_out,
     _sdpa,
     _softmax,
+    _update_rows,
     clwf_backward,
     clwf_fuse,
     decode_pyramid,
@@ -767,6 +769,102 @@ class TestSparseTafUpdate:
                             for t in tiles for _ in range(4)], 1000, 2000)
         state = grid_state(rng, (32, 32), 64)
         assert traced_peak(taf_update, state, batch, weights) < 0.5 * n * n * 8
+
+
+@st.composite
+def keyed_row_subsets(draw):
+    """A token grid of patch-4 tokens, a batch in (1000, 2000] that leaves
+    n_keys - 1 patches live, so that taf_update attends to n_keys keys
+    (the last shared by the event-free patches), and a subset of the token
+    rows in any order. Each batch also holds one polarity-0 event, worth 0
+    in the time surface, in an event-free patch: with n_keys = 1 it is the
+    batch's only event."""
+    n_keys = draw(st.sampled_from([1, 2, 17, 33]))
+    rows = draw(st.integers(1, 7))
+    lo = max(-(-n_keys // rows), 2 if rows == 1 else 1)
+    cols = draw(st.integers(lo, max(lo, 9)))
+    n = rows * cols
+    tiles = draw(st.permutations(range(n)))
+    pix = st.integers(0, 3)
+    t = st.integers(1001, 2000)
+
+    def event(tile, p):
+        r, c = divmod(tile, cols)
+        return Event(x=4 * c + draw(pix), y=4 * r + draw(pix), t=draw(t), p=p)
+
+    events = [event(tile, draw(st.sampled_from([-1, 1])))
+              for tile in tiles[:n_keys - 1]
+              for _ in range(draw(st.integers(1, 2)))]
+    events.append(event(tiles[-1], 0))
+    subset = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                           unique=True))
+    return (rows, cols), n_keys, make_batch(events, 1000, 2000), subset
+
+
+@settings(max_examples=120, deadline=None)
+@given(drawn=keyed_row_subsets(),
+       d=st.sampled_from([8, 17, 24, 64, 65, 100]),
+       seed=st.integers(0, 2**16))
+def test_state_rows_equal_the_dense_update_rows(drawn, d, seed):
+    """The tracker computes a step's state only at the token rows its
+    refiner reads: taf_update on a state holding some rows, and
+    _update_rows replaying the batch's kept keys on them, give the dense
+    update's rows bit for bit. Token counts need not be multiples of 8,
+    and the widths and key counts include those at which a product of a
+    few rows rounds apart from the dense product's rows (d = 17, 65, 100;
+    1, 2 or 17 keys), and a lone row, which matmul would multiply on its
+    vector path."""
+    grid, n_keys, batch, subset = drawn
+    weights = perturbed_weights(seed % 50, d=d, patch=4)
+    state = grid_state(np.random.default_rng(seed), grid, d)
+    dense = taf_update(state, batch, weights)
+    assert len(dense.keys[0]) == n_keys
+    rows = np.array(subset)
+    part = TransientState(Tokens(state.tokens.values[rows], grid, rows),
+                          state.state_time)
+    want = dense.tokens.values[rows].view(np.uint64)
+    got = taf_update(part, batch, weights)
+    assert np.array_equal(got.tokens.index, rows)
+    assert np.array_equal(got.tokens.values.view(np.uint64), want)
+    replayed = _update_rows(state.tokens.values[rows], rows,
+                            grid[0] * grid[1], dense.keys, weights)
+    assert np.array_equal(replayed.view(np.uint64), want)
+
+
+def test_a_state_without_rows_runs_only_the_event_side():
+    rng = np.random.default_rng(59)
+    weights = perturbed_weights(60, d=8, patch=4)
+    batch = make_batch([Event(5, 2, 1500, 1), Event(1, 1, 1600, -1)],
+                       1000, 2000)
+    dense = taf_update(grid_state(rng, (2, 3), 8), batch, weights)
+    bare = TransientState(Tokens(np.empty((0, 8)), (2, 3), np.arange(0)),
+                          1000)
+    out = taf_update(bare, batch, weights)
+    assert out.tokens.values.shape == (0, 8) and out.state_time == 2000
+    for got, want in zip(out.keys, dense.keys):
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 6), cols=st.integers(1, 6),
+       patch=st.sampled_from([1, 2, 4]), subwindows=st.integers(1, 5),
+       duration=st.sampled_from([1, 2, 3, 7, 10, 1000]))
+def test_live_mask_from_event_coordinates_equals_the_dense_test(
+        data, rows, cols, patch, subwindows, duration):
+    """_live_patches tests only the patches that hold an event; a patch
+    whose events all write 0 (polarity 0, or an event at a sub-window's
+    start) is not live, as in the test over every patch."""
+    h, w = rows * patch, cols * patch
+    events = data.draw(st.lists(st.builds(
+        Event, x=st.integers(0, w - 1), y=st.integers(0, h - 1),
+        t=st.integers(1001, 1000 + duration), p=st.sampled_from([-1, 0, 1])),
+        max_size=20))
+    batch = make_batch(events, 1000, 1000 + duration)
+    data_hwc = sbt_time_surface(batch, w, h, subwindows).data
+    blocks = data_hwc.reshape(rows, patch, cols, patch, subwindows
+                              ).transpose(0, 2, 1, 3, 4)
+    assert np.array_equal(_live_patches(blocks, batch, patch),
+                          blocks.any(axis=(2, 3, 4)))
 
 
 def test_neighbor_table_is_cached_read_only():

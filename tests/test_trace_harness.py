@@ -69,3 +69,26 @@ def test_one_temporal_attention_call_per_window_of_a_one_query_track():
     assert counts["tracker.refine_calls"] == 5
     assert counts["tracker.sample_patch_calls"] == (
         3 * weights.config.iterations * counts["tracker.refine_calls"])
+
+
+def test_state_machine_counts_one_call_per_step():
+    """The tracker computes the state rows a window reads from the kept
+    keys of each step, outside taf_update; taf_init still runs once per
+    frame step and taf_update once per other step, so the harness's
+    state-machine counters keep their meaning."""
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    frames, timeline, stream, _ = small_sequence()
+    weights = drifting_weights(drift=0.0)
+    try:
+        tracing.install(tracer, tapfuse)
+        tapfuse.tracker.track_sequence(frames, stream, timeline,
+                                       [QueryPoint(0, 16.0, 16.0)], weights)
+    finally:
+        tracer.uninstall()
+    counts = tracer.snapshot()
+    n_frames = len(timeline.frame_times)
+    assert counts["fusion.taf_init_calls"] == n_frames == 12
+    assert counts["fusion.taf_update_calls"] == 48 - n_frames
+    # the blob leaves 5 of the 36 batches without an event
+    assert counts["fusion.empty_batches"] == 5

@@ -27,6 +27,9 @@ from tapfuse.tracker import (
     track_sequence,
 )
 from tapfuse.fusion import (
+    Tokens,
+    TransientState,
+    _update_rows,
     decode_pyramid,
     sinusoidal_encoding,
     taf_init,
@@ -477,6 +480,26 @@ def small_sequence(seed=0, n_query=48, frame_every=4, size=32):
     return frames, timeline, stream, gt
 
 
+def dense_states(monkeypatch):
+    """Patch tracker's taf_init and taf_update so that every step's state
+    holds every token, advanced by the dense update from the last frame's
+    state whatever state track_sequence passes."""
+    import tapfuse.tracker as tracker
+
+    last = []
+
+    def init(*args):
+        last[:] = [taf_init(*args)]
+        return last[0]
+
+    def update(state, batch, weights):
+        last[0] = taf_update(last[0], batch, weights)
+        return last[0]
+
+    monkeypatch.setattr(tracker, "taf_init", init)
+    monkeypatch.setattr(tracker, "taf_update", update)
+
+
 def count_state_calls(monkeypatch):
     """Patch tracker's taf_init and taf_update, the names track_sequence
     calls, to count their calls in the returned dict."""
@@ -684,14 +707,135 @@ class TestOnDemandDecode:
         assert len(decoded) > 5
         assert sum(decoded) < 0.5 * 256 * 5
 
+    @pytest.mark.parametrize("drift", [0.0, 5.0])
+    def test_states_between_frames_equal_the_dense_state_machine(
+            self, monkeypatch, drift):
+        """Frames every 16 steps, so the windows that start at steps 8 and
+        24 begin between frames and replay their new rows from the frame
+        before; the query that starts at step 17 first appears in the
+        window that starts at step 8. Without drift, the state rows
+        computed stay well under the dense count, one row per token per
+        update step. Drifting queries
+        leave the tokens of a window's first pass, and from the first
+        refiner iteration that does, every window computes every token's
+        rows: the update steps computed stay within two windows' replay of
+        the dense machine's one per step."""
+        import tapfuse.tracker as tracker
+
+        frames, timeline, stream, _ = small_sequence(size=128,
+                                                     frame_every=16)
+        weights = drifting_weights(drift=drift, patch_radius=1)
+        qs = [QueryPoint(int(timeline.query_times[step]), x, y)
+              for step, x, y in [(0, 1.0, 126.0), (5, 40.0, 30.0),
+                                 (0, 110.0, 60.0), (17, 70.0, 100.0)]]
+        want = dense_track_sequence(frames, stream, timeline, qs, weights)
+        computed = []
+
+        def update_rows(values, *args):
+            computed.append(len(values))
+            return _update_rows(values, *args)
+
+        monkeypatch.setattr(tracker, "_update_rows", update_rows)
+        counts = count_state_calls(monkeypatch)
+        got = track_sequence(frames, stream, timeline, qs, weights)
+        assert got.positions.tobytes() == want[0].tobytes()
+        assert got.visibility.tobytes() == want[1].tobytes()
+        assert counts == {"taf_init": 3, "taf_update": 45}
+        if drift:
+            assert (got.positions[:, -1, 0] > 128).any()
+            assert len(computed) < counts["taf_update"] + 2 * 16
+        else:
+            assert 0 < sum(computed) < 0.5 * 256 * counts["taf_update"]
+
+    def test_non_finite_state_rows_fail_the_track(self):
+        """A huge upd.wo overflows the updated states, and the track fails
+        as it does with the dense state machine. Only the rows computed
+        are checked: a row the refiner never reads is never computed, so
+        its values are never seen."""
+        frames, timeline, stream, _ = small_sequence(size=128,
+                                                     frame_every=16)
+        weights = drifting_weights(patch_radius=1)
+        weights.params["upd.wo"] = np.full_like(weights["upd.wo"], 1e308)
+        with pytest.raises(ShapeMismatch, match="non-finite token values"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            track_sequence(frames, stream, timeline,
+                           [QueryPoint(0, 40.0, 30.0)], weights)
+
+    def test_state_rows_are_exact_at_every_width(self, monkeypatch):
+        """The replayed state rows are the dense update's at any width, not
+        only where a product of some rows matches the full product's rows.
+        At d = 17, 65 and 100 and with decoder channels (33, 17, 9), where
+        the on-demand decode itself may round apart from the dense one,
+        the tracks equal those of a run whose every state holds every
+        token."""
+        frames, timeline, stream, _ = small_sequence(size=128,
+                                                     frame_every=16)
+        qs = [QueryPoint(int(timeline.query_times[step]), x, y)
+              for step, x, y in [(0, 1.0, 126.0), (5, 40.0, 30.0),
+                                 (0, 110.0, 60.0)]]
+        for kw in (dict(d=17), dict(d=65), dict(d=100),
+                   dict(decoder_channels=(33, 17, 9))):
+            weights = drifting_weights(patch_radius=1, **kw)
+            got = track_sequence(frames, stream, timeline, qs, weights)
+            with monkeypatch.context() as patched:
+                dense_states(patched)
+                want = track_sequence(frames, stream, timeline, qs, weights)
+            assert got.positions.tobytes() == want.positions.tobytes(), kw
+            assert got.visibility.tobytes() == want.visibility.tobytes(), kw
+
+    def test_frames_more_than_a_window_apart_hold_every_row(
+            self, monkeypatch):
+        """Frames at steps 0, 16 and 40 of 48: the states between frames
+        at most W = 16 steps apart hold no token, those between frames
+        farther apart hold every token, so that no row is replayed over
+        more than a window and a window keeps fewer than 2 W states. The
+        tracks equal the dense computation's."""
+        import tapfuse.tracker as tracker
+
+        frames, timeline, stream, _ = small_sequence(size=128,
+                                                     frame_every=1)
+        at = [0, 16, 40]
+        timeline = Timeline(
+            frame_times=[timeline.query_times[step] for step in at],
+            query_times=timeline.query_times,
+            exposure_us=timeline.exposure_us)
+        frames = frames[at]
+        weights = drifting_weights(patch_radius=1)
+        qs = [QueryPoint(int(timeline.query_times[step]), x, y)
+              for step, x, y in [(0, 1.0, 126.0), (5, 40.0, 30.0),
+                                 (0, 110.0, 60.0)]]
+        want = dense_track_sequence(frames, stream, timeline, qs, weights)
+        held, kept = [], []
+
+        def update(*args):
+            state = taf_update(*args)
+            held.append(len(state.tokens.values))
+            return state
+
+        def load(self, history, start):
+            kept.append(len(history))
+            return load_window(self, history, start)
+
+        load_window = tracker._WindowPyramid.load
+        monkeypatch.setattr(tracker, "taf_update", update)
+        monkeypatch.setattr(tracker._WindowPyramid, "load", load)
+        got = track_sequence(frames, stream, timeline, qs, weights)
+        assert got.positions.tobytes() == want[0].tobytes()
+        assert got.visibility.tobytes() == want[1].tobytes()
+        # update steps 1-15, 17-39 and 41-47
+        assert held == [0] * 15 + [256] * 23 + [0] * 7
+        assert max(kept) < 2 * weights.config.window
+
     def window(self, seed, grid=(8, 8), steps=4):
         """Drifting weights, a window of random states loaded into a
-        _WindowPyramid, and that window's dense levels."""
+        _WindowPyramid, and that window's dense levels. Each state holds
+        every token, as a frame's does."""
         weights = drifting_weights(window=steps)
         x = np.random.default_rng(seed).normal(
             size=(steps, grid[0] * grid[1], weights.config.d))
         pyramid = _WindowPyramid(steps, grid, weights)
-        pyramid.load(list(x))
+        pyramid.load([TransientState(Tokens(v, grid), t)
+                      for t, v in enumerate(x)], 0)
         dense = decode_pyramid(temporal_attention(x, weights).reshape(
             steps, *grid, -1), weights)
         return weights, pyramid, dense
