@@ -21,26 +21,19 @@ window's three levels as a plain tuple of arrays.
 taf_update's event side (time surface, event tokens, keys and values)
 spans the sensor, but its state side (layer norm, query, softmax over the
 shared keys, output projection, residual) acts on one token row at a
-time. So a state may hold only some tokens: taf_update applies its batch
-to the tokens the state holds and keeps the batch's keys on the result,
-and _update_rows replays kept keys on more tokens later. The rows equal
-the dense update's bit for bit at every width: the layer norm, softmax
-and residual act on each row alone, and each of the four products runs
-at the dense call's shape, the rows at their token positions in an
-otherwise zero operand. A product of just the rows would not do: BLAS
-kernels round a row differently by where it falls in the operand's
-blocking, which depends on the row count and the widths (on OpenBLAS's
-Haswell kernels, at d = 17, 65 or 100, or with 1, 2 or 17 keys).
+time; temporal attention attends across time at each token position, and
+the decoder mixes each token's channels. None of them mixes token
+positions, so the tracker runs them only at the tokens its refiner reads.
+A state holds every token row or none; one that holds none keeps its
+batch's keys, from which _update_rows computes any rows later.
 
-Temporal attention attends across time at each token position, and the
-decoder mixes each token's channels, so neither mixes token positions.
-The tracker relies on that to decode a window only where its refiner
-reads, running both on just those token columns. For the same reason as
-above, that gives the dense result's columns bit for bit only at some
-widths: the tests pin it at d = 8, 24 and 64 (the default) with the
-default decoder channels; at d = 17, 65 and 100, or with decoder
-channels (33, 17, 9), the tracks differ from the dense ones in the last
-bits.
+One rule makes those rows the dense computation's bit for bit, at every
+width: every product whose rows are tokens is _tiled, so each row's result
+depends on that row alone. A plain product would not do: BLAS kernels
+round a row differently by the operand's row count and the row's place in
+their blocking (on OpenBLAS's Haswell kernels, at d = 17, 65 or 100, with
+1, 2 or 17 keys, or for a lone row, which matmul multiplies on its vector
+path).
 """
 
 from __future__ import annotations
@@ -66,19 +59,17 @@ def _check_finite(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Tokens:
-    """Token values on a rectangular token grid, row-major order, or those
-    of some of its tokens: index lists the tokens values holds, in order."""
+    """Token values on a rectangular token grid, row-major order. values of
+    0 rows stand for a state that holds no token (see taf_update)."""
 
-    values: np.ndarray        # N x d, or len(index) x d
+    values: np.ndarray        # N x d, or 0 x d
     grid: tuple[int, int]     # (rows, cols), N = rows * cols
-    index: np.ndarray | None = None
 
     def __post_init__(self):
         rows, cols = self.grid
-        n = rows * cols if self.index is None else len(self.index)
-        if self.values.shape[0] != n:
+        if len(self.values) not in (0, rows * cols):
             raise ShapeMismatch(
-                f"{self.values.shape[0]} values for {n} tokens of a "
+                f"{len(self.values)} values for {rows * cols} tokens of a "
                 f"{rows}x{cols} grid")
         _check_finite(self.values)
 
@@ -163,6 +154,34 @@ def _residual_out(x, read, wo, bo):
     y += x
     y += bo
     return y
+
+
+# rows per tile: a row's place in a tile must not change its bits either.
+# OpenBLAS's Haswell kernels round 4 rows of a 64-row tile apart at many
+# widths, and of a 48-row tile at 2 threads; no row of a 24-row tile, at
+# 1 to 4 threads (every k <= 129 and n <= 299, and some wider)
+_TILE = 24
+
+
+def _tiled(x, w, b=None):
+    """x @ w (+ b) over the last axis of x, as one stacked product of
+    _TILE-row tiles; only the last partial tile is copied, padded with zero
+    rows. Every tile is the same BLAS call, so each row's result depends on
+    that row alone: the rows of a product of some rows, in any order, equal
+    those of the product of all rows bit for bit."""
+    flat = x.reshape(-1, x.shape[-1])
+    m, n = len(flat), w.shape[1]
+    full = m - m % _TILE
+    y = np.empty((m, n))
+    np.matmul(flat[:full].reshape(-1, _TILE, flat.shape[1]), w,
+              out=y[:full].reshape(-1, _TILE, n))
+    if full < m:
+        tail = np.zeros((1, _TILE, flat.shape[1]))
+        tail[0, :m - full] = flat[full:]
+        y[full:] = (tail @ w)[0, :m - full]
+    if b is not None:
+        y += b
+    return y.reshape(*x.shape[:-1], n)
 
 
 def _softmax(logits):
@@ -352,35 +371,23 @@ def _live_event_tokens(tensor: EventTensor, batch: EventBatch,
     return tokens, key_bias
 
 
-def _at_rows(x: np.ndarray, w: np.ndarray, index: np.ndarray,
-             n: int) -> np.ndarray:
-    """The rows index of y @ w, where y is an (n, ·) array holding the rows
-    of x at index and zeros elsewhere: each row of the result is the row
-    of the dense (n, ·) product, whatever the BLAS's blocking."""
-    placed = np.zeros((n, x.shape[1]))
-    placed[index] = x
-    return (placed @ w)[index]
-
-
-def _update_rows(values: np.ndarray, index: np.ndarray, n: int,
-                 keys: UpdateKeys, weights: WeightBundle) -> np.ndarray:
-    """taf_update's state side on the (M, d) values of the tokens index
-    lists in an n-token state: the pre-norm residual block attending to
-    one batch's keys. Each row's result is the dense call's row bit for
-    bit: the layer norm, softmax and residual act on each row alone, and
-    the four products run at the dense shape (_at_rows), in the dense
-    call's order of operations."""
+def _update_rows(values: np.ndarray, keys: UpdateKeys,
+                 weights: WeightBundle) -> np.ndarray:
+    """taf_update's state side on (M, d) token rows of a state: the
+    pre-norm residual block attending to one batch's keys. The layer norm,
+    softmax and residual act on each row alone and the four products are
+    _tiled, so any rows, in any order, get the dense call's rows bit for
+    bit."""
     k, v, key_bias = keys
     hq = _layer_norm(values, weights["upd.ln_state.g"],
                      weights["upd.ln_state.b"])
-    q = _at_rows(hq, weights["upd.wq"], index, n)
-    q += weights["upd.bq"]
-    logits = _at_rows(q, k.T, index, n)
+    q = _tiled(hq, weights["upd.wq"], weights["upd.bq"])
+    logits = _tiled(q, k.T)
     logits /= np.sqrt(q.shape[1])
     if key_bias is not None:
         logits += key_bias
-    read = _at_rows(_softmax(logits), v, index, n)
-    out = _at_rows(read, weights["upd.wo"], index, n)
+    read = _tiled(_softmax(logits), v)
+    out = _tiled(read, weights["upd.wo"])
     out += values
     out += weights["upd.bo"]
     return out
@@ -394,8 +401,8 @@ def taf_update(state: TransientState, batch: EventBatch,
     The state attends to the tokens of the event patches that hold an
     event and to one shared key for all event-free patches, weighted by
     their count, which equals attending to every event token. The batch
-    updates the tokens the state holds, none or some or all, and its keys
-    stay on the result."""
+    updates the tokens the state holds, none or all, and its keys stay on
+    the result."""
     if batch.bin_end < state.state_time:
         raise TimeRegression(
             f"batch ends at {batch.bin_end} before state time {state.state_time}")
@@ -413,10 +420,8 @@ def taf_update(state: TransientState, batch: EventBatch,
               for n in "kv"), key_bias)
     values = tokens.values
     if len(values):
-        index = (np.arange(rows * cols) if tokens.index is None
-                 else tokens.index)
-        values = _update_rows(values, index, rows * cols, keys, weights)
-    return TransientState(tokens=Tokens(values, tokens.grid, tokens.index),
+        values = _update_rows(values, keys, weights)
+    return TransientState(tokens=Tokens(values, tokens.grid),
                           state_time=batch.bin_end, keys=keys)
 
 
@@ -450,11 +455,15 @@ def temporal_attention(x: np.ndarray, weights: WeightBundle,
     t_len, n, d = x.shape
     pe = sinusoidal_encoding(np.arange(t_len), d)[:, None, :]
     xin = x + pe
-    q, k, v = _qkv(xin, xin, x, weights, "tattn")
+    q, k, v = (_tiled(m, weights[f"tattn.w{p}"], weights[f"tattn.b{p}"])
+               for p, m in zip("qkv", (xin, xin, x)))
     # (N, T, d) views: attend across time independently per token position
     read, a = _sdpa(*(m.transpose(1, 0, 2) for m in (q, k, v)))
+    # project the readout in its (N, T, d) memory order; add as _residual_out
+    out = _tiled(read, weights["tattn.wo"]).transpose(1, 0, 2)
+    out += x
+    out += weights["tattn.bo"]
     read = read.transpose(1, 0, 2)
-    out = _residual_out(x, read, weights["tattn.wo"], weights["tattn.bo"])
     if cache is not None:
         cache.update(x=x, xin=xin, q=q, k=k, v=v, a=a, read=read, d=d)
     return out
@@ -509,8 +518,8 @@ def decode_pyramid(x: np.ndarray, weights: WeightBundle
     """Decode a (W, rows, cols, d) window of state tokens in one pass into
     the tuple of 3 token-resolution levels by chained channel mixes: level
     l is (W, rows, cols, C_l) with C_l = C_{l-1} @ dec.w_l + dec.b_l, slice
-    t being the decode of step t. The mixes act on the last axis alone, so
-    a (W, n, d) array of some of the window's tokens decodes the same way.
+    t being the decode of step t. The _tiled mixes act on each token alone,
+    so a (W, n, d) array of some of the window's tokens decodes bit for bit.
 
     Nearest-neighbour upsampling commutes with the per-token mixes, so
     level l, each token repeated into a 2**l x 2**l block, is the map an
@@ -518,6 +527,6 @@ def decode_pyramid(x: np.ndarray, weights: WeightBundle
     sampler reads those blocks in place, so no upsampled copy is built."""
     levels = []
     for lvl in range(3):
-        x = _linear(x, weights[f"dec.w{lvl}"], weights[f"dec.b{lvl}"])
+        x = _tiled(x, weights[f"dec.w{lvl}"], weights[f"dec.b{lvl}"])
         levels.append(x)
     return tuple(levels)

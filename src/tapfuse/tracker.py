@@ -22,24 +22,16 @@ the steps' states hold no rows but their batch's keys; for the union of
 the tokens around the queries' carried-in estimates, the tracker replays
 the rows from the last frame and runs both layers on them, and a refiner
 iteration whose taps reach a token not done yet does it then; from the
-first such iteration on, the rows of every token are computed, since a
-step's products cost as much for some rows as for all, and each further
-replay would pay them again. Between
-frames farther apart every state holds every row, as a frame's does, so
-that a replay, and the states kept for it, never span more than a
-window; the replays from one frame would otherwise grow with the square
-of the gap.
+first such iteration on, the rows of every token are computed (see
+_WindowPyramid.cover). Between frames farther apart every state holds
+every row, as a frame's does, so that a replay, and the states kept for
+it, never span more than a window; the replays from one frame would
+otherwise grow with the square of the gap.
 
-The replayed rows equal the dense update's bit for bit at every width
-(see fusion). Decoding some token columns does so only at some widths:
-the tests pin the tracks to the dense computation's at d = 8, 24 and 64
-(the default) with the default decoder channels; at d = 17, 65 and 100,
-or with decoder channels (33, 17, 9), matmul rounds a subset of columns
-apart from the full product, and the tracks differ in the last bits.
-matmul also takes a vector path, with other rounding, for a one-row
-operand: so a single token is never decoded alone, and a one-token-wide
-grid, whose dense decode multiplies one-token rows, is decoded one token
-per row.
+Every product of those layers whose rows are tokens is fusion._tiled,
+which makes each row a function of that row alone: so the tracks equal
+the dense computation's bit for bit at every width, for any set of
+tokens, one alone included.
 """
 
 from __future__ import annotations
@@ -405,15 +397,14 @@ class _WindowPyramid:
             need = tokens[held <= max(t, 0)]
             if not len(need):
                 continue
-            if state.tokens.index is None:     # the state holds every row
+            if len(state.tokens.values):     # the state holds every row
                 rows = state.tokens.values[need]
             else:
                 if t > 0:
                     rows = self.states[t - 1][need]
                 if state.keys is not None:
-                    rows = _check_finite(_update_rows(
-                        rows, need, self.decoded.size, state.keys,
-                        self.weights))
+                    rows = _check_finite(_update_rows(rows, state.keys,
+                                                      self.weights))
             if t >= 0:
                 self.states[t][need] = rows
         self.held[tokens] = steps
@@ -449,24 +440,16 @@ class _WindowPyramid:
         for box in boxes:
             need[box] = True
         tokens = np.flatnonzero(need & ~self.decoded)
-        if len(tokens) == 1 and need.size > 1:
-            # one token alone would take matmul's vector path: add another
-            tokens = np.append(tokens, (tokens[0] + 1) % need.size)
         # once a refiner iteration reaches past the first pass, compute the
         # rows of every token, here and, as they are all held, in every
-        # later window: a step's products run at the dense shape, so they
-        # cost as much for some rows as for all, and each further replay
-        # would pay them again
+        # later window: each replay runs every step since the last full
+        # state, whatever its row count, and estimates that drift past the
+        # first pass tend to do so again at each iteration and window
         self._state_rows(np.arange(need.size)
                          if self.decoded.any() or self.held.all() else tokens)
         x = temporal_attention(self.states[:, tokens], self.weights)
-        if self.decoded.shape[1] == 1:
-            # a dense decode of a one-column grid multiplies rows of one
-            # token, on the vector path: decode one token per row too
-            x = x[:, :, None]
         for level, part in zip(self.levels, decode_pyramid(x, self.weights)):
-            self._tokens(level)[:, tokens] = part.reshape(len(x), len(tokens),
-                                                          -1)
+            self._tokens(level)[:, tokens] = part
         self.decoded.flat[tokens] = True
 
 
@@ -518,8 +501,8 @@ def track_sequence(frames: np.ndarray, stream: EventStream,
             else:
                 if not full[step]:   # update a state that holds no token
                     state = TransientState(Tokens(
-                        state.tokens.values[:0], state.tokens.grid,
-                        np.arange(0)), state.state_time)
+                        state.tokens.values[:0], state.tokens.grid),
+                        state.state_time)
                 state = taf_update(state, batches[step], weights)
             yield state
 
@@ -559,6 +542,11 @@ def track_sequence(frames: np.ndarray, stream: EventStream,
             pos, logit = refine_track(out_pos[qi, start:stop],
                                       out_logit[qi, start:stop],
                                       pyramid.levels, weights, pyramid.cover)
+            bad = ~(np.isfinite(pos).all(axis=1) & np.isfinite(logit))
+            if bad.any():
+                raise ShapeMismatch(
+                    f"refiner: non-finite position or visibility of query "
+                    f"{qi} at step {start + int(bad.argmax())}")
             out_pos[qi, start:stop] = pos
             out_logit[qi, start:stop] = logit
             # carry the freshest estimate into steps beyond this window

@@ -1,6 +1,10 @@
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from tapfuse.fusion import (
     _residual_out,
     _sdpa,
     _softmax,
+    _tiled,
     _update_rows,
     clwf_backward,
     clwf_fuse,
@@ -372,30 +377,28 @@ class TestPyramidDecoder:
 
 @st.composite
 def token_subsets(draw):
-    """A (T, rows, cols) window shape and a subset of at least two of its
-    rows * cols token positions, in any order."""
+    """A (T, rows, cols) window shape and a subset of its rows * cols token
+    positions, in any order."""
     t_len = draw(st.integers(1, 16))
     rows = draw(st.integers(1, 12))
-    cols = draw(st.integers(2 if rows == 1 else 1, 12))
+    cols = draw(st.integers(1, 12))
     n = rows * cols
-    subset = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n,
+    subset = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
                            unique=True))
     return t_len, rows, cols, subset
 
 
 @settings(max_examples=100, deadline=None)
-@given(drawn=token_subsets(), d=st.sampled_from([8, 24, 64]),
+@given(drawn=token_subsets(), d=st.sampled_from([8, 17, 24, 64, 65, 100]),
        seed=st.integers(0, 2**16))
 def test_attention_and_decoder_act_per_token_column(drawn, d, seed):
     """The tracker decodes a window only at the tokens its refiner reads:
-    temporal attention and the decoder on any two or more token columns
-    give the dense window's values for them bit for bit. A layer that
-    mixed token positions would fail here.
-
-    The columns are decoded as the tracker decodes them: as one row of
-    tokens, or one token per row where the grid is one token wide, since
-    the dense decode then multiplies one-token rows, which matmul rounds
-    on its vector path."""
+    temporal attention and the decoder on any token columns, one alone or
+    a one-token-wide grid's included, give the dense window's values for
+    them bit for bit at every width. A layer that mixed token positions
+    would fail here, and so would a product whose rows round by the row
+    count, as a plain matmul's do at d = 17, 65 and 100 or on its vector
+    path for one row."""
     t_len, rows, cols, subset = drawn
     weights = perturbed_weights(seed % 50, d=d)
     x = np.random.default_rng(seed).normal(size=(t_len, rows * cols, d))
@@ -405,8 +408,7 @@ def test_attention_and_decoder_act_per_token_column(drawn, d, seed):
     part = temporal_attention(x[:, subset], weights)
     assert np.array_equal(part.view(np.uint64),
                           dense[:, subset].view(np.uint64))
-    rows_of = part if cols > 1 else part[:, :, None]
-    for got, want in zip(decode_pyramid(rows_of, weights), dense_levels):
+    for got, want in zip(decode_pyramid(part, weights), dense_levels):
         got = got.reshape(t_len, len(subset), -1)
         want = want.reshape(t_len, rows * cols, -1)[:, subset]
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -781,7 +783,7 @@ def keyed_row_subsets(draw):
     batch's only event."""
     n_keys = draw(st.sampled_from([1, 2, 17, 33]))
     rows = draw(st.integers(1, 7))
-    lo = max(-(-n_keys // rows), 2 if rows == 1 else 1)
+    lo = -(-n_keys // rows)
     cols = draw(st.integers(lo, max(lo, 9)))
     n = rows * cols
     tiles = draw(st.permutations(range(n)))
@@ -807,28 +809,21 @@ def keyed_row_subsets(draw):
        seed=st.integers(0, 2**16))
 def test_state_rows_equal_the_dense_update_rows(drawn, d, seed):
     """The tracker computes a step's state only at the token rows its
-    refiner reads: taf_update on a state holding some rows, and
-    _update_rows replaying the batch's kept keys on them, give the dense
-    update's rows bit for bit. Token counts need not be multiples of 8,
-    and the widths and key counts include those at which a product of a
-    few rows rounds apart from the dense product's rows (d = 17, 65, 100;
-    1, 2 or 17 keys), and a lone row, which matmul would multiply on its
-    vector path."""
+    refiner reads: _update_rows replaying the batch's kept keys on them
+    gives the dense update's rows bit for bit. Token counts need not be
+    multiples of 8, and the widths and key counts include those at which a
+    plain product of a few rows rounds apart from the dense product's rows
+    (d = 17, 65, 100; 1, 2 or 17 keys), and a lone row, which a plain
+    matmul would multiply on its vector path."""
     grid, n_keys, batch, subset = drawn
     weights = perturbed_weights(seed % 50, d=d, patch=4)
     state = grid_state(np.random.default_rng(seed), grid, d)
     dense = taf_update(state, batch, weights)
     assert len(dense.keys[0]) == n_keys
     rows = np.array(subset)
-    part = TransientState(Tokens(state.tokens.values[rows], grid, rows),
-                          state.state_time)
-    want = dense.tokens.values[rows].view(np.uint64)
-    got = taf_update(part, batch, weights)
-    assert np.array_equal(got.tokens.index, rows)
-    assert np.array_equal(got.tokens.values.view(np.uint64), want)
-    replayed = _update_rows(state.tokens.values[rows], rows,
-                            grid[0] * grid[1], dense.keys, weights)
-    assert np.array_equal(replayed.view(np.uint64), want)
+    replayed = _update_rows(state.tokens.values[rows], dense.keys, weights)
+    assert np.array_equal(replayed.view(np.uint64),
+                          dense.tokens.values[rows].view(np.uint64))
 
 
 def test_a_state_without_rows_runs_only_the_event_side():
@@ -837,12 +832,62 @@ def test_a_state_without_rows_runs_only_the_event_side():
     batch = make_batch([Event(5, 2, 1500, 1), Event(1, 1, 1600, -1)],
                        1000, 2000)
     dense = taf_update(grid_state(rng, (2, 3), 8), batch, weights)
-    bare = TransientState(Tokens(np.empty((0, 8)), (2, 3), np.arange(0)),
-                          1000)
+    bare = TransientState(Tokens(np.empty((0, 8)), (2, 3)), 1000)
     out = taf_update(bare, batch, weights)
     assert out.tokens.values.shape == (0, 8) and out.state_time == 2000
     for got, want in zip(out.keys, dense.keys):
         assert np.array_equal(got, want)
+
+
+@st.composite
+def tiled_operands(draw):
+    """An (m, k) operand of 1 to 300 rows at the widths the layers take, a
+    (k, n) weight of ragged width, an optional bias, and any rows of the
+    operand: a subset, in any order, of any count from 1 to 300, repeats
+    allowed."""
+    m = draw(st.integers(1, 300))
+    k = draw(st.sampled_from([8, 17, 33, 64, 65, 100]))
+    n = draw(st.integers(1, 230))
+    rows = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=300))
+    return m, k, n, draw(st.booleans()), rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=tiled_operands(), seed=st.integers(0, 2**16))
+def test_tiled_rows_equal_the_full_product_rows(drawn, seed):
+    """_tiled gives each row the same bits whatever the other rows: a
+    product of some rows equals those rows of the product of all of them.
+    A plain matmul does not, at k = 17, 33, 65 and 100, or for one row."""
+    m, k, n, biased, rows = drawn
+    rng = np.random.default_rng(seed)
+    x, w = rng.normal(size=(m, k)), rng.normal(size=(k, n))
+    b = rng.normal(size=n) if biased else None
+    full = _tiled(x, w, b)
+    assert full.shape == (m, n)
+    part = _tiled(x[rows], w, b)
+    assert np.array_equal(part.view(np.uint64), full[rows].view(np.uint64))
+    # a (steps, tokens, k) operand is tiled over its rows in memory order
+    assert np.array_equal(_tiled(x[None, rows], w, b)[0].view(np.uint64),
+                          full[rows].view(np.uint64))
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_tiled_rows_are_row_stable_at_each_blas_thread_count(threads):
+    """The property above in a fresh interpreter whose OpenBLAS runs on one
+    thread, as perfbench pins it, or on two. Two threads split a large
+    tile's rows between them, which moves the kernel's row blocking:
+    48-row tiles are row-stable on one thread but not on two."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join([str(root / "src"),
+                                           str(root / "tests")]),
+               PYTHONDONTWRITEBYTECODE="1")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::test_tiled_rows_equal_the_full_product_rows"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]
+    assert "1 passed" in run.stdout
 
 
 @settings(max_examples=150, deadline=None)

@@ -465,10 +465,11 @@ class TestRefinerAllocationPeaks:
                            weights) < 6.5 * patch_bytes
 
 
-def small_sequence(seed=0, n_query=48, frame_every=4, size=32):
-    cfg = SceneConfig(width=size, height=size, duration_us=1_000_000,
+def small_sequence(seed=0, n_query=48, frame_every=4, size=32, width=None):
+    width = width or size
+    cfg = SceneConfig(width=width, height=size, duration_us=1_000_000,
                       fps=n_query, objects=[
-                          SceneObject("gaussian_blob", (size / 2, size / 2),
+                          SceneObject("gaussian_blob", (width / 2, size / 2),
                                       (6.0, -4.0), 3.0, 2.0)])
     video, gt = render_intensity_video(cfg)
     stream = simulate_events(video, 0.2)
@@ -478,26 +479,6 @@ def small_sequence(seed=0, n_query=48, frame_every=4, size=32):
         exposure_us=4000)
     frames = video.frames[::frame_every]
     return frames, timeline, stream, gt
-
-
-def dense_states(monkeypatch):
-    """Patch tracker's taf_init and taf_update so that every step's state
-    holds every token, advanced by the dense update from the last frame's
-    state whatever state track_sequence passes."""
-    import tapfuse.tracker as tracker
-
-    last = []
-
-    def init(*args):
-        last[:] = [taf_init(*args)]
-        return last[0]
-
-    def update(state, batch, weights):
-        last[0] = taf_update(last[0], batch, weights)
-        return last[0]
-
-    monkeypatch.setattr(tracker, "taf_init", init)
-    monkeypatch.setattr(tracker, "taf_update", update)
 
 
 def count_state_calls(monkeypatch):
@@ -678,15 +659,28 @@ def dense_track_sequence(frames, stream, timeline, queries, weights):
     return pos, visibility
 
 
+WIDTHS = [dict(d=d) for d in (8, 17, 24, 64, 65, 100)] + [
+    dict(decoder_channels=(33, 17, 9))]
+
+
 class TestOnDemandDecode:
-    def test_tracks_equal_the_dense_decode_to_the_last_bit(self, monkeypatch):
+    @pytest.mark.parametrize("frame_every", [4, 16])
+    @pytest.mark.parametrize("kw", WIDTHS, ids=lambda kw: "-".join(
+        f"{k}={v}" for k, v in kw.items()))
+    def test_tracks_equal_the_dense_decode_to_the_last_bit(
+            self, monkeypatch, kw, frame_every):
         """On 16 x 16 tokens: a query in a corner, whose taps are clamped,
         one that starts mid-window, and one the head drives off the
-        sensor."""
+        sensor. The tracks equal the dense computation's at every width,
+        including those at which a plain product of some rows rounds apart
+        from the full product's rows (d = 17, 65, 100, decoder channels
+        (33, 17, 9)); with frames every 16 steps, the states between frames
+        replay their rows from the frame before."""
         import tapfuse.tracker as tracker
 
-        frames, timeline, stream, _ = small_sequence(size=128)
-        weights = drifting_weights(patch_radius=1)
+        frames, timeline, stream, _ = small_sequence(
+            size=128, frame_every=frame_every)
+        weights = drifting_weights(patch_radius=1, **kw)
         qs = [QueryPoint(int(timeline.query_times[step]), x, y)
               for step, x, y in [(0, 1.0, 126.0), (5, 40.0, 30.0),
                                  (0, 110.0, 60.0)]]
@@ -761,27 +755,45 @@ class TestOnDemandDecode:
             track_sequence(frames, stream, timeline,
                            [QueryPoint(0, 40.0, 30.0)], weights)
 
-    def test_state_rows_are_exact_at_every_width(self, monkeypatch):
-        """The replayed state rows are the dense update's at any width, not
-        only where a product of some rows matches the full product's rows.
-        At d = 17, 65 and 100 and with decoder channels (33, 17, 9), where
-        the on-demand decode itself may round apart from the dense one,
-        the tracks equal those of a run whose every state holds every
-        token."""
-        frames, timeline, stream, _ = small_sequence(size=128,
-                                                     frame_every=16)
+    def test_one_token_wide_grid_equals_the_dense_decode(self):
+        """A 128 x 8 sensor is one token wide, so the dense decode
+        multiplies rows of one token; the tracks still equal it."""
+        frames, timeline, stream, _ = small_sequence(size=128, width=8)
+        weights = drifting_weights(patch_radius=1)
         qs = [QueryPoint(int(timeline.query_times[step]), x, y)
-              for step, x, y in [(0, 1.0, 126.0), (5, 40.0, 30.0),
-                                 (0, 110.0, 60.0)]]
-        for kw in (dict(d=17), dict(d=65), dict(d=100),
-                   dict(decoder_channels=(33, 17, 9))):
-            weights = drifting_weights(patch_radius=1, **kw)
-            got = track_sequence(frames, stream, timeline, qs, weights)
-            with monkeypatch.context() as patched:
-                dense_states(patched)
-                want = track_sequence(frames, stream, timeline, qs, weights)
-            assert got.positions.tobytes() == want.positions.tobytes(), kw
-            assert got.visibility.tobytes() == want.visibility.tobytes(), kw
+              for step, x, y in [(0, 4.0, 126.0), (5, 1.0, 60.0),
+                                 (0, 6.0, 20.0)]]
+        want = dense_track_sequence(frames, stream, timeline, qs, weights)
+        got = track_sequence(frames, stream, timeline, qs, weights)
+        assert got.positions.tobytes() == want[0].tobytes()
+        assert got.visibility.tobytes() == want[1].tobytes()
+
+    def test_non_finite_refined_track_stops_the_run(self, monkeypatch):
+        """A finite but huge decoder weight overflows the pyramid, and the
+        first refined track is NaN. The run stops right there, naming the
+        refiner, the query and the first non-finite step, rather than
+        refining every later window from NaN estimates, for which cover
+        would decode the whole grid."""
+        import tapfuse.tracker as tracker
+
+        frames, timeline, stream, _ = small_sequence()
+        weights = WeightBundle.initialize(FusionConfig(), seed=0)
+        weights.params["dec.w1"] = weights["dec.w1"].copy()
+        weights.params["dec.w1"][0, 0] = 1e300
+        refined = []
+
+        def refine(*args):
+            refined.append(refine_track(*args))
+            return refined[-1]
+
+        monkeypatch.setattr(tracker, "refine_track", refine)
+        qs = [QueryPoint(int(timeline.query_times[20]), 8.0, 8.0),
+              QueryPoint(0, 16.0, 16.0)]
+        with pytest.raises(ShapeMismatch, match="refiner: non-finite .* "
+                           "of query 1 at step 0"), np.errstate(all="ignore"):
+            track_sequence(frames, stream, timeline, qs, weights)
+        assert len(refined) == 1
+        assert np.isnan(refined[0][0][0]).all()
 
     def test_frames_more_than_a_window_apart_hold_every_row(
             self, monkeypatch):
@@ -867,26 +879,6 @@ class TestOnDemandDecode:
         assert not np.isnan(patches[0]).any()
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
-
-    def test_a_lone_token_is_decoded_beside_another(self):
-        """One token alone would take matmul's vector path, whose rounding
-        differs from the dense decode's."""
-        weights, pyramid, dense = self.window(14)
-        pyramid.decoded[:] = True
-        pyramid.decoded[3, 4] = False
-        pyramid.cover(np.full((4, 2), (4.5 * 8, 3.5 * 8)))
-        assert pyramid.decoded.all()
-        for got, want in zip(pyramid.levels, dense):
-            assert got[:, 3, 4].tobytes() == want[:, 3, 4].tobytes()
-
-    def test_one_token_wide_grid_decodes_as_the_dense_decoder(self):
-        """The dense decoder multiplies a one-column grid one token at a
-        time, on matmul's vector path; the window decodes it so too."""
-        weights, pyramid, dense = self.window(16, grid=(8, 1))
-        pyramid.cover(np.full((4, 2), (4.0, 10.0)))
-        assert pyramid.decoded.sum() == 7   # rows 0..6, clamped at 0
-        for got, want in zip(pyramid.levels, dense):
-            assert got[:, :7].tobytes() == want[:, :7].tobytes()
 
     def test_cover_decodes_the_box_around_the_taps(self):
         weights, pyramid, dense = self.window(15, grid=(12, 12))
