@@ -150,6 +150,8 @@ class Timeline:
     def __post_init__(self):
         object.__setattr__(self, "frame_times", tuple(int(t) for t in self.frame_times))
         object.__setattr__(self, "query_times", tuple(int(t) for t in self.query_times))
+        if not all(0 <= t < 2**63 for t in self.frame_times + self.query_times):
+            raise MalformedRecord("frame and query times must lie in [0, 2**63)")
         if any(b <= a for a, b in zip(self.frame_times, self.frame_times[1:])):
             raise MalformedRecord("frame_times must be strictly ascending")
         if any(b <= a for a, b in zip(self.query_times, self.query_times[1:])):
@@ -352,6 +354,8 @@ def exposure_window_events(stream: EventStream, frame_time: int,
     """Events in the exposure window (frame_time - exposure_us, frame_time]."""
     if exposure_us <= 0:
         raise EmptyTimeline("exposure_us must be positive")
+    if not 0 <= frame_time < 2**63:
+        raise EmptyTimeline(f"frame_time {frame_time} is outside [0, 2**63)")
     left = max(frame_time - exposure_us, 0)
     lo = np.searchsorted(stream.t, np.uint64(left), side="right")
     hi = np.searchsorted(stream.t, np.uint64(frame_time), side="right")

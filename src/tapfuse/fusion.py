@@ -519,7 +519,7 @@ def decode_pyramid(x: np.ndarray, weights: WeightBundle
     the tuple of 3 token-resolution levels by chained channel mixes: level
     l is (W, rows, cols, C_l) with C_l = C_{l-1} @ dec.w_l + dec.b_l, slice
     t being the decode of step t. The _tiled mixes act on each token alone,
-    so a (W, n, d) array of some of the window's tokens decodes bit for bit.
+    so the (n, W, d) rows of some of the window's tokens decode bit for bit.
 
     Nearest-neighbour upsampling commutes with the per-token mixes, so
     level l, each token repeated into a 2**l x 2**l block, is the map an

@@ -17,16 +17,16 @@ only at the tokens the refiner reads. The state update acts on one token
 row at a time given its batch's keys, temporal attention attends across
 time at each token position and the decoder mixes each token's channels,
 so a token's levels depend only on its row of the last frame's state and
-on the keys of the steps since. Between frames at most W steps apart,
-the steps' states hold no rows but their batch's keys; for the union of
-the tokens around the queries' carried-in estimates, the tracker replays
-the rows from the last frame and runs both layers on them, and a refiner
-iteration whose taps reach a token not done yet does it then; from the
-first such iteration on, the rows of every token are computed (see
-_WindowPyramid.cover). Between frames farther apart every state holds
-every row, as a frame's does, so that a replay, and the states kept for
-it, never span more than a window; the replays from one frame would
-otherwise grow with the square of the gap.
+on the keys of the steps since. Only a frame's state holds rows, and
+_WindowPyramid is the one place that computes the others, from the batch
+keys each state keeps. For the union of the tokens around the queries'
+carried-in estimates, it replays the rows from the last frame and runs
+both layers on them, and a refiner iteration whose taps reach a token
+not done yet does it then. One switch computes every token's rows
+instead (see _WindowPyramid.cover): from the first such iteration on,
+and from the first window whose replay would start more than W steps
+before it. Then each window keeps the rows the last one computed and
+computes its new steps from them, so no replay spans more than a window.
 
 Every product of those layers whose rows are tokens is fusion._tiled,
 which makes each row a function of that row alone: so the tracks equal
@@ -39,7 +39,7 @@ from __future__ import annotations
 import io
 import math
 import mmap
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import islice
 
@@ -338,23 +338,24 @@ class _WindowPyramid:
     the refiner reads.
 
     One instance serves every window of a sequence, each of `steps` steps
-    on a (rows, cols) token grid. load makes a window current from the
-    per-step states of track_sequence, each of which holds every token or
-    none; one that holds none keeps its batch's keys. states holds the
-    (steps, N, d) state rows and levels the three (steps, rows, cols, C_l)
-    levels refine_track samples, all allocated once. held counts, per
-    token, the leading window steps whose rows are in states; states is
-    left unfilled, so that only the pages of rows computed become
-    resident. A token's level cells are NaN until cover decodes it, so a
-    cell read before that poisons the track instead of passing for a
-    value."""
+    on a (rows, cols) token grid, and draws the per-step states from the
+    iterator it is given. Only a frame's state holds rows; this is the one
+    place that computes the others, from the keys each state keeps. states
+    holds the (steps, N, d) state rows and levels the three (steps, rows,
+    cols, C_l) levels refine_track samples, all allocated once. held
+    counts, per token, the leading window steps whose rows are in states;
+    states is left unfilled, so that only the pages of rows computed
+    become resident. A token's level cells are NaN until cover decodes
+    it, so a cell read before that poisons the track instead of passing
+    for a value."""
 
-    def __init__(self, steps: int, grid: tuple[int, int],
-                 weights: WeightBundle):
+    def __init__(self, states: Iterator[TransientState], steps: int,
+                 grid: tuple[int, int], weights: WeightBundle):
         self.weights = weights
+        self.draw = states
         self.decoded = np.zeros(grid, dtype=bool)
         self.held = np.zeros(self.decoded.size, dtype=np.int64)
-        self.start = 0
+        self.start = -steps     # as if after a window of no states
         self.history: list[TransientState] = []
         self.states = _mapped((steps, self.decoded.size, weights.config.d))
         self.levels = tuple(
@@ -366,21 +367,33 @@ class _WindowPyramid:
         """(steps, N, C_l) view of a level."""
         return level.reshape(len(level), self.decoded.size, -1)
 
-    def load(self, history: list[TransientState], start: int) -> None:
+    def load(self, start: int) -> None:
         """Make the window of steps start, start + 1, ... current, with no
-        token decoded. history holds the per-step states from the last
-        one at or before start that holds every token to the window's
-        last step. The rows the last window computed at every step are
+        token decoded. The rows the last window computed at every step are
         kept at the steps both windows share; the cells it decoded go back
-        to NaN."""
-        kept = self.held == len(self.states)
-        shared = self.start + len(self.states) - start
-        self.states[:shared, kept] = self.states[start - self.start:, kept]
+        to NaN. history holds the states replays start from, to the
+        window's last step. history[0] holds every row (it is a frame's
+        state), unless the last window computed every token at every step;
+        then history starts at start. As cover, called in each window, then
+        computes every row of a history longer than 2 * steps, history holds
+        at most 2 * steps + steps // 2 states if windows advance by at most
+        steps // 2."""
+        steps = len(self.states)
+        kept = self.held == steps
+        every = kept.all()
+        shared = self.start + steps - start
+        cols = slice(None) if every else kept    # a view, not a gather
+        self.states[:shared, cols] = self.states[start - self.start:, cols]
         self.held[:] = np.where(kept, shared, 0)
         for level in self.levels:
             self._tokens(level)[:, self.decoded.ravel()] = np.nan
         self.decoded[:] = False
-        self.history, self.start = history, start
+        self.history.extend(islice(self.draw, start - self.start))
+        first = len(self.history) - steps       # the window start's state
+        while not (every or len(self.history[first].tokens.values)):
+            first -= 1
+        del self.history[:first]
+        self.start = start
 
     def _state_rows(self, tokens: np.ndarray) -> None:
         """Compute the window's state rows at tokens where they are not
@@ -397,14 +410,15 @@ class _WindowPyramid:
             need = tokens[held <= max(t, 0)]
             if not len(need):
                 continue
-            if len(state.tokens.values):     # the state holds every row
+            if len(need) == len(self.held):  # every token: views, not copies
+                need = slice(None)
+            if len(state.tokens.values):     # a frame's state, without keys
                 rows = state.tokens.values[need]
-            else:
-                if t > 0:
-                    rows = self.states[t - 1][need]
-                if state.keys is not None:
-                    rows = _check_finite(_update_rows(rows, state.keys,
-                                                      self.weights))
+            elif t > 0:
+                rows = self.states[t - 1][need]
+            if state.keys is not None:
+                rows = _check_finite(_update_rows(rows, state.keys,
+                                                  self.weights))
             if t >= 0:
                 self.states[t][need] = rows
         self.held[tokens] = steps
@@ -430,26 +444,31 @@ class _WindowPyramid:
     def cover(self, *tracks: np.ndarray) -> None:
         """Compute the states of, and decode, every token the refiner reads
         around the (W, 2) tracks that is not decoded yet, in one temporal
-        attention and decoder pass over just those tokens."""
-        if self.decoded.all():
-            return
-        boxes = [self._box(positions) for positions in tracks]
-        if all(self.decoded[box].all() for box in boxes):
-            return
+        attention and decoder pass over just those tokens.
+
+        One switch computes every token's rows instead, and stays on, as
+        every row is then held and kept (see load). It turns on at a fill,
+        a call that decodes tokens beside decoded ones, since drifting
+        estimates tend to fill at every iteration and window, each fill
+        replaying every step since the last frame; and, tracks or not,
+        when a replay would start more than steps before the window."""
         need = np.zeros_like(self.decoded)
-        for box in boxes:
-            need[box] = True
+        for positions in tracks:
+            need[self._box(positions)] = True
         tokens = np.flatnonzero(need & ~self.decoded)
-        # once a refiner iteration reaches past the first pass, compute the
-        # rows of every token, here and, as they are all held, in every
-        # later window: each replay runs every step since the last full
-        # state, whatever its row count, and estimates that drift past the
-        # first pass tend to do so again at each iteration and window
-        self._state_rows(np.arange(need.size)
-                         if self.decoded.any() or self.held.all() else tokens)
+        every = (self.held.all() or len(self.history) > 2 * len(self.states)
+                 or (len(tokens) and self.decoded.any()))
+        missing = (np.flatnonzero(self.held < len(self.states)) if every
+                   else tokens)
+        if len(missing):
+            self._state_rows(missing)
+        if not len(tokens):
+            return
+        # decode temporal attention's (n, W, d) buffer, not its (W, n, d) view
         x = temporal_attention(self.states[:, tokens], self.weights)
+        x = x.transpose(1, 0, 2)
         for level, part in zip(self.levels, decode_pyramid(x, self.weights)):
-            self._tokens(level)[:, tokens] = part
+            self._tokens(level)[:, tokens] = part.transpose(1, 0, 2)
         self.decoded.flat[tokens] = True
 
 
@@ -479,31 +498,19 @@ def track_sequence(frames: np.ndarray, stream: EventStream,
     frame_at = {t: i for i, t in enumerate(ft)}
     batches = bin_events(stream, timeline)
     w = weights.config.window
-    # full[step]: the step's state holds every token, as a frame's does,
-    # and so do the states between frames more than W steps apart; the
-    # states between closer frames hold none. anchor[step] is the last
-    # step at or before it whose state holds every token.
-    frame_steps = [step for step, t in enumerate(qtimes) if int(t) in frame_at]
-    full = np.zeros(n_steps, dtype=bool)
-    for f, g in zip(frame_steps, frame_steps[1:] + [n_steps]):
-        full[f:g if g - f > w else f + 1] = True
-    anchor = np.maximum.accumulate(np.where(full, np.arange(n_steps), 0))
+    grid = tuple(side // weights.config.patch for side in frames.shape[1:3])
 
     def step_states():
-        """Each step's state. taf_update on a state that holds no token
-        runs only the batch's event side and keeps its keys, from which
-        the pyramid computes the rows it needs."""
-        for step, t in enumerate(qtimes):
-            t = int(t)
+        """Each step's state. Only a frame's holds rows: taf_update runs
+        on a state that holds none, so only on the batch's event side."""
+        for step, t in enumerate(timeline.query_times):
             if t in frame_at:
                 batch = exposure_window_events(stream, t, timeline.exposure_us)
                 state = taf_init(frames[frame_at[t]], t, batch, weights)
             else:
-                if not full[step]:   # update a state that holds no token
-                    state = TransientState(Tokens(
-                        state.tokens.values[:0], state.tokens.grid),
-                        state.state_time)
-                state = taf_update(state, batches[step], weights)
+                hollow = Tokens(state.tokens.values[:0], grid)
+                state = taf_update(TransientState(hollow, state.state_time),
+                                   batches[step], weights)
             yield state
 
     n_q = len(queries)
@@ -515,24 +522,12 @@ def track_sequence(frames: np.ndarray, stream: EventStream,
         out_pos[qi, :, 1] = qp.y
         out_logit[qi, :] = 1.0
 
-    # live holds the states of steps first, first + 1, ...: each is built
-    # when a window first reaches its step, and dropped once the windows
-    # start at or past a later state that holds every token, from which
-    # the rows replay; so fewer than 2 W are alive
-    states = step_states()
-    live: list[TransientState] = []
-    first = 0
-    pyramid = None
+    # every window has min(W, n_steps) steps
+    pyramid = _WindowPyramid(step_states(), min(w, n_steps), grid, weights)
     for start in _window_starts(n_steps, w):
         stop = min(start + w, n_steps)
-        del live[:anchor[start] - first]
-        first = int(anchor[start])
-        live.extend(islice(states, stop - first - len(live)))
         active = [qi for qi in range(n_q) if active_from[qi] < stop]
-        if pyramid is None:   # every window has min(W, n_steps) steps
-            pyramid = _WindowPyramid(stop - start, live[0].tokens.grid,
-                                     weights)
-        pyramid.load(live, start)
+        pyramid.load(start)
         # one pass for what all the carried-in estimates read; a refiner
         # iteration that reaches beyond it computes the rest
         pyramid.cover(*(out_pos[qi, start:stop] for qi in active))

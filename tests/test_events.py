@@ -232,6 +232,26 @@ def test_timeline_requires_frames_on_query_grid():
         Timeline(frame_times=[0, 150], query_times=[0, 100, 200], exposure_us=10)
 
 
+@pytest.mark.parametrize("frame_times, query_times", [
+    ([-4], [-4, 2, 6]),
+    ([0], [0, 2, 2**64]),
+    ([0], [0, 2**63]),
+])
+def test_timeline_times_outside_the_int64_range_rejected(frame_times,
+                                                         query_times):
+    """bin_events and exposure_window_events search the stream's uint64
+    times for these, and track_sequence holds them as int64."""
+    with pytest.raises(MalformedRecord, match=r"\[0, 2\*\*63\)"):
+        Timeline(frame_times=frame_times, query_times=query_times,
+                 exposure_us=3)
+
+
+def test_exposure_window_of_a_negative_frame_time_rejected():
+    stream = EventStream.from_events([Event(0, 0, 1, 1)], 4, 4, 0, 10)
+    with pytest.raises(EmptyTimeline, match="frame_time -4"):
+        exposure_window_events(stream, -4, 3)
+
+
 def test_batch_invariant_enforced():
     with pytest.raises(MalformedRecord):
         EventBatch(t=np.array([5], dtype=np.uint64),

@@ -10,7 +10,12 @@ from tapfuse.errors import (
     ShapeMismatch,
     TapfuseError,
 )
-from tapfuse.events import Timeline, bin_events, exposure_window_events
+from tapfuse.events import (
+    EventStream,
+    Timeline,
+    bin_events,
+    exposure_window_events,
+)
 from tapfuse.synth import SceneConfig, SceneObject, render_intensity_video, simulate_events
 from tapfuse.tracker import (
     QueryPoint,
@@ -591,6 +596,17 @@ class TestTrackSequence:
         with pytest.raises(GridMismatch):
             track_sequence(frames[1:], stream, shifted, [], weights)
 
+    def test_frame_side_not_a_multiple_of_the_patch_is_shape_mismatch(self):
+        """The window's token grid is taken from the frames' shape; taf_init
+        still refuses a side that is not a multiple of the patch."""
+        weights = WeightBundle.initialize(FusionConfig(), seed=6)
+        timeline = Timeline(frame_times=[0], query_times=[0, 10, 20],
+                            exposure_us=5)
+        stream = EventStream.from_events([], 36, 36, 0, 100)
+        with pytest.raises(ShapeMismatch, match="not divisible by patch"):
+            track_sequence(np.zeros((1, 36, 36)), stream, timeline,
+                           [QueryPoint(0, 1.0, 1.0)], weights)
+
 
     def test_timeline_without_frames_is_grid_mismatch(self):
         weights = WeightBundle.initialize(FusionConfig(), seed=6)
@@ -795,13 +811,16 @@ class TestOnDemandDecode:
         assert len(refined) == 1
         assert np.isnan(refined[0][0][0]).all()
 
-    def test_frames_more_than_a_window_apart_hold_every_row(
-            self, monkeypatch):
-        """Frames at steps 0, 16 and 40 of 48: the states between frames
-        at most W = 16 steps apart hold no token, those between frames
-        farther apart hold every token, so that no row is replayed over
-        more than a window and a window keeps fewer than 2 W states. The
-        tracks equal the dense computation's."""
+    def test_only_a_frame_state_holds_rows(self, monkeypatch):
+        """Frames at steps 0, 16 and 40 of 48, so two are 24 > W = 16
+        steps apart: no taf_update result holds a row, and, with estimates
+        that stay in the first pass, the window replays each row it reads
+        from the last frame. The states alive after each load are those
+        from the last frame at or before the window start to its last
+        step, within the bound load documents. The tracks equal the dense
+        computation's."""
+        import weakref
+
         import tapfuse.tracker as tracker
 
         frames, timeline, stream, _ = small_sequence(size=128,
@@ -812,31 +831,99 @@ class TestOnDemandDecode:
             query_times=timeline.query_times,
             exposure_us=timeline.exposure_us)
         frames = frames[at]
-        weights = drifting_weights(patch_radius=1)
+        weights = drifting_weights(drift=0.0, patch_radius=1)
         qs = [QueryPoint(int(timeline.query_times[step]), x, y)
               for step, x, y in [(0, 1.0, 126.0), (5, 40.0, 30.0),
                                  (0, 110.0, 60.0)]]
         want = dense_track_sequence(frames, stream, timeline, qs, weights)
-        held, kept = [], []
+        held, built, alive = [], [], []
 
-        def update(*args):
-            state = taf_update(*args)
-            held.append(len(state.tokens.values))
-            return state
+        def keep_ref(fn):
+            def wrapped(*args):
+                state = fn(*args)
+                built.append(weakref.ref(state))
+                if fn is taf_update:
+                    held.append(len(state.tokens.values))
+                return state
+            return wrapped
 
-        def load(self, history, start):
-            kept.append(len(history))
-            return load_window(self, history, start)
+        def load(self, start):
+            load_window(self, start)
+            alive.append(sum(ref() is not None for ref in built))
 
         load_window = tracker._WindowPyramid.load
-        monkeypatch.setattr(tracker, "taf_update", update)
+        monkeypatch.setattr(tracker, "taf_init", keep_ref(taf_init))
+        monkeypatch.setattr(tracker, "taf_update", keep_ref(taf_update))
         monkeypatch.setattr(tracker._WindowPyramid, "load", load)
         got = track_sequence(frames, stream, timeline, qs, weights)
         assert got.positions.tobytes() == want[0].tobytes()
         assert got.visibility.tobytes() == want[1].tobytes()
-        # update steps 1-15, 17-39 and 41-47
-        assert held == [0] * 15 + [256] * 23 + [0] * 7
-        assert max(kept) < 2 * weights.config.window
+        assert held == [0] * 45
+        # window starts 0, 8, 16, 24, 32; last frames 0, 0, 16, 16, 16
+        assert alive == [16, 24, 16, 24, 32]
+        w = weights.config.window
+        assert max(alive) <= 2 * w + w // 2
+
+    @pytest.mark.parametrize("drift", [0.0, 5.0])
+    @pytest.mark.parametrize("window", [16, 3])
+    @pytest.mark.parametrize("frame_every", [4, 16, 17, 24, 33, 48])
+    def test_tracks_equal_the_dense_computation_at_every_frame_gap(
+            self, monkeypatch, frame_every, window, drift):
+        """On 8 x 8 tokens, frames every 4 to 48 steps of 48, with or
+        without fills: the tracks equal the dense computation's whether
+        the window replays rows from the last frame or, with a replay that
+        would start more than W steps before the window, computes every
+        row; and history stays within the bound load documents."""
+        import tapfuse.tracker as tracker
+
+        frames, timeline, stream, _ = small_sequence(
+            size=64, frame_every=frame_every)
+        weights = drifting_weights(drift=drift, patch_radius=1,
+                                   window=window)
+        qs = [QueryPoint(int(timeline.query_times[step]), x, y)
+              for step, x, y in [(0, 1.0, 62.0), (5, 20.0, 30.0),
+                                 (0, 50.0, 40.0)]]
+        want = dense_track_sequence(frames, stream, timeline, qs, weights)
+        kept = []
+
+        def load(self, start):
+            load_window(self, start)
+            kept.append(len(self.history))
+
+        load_window = tracker._WindowPyramid.load
+        monkeypatch.setattr(tracker._WindowPyramid, "load", load)
+        got = track_sequence(frames, stream, timeline, qs, weights)
+        assert got.positions.tobytes() == want[0].tobytes()
+        assert got.visibility.tobytes() == want[1].tobytes()
+        assert max(kept) <= 2 * window + window // 2
+
+    def test_history_stays_bounded_before_the_first_query(self,
+                                                          monkeypatch):
+        """One frame and a query that starts at step 40 of 48: the windows
+        before it read nothing, yet the switch turns on where a replay
+        would start more than W steps back, so history stays within the
+        bound load documents instead of holding every state since the
+        frame."""
+        import tapfuse.tracker as tracker
+
+        frames, timeline, stream, _ = small_sequence(size=64,
+                                                     frame_every=48)
+        weights = drifting_weights(drift=0.0, patch_radius=1)
+        qs = [QueryPoint(int(timeline.query_times[40]), 20.0, 30.0)]
+        want = dense_track_sequence(frames, stream, timeline, qs, weights)
+        kept = []
+
+        def load(self, start):
+            load_window(self, start)
+            kept.append(len(self.history))
+
+        load_window = tracker._WindowPyramid.load
+        monkeypatch.setattr(tracker._WindowPyramid, "load", load)
+        got = track_sequence(frames, stream, timeline, qs, weights)
+        assert got.positions.tobytes() == want[0].tobytes()
+        assert got.visibility.tobytes() == want[1].tobytes()
+        # window starts 0, 8, 16, 24 read nothing; the switch turns on at 24
+        assert kept == [16, 24, 32, 40, 16]
 
     def window(self, seed, grid=(8, 8), steps=4):
         """Drifting weights, a window of random states loaded into a
@@ -845,9 +932,10 @@ class TestOnDemandDecode:
         weights = drifting_weights(window=steps)
         x = np.random.default_rng(seed).normal(
             size=(steps, grid[0] * grid[1], weights.config.d))
-        pyramid = _WindowPyramid(steps, grid, weights)
-        pyramid.load([TransientState(Tokens(v, grid), t)
-                      for t, v in enumerate(x)], 0)
+        pyramid = _WindowPyramid(iter([TransientState(Tokens(v, grid), t)
+                                       for t, v in enumerate(x)]),
+                                 steps, grid, weights)
+        pyramid.load(0)
         dense = decode_pyramid(temporal_attention(x, weights).reshape(
             steps, *grid, -1), weights)
         return weights, pyramid, dense
