@@ -8,11 +8,13 @@ record; a TFW1 weights file holds one record per named parameter.
 from __future__ import annotations
 
 import math
+import os
 import struct
+from typing import Sequence
 
 import numpy as np
 
-from .errors import MalformedRecord
+from .errors import DataError, MalformedRecord
 
 TNS_MAGIC = b"TNS1"
 
@@ -32,16 +34,23 @@ def span(data: bytes, pos: int, n: int, what: str) -> int:
     return pos + n
 
 
+def record_dims(data: bytes, pos: int, what: str
+                ) -> tuple[tuple[int, ...], int]:
+    """The dims of the record whose header starts at data[pos], and the
+    offset of its payload. A header cut short raises MalformedRecord."""
+    dims_at = span(data, pos, 4, what)
+    (rank,) = struct.unpack_from("<I", data, pos)
+    at = span(data, dims_at, 4 * rank, what)
+    return struct.unpack_from(f"<{rank}I", data, dims_at), at
+
+
 def read_tensor_record(data: bytes, pos: int, what: str
                        ) -> tuple[np.ndarray, int]:
     """The array whose record starts at data[pos], and the offset just past
     it. A record cut short, or a shape numpy cannot hold (more than 64
     dims, or a 0-size shape whose other dims overflow), raises
     MalformedRecord."""
-    dims_at = span(data, pos, 4, what)
-    (rank,) = struct.unpack_from("<I", data, pos)
-    at = span(data, dims_at, 4 * rank, what)
-    dims = struct.unpack_from(f"<{rank}I", data, dims_at)
+    dims, at = record_dims(data, pos, what)
     count = math.prod(dims)
     end = span(data, at, 8 * count, what)
     try:
@@ -55,10 +64,50 @@ def write_array(arr: np.ndarray) -> bytes:
     return b"".join([TNS_MAGIC, *tensor_record(arr)])
 
 
+# the longest header of an array numpy can hold: magic, rank and 64 dims
+MAX_HEADER = 8 + 4 * 64
+
+
+def tns_header(head: bytes, size: int) -> tuple[tuple[int, ...], int]:
+    """The dims and the payload offset of the array in a TNS1 file of size
+    bytes whose first bytes are head: the whole file, or at least
+    MAX_HEADER bytes of it. Bad magic, a header cut short, and a payload
+    short of the dims or followed by more bytes raise MalformedRecord."""
+    if head[:4] != TNS_MAGIC:
+        raise MalformedRecord(f"bad array magic {head[:4]!r}")
+    dims, at = record_dims(head, 4, "array record")
+    extra = size - at - 8 * math.prod(dims)
+    if extra < 0:
+        raise MalformedRecord(f"array record payload at byte {at} is "
+                              f"{-extra} bytes short of its dims {dims}")
+    if extra > 0:
+        raise MalformedRecord(f"{extra} bytes after the array record")
+    return dims, at
+
+
 def read_array(data: bytes) -> np.ndarray:
-    if data[:4] != TNS_MAGIC:
-        raise MalformedRecord(f"bad array magic {data[:4]!r}")
-    arr, end = read_tensor_record(data, 4, "array record")
-    if end != len(data):
-        raise MalformedRecord(f"{len(data) - end} bytes after the array record")
-    return arr
+    tns_header(data, len(data))
+    return read_tensor_record(data, 4, "array record")[0]
+
+
+def read_frames(path: str | os.PathLike, indices: Sequence[int]
+                ) -> np.ndarray:
+    """The frames at indices, increasing, of the (T, H, W) video in the
+    TNS1 file at path. The header and the file's length are checked first;
+    then only those frames' bytes are read. A video of another rank, or
+    without the last index, raises DataError."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        dims, at = tns_header(f.read(MAX_HEADER), size)
+        if len(dims) != 3:
+            raise DataError(f"frames container must be rank 3, got {len(dims)}")
+        n, height, width = dims
+        if indices[-1] >= n:
+            raise DataError(f"frames container holds {n} frames, frame "
+                            f"{indices[-1]} was asked for")
+        frames = np.empty((len(indices), height, width), dtype="<f8")
+        for frame, i in zip(frames, indices):
+            f.seek(at + i * frame.nbytes)
+            if f.readinto(frame) != frame.nbytes:
+                raise MalformedRecord(f"frame {i} cut short")
+    return frames

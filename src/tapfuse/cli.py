@@ -83,15 +83,8 @@ def cmd_track(config: RunConfig, stream_path: Path, frames_path: Path,
               out_path: Path) -> Path:
     """Track queries through a stored sequence and write the track file."""
     stream = _load_stream(stream_path)
-    video = arrayio.read_array(frames_path.read_bytes())
-    if video.ndim != 3:
-        raise DataError(f"frames container must be rank 3, got {video.ndim}")
+    frames = arrayio.read_frames(frames_path, config.frame_indices())
     timeline = config.timeline()
-    frame_idx = config.frame_indices()
-    if frame_idx[-1] >= len(video):
-        raise DataError("frames container shorter than the timeline")
-    frames = video[frame_idx]
-    del video
 
     if weights_path is not None:
         weights = load_weights(weights_path.read_bytes(),

@@ -74,7 +74,7 @@ class SceneConfig:
     background: float = 1.0
 
     def __post_init__(self):
-        if self.background <= 0:
+        if not self.background > 0:
             raise DegenerateScene("background intensity must be positive")
         for obj in self.objects:
             if not all(map(math.isfinite, (*obj.position, *obj.velocity,
@@ -88,25 +88,57 @@ class SceneConfig:
                 raise DegenerateScene(f"unknown shape {obj.shape!r}")
 
 
-def _rasterize(config: SceneConfig, t_us: float, out: np.ndarray) -> None:
-    """Write the scene at t_us into the (H, W) array out. An (H, 1) row
-    coordinate broadcasts against a (1, W) column coordinate; each pixel
-    takes the same float operations as on a full np.mgrid, so the frame is
-    byte-identical to that as long as numpy's exp and sin give an element
-    the same value whatever the array's shape (pinned in test_synth.py)."""
-    yy = np.arange(config.height, dtype=np.float64)[:, None]
-    xx = np.arange(config.width, dtype=np.float64)
-    out.fill(config.background)
-    for obj in config.objects:
-        cx, cy = obj.position_at(t_us)
-        if obj.shape == "gaussian_blob":
-            out += obj.intensity * np.exp(
-                -((xx - cx) ** 2 + (yy - cy) ** 2) / (2.0 * obj.size ** 2))
-        else:  # textured_square, texture anchored to the object
-            inside = (np.abs(xx - cx) <= obj.size) & (np.abs(yy - cy) <= obj.size)
-            tex = 0.6 + 0.4 * np.sin(2 * np.pi * (xx - cx) / 4.0) \
-                * np.sin(2 * np.pi * (yy - cy) / 4.0)
-            np.copyto(out, config.background + obj.intensity * tex, where=inside)
+def _box(center: float, reach: float, side: int) -> tuple[int, int]:
+    """[lo, hi): the pixels of a sensor side within reach of center."""
+    return (math.floor(max(center - reach, 0.0)),
+            math.floor(min(center + reach, side - 1.0)) + 1)
+
+
+def _rasterize(config: SceneConfig, times: Sequence[float],
+               out: np.ndarray) -> None:
+    """Write the scene at each of times into the (T, H, W) array out.
+
+    Each object writes only its support box, the pixels within its reach
+    of its center; objects whose box misses the sensor are skipped. A
+    square reaches its half-side. A blob reaches the distance beyond which
+    intensity * exp(-d**2 / 2 sigma**2) is below half an ulp of the
+    background. Both add a 2 px margin for the rounding of that bound.
+    Outside its box a blob changes no pixel: no pixel is ever below the
+    background (fill sets it, blobs add positive terms, squares write
+    background + intensity * tex with tex >= 0.2), so an addend under half
+    the background's ulp rounds away.
+
+    Inside the box an (h, 1) row coordinate broadcasts against a (1, w)
+    column coordinate, and each pixel takes the same float operations as
+    on a full np.mgrid, so the frame is byte-identical to that as long as
+    numpy's exp and sin give an element the same value whatever the
+    array's shape (pinned in test_synth.py)."""
+    bg = config.background
+    log_half_ulp = math.log(math.ulp(bg)) - math.log(2.0)
+    reach = [obj.size + 2.0 if obj.shape == "textured_square" else
+             obj.size * math.sqrt(
+                 2.0 * max(math.log(obj.intensity) - log_half_ulp, 0.0)) + 2.0
+             for obj in config.objects]
+    for frame, t_us in zip(out, times):
+        frame.fill(bg)
+        for obj, r in zip(config.objects, reach):
+            cx, cy = obj.position_at(t_us)
+            x0, x1 = _box(cx, r, config.width)
+            y0, y1 = _box(cy, r, config.height)
+            if x0 >= x1 or y0 >= y1:
+                continue
+            box = frame[y0:y1, x0:x1]
+            yy = np.arange(y0, y1, dtype=np.float64)[:, None]
+            xx = np.arange(x0, x1, dtype=np.float64)
+            if obj.shape == "gaussian_blob":
+                box += obj.intensity * np.exp(
+                    -((xx - cx) ** 2 + (yy - cy) ** 2) / (2.0 * obj.size ** 2))
+            else:  # textured_square, texture anchored to the object
+                inside = ((np.abs(xx - cx) <= obj.size)
+                          & (np.abs(yy - cy) <= obj.size))
+                tex = 0.6 + 0.4 * np.sin(2 * np.pi * (xx - cx) / 4.0) \
+                    * np.sin(2 * np.pi * (yy - cy) / 4.0)
+                np.copyto(box, bg + obj.intensity * tex, where=inside)
 
 
 def render_intensity_video(config: SceneConfig,
@@ -125,8 +157,7 @@ def render_intensity_video(config: SceneConfig,
         raise DegenerateScene("need at least 2 frames (fps * duration >= 2)")
     frame_times = np.round(np.arange(n_frames) * 1e6 / config.fps).astype(np.int64)
     frames = np.empty((n_frames, config.height, config.width))
-    for frame, t in zip(frames, frame_times):
-        _rasterize(config, t, frame)
+    _rasterize(config, frame_times, frames)
     video = IntensityVideo(frames=frames, frame_times=frame_times, fps=config.fps)
 
     gt_times = np.asarray(query_times if query_times is not None else frame_times,

@@ -45,7 +45,12 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import GridMismatch, QueryOutOfRange, ShapeMismatch
+from .errors import (
+    GeometryMismatch,
+    GridMismatch,
+    QueryOutOfRange,
+    ShapeMismatch,
+)
 from .events import EventStream, Timeline, bin_events, exposure_window_events
 from .fusion import (
     Tokens,
@@ -490,6 +495,10 @@ def track_sequence(frames: np.ndarray, stream: EventStream,
         raise GridMismatch("the first query step must carry a frame")
     if len(frames) != len(ft):
         raise GridMismatch("one frame per frame time required")
+    if (stream.height, stream.width) != frames.shape[1:3]:
+        raise GeometryMismatch(
+            f"{frames.shape[2]}x{frames.shape[1]} frames against a "
+            f"{stream.width}x{stream.height} event sensor")
     qgrid = {int(t): i for i, t in enumerate(qtimes)}
     for qp in queries:
         if qp.t_q not in qgrid:

@@ -1,11 +1,12 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tapfuse.arrayio import read_array, write_array
-from tapfuse.errors import MalformedRecord, TapfuseError
+from tapfuse.arrayio import read_array, read_frames, write_array
+from tapfuse.errors import DataError, MalformedRecord, TapfuseError
 
 
 @pytest.mark.parametrize("cut", [5, 8, 11, 16])
@@ -78,3 +79,60 @@ def test_mutated_array_file_raises_only_typed_errors(edits, cut):
     except TapfuseError:
         return
     assert arr.dtype == np.float64
+
+
+# ---------------------------------------------------------------------------
+# Reading some frames of a stored video
+# ---------------------------------------------------------------------------
+
+VIDEO = np.random.default_rng(3).normal(size=(96, 6, 5))
+GOOD_VIDEO = write_array(VIDEO)
+
+
+@pytest.mark.parametrize("indices", [range(1), range(0, 96, 16), range(5, 96, 7),
+                                     range(95, 96), range(96)])
+def test_frames_equal_the_whole_array_indexed(tmp_path, indices):
+    path = tmp_path / "video.tns"
+    path.write_bytes(GOOD_VIDEO)
+    got = read_frames(path, indices)
+    want = read_array(path.read_bytes())[indices]
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+BAD_VIDEOS = {
+    "bad_magic": (b"TNS2" + GOOD_VIDEO[4:], MalformedRecord),
+    "cut_header": (GOOD_VIDEO[:14], MalformedRecord),
+    "payload_byte_short": (GOOD_VIDEO[:-1], MalformedRecord),
+    "trailing_byte": (GOOD_VIDEO + b"\x00", MalformedRecord),
+    "rank_2": (write_array(VIDEO[0]), DataError),
+    "short_video": (write_array(VIDEO[:80]), DataError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VIDEOS))
+def test_bad_video_keeps_its_error_type(tmp_path, case):
+    """The same exception type as reading the whole file and checking its
+    rank and length: a broken record is MalformedRecord, a well-formed
+    array of the wrong rank or too few frames a plain DataError."""
+    data, error = BAD_VIDEOS[case]
+    path = tmp_path / "video.tns"
+    path.write_bytes(data)
+    with pytest.raises(DataError) as info:
+        read_frames(path, range(0, 96, 16))
+    assert type(info.value) is error
+
+
+def test_six_of_96_frames_allocate_six_frames(tmp_path):
+    video = np.zeros((96, 64, 64))
+    path = tmp_path / "video.tns"
+    path.write_bytes(write_array(video))
+    frame = video[0].nbytes
+    tracemalloc.start()
+    try:
+        frames = read_frames(path, range(0, 96, 16))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert frames.shape == (6, 64, 64)
+    assert 6 * frame <= peak < 7 * frame

@@ -159,6 +159,22 @@ timeline.frame_hz = 12
 sim.contrast = 0.05
 """
 
+# 256x256 over a background of 1e-3: a blob of 1e6 whose center starts 6
+# sigma off the left edge, so its tail changes pixels out to ~10.7 sigma,
+# and a textured square straddling the right edge
+FAR_BLOB_CONFIG = """\
+scene.width = 256
+scene.height = 256
+scene.duration_us = 125000
+scene.fps = 48
+scene.background = 0.001
+scene.n_random_objects = 0
+scene.object0 = gaussian_blob, -150, 100, 400, 300, 25, 1000000
+scene.object1 = textured_square, 250, 30, -40, 20, 18, 2.5
+timeline.query_hz = 48
+timeline.frame_hz = 12
+"""
+
 
 def perturbed_weights(config_text):
     """The config's seeded init with small seeded values in every zero-init
@@ -202,22 +218,27 @@ class TestSimulate:
             data = (tmp_path / "a" / fname).read_bytes()
             assert hashlib.sha256(data).hexdigest()[:16] == digest
 
-    @pytest.mark.parametrize("width, manifest", [
+    @pytest.mark.parametrize("text, manifest", [
         # the default config: two seeded random objects on 64x64
-        (None, {"video": "0f6b010ae62df3c0", "events": "3eef3cb8af924a06",
-                "tracks": "84803b2ca827e51b"}),
+        ("", {"video": "0f6b010ae62df3c0", "events": "3eef3cb8af924a06",
+              "tracks": "84803b2ca827e51b"}),
         # widths off the SIMD lane counts, both shapes at c = 0.05
-        (24, {"video": "73fba71c3369e809", "events": "bf530ea6100ca6a8",
-              "tracks": "74f6e76fd18655b5"}),
-        (40, {"video": "1a6041042bde2294", "events": "26ea07be755d6d9d",
-              "tracks": "c2252ec17b467549"}),
-        (200, {"video": "e9fa049ded666ccb", "events": "4f7860305e7110bb",
-               "tracks": "31f101e2afefd314"}),
-    ], ids=["default", "w24", "w40", "w200"])
-    def test_golden_manifest(self, tmp_path, capsys, width, manifest):
+        (WIDTH_CONFIG.format(w=24),
+         {"video": "73fba71c3369e809", "events": "bf530ea6100ca6a8",
+          "tracks": "74f6e76fd18655b5"}),
+        (WIDTH_CONFIG.format(w=40),
+         {"video": "1a6041042bde2294", "events": "26ea07be755d6d9d",
+          "tracks": "c2252ec17b467549"}),
+        (WIDTH_CONFIG.format(w=200),
+         {"video": "e9fa049ded666ccb", "events": "4f7860305e7110bb",
+          "tracks": "31f101e2afefd314"}),
+        (FAR_BLOB_CONFIG,
+         {"video": "956438dffdbbb472", "events": "d4202a6d5306f514",
+          "tracks": "cc9dde608872aa9c"}),
+    ], ids=["default", "w24", "w40", "w200", "far_blob"])
+    def test_golden_manifest(self, tmp_path, capsys, text, manifest):
         """Video, events and ground truth byte for byte, as the per-frame
         np.mgrid rasterizer and the per-pixel level index wrote them."""
-        text = "" if width is None else WIDTH_CONFIG.format(w=width)
         assert cmd_simulate(parse_run_config(text).validate(),
                             tmp_path) == manifest
 
@@ -287,6 +308,52 @@ class TestTrack:
                       "track", "--stream", out / "events.evbin",
                       "--frames", cut, "--query", "0,16,16"])
         assert rc == 3
+
+    @pytest.mark.parametrize("edit", [
+        lambda data, video: b"TNS2" + data[4:],
+        lambda data, video: data[:-1],
+        lambda data, video: data + b"\x00",
+        lambda data, video: arrayio.write_array(video[0]),
+        lambda data, video: arrayio.write_array(video[:-2]),
+    ], ids=["bad_magic", "payload_byte_short", "trailing_byte", "rank_2",
+            "short_video"])
+    def test_bad_frames_file_is_data_error(self, tmp_path, small_cfg, capsys,
+                                           edit):
+        out = tmp_path / "sim"
+        assert run_cli(["--config", small_cfg, "--out", out, "simulate"]) == 0
+        data = (out / "video.tns").read_bytes()
+        bad = tmp_path / "bad.tns"
+        bad.write_bytes(edit(data, arrayio.read_array(data)))
+        rc = run_cli(["--config", small_cfg, "--out", tmp_path / "trk",
+                      "track", "--stream", out / "events.evbin",
+                      "--frames", bad, "--query", "0,16,16"])
+        assert rc == 3
+        assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "trk" / "tracks.txt").exists()
+
+    @pytest.mark.parametrize("stream_side, frame_side", [(32, 64), (64, 32)])
+    def test_frames_off_the_event_sensor_exit_4(self, tmp_path, small_cfg,
+                                                capsys, stream_side,
+                                                frame_side):
+        """Events from one sensor size and frames from another: either way
+        round is a contract violation naming both sizes, and no tracks."""
+        sims = {}
+        for side in (32, 64):
+            cfg = tmp_path / f"run{side}.cfg"
+            cfg.write_text(SMALL_CONFIG.replace("= 32", f"= {side}"))
+            sims[side] = tmp_path / f"sim{side}"
+            assert run_cli(["--config", cfg, "--out", sims[side],
+                            "simulate"]) == 0
+        capsys.readouterr()
+        rc = run_cli(["--config", small_cfg, "--out", tmp_path / "trk",
+                      "track", "--stream", sims[stream_side] / "events.evbin",
+                      "--frames", sims[frame_side] / "video.tns",
+                      "--query", "0,16,16"])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert (f"{frame_side}x{frame_side} frames against a "
+                f"{stream_side}x{stream_side} event sensor") in err
+        assert not (tmp_path / "trk" / "tracks.txt").exists()
 
     def test_odd_model_width_runs(self, tmp_path, capsys):
         base = tmp_path / "odd"

@@ -64,6 +64,13 @@ class TestRender:
                         objects=[SceneObject("gaussian_blob", (4, 4), (0, 0),
                                              0.0, 1.0)])
 
+    @pytest.mark.parametrize("background", [0.0, -1.0, np.nan])
+    def test_background_that_is_not_positive_rejected(self, background):
+        """A NaN background has no ulp to bound a blob's reach by."""
+        with pytest.raises(DegenerateScene, match="background"):
+            SceneConfig(width=8, height=8, duration_us=100_000, fps=24,
+                        objects=[blob(4, 4)], background=background)
+
     @pytest.mark.parametrize("obj", [
         blob(np.nan, 4), blob(4, 4, vx=np.inf), blob(4, 4, size=np.inf),
         blob(4, 4, intensity=np.nan)])
@@ -369,12 +376,38 @@ def scenes(draw):
                        background=draw(st.floats(0.25, 4.0)))
 
 
+@st.composite
+def far_reaching_scenes(draw):
+    """Objects whose support box reaches far past a few sigma: intensity
+    up to 1e6 over a background down to 1e-3 (a blob then changes pixels
+    out to ~10.7 sigma), sigma up to 200 px, and centers up to 300 px off
+    the sensor. Sizes and intensities are log-uniform."""
+    width, height = draw(st.sampled_from(SIDES)), draw(st.sampled_from(SIDES))
+
+    def obj():
+        return SceneObject(
+            shape=draw(st.sampled_from(["gaussian_blob", "textured_square"])),
+            position=(draw(st.floats(-300, width + 300)),
+                      draw(st.floats(-300, height + 300))),
+            velocity=(draw(st.floats(-80, 80)), draw(st.floats(-80, 80))),
+            size=10 ** draw(st.floats(-1, 2.3)),
+            intensity=10 ** draw(st.floats(-3, 6)))
+
+    return SceneConfig(width=width, height=height, duration_us=200_000,
+                       fps=10.0,
+                       objects=[obj() for _ in range(draw(st.integers(1, 3)))],
+                       background=10 ** draw(st.floats(-3, 3)))
+
+
 class TestArraySimulationExactness:
-    @settings(max_examples=150, deadline=None)
-    @given(cfg=scenes(), t_us=st.integers(0, 10**6))
+    @settings(max_examples=450, deadline=None)
+    @given(cfg=st.one_of(scenes(), far_reaching_scenes()),
+           t_us=st.integers(0, 10**6))
     def test_rasterize_matches_full_grid(self, cfg, t_us):
-        out = np.empty((cfg.height, cfg.width))
-        _rasterize(cfg, t_us, out)
+        """Each object drawn on its support box alone gives the full-grid
+        frame byte for byte, however bright, wide or far off the sensor."""
+        out = np.empty((1, cfg.height, cfg.width))
+        _rasterize(cfg, [t_us], out)
         assert out.tobytes() == ref_rasterize(cfg, t_us).tobytes()
 
     @settings(max_examples=60, deadline=None)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tapfuse.errors import (
+    GeometryMismatch,
     GridMismatch,
     QueryOutOfRange,
     ShapeMismatch,
@@ -616,6 +617,22 @@ class TestTrackSequence:
         with pytest.raises(GridMismatch, match="first query step"):
             track_sequence(np.zeros((0, 32, 32)), stream, timeline, [],
                            weights)
+
+    @pytest.mark.parametrize("frame_hw, sensor_wh", [((48, 64), (64, 32)),
+                                                      ((32, 64), (64, 48))])
+    def test_frames_off_the_event_sensor_are_geometry_mismatch(
+            self, frame_hw, sensor_wh):
+        """Frames and events come from one sensor: frames larger or smaller
+        than it raise GeometryMismatch naming both sizes, width first."""
+        weights = WeightBundle.initialize(FusionConfig(), seed=6)
+        timeline = Timeline(frame_times=[0], query_times=[0, 10, 20],
+                            exposure_us=5)
+        stream = EventStream.from_events([], *sensor_wh, 0, 100)
+        (fh, fw), (sw, sh) = frame_hw, sensor_wh
+        with pytest.raises(GeometryMismatch, match=f"{fw}x{fh} frames against "
+                                                   f"a {sw}x{sh} event sensor"):
+            track_sequence(np.ones((1, *frame_hw)), stream, timeline,
+                           [QueryPoint(0, 1.0, 1.0)], weights)
 
 
 # ---------------------------------------------------------------------------
