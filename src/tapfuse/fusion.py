@@ -452,7 +452,7 @@ def temporal_attention(x: np.ndarray, weights: WeightBundle,
     connection around the attention readout.
     """
     x = np.asarray(x, dtype=np.float64)
-    t_len, n, d = x.shape
+    t_len, _, d = x.shape
     pe = sinusoidal_encoding(np.arange(t_len), d)[:, None, :]
     xin = x + pe
     q, k, v = (_tiled(m, weights[f"tattn.w{p}"], weights[f"tattn.b{p}"])

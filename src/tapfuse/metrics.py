@@ -58,7 +58,6 @@ class MetricReport:
     oa: float | None
     fa: float | None
     efa: float | None
-    auc_v: float | None
     thresholds: tuple[float, ...]
     per_threshold: dict[str, dict[str, float | None]]
     per_track: list[dict[str, float]]
@@ -66,7 +65,7 @@ class MetricReport:
     def to_json(self) -> str:
         return json.dumps({
             "aj": self.aj, "delta_avg_vis": self.delta_avg_vis, "oa": self.oa,
-            "fa": self.fa, "efa": self.efa, "auc_v": self.auc_v,
+            "fa": self.fa, "efa": self.efa,
             "thresholds": list(self.thresholds),
             "per_threshold": self.per_threshold,
             "per_track": self.per_track,
@@ -75,7 +74,7 @@ class MetricReport:
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf)
-        keys = ["aj", "delta_avg_vis", "oa", "fa", "efa", "auc_v"]
+        keys = ["aj", "delta_avg_vis", "oa", "fa", "efa"]
         writer.writerow(keys)
         writer.writerow([getattr(self, k) for k in keys])
         return buf.getvalue()
@@ -250,7 +249,7 @@ def evaluate(pair: EvalPair,
         aj=score(average_jaccard, thresholds),
         delta_avg_vis=score(delta_avg_vis, thresholds),
         oa=occlusion_accuracy(pair),
-        fa=fa if ages.size else None, efa=efa, auc_v=None,
+        fa=fa if ages.size else None, efa=efa,
         thresholds=tuple(thresholds),
         per_threshold=per_threshold,
         per_track=per_track,

@@ -40,8 +40,12 @@ class IntensityVideo:
         times = np.asarray(self.frame_times, dtype=np.int64)
         if frames.ndim != 3 or frames.shape[0] != times.shape[0]:
             raise DegenerateScene("frames/frame_times shape mismatch")
-        if np.any(frames <= 0):
+        if np.any(np.diff(times) <= 0):
+            raise DegenerateScene("frame times must strictly increase")
+        if not np.all(frames > 0):
             raise NonPositiveIntensity("intensity must be positive everywhere")
+        if not np.all(frames < np.inf):
+            raise DegenerateScene("intensity must be finite everywhere")
         object.__setattr__(self, "frames", frames)
         object.__setattr__(self, "frame_times", times)
 
@@ -58,10 +62,6 @@ class SceneObject:
         s = t_us / 1e6
         return (self.position[0] + self.velocity[0] * s,
                 self.position[1] + self.velocity[1] * s)
-
-    def covers(self, px: float, py: float, t_us: float) -> bool:
-        cx, cy = self.position_at(t_us)
-        return max(abs(px - cx), abs(py - cy)) <= self.size
 
 
 @dataclass(frozen=True)
@@ -162,19 +162,18 @@ def render_intensity_video(config: SceneConfig,
 
     gt_times = np.asarray(query_times if query_times is not None else frame_times,
                           dtype=np.int64)
-    Q, T = len(config.objects), len(gt_times)
-    positions = np.zeros((Q, T, 2))
-    visibility = np.zeros((Q, T), dtype=np.int64)
-    for qi, obj in enumerate(config.objects):
-        for ti, t in enumerate(gt_times):
-            px, py = obj.position_at(t)
-            positions[qi, ti] = (px, py)
-            in_bounds = 0 <= px < config.width and 0 <= py < config.height
-            occluded = any(other.covers(px, py, t)
-                           for other in config.objects[qi + 1:])
-            visibility[qi, ti] = int(in_bounds and not occluded)
+    # position_at's float operations, for every object and time at once
+    motion = np.array([(obj.position, obj.velocity) for obj in config.objects],
+                      dtype=np.float64).reshape(-1, 2, 1, 2)
+    positions = motion[:, 0] + motion[:, 1] * (gt_times / 1e6)[:, None]
+    visible = np.all((0 <= positions)
+                     & (positions < (config.width, config.height)), axis=2)
+    for i, obj in enumerate(config.objects):
+        # a later object's square hides the centres of the objects before it
+        visible[:i] &= ~np.all(np.abs(positions[:i] - positions[i]) <= obj.size,
+                               axis=2)
     return video, TrackSet(times=gt_times, positions=positions,
-                           visibility=visibility)
+                           visibility=visible.astype(np.int64))
 
 
 def simulate_events(video: IntensityVideo, c: float = DEFAULT_CONTRAST
@@ -184,10 +183,18 @@ def simulate_events(video: IntensityVideo, c: float = DEFAULT_CONTRAST
 
     Log intensity is interpolated linearly in time between frames (the
     trigger condition lives in the log domain, which makes crossing times
-    closed-form). Timestamps are rounded to the nearest microsecond and
-    the merged stream is returned in canonical order. The level index is
-    built in one array expression whose integers equal one np.arange per
-    pixel, so the stream is byte-identical to that loop's.
+    closed-form), so between two frames a pixel crosses levels of one sign
+    only, as in ESIM (Rebecq et al. 2018). One pass per frame interval,
+    holding two frames' logs, gives each pixel floor(|q|) levels of the
+    sign of q = (L1 - ref) / c, indexed by one array expression whose
+    integers equal one np.arange per pixel. Timestamps are rounded to the
+    nearest microsecond; the merged stream is in canonical order.
+
+    The stream is byte-identical to an up and then a down pass, each
+    counting floor(sign * (L1 - ref) / c): 1.0 * x is x and (-x) / c is
+    -(x / c); after floor(q) up crossings ref is within a few ulps of L1
+    or below it, so for c far above a log's ulp the down pass adds none;
+    and the canonical order makes the order of emission irrelevant.
     """
     if c <= 0:
         raise DegenerateScene("contrast threshold must be positive")
@@ -200,55 +207,41 @@ def simulate_events(video: IntensityVideo, c: float = DEFAULT_CONTRAST
         raise GeometryViolation(f"{W}x{H} video: event x and y are u16, so "
                                 f"a side is at most {MAX_SENSOR_SIDE} px")
 
-    L = np.log(video.frames.reshape(len(video.frames), -1))  # T x (H*W)
-    n_pix = H * W
-    ref = L[0].copy()
-    ts_out, pix_out, pol_out = [], [], []
+    frames = video.frames.reshape(len(video.frames), -1)  # T x (H*W)
+    t_first, t_last = video.frame_times[[0, -1]]
+    L1 = np.log(frames[0])
+    ref = L1.copy()
+    # each interval's (t, x, y, p) columns, in the stream's dtypes
+    cols = [(np.zeros(0, np.uint64), np.zeros(0, np.uint16),
+             np.zeros(0, np.uint16), np.zeros(0, np.int8))]
+    for j in range(len(frames) - 1):
+        L0, L1 = L1, np.log(frames[j + 1])
+        t0, t1 = map(float, video.frame_times[j:j + 2])
+        q = (L1 - ref) / c
+        active = np.flatnonzero(np.abs(q) >= 1)
+        if active.size == 0:
+            continue
+        sign = np.sign(q[active])
+        counts = np.floor(sign * q[active]).astype(np.int64)
+        pix = np.repeat(active, counts)
+        # level index 1..n per pixel: running index minus pixel start
+        k = np.arange(1, pix.size + 1) - np.repeat(np.cumsum(counts) - counts,
+                                                    counts)
+        s = np.repeat(sign, counts)
+        levels = ref[pix] + s * k * c
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tt = t0 + (levels - L0[pix]) / (L1[pix] - L0[pix]) * (t1 - t0)
+        # float rounding can carry a level crossed at the end of the
+        # previous interval over to a pixel that holds still in this one
+        tt[~np.isfinite(tt)] = t0
+        t = np.clip(np.round(tt).astype(np.int64), t_first, t_last)
+        cols.append((t.astype(np.uint64), (pix % W).astype(np.uint16),
+                     (pix // W).astype(np.uint16), s.astype(np.int8)))
+        ref[active] += sign * counts * c
 
-    for j in range(len(video.frame_times) - 1):
-        L0, L1 = L[j], L[j + 1]
-        t0 = float(video.frame_times[j])
-        t1 = float(video.frame_times[j + 1])
-        slope = L1 - L0
-        for sign in (1.0, -1.0):
-            # number of +-c levels crossed moving from ref toward L1
-            n = np.floor(sign * (L1 - ref) / c).astype(np.int64)
-            n = np.maximum(n, 0)
-            active = np.flatnonzero(n > 0)
-            if active.size == 0:
-                continue
-            counts = n[active]
-            pix = np.repeat(active, counts)
-            # level index 1..n per pixel: running index minus pixel start
-            k = np.arange(1, pix.size + 1) - np.repeat(np.cumsum(counts) - counts,
-                                                        counts)
-            levels = ref[pix] + sign * k * c
-            with np.errstate(divide="ignore", invalid="ignore"):
-                tt = t0 + (levels - L0[pix]) / slope[pix] * (t1 - t0)
-            # float rounding can carry a level crossed at the end of the
-            # previous interval over to a pixel that holds still in this one
-            tt[~np.isfinite(tt)] = t0
-            ts_out.append(np.round(tt).astype(np.int64))
-            pix_out.append(pix)
-            pol_out.append(np.full(pix.shape, int(sign), dtype=np.int8))
-            ref[active] += sign * counts * c
-
-    if ts_out:
-        t = np.concatenate(ts_out)
-        pix = np.concatenate(pix_out)
-        p = np.concatenate(pol_out)
-    else:
-        t = np.zeros(0, dtype=np.int64)
-        pix = np.zeros(0, dtype=np.int64)
-        p = np.zeros(0, dtype=np.int8)
-    t = np.clip(t, video.frame_times[0], video.frame_times[-1])
-    return EventStream(
-        t=t.astype(np.uint64),
-        x=(pix % W).astype(np.uint16),
-        y=(pix // W).astype(np.uint16),
-        p=p,
-        width=W, height=H,
-        t_start=int(video.frame_times[0]), t_end=int(video.frame_times[-1]))
+    t, x, y, p = map(np.concatenate, zip(*cols))
+    return EventStream(t=t, x=x, y=y, p=p, width=W, height=H,
+                       t_start=int(t_first), t_end=int(t_last))
 
 
 def reconstruct_log_intensity(anchor: np.ndarray, stream: EventStream,

@@ -1,5 +1,6 @@
-"""Every top-level import of a package module is referenced in it. No
-linter is installed, so this test is the check for stale imports."""
+"""Every top-level import of a package module is referenced in it, and
+every local a function binds is read in it. No linter is installed, so
+this test is the check for stale imports and dead locals."""
 
 import ast
 from pathlib import Path
@@ -22,10 +23,42 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in used]
 
 
+def unused_locals(source: str) -> list[str]:
+    """function.name for each name a function binds and never reads,
+    nested functions included; names starting with _ are exempt."""
+    unused = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        names = [n for n in ast.walk(fn) if isinstance(n, ast.Name)]
+        bound = {n.id for n in names if isinstance(n.ctx, ast.Store)}
+        read = {n.id for n in names if isinstance(n.ctx, ast.Load)}
+        unused += [f"{fn.name}.{name}" for name in sorted(bound - read)
+                   if not name.startswith("_")]
+    return unused
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_module_has_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
 
 
+@pytest.mark.parametrize("module", MODULES)
+def test_module_has_no_unused_locals(module):
+    assert unused_locals((PACKAGE / module).read_text()) == []
+
+
 def test_checker_flags_an_unused_import():
     assert unused_imports("import os\nfrom a import b, c\nb()\n") == ["os", "c"]
+
+
+def test_checker_flags_an_unused_local():
+    source = ("def f(x):\n"
+              "    h, w, _ = x.shape\n"
+              "    n = h * w\n"
+              "    for i, v in enumerate(x):\n"
+              "        total = v\n"
+              "    def g():\n"
+              "        return w\n"
+              "    return g\n")
+    assert unused_locals(source) == ["f.i", "f.n", "f.total"]

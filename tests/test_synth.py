@@ -3,9 +3,15 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from tapfuse.errors import DegenerateScene, EmptyWindow, GeometryViolation
+from tapfuse.errors import (
+    DegenerateScene,
+    EmptyWindow,
+    GeometryViolation,
+    NonPositiveIntensity,
+)
 from tapfuse.events import Event, EventStream
 from tapfuse.synth import (
     IntensityVideo,
@@ -78,6 +84,29 @@ class TestRender:
         with pytest.raises(DegenerateScene, match="non-finite"):
             SceneConfig(width=8, height=8, duration_us=100_000, fps=24,
                         objects=[obj])
+
+    @pytest.mark.parametrize("times", [[0, 2000, 1000], [1000, 0, 2000],
+                                       [0, 0, 1000]])
+    def test_frame_times_that_do_not_strictly_increase_rejected(self, times):
+        """Were they accepted, [0, 2000, 1000] would squeeze the events of a
+        log ramp into [0, 1000], and [1000, 0, 2000] would clip the first
+        interval's events to t = 1000."""
+        frames = np.exp(np.array([0.0, 4.0, 8.0])).reshape(3, 1, 1) \
+            * np.ones((3, 2, 2))
+        with pytest.raises(DegenerateScene, match="strictly increase"):
+            IntensityVideo(frames=frames, frame_times=np.array(times),
+                           fps=1000.0)
+
+    @pytest.mark.parametrize("value, error", [
+        (0.0, NonPositiveIntensity), (np.nan, NonPositiveIntensity),
+        (np.inf, DegenerateScene)])
+    def test_intensity_that_is_not_positive_and_finite_rejected(self, value,
+                                                                error):
+        frames = np.ones((2, 2, 2))
+        frames[1, 0, 1] = value
+        with pytest.raises(error):
+            IntensityVideo(frames=frames, frame_times=np.array([0, 1000]),
+                           fps=1000.0)
 
 
 class TestSimulate:
@@ -353,6 +382,32 @@ def ref_simulate_events(video, c):
         t_end=int(video.frame_times[-1]))
 
 
+def ref_ground_truth(config, times):
+    """render_intensity_video's ground truth, one object and time at a time:
+    a later object whose square covers an earlier object's center hides it."""
+    def covers(obj, px, py, t_us):
+        cx, cy = obj.position_at(t_us)
+        return max(abs(px - cx), abs(py - cy)) <= obj.size
+
+    Q, T = len(config.objects), len(times)
+    positions = np.zeros((Q, T, 2))
+    visibility = np.zeros((Q, T), dtype=np.int64)
+    for qi, obj in enumerate(config.objects):
+        for ti, t in enumerate(times):
+            px, py = obj.position_at(t)
+            positions[qi, ti] = (px, py)
+            in_bounds = 0 <= px < config.width and 0 <= py < config.height
+            occluded = any(covers(other, px, py, t)
+                           for other in config.objects[qi + 1:])
+            visibility[qi, ti] = int(in_bounds and not occluded)
+    return positions, visibility
+
+
+def assert_same_stream(got, want):
+    for col in "txyp":
+        assert getattr(got, col).tobytes() == getattr(want, col).tobytes(), col
+
+
 # widths and heights off any SIMD lane count, and the benchmark's widths
 SIDES = [1, 3, 5, 7, 17, 24, 33, 40, 64, 129, 200]
 
@@ -399,6 +454,9 @@ def far_reaching_scenes(draw):
                        background=10 ** draw(st.floats(-3, 3)))
 
 
+MAX_EVENTS = 20_000
+
+
 class TestArraySimulationExactness:
     @settings(max_examples=450, deadline=None)
     @given(cfg=st.one_of(scenes(), far_reaching_scenes()),
@@ -410,15 +468,85 @@ class TestArraySimulationExactness:
         _rasterize(cfg, [t_us], out)
         assert out.tobytes() == ref_rasterize(cfg, t_us).tobytes()
 
-    @settings(max_examples=60, deadline=None)
-    @given(cfg=scenes(), c=st.sampled_from([0.03, 0.044, 0.2]))
+    @settings(max_examples=300, deadline=None)
+    @given(cfg=st.one_of(scenes(), far_reaching_scenes()),
+           c=st.floats(0.01, 1.0))
     def test_video_and_events_match_reference(self, cfg, c):
+        """One signed count per pixel and interval gives the two sign
+        passes' stream byte for byte."""
         video, _ = render_intensity_video(cfg)
         want = np.stack([ref_rasterize(cfg, t) for t in video.frame_times])
         assert video.frames.tobytes() == want.tobytes()
-        got, ref = simulate_events(video, c), ref_simulate_events(video, c)
-        for col in "txyp":
-            assert getattr(got, col).tobytes() == getattr(ref, col).tobytes()
+        # a pixel's events in an interval are at most |dL| / c + 1
+        assume(np.abs(np.diff(np.log(video.frames), axis=0)).sum() / c
+               <= MAX_EVENTS)
+        assert_same_stream(simulate_events(video, c),
+                           ref_simulate_events(video, c))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), c=st.floats(0.01, 1.0),
+           t_start=st.integers(0, 10**12))
+    def test_rising_and_falling_logs_match_reference(self, data, c, t_start):
+        """Per-pixel logs that rise and fall across intervals, by whole
+        levels and by fractions of one, on frame gaps from 1 us."""
+        n = data.draw(st.integers(2, 8), label="frames")
+        logs = data.draw(arrays(np.float64, (n, 2, 3),
+                                elements=st.floats(-8, 14)), label="logs")
+        gaps = data.draw(st.lists(st.integers(1, 10**6), min_size=n - 1,
+                                  max_size=n - 1), label="gaps")
+        video = IntensityVideo(frames=np.exp(logs),
+                               frame_times=t_start + np.cumsum([0] + gaps),
+                               fps=1.0)
+        assert_same_stream(simulate_events(video, c),
+                           ref_simulate_events(video, c))
+
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=scenes(), step=st.integers(1_000, 50_000))
+    def test_ground_truth_matches_reference(self, cfg, step):
+        _, gt = render_intensity_video(cfg, np.arange(0, cfg.duration_us, step))
+        positions, visibility = ref_ground_truth(cfg, gt.times)
+        assert gt.positions.tobytes() == positions.tobytes()
+        assert gt.visibility.tobytes() == visibility.tobytes()
+
+    @pytest.mark.parametrize("objects", [[], [
+        blob(10, 10, vx=30.0),
+        SceneObject("textured_square", (20, 10), (-30, 0), 4.0, 1.0),
+        blob(14, 10, size=6.0)]])
+    def test_ground_truth_without_objects_and_under_overlaps(self, objects):
+        """A scene without objects has empty tracks; in the second scene the
+        blobs and the square pass over each other, and a later object hides
+        an earlier one's in-bounds center whatever its own shape."""
+        cfg = SceneConfig(width=32, height=20, duration_us=1_000_000, fps=24,
+                          objects=objects)
+        _, gt = render_intensity_video(cfg)
+        positions, visibility = ref_ground_truth(cfg, gt.times)
+        assert gt.positions.shape == (len(objects), 24, 2)
+        assert gt.positions.tobytes() == positions.tobytes()
+        assert gt.visibility.tobytes() == visibility.tobytes()
+        if objects:
+            in_bounds = (gt.positions >= 0).all(axis=2) \
+                & (gt.positions < (32, 20)).all(axis=2)
+            hidden = in_bounds & (gt.visibility == 0)
+            assert hidden[0].any() and hidden[1].any()
+            assert gt.visibility[0].any() and gt.visibility[2].all()
+
+    def test_simulate_holds_two_frames_of_logs(self):
+        """One pass per interval holds two frames' logs and the sensor-wide
+        temporaries of one interval, never a log table of the whole video."""
+        cfg = SceneConfig(width=64, height=64, duration_us=2_000_000, fps=48,
+                          objects=[blob(20, 20, vx=10.0),
+                                   SceneObject("textured_square", (40, 30),
+                                               (-5, 5), 6.0, 2.0)])
+        video, _ = render_intensity_video(cfg)
+        assert video.frames.shape == (96, 64, 64)
+        tracemalloc.start()
+        try:
+            stream = simulate_events(video, c=0.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(stream) > 1000
+        assert peak < 0.25 * video.frames.nbytes
 
     def test_render_peaks_near_its_output(self):
         """The frames are written into one preallocated video: the peak is
