@@ -200,7 +200,10 @@ def simulate_events(video: IntensityVideo, c: float = DEFAULT_CONTRAST
         raise DegenerateScene("contrast threshold must be positive")
     if len(video.frame_times) < 2:
         raise DegenerateScene("need at least 2 frames to simulate")
-    if np.any(video.frames <= 0):
+    # the caller may have written into the frames since the video was built:
+    # this test fails on NaN, and an inf fails the finiteness tests of the
+    # first frame's log and of each interval's q, without another pass
+    if not (video.frames > 0).all():
         raise NonPositiveIntensity("intensity must be positive everywhere")
     H, W = video.frames.shape[1:]
     if max(H, W) > MAX_SENSOR_SIDE:
@@ -210,7 +213,10 @@ def simulate_events(video: IntensityVideo, c: float = DEFAULT_CONTRAST
     frames = video.frames.reshape(len(video.frames), -1)  # T x (H*W)
     t_first, t_last = video.frame_times[[0, -1]]
     L1 = np.log(frames[0])
-    ref = L1.copy()
+    finite = "intensity must be finite everywhere"
+    if not np.isfinite(L1).all():
+        raise DegenerateScene(finite)
+    ref = L1.copy()     # stays finite: a later inf makes q infinite there
     # each interval's (t, x, y, p) columns, in the stream's dtypes
     cols = [(np.zeros(0, np.uint64), np.zeros(0, np.uint16),
              np.zeros(0, np.uint16), np.zeros(0, np.int8))]
@@ -221,6 +227,8 @@ def simulate_events(video: IntensityVideo, c: float = DEFAULT_CONTRAST
         active = np.flatnonzero(np.abs(q) >= 1)
         if active.size == 0:
             continue
+        if not np.isfinite(q[active]).all():
+            raise DegenerateScene(finite)
         sign = np.sign(q[active])
         counts = np.floor(sign * q[active]).astype(np.int64)
         pix = np.repeat(active, counts)

@@ -10,7 +10,12 @@ of sample points. track_sequence drives the transient-fusion state
 machine along the query-time grid and slides W-step windows with 50%
 overlap over the resulting states. A window track is two arrays, (W, 2)
 positions and W visibility logits, which refine_track reads and returns
-refined.
+refined; it takes a stack of them, (Q, W, 2) and (Q, W), as well.
+track_sequence refines a window's active queries in groups, in order:
+each group holds as many queries as keep one pass's level-0 gather
+within _GATHER_BYTES, and at least one. Each query's track is computed
+by the same products on its own rows as it would be alone, so a query's
+track does not depend on its group.
 
 A window's states and pyramid, which all queries share, are computed
 only at the tokens the refiner reads. The state update acts on one token
@@ -162,8 +167,9 @@ def parse_track_set(data: bytes) -> TrackSet:
 
 def sample_patch(level: np.ndarray, centers: np.ndarray, r: int,
                  stride: float = 1, block: int = 1) -> np.ndarray:
-    """Bilinear (2r+1)x(2r+1)xC patches around (W, 2) centres (input px),
-    one per step of a (W, rows, cols, C) level; returns (W, 2r+1, 2r+1, C).
+    """Bilinear (2r+1)x(2r+1)xC patches around (..., W, 2) centres (input
+    px), each step's from its step of a (W, rows, cols, C) level; returns
+    (..., W, 2r+1, 2r+1, C). Leading axes stack tracks on the one level.
 
     Taps are spaced by stride on a grid of rows * block x cols * block
     points, on which each level cell covers a block x block square; a tap
@@ -171,19 +177,23 @@ def sample_patch(level: np.ndarray, centers: np.ndarray, r: int,
 
     Tap coordinates, fractions, in-range masks and clamped cells are
     computed once per axis, and one take from the flattened level gathers
-    all four bilinear corners of every tap. The weighted corners are added
-    into zeros in the order (y0, x0), (y0, x1), (y1, x0), (y1, x1), so
-    rounding and signed zeros are those of one gather per corner.
+    all four bilinear corners of every tap, through a flat index that
+    carries each tap's step. The weighted corners are added into zeros in
+    the order (y0, x0), (y0, x1), (y1, x0), (y1, x1), so rounding and
+    signed zeros are those of one gather per corner. np.einsum adds them
+    so, one product at a time, except into a result of one value, which
+    it sums as a dot product, in another order; a plain sum does that one.
     """
     level = np.asarray(level, dtype=np.float64)
     n, rows, cols, c = level.shape
     h, w = rows * block, cols * block
     centers = np.asarray(centers, dtype=np.float64)
-    if centers.shape != (n, 2):
+    if centers.shape[-2:] != (n, 2):
         raise ShapeMismatch(f"centers {centers.shape} for {n} level steps")
+    k = 2 * r + 1
     offs = np.arange(-r, r + 1, dtype=np.float64)
-    px = centers[:, 0, None, None] / stride + offs[None, None, :]  # W x 1 x k
-    py = centers[:, 1, None, None] / stride + offs[None, :, None]  # W x k x 1
+    px = centers[..., 0, None, None] / stride + offs[None, :]  # ... W x 1 x k
+    py = centers[..., 1, None, None] / stride + offs[:, None]  # ... W x k x 1
     x0 = np.floor(px).astype(np.int64)
     y0 = np.floor(py).astype(np.int64)
     fx, fy = px - x0, py - y0
@@ -194,17 +204,15 @@ def sample_patch(level: np.ndarray, centers: np.ndarray, r: int,
     xcell = np.minimum(np.maximum(xs, 0), w - 1) // block
     ycell = np.minimum(np.maximum(ys, 0), h - 1) // block
     steps = np.arange(n)[:, None, None]
-    # corners (dy, dx) in row-major order: 4 x W x k x k
-    idx = ((steps * rows + ycell)[:, None] * cols + xcell[None]).reshape(
-        4, n, 2 * r + 1, 2 * r + 1)
+    # corners (dy, dx) in row-major order: 4 x ... x W x k x k
+    shape = (4, *centers.shape[:-1], k, k)
+    idx = ((steps * rows + ycell)[:, None] * cols + xcell[None]).reshape(shape)
     weight = np.where(oky[:, None] & okx[None], wy[:, None] * wx[None], 0.0
-                      ).reshape(idx.shape)
+                      ).reshape(shape)
     vals = level.reshape(n * rows * cols, c).take(idx, axis=0)
-    vals *= weight[..., None]
-    patch = np.zeros((n, 2 * r + 1, 2 * r + 1, c))
-    for corner in vals:
-        patch += corner
-    return patch
+    if vals[0].size == 1:
+        return sum(vals * weight[..., None], np.zeros(vals.shape[1:]))
+    return np.einsum("k...c,k...->...c", vals, weight)
 
 
 def _relu_linear(x, w, b):
@@ -217,40 +225,41 @@ def correlation_features(patches_per_level: list[np.ndarray],
                          weights: WeightBundle) -> np.ndarray:
     """Encode per-frame correlation against the window anchor (frame 0).
 
-    patches_per_level: 3 arrays of shape (W, taps, C_l) with flattened
-    spatial taps. Returns (W, 3 * corr_embed) descriptors.
+    patches_per_level: 3 arrays of shape (..., W, taps, C_l) with
+    flattened spatial taps. Returns (..., W, 3 * corr_embed) descriptors.
     """
     if len(patches_per_level) != 3:
         raise ShapeMismatch("expected patches from 3 pyramid levels")
     embeds = []
     for lvl, patches in enumerate(patches_per_level):
         patches = np.asarray(patches, dtype=np.float64)
-        anchor = patches[0]                      # taps x C
-        corr = patches @ anchor.T                # W x taps x taps
-        flat = corr.reshape(corr.shape[0], -1)
-        if flat.shape[1] != weights[f"corr.l{lvl}.w1"].shape[0]:
+        anchor = patches[..., :1, :, :]          # ... x 1 x taps x C
+        corr = patches @ np.swapaxes(anchor, -1, -2)   # ... x W x taps x taps
+        flat = corr.reshape(*corr.shape[:-2], -1)
+        if flat.shape[-1] != weights[f"corr.l{lvl}.w1"].shape[0]:
             raise ShapeMismatch(
-                f"level {lvl}: correlation size {flat.shape[1]} != "
+                f"level {lvl}: correlation size {flat.shape[-1]} != "
                 f"MLP fan-in {weights[f'corr.l{lvl}.w1'].shape[0]}")
         h = _relu_linear(flat, weights[f"corr.l{lvl}.w1"],
                          weights[f"corr.l{lvl}.b1"])
         embeds.append(_linear(h, weights[f"corr.l{lvl}.w2"],
                               weights[f"corr.l{lvl}.b2"]))
-    return np.concatenate(embeds, axis=1)
+    return np.concatenate(embeds, axis=-1)
 
 
 def _motion_encoding(rel: np.ndarray, n_freq: int) -> np.ndarray:
     """Sinusoidal encoding of per-step motion relative to the window anchor;
-    rel is (W, 2), output (W, 4 * n_freq)."""
-    enc_x = sinusoidal_encoding(rel[:, 0], 2 * n_freq)
-    enc_y = sinusoidal_encoding(rel[:, 1], 2 * n_freq)
-    return np.concatenate([enc_x, enc_y], axis=1)
+    rel is (..., W, 2), output (..., W, 4 * n_freq)."""
+    enc_x = sinusoidal_encoding(rel[..., 0], 2 * n_freq)
+    enc_y = sinusoidal_encoding(rel[..., 1], 2 * n_freq)
+    return np.concatenate([enc_x, enc_y], axis=-1)
 
 
 def _refiner_transformer(x: np.ndarray, weights: WeightBundle,
                          pe: np.ndarray) -> np.ndarray:
-    """Pre-norm blocks of (temporal self-attention, token MLP) on (W, rw);
-    pe is the (W, rw) time encoding added to queries and keys."""
+    """Pre-norm blocks of (temporal self-attention, token MLP) on
+    (..., W, rw); pe is the (W, rw) time encoding added to queries and
+    keys."""
     cfg = weights.config
     for blk in range(cfg.refiner_blocks):
         p = f"ref.b{blk}"
@@ -265,49 +274,55 @@ def _refiner_transformer(x: np.ndarray, weights: WeightBundle,
 
 def refine_track(positions: np.ndarray, logits: np.ndarray,
                  levels: tuple[np.ndarray, ...], weights: WeightBundle,
-                 fill: Callable[[np.ndarray], object] | None = None
+                 fill: Callable[..., object] | None = None
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Apply weights.config.iterations residual (dx, dy, dv) updates to a
-    window track of (W, 2) positions and W visibility logits; return the
-    refined (positions, logits).
+    """Apply weights.config.iterations residual (dx, dy, dv) updates to
+    window tracks of (..., W, 2) positions and (..., W) visibility logits;
+    return the refined (positions, logits). A (W, 2) track is one track;
+    leading axes stack tracks on the same window, and each comes out as it
+    would alone, bit for bit: every product runs per track, as a stacked
+    matmul does per slice.
 
     levels is the window's decoded pyramid: level l is
     (W, rows, cols, C_l), one slice per window step, sampled with taps at
     stride patch / 2**l and tokens of 2**l x 2**l points. If levels is
-    only partly decoded, fill(positions) is called before each iteration
-    samples it and must decode every token that iteration's taps read.
-    The result is built from new arrays; the inputs are only read, so they
-    may be views."""
+    only partly decoded, fill is called with every track's (W, 2)
+    positions before each iteration samples it, and must decode every
+    token that iteration's taps read. The result is built from new
+    arrays; the inputs are only read, so they may be views."""
     cfg = weights.config
     if cfg.iterations < 1:
         raise ShapeMismatch("iteration count must be >= 1")
-    w = len(positions)
-    if len(logits) != w:
-        raise ShapeMismatch(f"{len(logits)} visibility logits for {w} "
-                            f"window positions")
+    w = positions.shape[-2]
+    if logits.shape != positions.shape[:-1]:
+        got, want = ("x".join(map(str, shape))
+                     for shape in (logits.shape, positions.shape[:-1]))
+        raise ShapeMismatch(f"{got} visibility logits for {want} window "
+                            f"positions")
     if any(lvl.ndim != 4 or len(lvl) != w for lvl in levels):
         raise ShapeMismatch("one pyramid step per window step required")
     r = cfg.patch_radius
     pe = sinusoidal_encoding(np.arange(w), cfg.refiner_width)
     for _ in range(cfg.iterations):
         if fill is not None:
-            fill(positions)
+            fill(*positions.reshape(-1, w, 2))
         patches_per_level = []
         for lvl in range(3):
             block = 2 ** lvl
             patch = sample_patch(levels[lvl], positions, r,
                                  cfg.patch / block, block)
-            patches_per_level.append(patch.reshape(w, -1, patch.shape[-1]))
+            patches_per_level.append(
+                patch.reshape(*patch.shape[:-3], -1, patch.shape[-1]))
         desc = correlation_features(patches_per_level, weights)
-        rel = positions - positions[0]
+        rel = positions - positions[..., :1, :]
         tokens = np.concatenate(
-            [desc, logits[:, None],
-             _motion_encoding(rel, cfg.motion_freqs)], axis=1)
+            [desc, logits[..., None],
+             _motion_encoding(rel, cfg.motion_freqs)], axis=-1)
         x = _linear(tokens, weights["ref.in.w"], weights["ref.in.b"])
         x = _refiner_transformer(x, weights, pe)
         delta = _linear(x, weights["ref.head.w"], weights["ref.head.b"])
-        positions = positions + delta[:, :2]
-        logits = logits + delta[:, 2]
+        positions = positions + delta[..., :2]
+        logits = logits + delta[..., 2]
     return positions, logits
 
 
@@ -336,6 +351,13 @@ def _mapped(shape: tuple[int, ...], fill: float | None = None) -> np.ndarray:
     if fill is not None:
         buf.fill(fill)
     return buf.reshape(shape)
+
+
+# bound on the bytes of one refiner pass's level-0 four-corner gather, 4 x
+# W x (2r+1)**2 x C_0 float64s per query: 1.53 MiB at the default config,
+# so a group holds 3 queries. Stacking more saves little time and raises
+# the process's peak memory in step.
+_GATHER_BYTES = 5 * 2 ** 20
 
 
 class _WindowPyramid:
@@ -533,30 +555,38 @@ def track_sequence(frames: np.ndarray, stream: EventStream,
 
     # every window has min(W, n_steps) steps
     pyramid = _WindowPyramid(step_states(), min(w, n_steps), grid, weights)
+    # a query's gather: 4 corners of (2r+1)**2 taps of C_0 float64s at
+    # every window step
+    level0 = pyramid.levels[0]
+    gather = (4 * (2 * weights.config.patch_radius + 1) ** 2 * len(level0)
+              * level0.shape[-1] * level0.itemsize)
+    group = max(1, _GATHER_BYTES // gather)
     for start in _window_starts(n_steps, w):
         stop = min(start + w, n_steps)
         active = [qi for qi in range(n_q) if active_from[qi] < stop]
         pyramid.load(start)
         # one pass for what all the carried-in estimates read; a refiner
         # iteration that reaches beyond it computes the rest
-        pyramid.cover(*(out_pos[qi, start:stop] for qi in active))
-        for qi in active:
+        pyramid.cover(*out_pos[active, start:stop])
+        for i in range(0, len(active), group):
+            qs = active[i:i + group]
             # steps not yet covered by a previous window start from the
-            # last carried-over estimate; refine_track only reads the views
-            pos, logit = refine_track(out_pos[qi, start:stop],
-                                      out_logit[qi, start:stop],
+            # last carried-over estimate
+            pos, logit = refine_track(out_pos[qs, start:stop],
+                                      out_logit[qs, start:stop],
                                       pyramid.levels, weights, pyramid.cover)
-            bad = ~(np.isfinite(pos).all(axis=1) & np.isfinite(logit))
+            bad = ~(np.isfinite(pos).all(axis=-1) & np.isfinite(logit))
             if bad.any():
+                qg, step = np.argwhere(bad)[0]
                 raise ShapeMismatch(
                     f"refiner: non-finite position or visibility of query "
-                    f"{qi} at step {start + int(bad.argmax())}")
-            out_pos[qi, start:stop] = pos
-            out_logit[qi, start:stop] = logit
+                    f"{qs[qg]} at step {start + int(step)}")
+            out_pos[qs, start:stop] = pos
+            out_logit[qs, start:stop] = logit
             # carry the freshest estimate into steps beyond this window
             if stop < n_steps:
-                out_pos[qi, stop:] = pos[-1]
-                out_logit[qi, stop:] = logit[-1]
+                out_pos[qs, stop:] = pos[:, -1:]
+                out_logit[qs, stop:] = logit[:, -1:]
 
     visibility = (out_logit > 0).astype(np.int64)
     for qi in range(n_q):

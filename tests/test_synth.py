@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tapfuse.errors import (
@@ -191,6 +191,29 @@ class TestSimulate:
         at = (stream.x == 0) & (stream.y == 0)
         assert stream.t[at].min() > 0
         assert stream.t[at][-1] == 666_667 and stream.p[at][-1] == -1
+
+    @pytest.mark.parametrize("at", [np.s_[0], np.s_[1], np.s_[2], np.s_[:],
+                                    np.s_[1:]],
+                             ids=["first", "second", "last", "every",
+                                  "from-second"])
+    @pytest.mark.parametrize("value, error", [
+        (np.nan, NonPositiveIntensity), (np.inf, DegenerateScene)])
+    def test_frames_changed_after_construction_raise_typed_errors(
+            self, at, value, error):
+        """IntensityVideo keeps the caller's array. A NaN or an inf written
+        into it afterwards, in one frame or in several, makes
+        simulate_events raise the error the constructor raises for it."""
+        frames = np.ones((3, 2, 2))
+        frames[:, 1, 1] = [1.0, 5.0, 0.2]
+        video = IntensityVideo(frames=frames,
+                               frame_times=np.array([0, 1000, 2000]),
+                               fps=1000.0)
+        frames[at, 0, 1] = value
+        with pytest.raises(error):
+            IntensityVideo(frames=frames, frame_times=video.frame_times,
+                           fps=1000.0)
+        with pytest.raises(error):
+            simulate_events(video, c=0.2)
 
     def test_event_count_non_increasing_in_threshold(self):
         cfg = SceneConfig(width=24, height=24, duration_us=400_000, fps=50,
@@ -454,7 +477,53 @@ def far_reaching_scenes(draw):
                        background=10 ** draw(st.floats(-3, 3)))
 
 
+@st.composite
+def crossing_scenes(draw):
+    """Objects that cross the sensor during the video: each enters past
+    one side, leaves past the opposite one, and is 1 to 20 times brighter
+    than the background, so nearly every draw moves some pixel by a
+    level."""
+    width, height = draw(st.sampled_from(SIDES)), draw(st.sampled_from(SIDES))
+    duration_us = draw(st.integers(200_000, 400_000))
+    background = draw(st.floats(0.25, 4.0))
+
+    def obj():
+        size = draw(st.floats(0.5, 12))
+        ends = [[draw(st.floats(0, width)), draw(st.floats(0, height))]
+                for _ in range(2)]
+        axis = draw(st.integers(0, 1))
+        far = (width, height)[axis] + size + 1
+        ends[0][axis], ends[1][axis] = ((-size - 1, far) if draw(st.booleans())
+                                        else (far, -size - 1))
+        (x0, y0), (x1, y1) = ends
+        seconds = duration_us / 1e6
+        return SceneObject(
+            shape=draw(st.sampled_from(["gaussian_blob", "textured_square"])),
+            position=(x0, y0),
+            velocity=((x1 - x0) / seconds, (y1 - y0) / seconds), size=size,
+            intensity=background * 10 ** draw(st.floats(0, 1.3)))
+
+    return SceneConfig(width=width, height=height, duration_us=duration_us,
+                       fps=draw(st.sampled_from([10.0, 24.0, 30.0])),
+                       objects=[obj() for _ in range(draw(st.integers(1, 3)))],
+                       background=background)
+
+
 MAX_EVENTS = 20_000
+
+
+def check_video_and_events(cfg, c):
+    """cfg's video equals the full-grid frames, and its stream the two
+    sign passes', byte for byte."""
+    video, _ = render_intensity_video(cfg)
+    want = np.stack([ref_rasterize(cfg, t) for t in video.frame_times])
+    assert video.frames.tobytes() == want.tobytes()
+    # a pixel's events in an interval are at most |dL| / c + 1
+    assume(np.abs(np.diff(np.log(video.frames), axis=0)).sum() / c
+           <= MAX_EVENTS)
+    got = simulate_events(video, c)
+    event("events" if len(got) else "no events")
+    assert_same_stream(got, ref_simulate_events(video, c))
 
 
 class TestArraySimulationExactness:
@@ -474,14 +543,15 @@ class TestArraySimulationExactness:
     def test_video_and_events_match_reference(self, cfg, c):
         """One signed count per pixel and interval gives the two sign
         passes' stream byte for byte."""
-        video, _ = render_intensity_video(cfg)
-        want = np.stack([ref_rasterize(cfg, t) for t in video.frame_times])
-        assert video.frames.tobytes() == want.tobytes()
-        # a pixel's events in an interval are at most |dL| / c + 1
-        assume(np.abs(np.diff(np.log(video.frames), axis=0)).sum() / c
-               <= MAX_EVENTS)
-        assert_same_stream(simulate_events(video, c),
-                           ref_simulate_events(video, c))
+        check_video_and_events(cfg, c)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=crossing_scenes(), c=st.floats(0.01, 1.0))
+    def test_crossing_video_and_events_match_reference(self, cfg, c):
+        """The same on objects that cross the sensor, which make events in
+        nearly every draw, where the scenes above make none in about half
+        (--hypothesis-show-statistics gives the shares)."""
+        check_video_and_events(cfg, c)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), c=st.floats(0.01, 1.0),

@@ -1,8 +1,9 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tapfuse.errors import (
     GeometryMismatch,
@@ -389,9 +390,11 @@ def ref_sample_patch(level, centers, r, stride=1, block=1):
 
 @st.composite
 def sampler_cases(draw):
-    """A level with -0.0 entries in one of three layouts, and centres
-    inside, on the edge of, beyond and left of or above its grid."""
+    """A level with -0.0 entries in one of three layouts, and (W, 2)
+    centres, or a stack of up to 3 such tracks, inside, on the edge of,
+    beyond and left of or above its grid."""
     n = draw(st.integers(1, 4))
+    lead = draw(st.sampled_from([(), (1,), (2,), (3,)]))
     r = draw(st.integers(0, 4))
     c = draw(st.integers(1, 5))
     lvl = draw(st.integers(0, 2))
@@ -414,8 +417,8 @@ def sampler_cases(draw):
         level = values
     # the input px extent of the grid, and the values that land on its edge
     ext = np.array([cols, rows]) * patch
-    centers = np.empty((n, 2))
-    for t in range(n):
+    centers = np.empty((*lead, n, 2))
+    for t in np.ndindex(centers.shape[:-1]):
         for axis in range(2):
             kind = draw(st.sampled_from(["inside", "edge", "beyond", "negative"]))
             if kind == "inside":
@@ -430,24 +433,81 @@ def sampler_cases(draw):
                 v = ext[axis] + draw(st.floats(0, 2 * ext[axis] + 40))
             else:
                 v = -draw(st.floats(0, 2 * ext[axis] + 40))
-            centers[t, axis] = v
+            centers[(*t, axis)] = v
     return level, centers, r, stride, block
 
 
 @settings(max_examples=300, deadline=None)
 @given(sampler_cases())
+# a patch of one value, whose corners np.einsum would sum in another order
+@example((np.array([[[[-2.3], [-0.2]], [[-1.2], [-0.7]]]]),
+          np.array([[0.8, 0.5]]), 0, 1, 1))
 def test_sample_patch_equals_the_per_corner_sampler_byte_for_byte(case):
+    """Each track of a stack is sampled as it is alone, with one gather
+    per corner."""
     level, centers, r, stride, block = case
     got = sample_patch(level, centers, r, stride, block)
-    want = ref_sample_patch(level, centers, r, stride, block)
-    assert got.shape == want.shape and got.dtype == want.dtype
-    assert got.tobytes() == want.tobytes()
+    assert got.shape == (*centers.shape[:-1], 2 * r + 1, 2 * r + 1,
+                         level.shape[-1])
+    n = len(level)
+    for track, patch in zip(centers.reshape(-1, n, 2),
+                            got.reshape(-1, n, *got.shape[-3:])):
+        want = ref_sample_patch(level, track, r, stride, block)
+        assert patch.dtype == want.dtype
+        assert patch.tobytes() == want.tobytes()
+
+
+@st.composite
+def track_stacks(draw):
+    """1 to 5 tracks on one window of a randomized refiner: positions
+    inside, near and beyond the 64 px input, with some NaN or far-off
+    centres, on a pyramid with -0.0 entries."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    weights = randomized_refiner(seed % 7)
+    w = weights.config.window
+    pyramid = make_pyramids(rng, w)
+    for level in pyramid:
+        level[rng.random(level.shape) < 0.3] = -0.0
+    q = draw(st.integers(1, 5))
+    positions = rng.uniform(-12.0, 76.0, size=(q, w, 2))
+    for _ in range(draw(st.integers(0, 3))):
+        track, step, axis = (draw(st.integers(0, n - 1)) for n in (q, w, 2))
+        positions[track, step, axis] = draw(st.sampled_from(
+            [np.nan, 1e6, -1e6, 1e300, -1e300]))
+    return positions, rng.normal(size=(q, w)), pyramid, weights
+
+
+@settings(max_examples=100, deadline=None)
+@given(track_stacks())
+def test_a_stack_of_tracks_refines_each_as_alone_byte_for_byte(case):
+    """refine_track on a (Q, W, 2) stack gives each track's refinement
+    alone, and calls fill with the Q tracks, as track_sequence's groups
+    need."""
+    positions, logits, pyramid, weights = case
+    filled = []
+    with np.errstate(all="ignore"):
+        got = refine_track(positions, logits, pyramid, weights,
+                           lambda *tracks: filled.append(tracks))
+        for qi in range(len(positions)):
+            alone = []
+            want = refine_track(positions[qi], logits[qi], pyramid, weights,
+                                lambda *tracks: alone.append(tracks))
+            assert got[0][qi].tobytes() == want[0].tobytes()
+            assert got[1][qi].tobytes() == want[1].tobytes()
+            assert [len(f) for f in alone] == [1] * weights.config.iterations
+            assert all(a[0].tobytes() == f[qi].tobytes()
+                       for a, f in zip(alone, filled))
+    assert [len(f) for f in filled] == ([len(positions)]
+                                       * weights.config.iterations)
 
 
 class TestRefinerAllocationPeaks:
-    """One take gathers the four corners of one window: 4 patches of
-    values plus the output. A gather batched over queries, or one buffer
-    per window step, would multiply that."""
+    """One take gathers the four corners of a window's tracks: 4 patches
+    of values per track, plus the output. track_sequence stacks only as
+    many of a window's queries as keep that gather within
+    tracker._GATHER_BYTES, so the peak does not grow with the number of
+    queries; one buffer per window step would multiply it."""
 
     def test_sample_patch_peak(self):
         # one take: 5.17 x the output at C = 64
@@ -469,6 +529,40 @@ class TestRefinerAllocationPeaks:
         patch_bytes = w * 49 * 64 * 8
         assert traced_peak(refine_track, positions, np.zeros(w), pyramid,
                            weights) < 6.5 * patch_bytes
+
+    def test_track_sequence_peak_stays_within_the_group_bound(self,
+                                                              monkeypatch):
+        """12 queries on the default config, whose level-0 gather is
+        1.53 MiB per query: groups of 3 peak at 1.28 x the 5 MiB bound
+        inside refine_track (the gather and its sum, 1.39 x the gather),
+        and one stack of the whole window would peak at 5.1 x."""
+        import tapfuse.tracker as tracker
+
+        frames, timeline, stream, _ = small_sequence()
+        weights = WeightBundle.initialize(FusionConfig(), seed=0)
+        qs = [QueryPoint(0, 4.0 + 2 * i, 30.0 - 2 * i) for i in range(12)]
+        bound = 1.5 * tracker._GATHER_BYTES
+        sizes, peaks = [], []
+
+        def refine(positions, *args):
+            sizes.append(len(positions))
+            tracemalloc.start()
+            try:
+                out = refine_track(positions, *args)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            return out
+
+        monkeypatch.setattr(tracker, "refine_track", refine)
+        track_sequence(frames, stream, timeline, qs, weights)
+        assert sizes == [3] * 4 * 5
+        assert max(peaks) < bound
+        sizes.clear()
+        monkeypatch.setattr(tracker, "_GATHER_BYTES", 2 ** 40)
+        track_sequence(frames, stream, timeline, qs, weights)
+        assert sizes == [12] * 5
+        assert max(peaks) > 3 * bound
 
 
 def small_sequence(seed=0, n_query=48, frame_every=4, size=32, width=None):
@@ -803,10 +897,12 @@ class TestOnDemandDecode:
 
     def test_non_finite_refined_track_stops_the_run(self, monkeypatch):
         """A finite but huge decoder weight overflows the pyramid, and the
-        first refined track is NaN. The run stops right there, naming the
-        refiner, the query and the first non-finite step, rather than
-        refining every later window from NaN estimates, for which cover
-        would decode the whole grid."""
+        first refined tracks are NaN. The run stops right there, naming the
+        refiner, the first query of the group in active order and its
+        first non-finite step, rather than refining every later window
+        from NaN estimates, for which cover would decode the whole grid.
+        Query 0 starts at step 20, outside the first window, or at step 0,
+        in one group with query 1."""
         import tapfuse.tracker as tracker
 
         frames, timeline, stream, _ = small_sequence()
@@ -820,13 +916,76 @@ class TestOnDemandDecode:
             return refined[-1]
 
         monkeypatch.setattr(tracker, "refine_track", refine)
-        qs = [QueryPoint(int(timeline.query_times[20]), 8.0, 8.0),
-              QueryPoint(0, 16.0, 16.0)]
-        with pytest.raises(ShapeMismatch, match="refiner: non-finite .* "
-                           "of query 1 at step 0"), np.errstate(all="ignore"):
+        for first_step, named in [(20, 1), (0, 0)]:
+            refined.clear()
+            qs = [QueryPoint(int(timeline.query_times[first_step]), 8.0, 8.0),
+                  QueryPoint(0, 16.0, 16.0)]
+            with pytest.raises(ShapeMismatch, match="refiner: non-finite .* "
+                               f"of query {named} at step 0"), \
+                    np.errstate(all="ignore"):
+                track_sequence(frames, stream, timeline, qs, weights)
+            assert len(refined) == 1
+            assert refined[0][0].shape == (2 - named, 16, 2)
+            assert np.isnan(refined[0][0]).all()
+
+    def test_non_finite_stop_names_the_first_query_then_step(self,
+                                                             monkeypatch):
+        """Queries 1 to 3 form the first window's group, query 0 starts
+        later. Query 3's track is non-finite at window step 2 and query 2's
+        at steps 9 and 6: the run names query 2 at step 6."""
+        import tapfuse.tracker as tracker
+
+        frames, timeline, stream, _ = small_sequence(size=64)
+        weights = drifting_weights(drift=0.0, patch_radius=1)
+
+        def refine(*args):
+            positions, logits = refine_track(*args)
+            positions[2, 2, 0] = np.inf
+            positions[1, 9, 1] = np.nan
+            logits[1, 6] = -np.inf
+            return positions, logits
+
+        monkeypatch.setattr(tracker, "refine_track", refine)
+        qs = [QueryPoint(int(timeline.query_times[step]), x, y)
+              for step, x, y in [(20, 8.0, 8.0), (0, 16.0, 16.0),
+                                 (0, 40.0, 30.0), (0, 50.0, 12.0)]]
+        with pytest.raises(ShapeMismatch,
+                           match="non-finite .* of query 2 at step 6$"):
             track_sequence(frames, stream, timeline, qs, weights)
-        assert len(refined) == 1
-        assert np.isnan(refined[0][0][0]).all()
+
+    @pytest.mark.parametrize("drift", [0.0, 5.0])
+    def test_groups_of_one_give_the_tracks_of_the_default_groups(
+            self, monkeypatch, drift):
+        """A window's active queries are refined in groups, here of all of
+        them; groups of one, made by shrinking the gather bound, give the
+        same tracks bit for bit, with estimates that stay and that drift
+        into fills. Queries 0 and 3 are the same query."""
+        import tapfuse.tracker as tracker
+
+        frames, timeline, stream, _ = small_sequence(size=64)
+        weights = drifting_weights(drift=drift, patch_radius=1)
+        qs = [QueryPoint(int(timeline.query_times[step]), x, y)
+              for step, x, y in [(0, 1.0, 62.0), (5, 20.0, 30.0),
+                                 (0, 50.0, 40.0), (0, 1.0, 62.0),
+                                 (20, 33.0, 12.0)]]
+        sizes = []
+
+        def refine(positions, *args):
+            sizes.append(len(positions))
+            return refine_track(positions, *args)
+
+        monkeypatch.setattr(tracker, "refine_track", refine)
+        grouped = track_sequence(frames, stream, timeline, qs, weights)
+        # window starts 0, 8, 16, 24, 32; query 4 is active from the second
+        assert sizes == [4, 5, 5, 5, 5]
+        sizes.clear()
+        monkeypatch.setattr(tracker, "_GATHER_BYTES", 1)
+        alone = track_sequence(frames, stream, timeline, qs, weights)
+        assert sizes == [1] * 24
+        assert grouped.positions.tobytes() == alone.positions.tobytes()
+        assert grouped.visibility.tobytes() == alone.visibility.tobytes()
+        if drift:
+            assert (grouped.positions[:, -1, 0] > 64).any()
 
     def test_only_a_frame_state_holds_rows(self, monkeypatch):
         """Frames at steps 0, 16 and 40 of 48, so two are 24 > W = 16
