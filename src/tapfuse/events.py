@@ -328,37 +328,37 @@ def _write_evbin(stream: EventStream) -> bytes:
 # Binning and windowing
 # ---------------------------------------------------------------------------
 
+def _cut(stream: EventStream, edges: Sequence[int]) -> list[EventBatch]:
+    """Cut the stream at integer edges: batch k holds the events with
+    edges[k] < t <= edges[k + 1]. An edge below 0 lies below every event,
+    and one above 2**64 - 1 above every event."""
+    keys = np.array([min(max(e, 0), 2**64 - 1) for e in edges], dtype=np.uint64)
+    cuts = np.searchsorted(stream.t, keys, side="right")
+    cuts[[e < 0 for e in edges]] = 0
+    return [EventBatch(t=stream.t[lo:hi], x=stream.x[lo:hi], y=stream.y[lo:hi],
+                       p=stream.p[lo:hi], bin_start=a, bin_end=b)
+            for lo, hi, a, b in zip(cuts, cuts[1:], edges, edges[1:])]
+
+
 def bin_events(stream: EventStream, timeline: Timeline) -> list[EventBatch]:
     """Partition a stream into one right-closed batch per query step.
 
     Batch k holds events with query_times[k-1] < t <= query_times[k]; the
-    first batch's left edge is the stream's t_start.
+    first batch's left edge is the stream's t_start. Every event window is
+    one such (a, b] cut of the stream.
     """
     if not timeline.query_times:
         raise EmptyTimeline("timeline has no query times")
-    edges = [stream.t_start] + list(timeline.query_times)
-    # index of first event strictly greater than each edge
-    cuts = np.searchsorted(stream.t, np.array(edges, dtype=np.uint64), side="right")
-    batches = []
-    for k in range(len(timeline.query_times)):
-        lo, hi = cuts[k], cuts[k + 1]
-        batches.append(EventBatch(
-            t=stream.t[lo:hi], x=stream.x[lo:hi], y=stream.y[lo:hi],
-            p=stream.p[lo:hi],
-            bin_start=edges[k], bin_end=edges[k + 1]))
-    return batches
+    return _cut(stream, [stream.t_start, *timeline.query_times])
 
 
 def exposure_window_events(stream: EventStream, frame_time: int,
                            exposure_us: int) -> EventBatch:
-    """Events in the exposure window (frame_time - exposure_us, frame_time]."""
+    """Events in the exposure window (frame_time - exposure_us, frame_time],
+    the same (a, b] cut as bin_events. A window that starts below 0 holds
+    the events at t = 0."""
     if exposure_us <= 0:
         raise EmptyTimeline("exposure_us must be positive")
     if not 0 <= frame_time < 2**63:
         raise EmptyTimeline(f"frame_time {frame_time} is outside [0, 2**63)")
-    left = max(frame_time - exposure_us, 0)
-    lo = np.searchsorted(stream.t, np.uint64(left), side="right")
-    hi = np.searchsorted(stream.t, np.uint64(frame_time), side="right")
-    return EventBatch(
-        t=stream.t[lo:hi], x=stream.x[lo:hi], y=stream.y[lo:hi], p=stream.p[lo:hi],
-        bin_start=frame_time - exposure_us, bin_end=frame_time)
+    return _cut(stream, [frame_time - exposure_us, frame_time])[0]

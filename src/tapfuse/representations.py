@@ -24,12 +24,15 @@ class EventTensor:
     data: np.ndarray  # H x W x B float64
 
 
-def _check_geometry(batch: EventBatch, width: int, height: int):
+def _cells(batch: EventBatch, width: int, height: int) -> np.ndarray:
+    """Each event's pixel index y * width + x, once the batch is checked
+    against the target geometry."""
     if len(batch) and (int(batch.x.max()) >= width or int(batch.y.max()) >= height):
         raise GeometryMismatch(
             f"batch events exceed {width}x{height} target geometry")
     if batch.duration <= 0:
         raise GeometryMismatch("batch duration must be positive")
+    return batch.y.astype(np.int64) * width + batch.x
 
 
 def _subwindow_index(batch: EventBatch, B: int) -> np.ndarray:
@@ -45,7 +48,7 @@ def sbt_time_surface(batch: EventBatch, width: int, height: int,
                      B: int = DEFAULT_SUBWINDOWS) -> EventTensor:
     """Maximal-timestamp time surface: per pixel and sub-window, the value
     is p* (t* - s_b) / len_b of the latest event there; 0 where none."""
-    _check_geometry(batch, width, height)
+    cells = _cells(batch, width, height)
     data = np.zeros((height, width, B), dtype=np.float64)
     if len(batch):
         b = _subwindow_index(batch, B)
@@ -55,7 +58,7 @@ def sbt_time_surface(batch: EventBatch, width: int, height: int,
         # come out a few ulps above 1
         mag = np.minimum((batch.t.astype(np.float64) - s_b) / len_b, 1.0)
         val = batch.p.astype(np.float64) * mag
-        flat = (batch.y.astype(np.int64) * width + batch.x.astype(np.int64)) * B + b
+        flat = cells * B + b
         # canonical batch order is time-ascending, so keep the last write
         # per cell: sort stably by cell, take each group's final entry
         order = np.argsort(flat, kind="stable")
@@ -67,14 +70,13 @@ def sbt_time_surface(batch: EventBatch, width: int, height: int,
 
 def event_count_image(batch: EventBatch, width: int, height: int,
                       B: int = DEFAULT_SUBWINDOWS) -> EventTensor:
-    """Signed event count (sum of polarities) per pixel and sub-window."""
-    _check_geometry(batch, width, height)
-    data = np.zeros((height, width, B), dtype=np.float64)
-    if len(batch):
-        b = _subwindow_index(batch, B)
-        np.add.at(data, (batch.y.astype(np.int64), batch.x.astype(np.int64), b),
-                  batch.p.astype(np.float64))
-    return EventTensor(data=data)
+    """Signed event count (sum of polarities) per pixel and sub-window,
+    summed in event order."""
+    cells = _cells(batch, width, height) * B + _subwindow_index(batch, B)
+    data = np.bincount(cells, weights=batch.p, minlength=height * width * B)
+    # an empty batch gives integer zeros
+    return EventTensor(data=data.astype(np.float64, copy=False)
+                       .reshape(height, width, B))
 
 
 def voxel_grid(batch: EventBatch, width: int, height: int,
@@ -86,21 +88,21 @@ def voxel_grid(batch: EventBatch, width: int, height: int,
     outside the outermost centers give full mass to the nearest channel,
     so per-event mass is always conserved.
     """
-    _check_geometry(batch, width, height)
-    data = np.zeros((height, width, B), dtype=np.float64)
-    if len(batch):
-        rel = batch.t.astype(np.float64) - float(batch.bin_start)
-        u = rel / float(batch.duration) * B - 0.5  # channel coordinate
-        u = np.clip(u, 0.0, B - 1.0)
-        lo = np.floor(u).astype(np.int64)
-        hi = np.minimum(lo + 1, B - 1)
-        w_hi = u - lo
-        pol = batch.p.astype(np.float64)
-        yy = batch.y.astype(np.int64)
-        xx = batch.x.astype(np.int64)
-        np.add.at(data, (yy, xx, lo), pol * (1.0 - w_hi))
-        np.add.at(data, (yy, xx, hi), pol * w_hi)
-    return EventTensor(data=data)
+    cells = _cells(batch, width, height) * B
+    rel = batch.t.astype(np.float64) - float(batch.bin_start)
+    u = rel / float(batch.duration) * B - 0.5  # channel coordinate
+    u = np.clip(u, 0.0, B - 1.0)
+    lo = np.floor(u).astype(np.int64)
+    hi = np.minimum(lo + 1, B - 1)
+    w_hi = u - lo
+    pol = batch.p.astype(np.float64)
+    # each cell sums its events' low shares in event order, then their
+    # high shares
+    data = np.bincount(np.concatenate((cells + lo, cells + hi)),
+                       weights=np.concatenate((pol * (1.0 - w_hi), pol * w_hi)),
+                       minlength=height * width * B)
+    return EventTensor(data=data.astype(np.float64, copy=False)
+                       .reshape(height, width, B))
 
 
 REPRESENTATIONS = {

@@ -21,7 +21,7 @@ from .errors import (
     GeometryViolation,
     NonPositiveIntensity,
 )
-from .events import MAX_SENSOR_SIDE, EventStream
+from .events import MAX_SENSOR_SIDE, EventStream, _cut
 from .tracker import TrackSet
 
 DEFAULT_CONTRAST = 0.2
@@ -259,12 +259,9 @@ def reconstruct_log_intensity(anchor: np.ndarray, stream: EventStream,
     if query_time < t0:
         raise EmptyWindow("query_time must be >= anchor time")
     out = np.asarray(anchor, dtype=np.float64).copy()
-    lo = np.searchsorted(stream.t, np.uint64(max(t0, 0)), side="right")
-    hi = np.searchsorted(stream.t, np.uint64(max(query_time, 0)), side="right")
-    if hi > lo:
-        np.add.at(out, (stream.y[lo:hi].astype(np.int64),
-                        stream.x[lo:hi].astype(np.int64)),
-                  c * stream.p[lo:hi].astype(np.float64))
+    batch = _cut(stream, [t0, query_time])[0]
+    np.add.at(out, (batch.y.astype(np.int64), batch.x.astype(np.int64)),
+              c * batch.p.astype(np.float64))
     return out
 
 
@@ -285,14 +282,15 @@ def edi_blur(sharp_log: np.ndarray, stream: EventStream, t_center: int,
     half = window_us / 2.0
     t_lo, t_hi = t_center - half, t_center + half
 
-    lo = np.searchsorted(stream.t.astype(np.float64), t_lo, side="right")
-    hi = np.searchsorted(stream.t.astype(np.float64), t_hi, side="right")
+    # an integer t lies in (t_lo, t_hi] exactly when it lies in
+    # (floor(t_lo), floor(t_hi)]
+    batch = _cut(stream, [math.floor(t_lo), math.floor(t_hi)])[0]
     integral = np.full((H, W), float(window_us))  # exp(0) everywhere baseline
 
     # group window events per pixel
-    pix = (stream.y[lo:hi].astype(np.int64) * W + stream.x[lo:hi].astype(np.int64))
-    tt = stream.t[lo:hi].astype(np.float64)
-    pp = stream.p[lo:hi].astype(np.float64)
+    pix = batch.y.astype(np.int64) * W + batch.x.astype(np.int64)
+    tt = batch.t.astype(np.float64)
+    pp = batch.p.astype(np.float64)
     order = np.argsort(pix, kind="stable")
     pix, tt, pp = pix[order], tt[order], pp[order]
     starts = (np.flatnonzero(np.r_[True, pix[1:] != pix[:-1]])

@@ -291,8 +291,6 @@ def refine_track(positions: np.ndarray, logits: np.ndarray,
     token that iteration's taps read. The result is built from new
     arrays; the inputs are only read, so they may be views."""
     cfg = weights.config
-    if cfg.iterations < 1:
-        raise ShapeMismatch("iteration count must be >= 1")
     w = positions.shape[-2]
     if logits.shape != positions.shape[:-1]:
         got, want = ("x".join(map(str, shape))
@@ -529,7 +527,11 @@ def track_sequence(frames: np.ndarray, stream: EventStream,
     frame_at = {t: i for i, t in enumerate(ft)}
     batches = bin_events(stream, timeline)
     w = weights.config.window
-    grid = tuple(side // weights.config.patch for side in frames.shape[1:3])
+    patch = weights.config.patch
+    grid = tuple(side // patch for side in frames.shape[1:3])
+    if not all(grid) or any(side % patch for side in frames.shape[1:3]):
+        raise ShapeMismatch(f"{frames.shape[2]}x{frames.shape[1]} frames not "
+                            f"divisible by patch size {patch} into tokens")
 
     def step_states():
         """Each step's state. Only a frame's holds rows: taf_update runs

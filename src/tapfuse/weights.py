@@ -11,7 +11,7 @@ the state and the untrained tracker is an identity tracker.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,6 +36,22 @@ class FusionConfig:
     motion_freqs: int = 32      # rel-motion sinusoid frequency count
     refiner_width: int = 64
     refiner_blocks: int = 2
+
+    def __post_init__(self):
+        """Reject an empty width, grid or loop: radius and patch_radius
+        must be >= 0, window >= 2 and every other field, each of the 3
+        decoder channel counts too, >= 1."""
+        if len(self.decoder_channels) != 3:
+            raise ShapeMismatch(f"FusionConfig.decoder_channels = "
+                                f"{self.decoder_channels}: 3 levels needed")
+        floors = {"radius": 0, "patch_radius": 0, "window": 2}
+        for f in fields(self):
+            low = floors.get(f.name, 1)
+            value = getattr(self, f.name)
+            if min(value if isinstance(value, tuple) else (value,)) < low:
+                raise ShapeMismatch(
+                    f"FusionConfig.{f.name} = {value}: this width, size or "
+                    f"iteration count must be >= {low}")
 
 
 def _attention_specs(prefix: str, d: int

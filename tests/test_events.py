@@ -15,11 +15,13 @@ from tapfuse.events import (
     EventBatch,
     EventStream,
     Timeline,
+    _cut,
     bin_events,
     exposure_window_events,
     parse_event_stream,
     serialize_event_stream,
 )
+from tapfuse.synth import reconstruct_log_intensity
 
 
 def random_stream(rng, n=1000, width=32, height=24, t_end=100_000):
@@ -210,6 +212,84 @@ class TestExposureWindow:
                         if ft - 5_000 < stream[i].t <= ft]
             assert np.array_equal(np.sort(batch.t),
                                   np.sort(np.array(expected, dtype=np.uint64)))
+
+
+# ---------------------------------------------------------------------------
+# One window rule: every cut is (a, b] of the stream
+# ---------------------------------------------------------------------------
+
+@st.composite
+def cut_cases(draw):
+    """A canonical stream with events at t = 0, at t_start and at repeated
+    times, t_start up to 2**64 - 1, and integer edges from -10**6 to the
+    stream's end, some at or next to an event time, and some at 2**64."""
+    t_start = draw(st.one_of(st.just(0), st.just(2**64 - 1),
+                             st.integers(0, 2**64 - 1)))
+    t_end = t_start + draw(st.integers(0, min(5000, 2**64 - 1 - t_start)))
+    times = draw(st.lists(st.one_of(st.just(t_start), st.just(t_end),
+                                    st.integers(t_start, t_end)), max_size=40))
+    n = len(times)
+    stream = EventStream(
+        t=np.array(times, dtype=np.uint64),
+        x=draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)),
+        y=draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+        p=draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)),
+        width=3, height=2, t_start=t_start, t_end=t_end)
+    near = st.sampled_from([t + d for t in (0, t_start, t_end, *times)
+                            for d in (-1, 0, 1)])
+    edges = draw(st.lists(st.one_of(near.filter(lambda e: e <= t_end),
+                                    st.integers(-10**6, t_end),
+                                    st.just(2**64)),
+                          min_size=2, max_size=8))
+    return stream, edges
+
+
+def assert_is_cut(batch, stream, a, b):
+    """batch holds exactly the stream's events with a < t <= b, in stream
+    order, column for column; the comparison runs on Python ints."""
+    keep = np.array([a < t <= b for t in stream.t.tolist()], dtype=bool)
+    for col in "txyp":
+        assert np.array_equal(getattr(batch, col),
+                              getattr(stream, col)[keep]), col
+    assert (batch.bin_start, batch.bin_end) == (a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cut_cases())
+def test_every_window_is_one_open_closed_cut(case):
+    """_cut, bin_events and exposure_window_events all select
+    (a < t) & (t <= b), for edges below 0, at t = 0, at t_start near
+    2**64 - 1 and above every u64; _cut's edges need not ascend."""
+    stream, edges = case
+    for batch, a, b in zip(_cut(stream, edges), edges, edges[1:]):
+        assert_is_cut(batch, stream, a, b)
+    query_times = sorted({e for e in edges if 0 <= e < 2**63})
+    if query_times:
+        timeline = Timeline(frame_times=[query_times[0]],
+                            query_times=query_times, exposure_us=1)
+        bins = bin_events(stream, timeline)
+        assert len(bins) == len(query_times)
+        for batch, a, b in zip(bins, [stream.t_start, *query_times],
+                               query_times):
+            assert_is_cut(batch, stream, a, b)
+    for a, b in zip(edges, edges[1:]):
+        if a < b and 0 <= b < 2**63:
+            assert_is_cut(exposure_window_events(stream, b, b - a),
+                          stream, a, b)
+
+
+def test_events_at_zero_fall_in_a_window_that_starts_below_zero():
+    """A stream that starts at 0 keeps its first events: the exposure
+    window of the first frame and the reconstruction from before 0 both
+    hold the two events at t = 0."""
+    stream = EventStream.from_events(
+        [Event(0, 0, 0, 1), Event(1, 0, 0, 1), Event(2, 0, 500, -1)],
+        4, 4, 0, 1000)
+    assert len(exposure_window_events(stream, 0, 4000)) == 2
+    assert len(exposure_window_events(stream, 1000, 4000)) == 3
+    out = reconstruct_log_intensity(np.zeros((4, 4)), stream, -5, 100, c=0.5)
+    assert out[0].tolist() == [0.5, 0.5, 0.0, 0.0]
+    assert not out[1:].any()
 
 
 @settings(max_examples=30, deadline=None)

@@ -992,6 +992,25 @@ class TestWeightIO:
                      "ref.head.b"):
             assert not bundle[name].any(), name
 
+    @pytest.mark.parametrize("name, floor, below", [
+        ("d", 1, 0), ("patch", 1, 0), ("radius", 0, -1), ("subwindows", 1, 0),
+        ("decoder_channels", (1, 1, 1), (1, 0, 1)),
+        ("decoder_channels", (1, 1, 1), (8, 8)), ("window", 2, 1),
+        ("patch_radius", 0, -1), ("iterations", 1, 0), ("corr_hidden", 1, 0),
+        ("corr_embed", 1, 0), ("motion_freqs", 1, 0), ("refiner_width", 1, 0),
+        ("refiner_blocks", 1, 0),
+    ])
+    def test_config_field_below_its_floor_is_shape_mismatch(self, name,
+                                                            floor, below):
+        """Below its floor a field would give an empty width (an inf
+        uniform bound in initialize) or a zero window stride, and the
+        decoder has 3 levels; every field is named here."""
+        names = {f.name for f in dataclasses.fields(FusionConfig)}
+        assert name in names and len(names) == 13
+        FusionConfig(**{name: floor})
+        with pytest.raises(ShapeMismatch, match=rf"FusionConfig\.{name} = "):
+            FusionConfig(**{name: below})
+
 
 TINY_TFW = save_weights(WeightBundle(
     params={"a": np.arange(6.0).reshape(2, 3), "bb": np.ones(2),

@@ -1,6 +1,7 @@
 """Every top-level import of a package module is referenced in it, and
 every local a function binds is read in it. No linter is installed, so
-this test is the check for stale imports and dead locals."""
+this test is the check for stale imports and dead locals. It also keeps
+the event window rule in one module."""
 
 import ast
 from pathlib import Path
@@ -46,6 +47,16 @@ def test_module_has_no_unused_imports(module):
 @pytest.mark.parametrize("module", MODULES)
 def test_module_has_no_unused_locals(module):
     assert unused_locals((PACKAGE / module).read_text()) == []
+
+
+def test_only_events_searches_event_times():
+    """Every event window is one (a, b] cut made in events.py; a
+    searchsorted elsewhere would be a second copy of that rule."""
+    callers = {module for module in MODULES
+               for node in ast.walk(ast.parse((PACKAGE / module).read_text()))
+               if isinstance(node, ast.Attribute)
+               and node.attr == "searchsorted"}
+    assert callers == {"events.py"}
 
 
 def test_checker_flags_an_unused_import():

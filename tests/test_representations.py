@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tapfuse.errors import GeometryMismatch
 from tapfuse.events import Event, EventBatch, EventStream
@@ -232,3 +232,78 @@ def test_translation_equivariance(fn):
     b = fn(shifted, 16, 12).data
     np.testing.assert_array_equal(a[:-2, :-3], b[2:, 3:])
     assert not b[:2, :, :].any() and not b[:, :3, :].any()
+
+
+# ---------------------------------------------------------------------------
+# The per-cell sums against the np.add.at bodies they replaced
+# ---------------------------------------------------------------------------
+
+def add_at_count_image(batch, width, height, B):
+    """The np.add.at count image that np.bincount replaced, kept as the
+    oracle for its bytes."""
+    data = np.zeros((height, width, B), dtype=np.float64)
+    if len(batch):
+        rel = batch.t.astype(np.float64) - float(batch.bin_start)
+        frac = rel / float(batch.duration)
+        b = np.clip(np.ceil(frac * B) - 1, 0, B - 1).astype(np.int64)
+        np.add.at(data, (batch.y.astype(np.int64), batch.x.astype(np.int64), b),
+                  batch.p.astype(np.float64))
+    return data
+
+
+def add_at_voxel_grid(batch, width, height, B):
+    """The two-np.add.at voxel grid that np.bincount replaced, kept as the
+    oracle for its bytes."""
+    data = np.zeros((height, width, B), dtype=np.float64)
+    if len(batch):
+        rel = batch.t.astype(np.float64) - float(batch.bin_start)
+        u = rel / float(batch.duration) * B - 0.5
+        u = np.clip(u, 0.0, B - 1.0)
+        lo = np.floor(u).astype(np.int64)
+        hi = np.minimum(lo + 1, B - 1)
+        w_hi = u - lo
+        pol = batch.p.astype(np.float64)
+        yy = batch.y.astype(np.int64)
+        xx = batch.x.astype(np.int64)
+        np.add.at(data, (yy, xx, lo), pol * (1.0 - w_hi))
+        np.add.at(data, (yy, xx, hi), pol * w_hi)
+    return data
+
+
+@st.composite
+def sum_cases(draw):
+    """A batch on a small sensor, sometimes all on one cell, with events
+    anywhere in the bin, at sub-window ends, just past them and at the bin
+    end."""
+    width, height = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    B = draw(st.integers(1, 7))
+    bin_start = draw(st.integers(0, 10**9))
+    bin_end = bin_start + draw(st.integers(1, 10**5))
+    ends = {bin_start + (bin_end - bin_start) * k // B + d
+            for k in range(1, B + 1) for d in (0, 1)}
+    t = st.one_of(st.integers(bin_start + 1, bin_end), st.just(bin_end),
+                  st.sampled_from(sorted(e for e in ends
+                                         if bin_start < e <= bin_end)))
+    if draw(st.booleans()):
+        x, y = st.integers(0, width - 1), st.integers(0, height - 1)
+    else:
+        x, y = st.just(width - 1), st.just(0)
+    events = draw(st.lists(st.builds(Event, x=x, y=y, t=t,
+                                     p=st.sampled_from([-1, 1])),
+                           max_size=80))
+    return make_batch(events, bin_start, bin_end), width, height, B
+
+
+@settings(max_examples=300, deadline=None)
+@given(sum_cases())
+@example((make_batch([], 0, 10), 3, 2, 4))
+@example((make_batch([Event(2, 1, 10, -1)], 0, 10), 3, 2, 4))
+def test_per_cell_sums_keep_the_add_at_bytes(case):
+    """np.bincount adds each cell's weights in event order, as np.add.at
+    does, so the count image and the voxel grid keep their bytes."""
+    batch, width, height, B = case
+    for fn, oracle in ((event_count_image, add_at_count_image),
+                       (voxel_grid, add_at_voxel_grid)):
+        got = fn(batch, width, height, B).data
+        assert got.dtype == np.float64 and got.shape == (height, width, B)
+        assert got.tobytes() == oracle(batch, width, height, B).tobytes()

@@ -317,6 +317,22 @@ class TestEdiBlur:
         want = sharp + np.log(total / T)
         np.testing.assert_allclose(got, want, atol=1e-6)
 
+    def test_odd_window_holds_the_events_between_its_half_integer_ends(self):
+        """T = 5 around 10 is (7.5, 12.5]: the events at 8 and 12 each spend
+        0.5 us of it one step away, and those at 7 and 13 lie outside."""
+        from tapfuse.events import Event
+        c = 0.5
+
+        def blur(events):
+            stream = EventStream.from_events(events, 2, 1, 0, 20)
+            return edi_blur(np.zeros((1, 2)), stream, 10, 5, c)
+
+        inside = [Event(0, 0, 8, 1), Event(1, 0, 12, -1)]
+        got = blur(inside + [Event(0, 0, 7, 1), Event(1, 0, 13, 1)])
+        assert got.tobytes() == blur(inside).tobytes()
+        want = np.log((4.5 + 0.5 * np.exp(-c)) / 5)
+        np.testing.assert_allclose(got, [[want, want]], rtol=0, atol=1e-12)
+
     def test_empty_window_rejected(self):
         stream = EventStream.from_events([], 4, 4, 0, 100)
         with pytest.raises(EmptyWindow):

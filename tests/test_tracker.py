@@ -691,15 +691,18 @@ class TestTrackSequence:
         with pytest.raises(GridMismatch):
             track_sequence(frames[1:], stream, shifted, [], weights)
 
-    def test_frame_side_not_a_multiple_of_the_patch_is_shape_mismatch(self):
-        """The window's token grid is taken from the frames' shape; taf_init
-        still refuses a side that is not a multiple of the patch."""
+    @pytest.mark.parametrize("side", [36, 4])
+    def test_frame_side_not_a_multiple_of_the_patch_is_shape_mismatch(
+            self, side):
+        """The window's token grid is taken from the frames' shape, which
+        must hold a positive multiple of the patch on each side: 36 px is
+        4.5 patches of 8 px, and 4 px gives no token."""
         weights = WeightBundle.initialize(FusionConfig(), seed=6)
         timeline = Timeline(frame_times=[0], query_times=[0, 10, 20],
                             exposure_us=5)
-        stream = EventStream.from_events([], 36, 36, 0, 100)
+        stream = EventStream.from_events([], side, side, 0, 100)
         with pytest.raises(ShapeMismatch, match="not divisible by patch"):
-            track_sequence(np.zeros((1, 36, 36)), stream, timeline,
+            track_sequence(np.zeros((1, side, side)), stream, timeline,
                            [QueryPoint(0, 1.0, 1.0)], weights)
 
 
