@@ -2,7 +2,10 @@
 
 Events are timestamped polarity spikes (x, y, t, p). Streams keep a
 canonical sort order (t, y, x, p) so that every downstream dense
-representation is deterministic regardless of wire order. Timestamps are
+representation is deterministic regardless of wire order. A stream out of
+that order is sorted as one packed u64 key per event, t - t_start above y
+above x above a bit for p > 0, whose integer order is the canonical order;
+a span too wide for the key falls back to np.lexsort. Timestamps are
 64-bit unsigned microseconds throughout; no floating-point time is used
 anywhere in this module.
 """
@@ -54,12 +57,51 @@ def _is_canonical(t, x, y, p) -> bool:
     return not (key[1:][tied] < key[:-1][tied]).any()
 
 
+def _sort_packed(t, x, y, p, width: int, height: int, t_start: int):
+    """The columns in (t, y, x, p) order, sorted on the packed key that
+    EventStream describes, or lexsorted when the span does not fit it.
+    Equal keys are equal events, so an unstable in-place sort is exact.
+    The sorted key is unpacked, then turned into t in place, so nothing is
+    held beyond the 13 B/event of output."""
+    x_bits, y_bits = (width - 1).bit_length(), (height - 1).bit_length()
+    if (int(t.max()) - t_start) >> (64 - x_bits - y_bits - 1):
+        order = np.lexsort((p, x, y, t))
+        return t[order], x[order], y[order], p[order]
+    key = t - np.uint64(t_start)
+    key <<= y_bits
+    key |= y
+    key <<= x_bits
+    key |= x
+    key <<= 1
+    key |= p > 0
+    key.sort()
+    # astype keeps a field's low bits, and the masks drop the fields above
+    p = key.astype(np.int8)
+    p &= 1
+    p *= 2
+    p -= 1
+    key >>= 1
+    x = key.astype(np.uint16)
+    x &= (1 << x_bits) - 1
+    key >>= x_bits
+    y = key.astype(np.uint16)
+    y &= (1 << y_bits) - 1
+    key >>= y_bits
+    key += np.uint64(t_start)
+    return key, x, y, p
+
+
 @dataclass(frozen=True)
 class EventStream:
     """A canonically sorted event stream with mandatory sensor geometry.
 
     Columns are stored as parallel numpy arrays: t (uint64 microseconds),
-    x/y (uint16), p (int8, values -1/+1).
+    x/y (uint16), p (int8, values -1/+1). Each side is 1..MAX_SENSOR_SIDE
+    px and 0 <= t_start <= t_end <= 2**64 - 1. Columns already in
+    (t, y, x, p) order are kept as given. Others are sorted on one u64 key
+    of b = (width - 1).bit_length() + (height - 1).bit_length() + 1 low bits
+    of y, x and p under t - t_start, which fits when
+    max(t) - t_start < 2**(64 - b); a wider span is lexsorted.
     """
 
     t: np.ndarray
@@ -75,6 +117,15 @@ class EventStream:
         if self.t_end < self.t_start:
             raise NonMonotonicHeader(
                 f"t_end={self.t_end} < t_start={self.t_start}")
+        if self.t_start < 0 or self.t_end > 2**64 - 1:
+            raise NonMonotonicHeader(
+                f"[t_start, t_end] = [{self.t_start}, {self.t_end}] is "
+                f"outside the u64 range [0, 2**64 - 1]")
+        if not (1 <= self.width <= MAX_SENSOR_SIDE
+                and 1 <= self.height <= MAX_SENSOR_SIDE):
+            raise GeometryViolation(
+                f"{self.width}x{self.height} sensor: each side must be "
+                f"1..{MAX_SENSOR_SIDE} px")
         object.__setattr__(self, "t", np.asarray(self.t, dtype=np.uint64))
         object.__setattr__(self, "x", np.asarray(self.x, dtype=np.uint16))
         object.__setattr__(self, "y", np.asarray(self.y, dtype=np.uint16))
@@ -89,11 +140,10 @@ class EventStream:
         if len(self.t) and (self.t.min() < self.t_start or self.t.max() > self.t_end):
             raise NonMonotonicHeader("event timestamp outside [t_start, t_end]")
         if not _is_canonical(self.t, self.x, self.y, self.p):
-            order = np.lexsort((self.p, self.x, self.y, self.t))
-            object.__setattr__(self, "t", self.t[order])
-            object.__setattr__(self, "x", self.x[order])
-            object.__setattr__(self, "y", self.y[order])
-            object.__setattr__(self, "p", self.p[order])
+            cols = _sort_packed(self.t, self.x, self.y, self.p, int(self.width),
+                                int(self.height), int(self.t_start))
+            for name, col in zip("txyp", cols):
+                object.__setattr__(self, name, col)
 
     def __len__(self):
         return len(self.t)
@@ -302,13 +352,14 @@ def _parse_evbin(source: bytes) -> EventStream:
             f"expected {count} records ({count * EVBIN_RECORD.itemsize} bytes), "
             f"got {len(body)} bytes")
     rec = np.frombuffer(body, dtype=EVBIN_RECORD)
-    if rec.size and np.any(rec["pad"] != 0):
-        raise MalformedRecord("nonzero pad bytes")
-    p = rec["p"]
-    if rec.size and not np.all(np.abs(p.astype(np.int16)) == 1):
-        raise MalformedRecord("polarity must be -1 or +1")
+    # a record's last 4 bytes, p and the zero pad, read 0x01 or 0xFF as <u4
+    tail = np.frombuffer(body, dtype="<u4")[3::4]
+    if not ((tail == 0x01) | (tail == 0xFF)).all():
+        raise MalformedRecord("nonzero pad bytes" if (tail >> 8).any()
+                              else "polarity must be -1 or +1")
     return EventStream(
-        t=rec["t"].copy(), x=rec["x"].copy(), y=rec["y"].copy(), p=p.copy(),
+        t=rec["t"].copy(), x=rec["x"].copy(), y=rec["y"].copy(),
+        p=rec["p"].copy(),
         width=width, height=height, t_start=t_start, t_end=t_end,
     )
 

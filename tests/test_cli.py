@@ -610,6 +610,25 @@ class TestMalformedInputFiles:
         assert rc == 3
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("header, message", [
+        (b"width=32 height=32 t_start=-5 t_end=1000000", "u64 range"),
+        (b"width=32 height=32 t_start=0 t_end=18446744073709551616",
+         "u64 range"),
+        (b"width=-3 height=32 t_start=0 t_end=1000000", "sensor"),
+        (b"width=32 height=4294967296 t_start=0 t_end=1000000", "sensor")])
+    def test_csv_header_outside_its_range_is_data_error(
+            self, tmp_path, small_cfg, header, message, capsys):
+        out = self.simulate(tmp_path, small_cfg)
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"# " + header + b"\n5,1,1,1\n")
+        rc = run_cli(["--config", small_cfg, "--out", tmp_path / "trk",
+                      "track", "--stream", bad, "--frames", out / "video.tns",
+                      "--query", "0,16,16"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and message in err
+        assert not (tmp_path / "trk" / "tracks.txt").exists()
+
     def test_csv_stream_runs_repr(self, tmp_path, small_cfg, capsys):
         out = tmp_path / "sim"
         assert run_cli(["--config", small_cfg, "--out", out, "--format", "csv",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -88,11 +90,56 @@ class TestParsing:
         with pytest.raises(NonMonotonicHeader):
             parse_event_stream(src, "csv")
 
+    @pytest.mark.parametrize("t_start, t_end", [
+        (-5, 10), (-1, -1), (2**64, 2**64), (0, 2**64), (7, 2**70)])
+    def test_header_times_outside_u64_rejected(self, t_start, t_end):
+        with pytest.raises(NonMonotonicHeader):
+            EventStream.from_events([], 4, 4, t_start, t_end)
+        src = f"# width=4 height=4 t_start={t_start} t_end={t_end}\n".encode()
+        with pytest.raises(NonMonotonicHeader):
+            parse_event_stream(src, "csv")
+
+    @pytest.mark.parametrize("width, height", [
+        (-3, 4), (0, 4), (2**32, 4), (65537, 4), (4, -3), (4, 0), (4, 2**32),
+        (4, 65537)])
+    def test_sensor_side_outside_range_rejected(self, width, height):
+        with pytest.raises(GeometryViolation):
+            EventStream.from_events([], width, height, 0, 10)
+        src = f"# width={width} height={height} t_start=0 t_end=10\n".encode()
+        with pytest.raises(GeometryViolation):
+            parse_event_stream(src, "csv")
+
+    def test_header_at_the_range_limits_round_trips(self):
+        stream = EventStream.from_events(
+            [Event(65535, 0, 2**64 - 1, 1), Event(0, 65535, 0, -1)],
+            65536, 65536, 0, 2**64 - 1)
+        for fmt in ("csv", "evbin"):
+            back = parse_event_stream(serialize_event_stream(stream, fmt), fmt)
+            assert (back.width, back.height, back.t_start, back.t_end) == (
+                65536, 65536, 0, 2**64 - 1)
+            assert [back[i] for i in range(2)] == [stream[0], stream[1]]
+
     def test_evbin_nonzero_pad_rejected(self):
         rng = np.random.default_rng(0)
         blob = bytearray(serialize_event_stream(random_stream(rng, n=3), "evbin"))
         blob[-1] = 0xFF  # last pad byte
         with pytest.raises(MalformedRecord):
+            parse_event_stream(bytes(blob), "evbin")
+
+    @pytest.mark.parametrize("tail, message", [
+        (b"\x00\x00\x00\x00", "polarity"), (b"\x02\x00\x00\x00", "polarity"),
+        (b"\x7f\x00\x00\x00", "polarity"), (b"\xfe\x00\x00\x00", "polarity"),
+        (b"\x01\x01\x00\x00", "pad"), (b"\xff\x00\x80\x00", "pad"),
+        (b"\x01\x00\x00\x01", "pad"), (b"\x00\x00\x07\x00", "pad")],
+        ids=["p=0", "p=2", "p=127", "p=-2", "pad1", "pad2", "pad3",
+             "pad2_and_p=0"])
+    def test_evbin_record_tail_names_what_is_wrong(self, tail, message):
+        """p and the three pad bytes are checked in one pass; the error
+        names the pad when it is not zero, and else the polarity."""
+        rng = np.random.default_rng(0)
+        blob = bytearray(serialize_event_stream(random_stream(rng, n=3), "evbin"))
+        blob[-20:-16] = tail  # the middle record's p and pad
+        with pytest.raises(MalformedRecord, match=message):
             parse_event_stream(bytes(blob), "evbin")
 
     def test_canonical_tie_break_order(self):
@@ -512,19 +559,28 @@ def lexsorted(t, x, y, p):
 
 
 class TestCanonicalFastPath:
-    @settings(max_examples=200, deadline=None)
-    @given(n=st.integers(0, 300), span=st.sampled_from([1, 3, 50, 10 ** 9]),
-           geometry=st.sampled_from([2, 5, 65536]),
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(0, 300),
+           span=st.sampled_from([1, 3, 50, 10 ** 9, 2 ** 40, 2 ** 63]),
+           base=st.sampled_from([0, 12_345, 2 ** 64 - 5_000]),
+           geometry=st.sampled_from([(2, 2), (5, 5), (65536, 65536), (1, 1),
+                                     (1, 7), (9, 1)]),
            layout=st.sampled_from(["shuffled", "sorted", "reversed",
                                    "one_swap"]),
            seed=st.integers(0, 2 ** 32 - 1))
-    def test_matches_lexsort(self, n, span, geometry, layout, seed):
+    def test_matches_lexsort(self, n, span, base, geometry, layout, seed):
         """Tie-heavy (small spans and sensors), shuffled, reversed and
-        almost-sorted inputs give exactly the lexsort order."""
+        almost-sorted inputs give exactly the lexsort order: with t_start
+        up to 2**64 - 5000, with spans too wide for the packed key (2**40
+        on a 65536-px sensor, 2**63 on any but 1x1), and with 0-bit x or y
+        fields."""
+        width, height = geometry
+        t_start = min(base, 2 ** 64 - span)
         rng = np.random.default_rng(seed)
-        cols = (rng.integers(0, span, size=n).astype(np.uint64),
-                rng.integers(0, geometry, size=n).astype(np.uint16),
-                rng.integers(0, geometry, size=n).astype(np.uint16),
+        cols = (rng.integers(0, span, size=n, dtype=np.uint64)
+                + np.uint64(t_start),
+                rng.integers(0, width, size=n).astype(np.uint16),
+                rng.integers(0, height, size=n).astype(np.uint16),
                 rng.choice(np.array([-1, 1], dtype=np.int8), size=n))
         want = lexsorted(*cols)
         if layout == "sorted":
@@ -535,10 +591,68 @@ class TestCanonicalFastPath:
             i = int(rng.integers(0, n - 1))
             cols = tuple(np.concatenate([c[:i], c[i + 1:i + 2], c[i:i + 1],
                                          c[i + 2:]]) for c in want)
-        stream = EventStream(*cols, width=geometry, height=geometry,
-                             t_start=0, t_end=span)
+        stream = EventStream(*cols, width=width, height=height,
+                             t_start=t_start, t_end=t_start + span - 1)
         for got, exp in zip((stream.t, stream.x, stream.y, stream.p), want):
+            assert got.dtype == exp.dtype
             assert np.array_equal(got, exp)
+
+    @pytest.mark.parametrize("width, height", [(1, 1), (1, 2), (128, 128),
+                                               (640, 480), (65536, 65536)])
+    @pytest.mark.parametrize("t_start", [0, 1_000])
+    def test_key_fits_up_to_a_span_of_one_bit_below_the_fields(
+            self, monkeypatch, width, height, t_start):
+        """With b bits of x, y and p, a span of 2**(64 - b) - 1 is sorted
+        by the packed key, and a span of 2**(64 - b) by lexsort."""
+        bits = (width - 1).bit_length() + (height - 1).bit_length() + 1
+        for span, key_fits in [(2 ** (64 - bits) - 1, True),
+                               (2 ** (64 - bits), False)]:
+            t = np.array([t_start + span, t_start, t_start + span, t_start],
+                         dtype=np.uint64)
+            x = np.array([0, width - 1, width - 1, 0], dtype=np.uint16)
+            y = np.array([height - 1, 0, 0, height - 1], dtype=np.uint16)
+            p = np.array([-1, 1, 1, -1], dtype=np.int8)
+            with monkeypatch.context() as m:
+                if key_fits:
+                    m.setattr(np, "lexsort", None)  # the key path must not call it
+                stream = EventStream(t=t, x=x, y=y, p=p, width=width,
+                                     height=height, t_start=t_start,
+                                     t_end=t_start + span)
+            for got, exp in zip((stream.t, stream.x, stream.y, stream.p),
+                                lexsorted(t, x, y, p)):
+                assert np.array_equal(got, exp)
+
+    def test_canonical_columns_are_kept_as_given(self):
+        rng = np.random.default_rng(3)
+        t, x, y, p = lexsorted(
+            rng.integers(0, 50, size=500).astype(np.uint64),
+            rng.integers(0, 8, size=500).astype(np.uint16),
+            rng.integers(0, 8, size=500).astype(np.uint16),
+            rng.choice(np.array([-1, 1], dtype=np.int8), size=500))
+        stream = EventStream(t=t, x=x, y=y, p=p, width=8, height=8,
+                             t_start=0, t_end=50)
+        assert (stream.t is t and stream.x is x and stream.y is y
+                and stream.p is p)
+
+    def test_sort_allocates_little_beyond_its_output(self):
+        """Sorting shuffled events allocates the 13 B/event of sorted
+        columns and little else; lexsort's order and gathers took
+        21 B/event."""
+        n = 200_000
+        rng = np.random.default_rng(4)
+        cols = (rng.integers(0, 2_000_000, size=n).astype(np.uint64),
+                rng.integers(0, 128, size=n).astype(np.uint16),
+                rng.integers(0, 128, size=n).astype(np.uint16),
+                rng.choice(np.array([-1, 1], dtype=np.int8), size=n))
+        tracemalloc.start()
+        try:
+            stream = EventStream(*cols, width=128, height=128, t_start=0,
+                                 t_end=2_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stream.t is not cols[0]
+        assert peak <= 16 * n
 
     def test_each_key_breaks_a_tie(self):
         # t ties broken by y, then x, then p; each pair is out of order

@@ -1,7 +1,7 @@
 """Every top-level import of a package module is referenced in it, and
 every local a function binds is read in it. No linter is installed, so
 this test is the check for stale imports and dead locals. It also keeps
-the event window rule in one module."""
+the event window rule and the event sort in one module."""
 
 import ast
 from pathlib import Path
@@ -49,14 +49,23 @@ def test_module_has_no_unused_locals(module):
     assert unused_locals((PACKAGE / module).read_text()) == []
 
 
+def attribute_users(attr: str) -> set[str]:
+    """The package modules that read an attribute of that name."""
+    return {module for module in MODULES
+            for node in ast.walk(ast.parse((PACKAGE / module).read_text()))
+            if isinstance(node, ast.Attribute) and node.attr == attr}
+
+
 def test_only_events_searches_event_times():
     """Every event window is one (a, b] cut made in events.py; a
     searchsorted elsewhere would be a second copy of that rule."""
-    callers = {module for module in MODULES
-               for node in ast.walk(ast.parse((PACKAGE / module).read_text()))
-               if isinstance(node, ast.Attribute)
-               and node.attr == "searchsorted"}
-    assert callers == {"events.py"}
+    assert attribute_users("searchsorted") == {"events.py"}
+
+
+def test_only_events_sorts_events():
+    """The canonical (t, y, x, p) order is made in events.py alone; a
+    lexsort elsewhere would be a second copy of that rule."""
+    assert attribute_users("lexsort") == {"events.py"}
 
 
 def test_checker_flags_an_unused_import():
