@@ -19,11 +19,16 @@ from .errors import DataError, MalformedRecord
 TNS_MAGIC = b"TNS1"
 
 
+def record_header(shape: Sequence[int]) -> bytes:
+    """The rank-and-dims header of the record of an array of that shape."""
+    return struct.pack(f"<I{len(shape)}I", len(shape), *shape)
+
+
 def tensor_record(arr: np.ndarray) -> list:
     """The record of arr as chunks: the header bytes and the array itself,
     whose buffer b"".join or a file write reads without a tobytes() copy."""
     arr = np.ascontiguousarray(arr, dtype="<f8")
-    return [struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape), arr]
+    return [record_header(arr.shape), arr]
 
 
 def span(data: bytes, pos: int, n: int, what: str) -> int:

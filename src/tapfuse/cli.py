@@ -8,9 +8,11 @@ deterministic from (config, seed) except bench timings. Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -40,30 +42,63 @@ from .tracker import (
 from .weights import WeightBundle, load_weights
 
 
+@contextlib.contextmanager
+def _output(path: Path):
+    """Open a temporary sibling of path and yield (write, digest): write
+    appends a chunk (bytes or a contiguous array) and adds it to digest,
+    a sha256. A clean exit from the with-block moves the file onto path;
+    an error removes it, and path keeps what it held."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    part = path.with_name(f".{path.name}.part")
+    digest = hashlib.sha256()
+    try:
+        with open(part, "wb") as f:
+            def write(chunk):
+                f.write(chunk)
+                digest.update(chunk)
+            yield write, digest
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+
+
 def _write(path: Path, *chunks) -> str:
     """Write the chunks (bytes or contiguous arrays) to path in turn;
     return the first 16 hex digits of the sha256 of what was written."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    digest = hashlib.sha256()
-    with open(path, "wb") as f:
+    with _output(path) as (write, digest):
         for chunk in chunks:
-            f.write(chunk)
-            digest.update(chunk)
+            write(chunk)
     return digest.hexdigest()[:16]
 
 
 def cmd_simulate(config: RunConfig, out_dir: Path, fmt: str = "evbin") -> dict:
     """Render a seeded scene, simulate events, write video/stream/tracks,
-    and print a one-line manifest of output hashes."""
+    and print a one-line manifest of output hashes.
+
+    The video is never held whole: simulate_events reads it from
+    render_intensity_video a chunk of frames at a time, and each chunk is
+    appended to video.tns on its way there. As every output is written to
+    a temporary sibling first, and video.tns moved into place only after
+    the last chunk has passed simulate_events' checks, a run that fails
+    leaves out_dir as it was."""
     rng = np.random.default_rng(config.seed)
     scene = config.scene_config(rng)
     timeline = config.timeline()
     video, gt = render_intensity_video(scene, query_times=timeline.query_times)
-    stream = simulate_events(video, config.sim_contrast)
+    with _output(out_dir / "video.tns") as (write, video_digest):
+        write(arrayio.TNS_MAGIC + arrayio.record_header(
+            (len(video.frame_times), scene.height, scene.width)))
+
+        def written():
+            for times, frames in video:
+                write(np.ascontiguousarray(frames, dtype="<f8"))
+                yield times, frames
+
+        stream = simulate_events(written(), config.sim_contrast)
 
     manifest = {
-        "video": _write(out_dir / "video.tns", arrayio.TNS_MAGIC,
-                        *arrayio.tensor_record(video.frames)),
+        "video": video_digest.hexdigest()[:16],
         "events": _write(out_dir / f"events.{fmt}",
                          serialize_event_stream(stream, fmt)),
         "tracks": _write(out_dir / "tracks.txt",

@@ -5,13 +5,21 @@ analytic intensity videos with exact ground-truth trajectories, converts
 them to event streams by tracking per-pixel log-intensity threshold
 crossings, reconstructs log intensity from events, and evaluates the
 event-based double-integral blur relation piecewise-exactly.
+
+A video reaches the event model as (times, frames) chunks in time order,
+as ESIM (Rebecq et al. 2018) and v2e (Hu et al. 2021) feed it frames. The
+video of render_intensity_video renders each chunk into one reused buffer
+of at most _CHUNK_BYTES only when it is read, so simulating it, and
+writing it out chunk by chunk as cmd_simulate does, never holds the
+whole video.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -26,28 +34,43 @@ from .tracker import TrackSet
 
 DEFAULT_CONTRAST = 0.2
 
+# the frames a rendered video holds at once while it is iterated: at most
+# this many bytes, and at least one frame. Chunks of 1 to 32 frames of
+# 256x256 simulate within 4 % of each other; the peak grows with the chunk.
+_CHUNK_BYTES = 2 * 2 ** 20
 
-@dataclass(frozen=True)
+
+def _check_intensity(frames: np.ndarray) -> None:
+    """Raise unless every value is positive and finite (NaN is not > 0)."""
+    if not (frames > 0).all():
+        raise NonPositiveIntensity("intensity must be positive everywhere")
+    if not (frames < np.inf).all():
+        raise DegenerateScene("intensity must be finite everywhere")
+
+
 class IntensityVideo:
-    """Linear-intensity frames (all values > 0) at integer-microsecond times."""
+    """Linear-intensity frames (all values > 0) at integer-microsecond times.
 
-    frames: np.ndarray       # T x H x W, positive reals
-    frame_times: np.ndarray  # T, int64 microseconds
-    fps: float
+    Iterating a video yields its frames as (times, frames) chunks in time
+    order, the form simulate_events reads. This one checks and keeps the
+    caller's array and yields it as a single chunk; simulate_events checks
+    it again, as the caller may have written into it since.
+    """
 
-    def __post_init__(self):
-        frames = np.asarray(self.frames, dtype=np.float64)
-        times = np.asarray(self.frame_times, dtype=np.int64)
+    def __init__(self, frames, frame_times, fps: float):
+        frames = np.asarray(frames, dtype=np.float64)
+        times = np.asarray(frame_times, dtype=np.int64)
         if frames.ndim != 3 or frames.shape[0] != times.shape[0]:
             raise DegenerateScene("frames/frame_times shape mismatch")
         if np.any(np.diff(times) <= 0):
             raise DegenerateScene("frame times must strictly increase")
-        if not np.all(frames > 0):
-            raise NonPositiveIntensity("intensity must be positive everywhere")
-        if not np.all(frames < np.inf):
-            raise DegenerateScene("intensity must be finite everywhere")
-        object.__setattr__(self, "frames", frames)
-        object.__setattr__(self, "frame_times", times)
+        _check_intensity(frames)
+        self.frames = frames            # T x H x W, positive reals
+        self.frame_times = times        # T, int64 microseconds
+        self.fps = fps
+
+    def __iter__(self):
+        yield self.frame_times, self.frames
 
 
 @dataclass(frozen=True)
@@ -94,9 +117,20 @@ def _box(center: float, reach: float, side: int) -> tuple[int, int]:
             math.floor(min(center + reach, side - 1.0)) + 1)
 
 
-def _rasterize(config: SceneConfig, times: Sequence[float],
-               out: np.ndarray) -> None:
-    """Write the scene at each of times into the (T, H, W) array out.
+def _reach(config: SceneConfig) -> list[float]:
+    """Each object's reach, the distance from its center beyond which it
+    changes no pixel (see _rasterize)."""
+    log_half_ulp = math.log(math.ulp(config.background)) - math.log(2.0)
+    return [obj.size + 2.0 if obj.shape == "textured_square" else
+            obj.size * math.sqrt(
+                2.0 * max(math.log(obj.intensity) - log_half_ulp, 0.0)) + 2.0
+            for obj in config.objects]
+
+
+def _rasterize(config: SceneConfig, reach: Sequence[float],
+               times: Sequence[float], out: np.ndarray) -> None:
+    """Write the scene at each of times into the (T, H, W) array out;
+    reach is _reach(config).
 
     Each object writes only its support box, the pixels within its reach
     of its center; objects whose box misses the sensor are skipped. A
@@ -114,11 +148,6 @@ def _rasterize(config: SceneConfig, times: Sequence[float],
     numpy's exp and sin give an element the same value whatever the
     array's shape (pinned in test_synth.py)."""
     bg = config.background
-    log_half_ulp = math.log(math.ulp(bg)) - math.log(2.0)
-    reach = [obj.size + 2.0 if obj.shape == "textured_square" else
-             obj.size * math.sqrt(
-                 2.0 * max(math.log(obj.intensity) - log_half_ulp, 0.0)) + 2.0
-             for obj in config.objects]
     for frame, t_us in zip(out, times):
         frame.fill(bg)
         for obj, r in zip(config.objects, reach):
@@ -141,45 +170,89 @@ def _rasterize(config: SceneConfig, times: Sequence[float],
                 np.copyto(box, bg + obj.intensity * tex, where=inside)
 
 
-def render_intensity_video(config: SceneConfig,
-                           query_times: Sequence[int] | None = None
-                           ) -> tuple[IntensityVideo, TrackSet]:
-    """Render the scene at each frame time and sample exact ground truth,
-    one track per object.
+class _SceneVideo(IntensityVideo):
+    """The video of a scene at frame_times, rendered when it is read.
 
-    Ground truth is sampled on query_times when given (must contain the
-    frame grid or be denser), else on the frame grid itself. Visibility
-    flips to 0 when an object's center leaves the image or is covered by
-    a nearer (later-listed) object.
+    Iterating it renders a chunk of frames at a time into one buffer of at
+    most _CHUNK_BYTES, and at least one frame, which the next chunk
+    overwrites; simulate_events checks each chunk as it reads it. Reading
+    .frames renders, checks and keeps the whole video, and iteration then
+    yields that. Each pass works out each object's reach once.
     """
-    n_frames = int(round(config.fps * config.duration_us / 1e6))
-    if n_frames < 2:
-        raise DegenerateScene("need at least 2 frames (fps * duration >= 2)")
-    frame_times = np.round(np.arange(n_frames) * 1e6 / config.fps).astype(np.int64)
-    frames = np.empty((n_frames, config.height, config.width))
-    _rasterize(config, frame_times, frames)
-    video = IntensityVideo(frames=frames, frame_times=frame_times, fps=config.fps)
 
-    gt_times = np.asarray(query_times if query_times is not None else frame_times,
-                          dtype=np.int64)
+    def __init__(self, scene: SceneConfig, frame_times: np.ndarray):
+        self.scene, self.frame_times, self.fps = scene, frame_times, scene.fps
+
+    @cached_property
+    def frames(self) -> np.ndarray:
+        frames = np.empty((len(self.frame_times), self.scene.height,
+                           self.scene.width))
+        _rasterize(self.scene, _reach(self.scene), self.frame_times, frames)
+        _check_intensity(frames)
+        return frames
+
+    def __iter__(self):
+        if "frames" in vars(self):
+            yield from super().__iter__()
+            return
+        height, width = self.scene.height, self.scene.width
+        n = max(1, _CHUNK_BYTES // (8 * height * width))
+        buffer = np.empty((min(n, len(self.frame_times)), height, width))
+        reach = _reach(self.scene)
+        for start in range(0, len(self.frame_times), n):
+            times = self.frame_times[start:start + n]
+            frames = buffer[:len(times)]
+            _rasterize(self.scene, reach, times, frames)
+            yield times, frames
+
+
+def _ground_truth(config: SceneConfig, times: np.ndarray) -> TrackSet:
+    """Each object's exact position at times, one track per object.
+    Visibility flips to 0 when an object's center leaves the image or is
+    covered by a nearer (later-listed) object's square."""
     # position_at's float operations, for every object and time at once
     motion = np.array([(obj.position, obj.velocity) for obj in config.objects],
                       dtype=np.float64).reshape(-1, 2, 1, 2)
-    positions = motion[:, 0] + motion[:, 1] * (gt_times / 1e6)[:, None]
+    positions = motion[:, 0] + motion[:, 1] * (times / 1e6)[:, None]
     visible = np.all((0 <= positions)
                      & (positions < (config.width, config.height)), axis=2)
     for i, obj in enumerate(config.objects):
         # a later object's square hides the centres of the objects before it
         visible[:i] &= ~np.all(np.abs(positions[:i] - positions[i]) <= obj.size,
                                axis=2)
-    return video, TrackSet(times=gt_times, positions=positions,
-                           visibility=visible.astype(np.int64))
+    return TrackSet(times=times, positions=positions,
+                    visibility=visible.astype(np.int64))
 
 
-def simulate_events(video: IntensityVideo, c: float = DEFAULT_CONTRAST
-                    ) -> EventStream:
+def render_intensity_video(config: SceneConfig,
+                           query_times: Sequence[int] | None = None
+                           ) -> tuple[IntensityVideo, TrackSet]:
+    """The scene's video at each frame time, and its exact ground truth.
+
+    The video renders its frames when it is read: simulate_events reads
+    it a chunk at a time, and .frames renders it whole (see _SceneVideo).
+    Ground truth is sampled on query_times when given (must contain the
+    frame grid or be denser), else on the frame grid itself.
+    """
+    n_frames = int(round(config.fps * config.duration_us / 1e6))
+    if n_frames < 2:
+        raise DegenerateScene("need at least 2 frames (fps * duration >= 2)")
+    frame_times = np.round(np.arange(n_frames) * 1e6 / config.fps).astype(np.int64)
+    gt_times = np.asarray(query_times if query_times is not None else frame_times,
+                          dtype=np.int64)
+    return _SceneVideo(config, frame_times), _ground_truth(config, gt_times)
+
+
+def simulate_events(video: Iterable[tuple[np.ndarray, np.ndarray]],
+                    c: float = DEFAULT_CONTRAST) -> EventStream:
     """Emit events where linearly interpolated log intensity crosses the
     per-pixel reference by +-c, updating the reference by +-c per event.
+
+    video is an IntensityVideo, or any iterable of (times, frames) chunks
+    in time order as iterating one yields them. Each chunk is checked
+    positive and finite as it is read, and only the reference and the last
+    frame's log and time pass from one chunk to the next, so the model
+    holds one chunk of the video at a time.
 
     Log intensity is interpolated linearly in time between frames (the
     trigger condition lives in the log domain, which makes crossing times
@@ -188,7 +261,8 @@ def simulate_events(video: IntensityVideo, c: float = DEFAULT_CONTRAST
     holding two frames' logs, gives each pixel floor(|q|) levels of the
     sign of q = (L1 - ref) / c, indexed by one array expression whose
     integers equal one np.arange per pixel. Timestamps are rounded to the
-    nearest microsecond; the merged stream is in canonical order.
+    nearest microsecond and clipped to the first and last frame times;
+    the merged stream is in canonical order.
 
     The stream is byte-identical to an up and then a down pass, each
     counting floor(sign * (L1 - ref) / c): 1.0 * x is x and (-x) / c is
@@ -198,58 +272,55 @@ def simulate_events(video: IntensityVideo, c: float = DEFAULT_CONTRAST
     """
     if c <= 0:
         raise DegenerateScene("contrast threshold must be positive")
-    if len(video.frame_times) < 2:
-        raise DegenerateScene("need at least 2 frames to simulate")
-    # the caller may have written into the frames since the video was built:
-    # this test fails on NaN, and an inf fails the finiteness tests of the
-    # first frame's log and of each interval's q, without another pass
-    if not (video.frames > 0).all():
-        raise NonPositiveIntensity("intensity must be positive everywhere")
-    H, W = video.frames.shape[1:]
-    if max(H, W) > MAX_SENSOR_SIDE:
-        raise GeometryViolation(f"{W}x{H} video: event x and y are u16, so "
-                                f"a side is at most {MAX_SENSOR_SIDE} px")
-
-    frames = video.frames.reshape(len(video.frames), -1)  # T x (H*W)
-    t_first, t_last = video.frame_times[[0, -1]]
-    L1 = np.log(frames[0])
-    finite = "intensity must be finite everywhere"
-    if not np.isfinite(L1).all():
-        raise DegenerateScene(finite)
-    ref = L1.copy()     # stays finite: a later inf makes q infinite there
     # each interval's (t, x, y, p) columns, in the stream's dtypes
     cols = [(np.zeros(0, np.uint64), np.zeros(0, np.uint16),
              np.zeros(0, np.uint16), np.zeros(0, np.int8))]
-    for j in range(len(frames) - 1):
-        L0, L1 = L1, np.log(frames[j + 1])
-        t0, t1 = map(float, video.frame_times[j:j + 2])
-        q = (L1 - ref) / c
-        active = np.flatnonzero(np.abs(q) >= 1)
-        if active.size == 0:
-            continue
-        if not np.isfinite(q[active]).all():
-            raise DegenerateScene(finite)
-        sign = np.sign(q[active])
-        counts = np.floor(sign * q[active]).astype(np.int64)
-        pix = np.repeat(active, counts)
-        # level index 1..n per pixel: running index minus pixel start
-        k = np.arange(1, pix.size + 1) - np.repeat(np.cumsum(counts) - counts,
-                                                    counts)
-        s = np.repeat(sign, counts)
-        levels = ref[pix] + s * k * c
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tt = t0 + (levels - L0[pix]) / (L1[pix] - L0[pix]) * (t1 - t0)
-        # float rounding can carry a level crossed at the end of the
-        # previous interval over to a pixel that holds still in this one
-        tt[~np.isfinite(tt)] = t0
-        t = np.clip(np.round(tt).astype(np.int64), t_first, t_last)
-        cols.append((t.astype(np.uint64), (pix % W).astype(np.uint16),
-                     (pix // W).astype(np.uint16), s.astype(np.int8)))
-        ref[active] += sign * counts * c
+    L1 = t0 = t1 = None     # t0 is set from the second frame on
+    for times, frames in video:
+        _check_intensity(frames)
+        for frame, t_frame in zip(frames, times):
+            L0, L1 = L1, np.log(frame.reshape(-1))
+            t0, t1 = t1, float(t_frame)
+            if L0 is None:
+                H, W = frame.shape
+                if max(H, W) > MAX_SENSOR_SIDE:
+                    raise GeometryViolation(
+                        f"{W}x{H} video: event x and y are u16, so a side is "
+                        f"at most {MAX_SENSOR_SIDE} px")
+                t_first = int(t_frame)
+                ref = L1.copy()
+                continue
+            q = (L1 - ref) / c
+            active = np.flatnonzero(np.abs(q) >= 1)
+            if active.size == 0:
+                continue
+            sign = np.sign(q[active])
+            counts = np.floor(sign * q[active]).astype(np.int64)
+            pix = np.repeat(active, counts)
+            # level index 1..n per pixel: running index minus pixel start
+            k = np.arange(1, pix.size + 1) - np.repeat(np.cumsum(counts) - counts,
+                                                        counts)
+            s = np.repeat(sign, counts)
+            levels = ref[pix] + s * k * c
+            with np.errstate(divide="ignore", invalid="ignore"):
+                tt = t0 + (levels - L0[pix]) / (L1[pix] - L0[pix]) * (t1 - t0)
+            # float rounding can carry a level crossed at the end of the
+            # previous interval over to a pixel that holds still in this one
+            tt[~np.isfinite(tt)] = t0
+            t = np.clip(np.round(tt).astype(np.int64), t_first, None)
+            cols.append((t.astype(np.uint64), (pix % W).astype(np.uint16),
+                         (pix // W).astype(np.uint16), s.astype(np.int8)))
+            ref[active] += sign * counts * c
+    if t0 is None:
+        raise DegenerateScene("need at least 2 frames to simulate")
 
     t, x, y, p = map(np.concatenate, zip(*cols))
+    # the clip's upper bound, the last frame time, is known only now; it is
+    # applied in int64, as the lower bound was, so t holds one np.clip's bits
+    t_last, t64 = int(t_frame), t.view(np.int64)
+    np.minimum(t64, t_last, out=t64)
     return EventStream(t=t, x=x, y=y, p=p, width=W, height=H,
-                       t_start=int(t_first), t_end=int(t_last))
+                       t_start=t_first, t_end=t_last)
 
 
 def reconstruct_log_intensity(anchor: np.ndarray, stream: EventStream,

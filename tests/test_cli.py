@@ -1,17 +1,30 @@
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
+import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tapfuse import arrayio, config
+from tapfuse import arrayio, config, synth
 from tapfuse.cli import cmd_bench, cmd_simulate, main
 from tapfuse.config import RunConfig, parse_run_config
 from tapfuse.errors import ConfigError
-from tapfuse.synth import render_intensity_video, simulate_events
-from tapfuse.tracker import QueryPoint, parse_track_set, track_sequence
+from tapfuse.events import serialize_event_stream
+from tapfuse.synth import IntensityVideo, render_intensity_video, simulate_events
+from tapfuse.tracker import (
+    QueryPoint,
+    parse_track_set,
+    serialize_track_set,
+    track_sequence,
+)
 from tapfuse.weights import WeightBundle, parameter_specs, save_weights
 
 SMALL_CONFIG = """\
@@ -259,6 +272,136 @@ class TestSimulate:
         assert video.shape == (24, 32, 32)
         gt = parse_track_set((tmp_path / "out" / "tracks.txt").read_bytes())
         assert gt.positions.shape[1] == 24
+
+
+def scene_text(width, height, n_frames, fps=48, objects=(), contrast=0.2):
+    """A config of n_frames rendered frames, a query step per frame and a
+    frame step every fourth."""
+    lines = [f"scene.width = {width}", f"scene.height = {height}",
+             f"scene.duration_us = {round(n_frames * 1e6 / fps)}",
+             f"scene.fps = {fps}", "scene.n_random_objects = 0",
+             f"timeline.query_hz = {fps}", f"timeline.frame_hz = {fps / 4}",
+             f"sim.contrast = {contrast}"]
+    lines += [f"scene.object{i} = {obj}" for i, obj in enumerate(objects)]
+    return "\n".join(lines) + "\n"
+
+
+def sha16(data):
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def library_manifest(cfg):
+    """cmd_simulate's outputs made the library way: the whole video
+    rendered at once and simulated as one chunk."""
+    scene = cfg.scene_config(np.random.default_rng(cfg.seed))
+    video, gt = render_intensity_video(
+        scene, query_times=cfg.timeline().query_times)
+    whole = IntensityVideo(video.frames, video.frame_times, video.fps)
+    stream = simulate_events(whole, cfg.sim_contrast)
+    return {"video": sha16(arrayio.write_array(whole.frames)),
+            "events": sha16(serialize_event_stream(stream, "evbin")),
+            "tracks": sha16(serialize_track_set(gt))}
+
+
+def streamed_manifest(cfg, out):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cmd_simulate(cfg, out)
+
+
+MOVERS = ("gaussian_blob, 20, 30, 40, -25, 4, 2",
+          "textured_square, 40, 20, -30, 35, 6, 1.5")
+
+
+class TestStreamedSimulate:
+    """simulate renders, writes and simulates a chunk of frames at a time;
+    its files must equal the whole-video library path byte for byte."""
+
+    # a 64x64 frame is 32 KiB: one chunk holds 64 of them
+    CHUNK = synth._CHUNK_BYTES // (8 * 64 * 64)
+
+    @pytest.mark.parametrize("n_frames", [2, CHUNK - 1, CHUNK, CHUNK + 1],
+                             ids=["two", "chunk-1", "chunk", "chunk+1"])
+    def test_chunk_boundaries_equal_the_library_path(self, tmp_path, n_frames):
+        cfg = parse_run_config(scene_text(64, 64, n_frames,
+                                          objects=MOVERS)).validate()
+        assert streamed_manifest(cfg, tmp_path) == library_manifest(cfg)
+
+    def test_frame_larger_than_a_chunk(self, tmp_path):
+        """A 520x512 frame is 2.03 MiB, more than a chunk's bytes: each
+        chunk then holds one frame."""
+        cfg = parse_run_config(scene_text(
+            520, 512, 3, objects=["gaussian_blob, 100, 300, 400, -300, 6, 2",
+                                  "textured_square, 400, 100, 0, 0, 9, 1"])
+        ).validate()
+        assert 8 * 520 * 512 > synth._CHUNK_BYTES
+        assert streamed_manifest(cfg, tmp_path) == library_manifest(cfg)
+
+    @settings(max_examples=40, deadline=None)
+    @given(width=st.sampled_from([8, 24, 40]),
+           height=st.sampled_from([8, 16, 56]),
+           n_frames=st.integers(2, 13), fps=st.sampled_from([24, 48, 96]),
+           objects=st.lists(st.sampled_from(MOVERS + (
+               "gaussian_blob, 3, 5, 90, 60, 2.5, 2.5",
+               "textured_square, 6, 4, 15, 9, 3.5, 0.5")), max_size=3),
+           contrast=st.sampled_from([0.05, 0.2]),
+           chunk_frames=st.integers(1, 6))
+    def test_streamed_equals_library_path(self, width, height, n_frames,
+                                          fps, objects, contrast,
+                                          chunk_frames):
+        cfg = parse_run_config(scene_text(width, height, n_frames, fps,
+                                          objects, contrast))
+        chunk_bytes = chunk_frames * 8 * width * height
+        with tempfile.TemporaryDirectory() as out, \
+                mock.patch.object(synth, "_CHUNK_BYTES", chunk_bytes):
+            assert streamed_manifest(cfg, Path(out)) == library_manifest(cfg)
+
+    @pytest.mark.parametrize("value, code", [(np.nan, 3), (np.inf, 4)],
+                             ids=["nan", "inf"])
+    def test_bad_last_frame_leaves_the_outputs_as_they_were(
+            self, tmp_path, small_cfg, monkeypatch, capsys, value, code):
+        """The last chunk fails simulate_events' checks after the earlier
+        chunks were written: video.tns, events and tracks keep their bytes,
+        and no temporary file remains."""
+        out = tmp_path / "sim"
+        assert run_cli(["--config", small_cfg, "--out", out, "simulate"]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        cfg = parse_run_config(SMALL_CONFIG)
+        scene = cfg.scene_config(np.random.default_rng(cfg.seed))
+        video, _ = render_intensity_video(scene)
+        last = video.frame_times[-1]
+        rasterize = synth._rasterize
+
+        def poisoned(config, reach, times, frames):
+            rasterize(config, reach, times, frames)
+            if times[-1] == last:
+                frames[-1, 3, 5] = value
+
+        # 24 frames of 32x32 in chunks of 5
+        monkeypatch.setattr(synth, "_CHUNK_BYTES", 5 * 8 * 32 * 32)
+        monkeypatch.setattr(synth, "_rasterize", poisoned)
+        capsys.readouterr()
+        assert run_cli(["--config", small_cfg, "--out", out,
+                        "simulate"]) == code
+        assert "intensity must be" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_peak_memory_does_not_grow_with_duration(self, tmp_path):
+        """A 128x128 video of 4 s holds 24 MiB of frames; simulate's peak
+        stays near that of 0.5 s, and under a quarter of the video."""
+        def peak(n_frames):
+            cfg = parse_run_config(scene_text(
+                128, 128, n_frames,
+                objects=["gaussian_blob, 40, 60, 3, 2, 5, 2"])).validate()
+            tracemalloc.start()
+            try:
+                streamed_manifest(cfg, tmp_path / str(n_frames))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = peak(24), peak(192)
+        assert long <= 1.25 * short
+        assert long < 0.25 * 192 * 128 * 128 * 8
 
 
 class TestTrack:

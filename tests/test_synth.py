@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from tapfuse import synth
 from tapfuse.errors import (
     DegenerateScene,
     EmptyWindow,
@@ -18,6 +19,7 @@ from tapfuse.synth import (
     SceneConfig,
     SceneObject,
     _rasterize,
+    _reach,
     edi_blur,
     reconstruct_log_intensity,
     render_intensity_video,
@@ -191,6 +193,41 @@ class TestSimulate:
         at = (stream.x == 0) & (stream.y == 0)
         assert stream.t[at].min() > 0
         assert stream.t[at][-1] == 666_667 and stream.p[at][-1] == -1
+
+    @pytest.mark.parametrize("chunk", [4, 2, 1])
+    def test_time_past_the_last_frame_is_clipped_in_any_chunking(self, chunk):
+        """Float rounding puts the one crossing of interval (1000, 2000] at
+        2167 us, past the last frame at 2001 us. It is clipped to 2001 also
+        when the frames arrive in chunks and its interval ends before the
+        last chunk."""
+        logs = [-0.020101384972418757, 0.17989861502758117,
+                0.17989861502758123, 0.17989861502758123]
+        video = IntensityVideo(frames=np.exp(np.reshape(logs, (4, 1, 1))),
+                               frame_times=[0, 1000, 2000, 2001], fps=1.0)
+        cuts = range(chunk, 4, chunk)
+        stream = simulate_events(zip(np.split(video.frame_times, cuts),
+                                     np.split(video.frames, cuts)), c=0.2)
+        assert stream.t.tolist() == [2001] and stream.p.tolist() == [1]
+
+    def test_rendered_video_is_read_in_bounded_chunks(self, monkeypatch):
+        """Iterating a rendered video renders it chunk by chunk into one
+        buffer of at most _CHUNK_BYTES; once .frames has been read, it
+        yields those frames as one chunk."""
+        cfg = SceneConfig(width=16, height=8, duration_us=1_000_000, fps=11,
+                          objects=[blob(4, 4, vx=9.0)])
+        monkeypatch.setattr(synth, "_CHUNK_BYTES", 3 * 8 * 16 * 8 + 7)
+        video, _ = render_intensity_video(cfg)
+        chunks = [(times.copy(), frames.copy(), frames.base)
+                  for times, frames in video]
+        assert [len(times) for times, _, _ in chunks] == [3, 3, 3, 2]
+        assert len({id(base) for _, _, base in chunks}) == 1
+        assert np.concatenate([t for t, _, _ in chunks]).tolist() == \
+            video.frame_times.tolist()
+        frames = video.frames
+        assert np.concatenate([f for _, f, _ in chunks]).tobytes() == \
+            frames.tobytes()
+        [(times, whole)] = list(video)
+        assert whole is frames and times is video.frame_times
 
     @pytest.mark.parametrize("at", [np.s_[0], np.s_[1], np.s_[2], np.s_[:],
                                     np.s_[1:]],
@@ -550,7 +587,7 @@ class TestArraySimulationExactness:
         """Each object drawn on its support box alone gives the full-grid
         frame byte for byte, however bright, wide or far off the sensor."""
         out = np.empty((1, cfg.height, cfg.width))
-        _rasterize(cfg, [t_us], out)
+        _rasterize(cfg, _reach(cfg), [t_us], out)
         assert out.tobytes() == ref_rasterize(cfg, t_us).tobytes()
 
     @settings(max_examples=300, deadline=None)
@@ -583,8 +620,13 @@ class TestArraySimulationExactness:
         video = IntensityVideo(frames=np.exp(logs),
                                frame_times=t_start + np.cumsum([0] + gaps),
                                fps=1.0)
-        assert_same_stream(simulate_events(video, c),
-                           ref_simulate_events(video, c))
+        want = ref_simulate_events(video, c)
+        assert_same_stream(simulate_events(video, c), want)
+        # the same frames read in chunks, as a rendered video yields them
+        cuts = sorted(data.draw(st.sets(st.integers(1, n - 1)), label="cuts"))
+        chunks = zip(np.split(video.frame_times, cuts),
+                     np.split(video.frames, cuts))
+        assert_same_stream(simulate_events(chunks, c), want)
 
     @settings(max_examples=100, deadline=None)
     @given(cfg=scenes(), step=st.integers(1_000, 50_000))
@@ -635,17 +677,18 @@ class TestArraySimulationExactness:
         assert peak < 0.25 * video.frames.nbytes
 
     def test_render_peaks_near_its_output(self):
-        """The frames are written into one preallocated video: the peak is
-        the video plus a frame's temporaries and the positivity mask, not
-        the 2x of a frame list stacked at the end."""
+        """Reading .frames renders them into one preallocated video: the
+        peak is the video plus a frame's temporaries and the positivity
+        mask, not the 2x of a frame list stacked at the end."""
         cfg = SceneConfig(width=64, height=48, duration_us=2_000_000, fps=48,
                           objects=[blob(20, 20, vx=10.0),
                                    SceneObject("textured_square", (40, 30),
                                                (-5, 5), 6.0, 2.0)])
+        video, _ = render_intensity_video(cfg)
         tracemalloc.start()
         try:
-            video, _ = render_intensity_video(cfg)
+            frames = video.frames
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.3 * video.frames.nbytes
+        assert peak < 1.3 * frames.nbytes
