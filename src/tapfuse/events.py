@@ -346,14 +346,14 @@ def _parse_evbin(source: bytes) -> EventStream:
         raise MalformedRecord(f"bad magic {magic!r}")
     if t_end < t_start:
         raise NonMonotonicHeader(f"t_end={t_end} < t_start={t_start}")
-    body = source[_EVBIN_HEADER.size:]
-    if len(body) != count * EVBIN_RECORD.itemsize:
+    size = len(source) - _EVBIN_HEADER.size
+    if size != count * EVBIN_RECORD.itemsize:
         raise MalformedRecord(
             f"expected {count} records ({count * EVBIN_RECORD.itemsize} bytes), "
-            f"got {len(body)} bytes")
-    rec = np.frombuffer(body, dtype=EVBIN_RECORD)
+            f"got {size} bytes")
+    rec = np.frombuffer(source, dtype=EVBIN_RECORD, offset=_EVBIN_HEADER.size)
     # a record's last 4 bytes, p and the zero pad, read 0x01 or 0xFF as <u4
-    tail = np.frombuffer(body, dtype="<u4")[3::4]
+    tail = np.frombuffer(source, dtype="<u4", offset=_EVBIN_HEADER.size)[3::4]
     if not ((tail == 0x01) | (tail == 0xFF)).all():
         raise MalformedRecord("nonzero pad bytes" if (tail >> 8).any()
                               else "polarity must be -1 or +1")

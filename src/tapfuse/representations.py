@@ -24,15 +24,20 @@ class EventTensor:
     data: np.ndarray  # H x W x B float64
 
 
-def _cells(batch: EventBatch, width: int, height: int) -> np.ndarray:
-    """Each event's pixel index y * width + x, once the batch is checked
-    against the target geometry."""
+def _pixels(batch: EventBatch, width: int, height: int) -> np.ndarray:
+    """Each event's pixel index y * width + x, once the events are checked
+    to lie in a width x height frame."""
     if len(batch) and (int(batch.x.max()) >= width or int(batch.y.max()) >= height):
         raise GeometryMismatch(
             f"batch events exceed {width}x{height} target geometry")
+    return batch.y.astype(np.int64) * width + batch.x
+
+
+def _cells(batch: EventBatch, width: int, height: int) -> np.ndarray:
+    """_pixels of a batch long enough to split into sub-windows."""
     if batch.duration <= 0:
         raise GeometryMismatch("batch duration must be positive")
-    return batch.y.astype(np.int64) * width + batch.x
+    return _pixels(batch, width, height)
 
 
 def _subwindow_index(batch: EventBatch, B: int) -> np.ndarray:

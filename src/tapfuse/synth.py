@@ -4,7 +4,8 @@ This module is the physics oracle for everything downstream: it renders
 analytic intensity videos with exact ground-truth trajectories, converts
 them to event streams by tracking per-pixel log-intensity threshold
 crossings, reconstructs log intensity from events, and evaluates the
-event-based double-integral blur relation piecewise-exactly.
+event-based double-integral blur relation (Pan et al. 2019) in closed
+form; both integrals are bincounts over one (a, b] cut of the stream.
 
 A video reaches the event model as (times, frames) chunks in time order,
 as ESIM (Rebecq et al. 2018) and v2e (Hu et al. 2021) feed it frames. The
@@ -30,6 +31,7 @@ from .errors import (
     NonPositiveIntensity,
 )
 from .events import MAX_SENSOR_SIDE, EventStream, _cut
+from .representations import _pixels
 from .tracker import TrackSet
 
 DEFAULT_CONTRAST = 0.2
@@ -329,11 +331,11 @@ def reconstruct_log_intensity(anchor: np.ndarray, stream: EventStream,
     """L(query_time) = anchor + c * sum of polarities in (t0, query_time]."""
     if query_time < t0:
         raise EmptyWindow("query_time must be >= anchor time")
-    out = np.asarray(anchor, dtype=np.float64).copy()
+    anchor = np.asarray(anchor, dtype=np.float64)
+    H, W = anchor.shape
     batch = _cut(stream, [t0, query_time])[0]
-    np.add.at(out, (batch.y.astype(np.int64), batch.x.astype(np.int64)),
-              c * batch.p.astype(np.float64))
-    return out
+    steps = np.bincount(_pixels(batch, W, H), weights=batch.p, minlength=H * W)
+    return anchor + c * steps.reshape(H, W)
 
 
 def edi_blur(sharp_log: np.ndarray, stream: EventStream, t_center: int,
@@ -341,46 +343,36 @@ def edi_blur(sharp_log: np.ndarray, stream: EventStream, t_center: int,
     """Blurred log frame via the double-integral relation.
 
     Returns sharp_log + log((1/T) * integral of exp(c * E(t)) dt) over
-    (t_center - T/2, t_center + T/2], where E(t) at a pixel is the signed
-    cumulative event count relative to t_center. The integral is evaluated
-    exactly on the piecewise-constant segments between event timestamps.
-    An event exactly at t_center counts toward the forward half only.
+    (t_lo, t_hi] = (t_center - T/2, t_center + T/2], where E(t) at a pixel
+    is the signed event count relative to t_center; an event exactly at
+    t_center counts toward the forward half only. So E starts at
+    E_0 = -(sum of p over the pixel's events before t_center) and steps by
+    p at each event: over its events at tau_1 <= ... <= tau_k the integral
+    is sum_i exp(c * (E_0 + P_i)) * (tau_(i+1) - tau_i), i = 0..k, with
+    tau_0 = t_lo, tau_(k+1) = t_hi and P_i the sum of the first i p's.
     """
     if window_us <= 0:
         raise EmptyWindow("window duration must be positive")
     sharp_log = np.asarray(sharp_log, dtype=np.float64)
     H, W = sharp_log.shape
-    half = window_us / 2.0
-    t_lo, t_hi = t_center - half, t_center + half
+    t_lo, t_hi = t_center - window_us / 2, t_center + window_us / 2
 
     # an integer t lies in (t_lo, t_hi] exactly when it lies in
     # (floor(t_lo), floor(t_hi)]
     batch = _cut(stream, [math.floor(t_lo), math.floor(t_hi)])[0]
-    integral = np.full((H, W), float(window_us))  # exp(0) everywhere baseline
-
-    # group window events per pixel
-    pix = batch.y.astype(np.int64) * W + batch.x.astype(np.int64)
-    tt = batch.t.astype(np.float64)
-    pp = batch.p.astype(np.float64)
+    # knots: each pixel's events in time order, then a p = 0 one at t_hi;
+    # each knot ends one segment, on which E is E_0 + P_i
+    pix = np.r_[_pixels(batch, W, H), np.arange(H * W)]
     order = np.argsort(pix, kind="stable")
-    pix, tt, pp = pix[order], tt[order], pp[order]
-    starts = (np.flatnonzero(np.r_[True, pix[1:] != pix[:-1]])
-              if pix.size else np.zeros(0, dtype=np.int64))
-    for si, s in enumerate(starts):
-        e = starts[si + 1] if si + 1 < len(starts) else len(pix)
-        times, pols = tt[s:e], pp[s:e]
-        fwd = times >= t_center
-        acc = 0.0
-        # forward half: E steps up at each event time
-        knots = np.r_[t_center, times[fwd], t_hi]
-        levels = np.r_[0.0, np.cumsum(pols[fwd])]
-        for a, b, ee in zip(knots[:-1], knots[1:], levels):
-            acc += math.exp(c * ee) * (b - a)
-        # backward half: walking back from t_center, E drops by p at each event
-        bt, bp = times[~fwd][::-1], pols[~fwd][::-1]
-        knots = np.r_[t_center, bt, t_lo]
-        levels = np.r_[0.0, -np.cumsum(bp)]
-        for a, b, ee in zip(knots[:-1], knots[1:], levels):
-            acc += math.exp(c * ee) * (a - b)
-        integral.reshape(-1)[pix[s]] = acc
-    return sharp_log + np.log(integral / float(window_us))
+    pix = pix[order]
+    t = np.r_[batch.t.astype(np.float64), np.full(H * W, t_hi)][order]
+    p = np.r_[batch.p.astype(np.float64), np.zeros(H * W)][order]
+    first = np.r_[True, pix[1:] != pix[:-1]]
+    before = np.cumsum(p) - p  # polarity sum of all earlier knots
+    # before - base = E_0 + P_i: less the other pixels' knots, and less
+    # the pixel's events before t_center
+    base = before[first] + np.bincount(pix, weights=p * (t < t_center))
+    seg_start = np.where(first, t_lo, np.r_[t_lo, t[:-1]])
+    integral = np.bincount(pix, weights=np.exp(c * (before - base[pix]))
+                           * (t - seg_start))
+    return sharp_log + np.log(integral.reshape(H, W) / window_us)

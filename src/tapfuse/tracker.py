@@ -563,17 +563,21 @@ def track_sequence(frames: np.ndarray, stream: EventStream,
     gather = (4 * (2 * weights.config.patch_radius + 1) ** 2 * len(level0)
               * level0.shape[-1] * level0.itemsize)
     group = max(1, _GATHER_BYTES // gather)
+    last = 0  # the previous window's stop
     for start in _window_starts(n_steps, w):
         stop = min(start + w, n_steps)
         active = [qi for qi in range(n_q) if active_from[qi] < stop]
+        # steps the previous window did not reach start from its last estimate
+        carried = [qi for qi in active if active_from[qi] < last]
+        out_pos[carried, last:stop] = out_pos[carried, last - 1, None]
+        out_logit[carried, last:stop] = out_logit[carried, last - 1, None]
+        last = stop
         pyramid.load(start)
         # one pass for what all the carried-in estimates read; a refiner
         # iteration that reaches beyond it computes the rest
         pyramid.cover(*out_pos[active, start:stop])
         for i in range(0, len(active), group):
             qs = active[i:i + group]
-            # steps not yet covered by a previous window start from the
-            # last carried-over estimate
             pos, logit = refine_track(out_pos[qs, start:stop],
                                       out_logit[qs, start:stop],
                                       pyramid.levels, weights, pyramid.cover)
@@ -585,10 +589,6 @@ def track_sequence(frames: np.ndarray, stream: EventStream,
                     f"{qs[qg]} at step {start + int(step)}")
             out_pos[qs, start:stop] = pos
             out_logit[qs, start:stop] = logit
-            # carry the freshest estimate into steps beyond this window
-            if stop < n_steps:
-                out_pos[qs, stop:] = pos[:, -1:]
-                out_logit[qs, stop:] = logit[:, -1:]
 
     visibility = (out_logit > 0).astype(np.int64)
     for qi in range(n_q):

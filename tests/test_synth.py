@@ -10,6 +10,7 @@ from tapfuse import synth
 from tapfuse.errors import (
     DegenerateScene,
     EmptyWindow,
+    GeometryMismatch,
     GeometryViolation,
     NonPositiveIntensity,
 )
@@ -289,6 +290,32 @@ class TestReconstruct:
             assert np.max(np.abs(recon - true)) <= c + 1e-9
 
 
+def piecewise_edi_oracle(sharp, stream, t_center, T, c):
+    """edi_blur by brute force: integrate exp(c * E(t)) with E rebuilt
+    frame-wide, one event at a time, on every segment between the knots
+    t_lo, the window's event times, t_center and t_hi."""
+    t_lo, t_hi = t_center - T / 2, t_center + T / 2
+    times = stream.t.astype(np.float64)
+    in_win = (times > t_lo) & (times <= t_hi)
+    knots = np.unique(np.r_[t_lo, times[in_win], float(t_center), t_hi])
+    total = np.zeros(sharp.shape)
+    for a, b in zip(knots[:-1], knots[1:]):
+        e_count = np.zeros(sharp.shape)
+        if a >= t_center:
+            # forward: events in [t_center, a] have already fired
+            sel = in_win & (times >= t_center) & (times <= a)
+            sign = 1.0
+        else:
+            # backward: events in [b, t_center) still to be undone
+            sel = in_win & (times >= b) & (times < t_center)
+            sign = -1.0
+        np.add.at(e_count, (stream.y[sel].astype(int),
+                            stream.x[sel].astype(int)),
+                  sign * stream.p[sel].astype(np.float64))
+        total += np.exp(c * e_count) * (b - a)
+    return sharp + np.log(total / T)
+
+
 class TestEdiBlur:
     def test_zero_events_identity(self):
         stream = EventStream.from_events([], 8, 8, 0, 100_000)
@@ -323,35 +350,9 @@ class TestEdiBlur:
         c = 0.2
         stream = simulate_events(video, c)
         t_center = int(video.frame_times[10])
-        T = 100_000
         sharp = np.log(video.frames[10])
-        got = edi_blur(sharp, stream, t_center, T, c)
-
-        # oracle: integrate exp(c * E(t)) with E reconstructed frame-wide at
-        # every knot between event timestamps
-        t_lo, t_hi = t_center - T / 2, t_center + T / 2
-        in_win = (stream.t.astype(np.float64) > t_lo) \
-            & (stream.t.astype(np.float64) <= t_hi)
-        knots = np.unique(np.r_[t_lo, stream.t[in_win].astype(np.float64),
-                                float(t_center), t_hi])
-        total = np.zeros(sharp.shape)
-        for a, b in zip(knots[:-1], knots[1:]):
-            e_count = np.zeros(sharp.shape)
-            if a >= t_center:
-                # forward: events in [t_center, a] have already fired
-                sel = in_win & (stream.t.astype(np.float64) >= t_center) \
-                    & (stream.t.astype(np.float64) <= a)
-                sign = 1.0
-            else:
-                # backward: events in [b, t_center) still to be undone
-                sel = in_win & (stream.t.astype(np.float64) >= b) \
-                    & (stream.t.astype(np.float64) < t_center)
-                sign = -1.0
-            np.add.at(e_count, (stream.y[sel].astype(int),
-                                stream.x[sel].astype(int)),
-                      sign * stream.p[sel].astype(np.float64))
-            total += np.exp(c * e_count) * (b - a)
-        want = sharp + np.log(total / T)
+        got = edi_blur(sharp, stream, t_center, 100_000, c)
+        want = piecewise_edi_oracle(sharp, stream, t_center, 100_000, c)
         np.testing.assert_allclose(got, want, atol=1e-6)
 
     def test_odd_window_holds_the_events_between_its_half_integer_ends(self):
@@ -395,6 +396,71 @@ def test_edi_blur_without_window_events_returns_sharp_log(
     stream = EventStream.from_events(events, width, height, 0, 10**6)
     out = edi_blur(sharp_log, stream, t_center, window_us, c)
     assert out.tobytes() == sharp_log.tobytes()
+
+
+@st.composite
+def window_streams(draw):
+    """A small stream around an odd or even window, with events at
+    t_center, at and just past both window ends, and one event repeated
+    at its pixel and time."""
+    width, height = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    t_center = draw(st.integers(0, 60))
+    window_us = draw(st.integers(1, 40))
+    lo = int(np.floor(t_center - window_us / 2))
+    hi = int(np.floor(t_center + window_us / 2))
+    edges = [t for t in (lo, lo + 1, t_center, hi, hi + 1) if t >= 0]
+    times = st.one_of(st.sampled_from(edges), st.integers(0, 100))
+    events = draw(st.lists(st.builds(Event, st.integers(0, width - 1),
+                                     st.integers(0, height - 1), times,
+                                     st.sampled_from([-1, 1])),
+                           max_size=30))
+    events += events[:1] * draw(st.integers(0, 3))
+    event("odd window" if window_us % 2 else "even window")
+    stream = EventStream.from_events(events, width, height, 0, 200)
+    return stream, t_center, window_us
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=window_streams(), sharp=st.integers(0, 2**32 - 1),
+       c=st.floats(0.01, 1.0))
+def test_edi_blur_matches_the_piecewise_oracle(case, sharp, c):
+    stream, t_center, window_us = case
+    sharp_log = np.random.default_rng(sharp).normal(
+        size=(stream.height, stream.width))
+    got = edi_blur(sharp_log, stream, t_center, window_us, c)
+    want = piecewise_edi_oracle(sharp_log, stream, t_center, window_us, c)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=window_streams(), anchor=st.integers(0, 2**32 - 1),
+       t0=st.integers(-5, 100), span=st.integers(0, 100),
+       c=st.floats(0.01, 1.0))
+def test_reconstruct_matches_a_per_event_sum(case, anchor, t0, span, c):
+    stream = case[0]
+    start = np.random.default_rng(anchor).normal(
+        size=(stream.height, stream.width))
+    got = reconstruct_log_intensity(start, stream, t0, t0 + span, c)
+    times = stream.t.astype(np.int64)
+    sel = (times > t0) & (times <= t0 + span)
+    want = start.copy()
+    np.add.at(want, (stream.y[sel].astype(int), stream.x[sel].astype(int)),
+              c * stream.p[sel].astype(np.float64))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("frame,where", [((2, 4), (5, 0)), ((1, 8), (3, 1))],
+                         ids=["narrower", "shorter"])
+@pytest.mark.parametrize("integral", [
+    lambda frame, stream: edi_blur(frame, stream, 50, 20),
+    lambda frame, stream: reconstruct_log_intensity(frame, stream, 0, 100),
+], ids=["edi_blur", "reconstruct_log_intensity"])
+def test_a_frame_smaller_than_the_sensor_is_rejected(integral, frame, where):
+    """An 8x2 sensor's event at (5, 0) lies outside a 4x2 frame, and one
+    at (3, 1) outside an 8x1 frame: neither may land on another pixel."""
+    stream = EventStream.from_events([Event(*where, 50, 1)], 8, 2, 0, 100)
+    with pytest.raises(GeometryMismatch):
+        integral(np.zeros(frame), stream)
 
 
 # ---------------------------------------------------------------------------
