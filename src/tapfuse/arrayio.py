@@ -99,8 +99,9 @@ def read_frames(path: str | os.PathLike, indices: Sequence[int]
                 ) -> np.ndarray:
     """The frames at indices, increasing, of the (T, H, W) video in the
     TNS1 file at path. The header and the file's length are checked first;
-    then only those frames' bytes are read. A video of another rank, or
-    without the last index, raises DataError."""
+    then only those frames' bytes are read. A video of another rank,
+    without the last index, or with a non-finite value in a frame read
+    raises DataError."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         dims, at = tns_header(f.read(MAX_HEADER), size)
@@ -115,4 +116,6 @@ def read_frames(path: str | os.PathLike, indices: Sequence[int]
             f.seek(at + i * frame.nbytes)
             if f.readinto(frame) != frame.nbytes:
                 raise MalformedRecord(f"frame {i} cut short")
+            if not np.isfinite(frame).all():
+                raise DataError(f"frame {i} holds a non-finite value")
     return frames

@@ -145,8 +145,20 @@ def cmd_eval(pred_path: Path, ref_path: Path, image_height: int,
     return json.loads(report.to_json())
 
 
+def _median_cpu_s(fn, *args):
+    """The median CPU seconds of five calls of fn(*args), and the last
+    call's result."""
+    times = []
+    for _ in range(5):
+        t0 = time.process_time()
+        out = fn(*args)
+        times.append(time.process_time() - t0)
+    return float(np.median(times)), out
+
+
 def cmd_bench(config: RunConfig) -> dict:
-    """Throughput smoke benchmark on synthetic events."""
+    """Throughput smoke benchmark on synthetic events, in CPU time: parse,
+    bin and each representation are the median of five calls."""
     rng = np.random.default_rng(config.seed)
     n = config.bench_n_events
     w, h = config.scene_width, config.scene_height
@@ -159,21 +171,12 @@ def cmd_bench(config: RunConfig) -> dict:
         width=w, height=h, t_start=0, t_end=span)
     blob = serialize_event_stream(stream, "evbin")
 
-    t0 = time.perf_counter()
-    stream = parse_event_stream(blob, "evbin")
-    parse_s = time.perf_counter() - t0
-
+    parse_s, stream = _median_cpu_s(parse_event_stream, blob, "evbin")
     timeline = config.timeline()
-    t0 = time.perf_counter()
-    batches = bin_events(stream, timeline)
-    bin_s = time.perf_counter() - t0
-
+    bin_s, batches = _median_cpu_s(bin_events, stream, timeline)
     big = max(batches, key=len)
-    repr_s = {}
-    for kind, fn in REPRESENTATIONS.items():
-        t0 = time.perf_counter()
-        fn(big, w, h, config.model_subwindows)
-        repr_s[kind] = time.perf_counter() - t0
+    repr_s = {kind: _median_cpu_s(fn, big, w, h, config.model_subwindows)[0]
+              for kind, fn in REPRESENTATIONS.items()}
 
     weights = WeightBundle.initialize(config.fusion_config(), config.seed)
     frame = np.ones((h, w))
@@ -181,10 +184,10 @@ def cmd_bench(config: RunConfig) -> dict:
     exposure = exposure_window_events(stream, t0f, timeline.exposure_us)
     state = taf_init(frame, t0f, exposure, weights)
     n_steps = min(20, len(batches) - 1)
-    t0 = time.perf_counter()
+    t0 = time.process_time()
     for k in range(1, n_steps + 1):
         state = taf_update(state, batches[k], weights)
-    taf_s = time.perf_counter() - t0
+    taf_s = time.process_time() - t0
 
     report = {
         "events_per_s": {

@@ -337,8 +337,8 @@ def _live_patches(blocks: np.ndarray, batch: EventBatch,
     """(rows, cols) mask of the (rows, cols, patch, patch, C) blocks of
     batch's time surface that hold a non-zero value. Only a patch that
     holds one of the batch's events can, so only those are tested; an
-    event can still write a zero (one of polarity 0, or at a sub-window's
-    start)."""
+    event can still write a zero (one whose time rounds onto its
+    sub-window's start in float64)."""
     live = np.zeros(blocks.shape[:2], dtype=bool)
     live[batch.y // patch, batch.x // patch] = True
     r, c = np.nonzero(live)

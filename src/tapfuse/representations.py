@@ -52,7 +52,14 @@ def _subwindow_index(batch: EventBatch, B: int) -> np.ndarray:
 def sbt_time_surface(batch: EventBatch, width: int, height: int,
                      B: int = DEFAULT_SUBWINDOWS) -> EventTensor:
     """Maximal-timestamp time surface: per pixel and sub-window, the value
-    is p* (t* - s_b) / len_b of the latest event there; 0 where none."""
+    is p* min((t* - s_b) / len_b, 1) of the cell's last event in batch
+    order (canonical order, so the latest event and, at equal t, the larger
+    polarity); +0.0 where no event falls.
+
+    The last write is found in O(n) with the output as its only scratch:
+    np.maximum.at leaves each touched cell holding its last event's 1-based
+    index, the events whose index their cell holds are the last ones, and
+    their values overwrite those cells."""
     cells = _cells(batch, width, height)
     data = np.zeros((height, width, B), dtype=np.float64)
     if len(batch):
@@ -64,12 +71,12 @@ def sbt_time_surface(batch: EventBatch, width: int, height: int,
         mag = np.minimum((batch.t.astype(np.float64) - s_b) / len_b, 1.0)
         val = batch.p.astype(np.float64) * mag
         flat = cells * B + b
-        # canonical batch order is time-ascending, so keep the last write
-        # per cell: sort stably by cell, take each group's final entry
-        order = np.argsort(flat, kind="stable")
-        flat, val = flat[order], val[order]
-        last = np.flatnonzero(np.r_[flat[1:] != flat[:-1], True])
-        data.reshape(-1)[flat[last]] = val[last]
+        # the 1-based indices are exact in float64 below 2**53 events
+        out = data.reshape(-1)
+        order = np.arange(1, len(batch) + 1, dtype=np.float64)
+        np.maximum.at(out, flat, order)
+        last = out[flat] == order
+        out[flat[last]] = val[last]
     return EventTensor(data=data)
 
 

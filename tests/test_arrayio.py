@@ -123,6 +123,22 @@ def test_bad_video_keeps_its_error_type(tmp_path, case):
     assert type(info.value) is error
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_frame_read_is_data_error_naming_it(tmp_path, value):
+    """A non-finite value in a frame that is read raises DataError naming
+    that frame; the same value in a frame that is not read is never seen."""
+    video = VIDEO.copy()
+    video[32, 4, 1] = value
+    video[34, 0, 0] = value
+    path = tmp_path / "video.tns"
+    path.write_bytes(write_array(video))
+    with pytest.raises(DataError, match=r"frame 32 holds a non-finite") as info:
+        read_frames(path, range(0, 96, 16))
+    assert type(info.value) is DataError
+    got = read_frames(path, range(1, 96, 16))
+    assert got.tobytes() == VIDEO[1::16].tobytes()
+
+
 def test_six_of_96_frames_allocate_six_frames(tmp_path):
     video = np.zeros((96, 64, 64))
     path = tmp_path / "video.tns"

@@ -474,6 +474,26 @@ class TestTrack:
         assert "data error" in capsys.readouterr().err
         assert not (tmp_path / "trk" / "tracks.txt").exists()
 
+    def test_non_finite_frame_is_data_error_naming_it(self, tmp_path,
+                                                      small_cfg, capsys):
+        """A NaN in one tracked frame of video.tns is bad input: exit 3,
+        naming the frame, and no tracks file."""
+        out = tmp_path / "sim"
+        assert run_cli(["--config", small_cfg, "--out", out, "simulate"]) == 0
+        video = arrayio.read_array((out / "video.tns").read_bytes())
+        index = parse_run_config(SMALL_CONFIG).frame_indices()[1]
+        video[index, 3, 5] = np.nan
+        bad = tmp_path / "nan.tns"
+        bad.write_bytes(arrayio.write_array(video))
+        capsys.readouterr()
+        rc = run_cli(["--config", small_cfg, "--out", tmp_path / "trk",
+                      "track", "--stream", out / "events.evbin",
+                      "--frames", bad, "--query", "0,16,16"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and f"frame {index} " in err
+        assert not (tmp_path / "trk" / "tracks.txt").exists()
+
     @pytest.mark.parametrize("stream_side, frame_side", [(32, 64), (64, 32)])
     def test_frames_off_the_event_sensor_exit_4(self, tmp_path, small_cfg,
                                                 capsys, stream_side,

@@ -47,8 +47,33 @@ def brute_force_time_surface(batch, width, height, B):
             key = (int(batch.t[j]), int(batch.p[j]))
             if best is None or key > best:
                 best = key
-        out[y, x, b] = best[1] * (best[0] - s_b) / len_b
+        out[y, x, b] = best[1] * min((best[0] - s_b) / len_b, 1.0)
     return out
+
+
+def cell_index(batch, width, B):
+    """Each event's flat (y, x, sub-window) cell, as sbt_time_surface
+    assigns it, and its sub-window."""
+    frac = (batch.t.astype(np.float64) - float(batch.bin_start)) / float(batch.duration)
+    b = np.clip(np.ceil(frac * B) - 1, 0, B - 1).astype(np.int64)
+    return (batch.y.astype(np.int64) * width + batch.x) * B + b, b
+
+
+def argsort_time_surface(batch, width, height, B):
+    """The stable-argsort last write that np.maximum.at replaced, kept as
+    the oracle for its bytes."""
+    data = np.zeros((height, width, B), dtype=np.float64)
+    if len(batch):
+        flat, b = cell_index(batch, width, B)
+        len_b = batch.duration / B
+        s_b = float(batch.bin_start) + b * len_b
+        mag = np.minimum((batch.t.astype(np.float64) - s_b) / len_b, 1.0)
+        val = batch.p.astype(np.float64) * mag
+        order = np.argsort(flat, kind="stable")
+        flat, val = flat[order], val[order]
+        last = np.flatnonzero(np.r_[flat[1:] != flat[:-1], True])
+        data.reshape(-1)[flat[last]] = val[last]
+    return data
 
 
 class TestTimeSurface:
@@ -76,7 +101,7 @@ class TestTimeSurface:
         batch = random_batch(rng)
         got = sbt_time_surface(batch, 16, 12, B=5).data
         want = brute_force_time_surface(batch, 16, 12, B=5)
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_duplicate_event_idempotent(self):
         rng = np.random.default_rng(11)
@@ -122,6 +147,75 @@ def test_time_surface_values_lie_in_unit_interval(bin_start, duration, B,
     data = sbt_time_surface(make_batch(evs, bin_start, bin_start + duration),
                             4, 3, B=B).data
     assert np.all(np.abs(data) <= 1.0)
+
+
+# ---------------------------------------------------------------------------
+# The last write against the stable-argsort body it replaced
+# ---------------------------------------------------------------------------
+
+@st.composite
+def surface_cases(draw):
+    """A batch with many events on few cells, equal-t ties of both
+    polarities in one cell, and events on sub-window ends and just after
+    sub-window starts. A bin start past 2**55 rounds times onto their
+    sub-window's start in float64, so events there write +0.0 or -0.0."""
+    width, height = draw(st.sampled_from([(1, 1), (2, 1), (1, 3), (4, 3)]))
+    B = draw(st.integers(1, 8))
+    bin_start = draw(st.one_of(st.integers(0, 10**9),
+                               st.integers(2**55, 2**62)))
+    bin_end = bin_start + draw(st.integers(1, 10**5))
+    ends = {bin_start + (bin_end - bin_start) * k // B + d
+            for k in range(B + 1) for d in (0, 1)}
+    t = st.one_of(st.integers(bin_start + 1, bin_end),
+                  st.sampled_from(sorted(e for e in ends
+                                         if bin_start < e <= bin_end)))
+    cells = draw(st.lists(st.tuples(st.integers(0, width - 1),
+                                    st.integers(0, height - 1)),
+                          min_size=1, max_size=3))
+    events = draw(st.lists(st.builds(lambda xy, t, p: Event(*xy, t, p),
+                                     st.sampled_from(cells), t,
+                                     st.sampled_from([-1, 1])),
+                           max_size=80))
+    if events:
+        events += [Event(e.x, e.y, e.t, -e.p)
+                   for e in draw(st.lists(st.sampled_from(events),
+                                          max_size=20))]
+    return make_batch(events, bin_start, bin_end), width, height, B
+
+
+@settings(max_examples=300, deadline=None)
+@given(surface_cases())
+@example((make_batch([], 0, 10), 1, 1, 1))
+def test_time_surface_keeps_the_argsort_bytes(case):
+    batch, width, height, B = case
+    got = sbt_time_surface(batch, width, height, B).data
+    want = argsort_time_surface(batch, width, height, B)
+    assert got.dtype == np.float64 and got.shape == (height, width, B)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(surface_cases())
+def test_cells_without_events_read_positive_zero(case):
+    """The event indices written into the output as scratch never survive
+    in a cell that no event touched."""
+    batch, width, height, B = case
+    got = sbt_time_surface(batch, width, height, B).data.reshape(-1)
+    untouched = np.ones(got.size, dtype=bool)
+    untouched[cell_index(batch, width, B)[0]] = False
+    assert not got.view(np.uint64)[untouched].any()
+
+
+def test_last_event_writing_negative_zero_keeps_it():
+    # t rounds onto the bin start in float64: cell (0, 0) gets +0.0 then
+    # -0.0, cell (1, 0) -0.0 then +0.0
+    s = 2**55
+    batch = make_batch([Event(0, 0, s + 1, 1), Event(0, 0, s + 3, -1),
+                        Event(1, 0, s + 1, -1), Event(1, 0, s + 2, 1)],
+                       s, s + 100)
+    data = sbt_time_surface(batch, 2, 1, B=1).data
+    assert data[0, 0, 0] == 0.0 and np.signbit(data[0, 0, 0])
+    assert data[0, 1, 0] == 0.0 and not np.signbit(data[0, 1, 0])
 
 
 class TestCountImage:
