@@ -8,24 +8,25 @@ the softmax weights, and a product takes its bias and residual adds, so
 an attention call holds one N x N array. taf_update attends to the
 tokens of the event patches that hold an event plus one shared key for
 all event-free patches, whose logit carries the log of their count, so
-its attention is N x (live + 1), not N x N. The live patches are found
-from the batch's event coordinates: only a patch that holds an event is
-tested for a non-zero value. The two attention blocks that feed gradient
-verification (CLWF and temporal attention) also ship analytic backward
-passes checked against central finite differences.
+its attention is N x (live + 1), not N x N. The batch's events are
+written straight into the blocks of the patches that hold one, so no
+time surface of the whole sensor is built. The two attention blocks that
+feed gradient verification (CLWF and temporal attention) also ship
+analytic backward passes checked against central finite differences.
 
 A TransientState is the fused tokens and the time they stand for: a frame
 sets it and each event batch advances it. decode_pyramid returns a
 window's three levels as a plain tuple of arrays.
 
-taf_update's event side (time surface, event tokens, keys and values)
-spans the sensor, but its state side (layer norm, query, softmax over the
-shared keys, output projection, residual) acts on one token row at a
-time; temporal attention attends across time at each token position, and
-the decoder mixes each token's channels. None of them mixes token
-positions, so the tracker runs them only at the tokens its refiner reads.
-A state holds every token row or none; one that holds none keeps its
-batch's keys, from which _update_rows computes any rows later.
+taf_update's event side (event blocks, event tokens, keys and values)
+costs what the batch's events touch, and its state side (layer norm,
+query, softmax over the shared keys, output projection, residual) acts on
+one token row at a time; temporal attention attends across time at each
+token position, and the decoder mixes each token's channels. None of
+them mixes token positions, so the tracker runs them only at the tokens
+its refiner reads. A state holds every token row or none; one that holds
+none keeps its batch's keys, from which _update_rows computes any rows
+later.
 
 One rule makes those rows the dense computation's bit for bit, at every
 width: every product whose rows are tokens is _tiled, so each row's result
@@ -45,7 +46,13 @@ import numpy as np
 
 from .errors import MissingForwardCache, ShapeMismatch, TimeRegression
 from .events import EventBatch
-from .representations import EventTensor, sbt_time_surface
+from .representations import (
+    EventTensor,
+    _cells,
+    _last_write,
+    _subwindow_values,
+    sbt_time_surface,
+)
 from .weights import WeightBundle
 
 _LN_EPS = 1e-6
@@ -96,6 +103,15 @@ class TransientState:
 # Tokenizers
 # ---------------------------------------------------------------------------
 
+def _check_fan_in(weights: WeightBundle, prefix: str, dim: int) -> None:
+    """Reject a patch of dim values that the prefix.w projection does not
+    take."""
+    fan_in = weights[f"{prefix}.w"].shape[0]
+    if dim != fan_in:
+        raise ShapeMismatch(f"{prefix}: patch dim {dim} != "
+                            f"embedding fan-in {fan_in}")
+
+
 def _patch_blocks(image, weights: WeightBundle, prefix: str) -> np.ndarray:
     """(rows, cols, patch, patch, C) view of the non-overlapping patches of
     an (H, W) or (H, W, C) image; a patch's patch * patch * C values must
@@ -106,10 +122,7 @@ def _patch_blocks(image, weights: WeightBundle, prefix: str) -> np.ndarray:
     patch = weights.config.patch
     if h % patch or w % patch:
         raise ShapeMismatch(f"{h}x{w} not divisible by patch size {patch}")
-    fan_in = weights[f"{prefix}.w"].shape[0]
-    if patch * patch * c != fan_in:
-        raise ShapeMismatch(f"{prefix}: patch dim {patch * patch * c} != "
-                            f"embedding fan-in {fan_in}")
+    _check_fan_in(weights, prefix, patch * patch * c)
     return (image.reshape(h // patch, patch, w // patch, patch, c)
             .transpose(0, 2, 1, 3, 4))
 
@@ -332,36 +345,66 @@ def taf_init(frame: np.ndarray, frame_time: int, exposure_batch: EventBatch,
     return TransientState(tokens=fused, state_time=frame_time)
 
 
-def _live_patches(blocks: np.ndarray, batch: EventBatch,
-                  patch: int) -> np.ndarray:
-    """(rows, cols) mask of the (rows, cols, patch, patch, C) blocks of
-    batch's time surface that hold a non-zero value. Only a patch that
-    holds one of the batch's events can, so only those are tested; an
-    event can still write a zero (one whose time rounds onto its
-    sub-window's start in float64)."""
-    live = np.zeros(blocks.shape[:2], dtype=bool)
-    live[batch.y // patch, batch.x // patch] = True
-    r, c = np.nonzero(live)
-    live[r, c] = blocks[r, c].any(axis=(1, 2, 3))
-    return live
+@lru_cache
+def _block_tables(grid: tuple[int, int], patch: int, B: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Per pixel y * width + x of a grid of patch x patch tokens, its
+    token's row-major index and the offset of its B values in that token's
+    patch * patch * B block, in the (py, px, b) order _patch_blocks
+    flattens to. Cached per (grid, patch, B), so both arrays are
+    read-only."""
+    rows, cols = grid
+    y = np.arange(rows * patch)[:, None]
+    x = np.arange(cols * patch)
+    tile = (y // patch * cols + x // patch).ravel()
+    offset = (y % patch * (patch * B) + x % patch * B).ravel()
+    tile.flags.writeable = offset.flags.writeable = False
+    return tile, offset
 
 
-def _live_event_tokens(tensor: EventTensor, batch: EventBatch,
+def _live_blocks(batch: EventBatch, grid: tuple[int, int], patch: int,
+                 B: int) -> tuple[np.ndarray, int]:
+    """The flattened time-surface blocks of batch's live patches, those
+    that hold a non-zero value, in row-major order, and the count of the
+    other patches: sbt_time_surface's blocks[live] without the surface.
+
+    Each patch that holds an event gets a slot, in row-major order, and
+    the events' values are written straight into the slots' zeroed blocks
+    by the time surface's last-write rule, so the cost follows the events,
+    not the sensor. An event can still write ±0 (one whose time rounds
+    onto or below its sub-window's start in float64), so a slot that holds
+    only ±0 is dropped."""
+    rows, cols = grid
+    pixels = _cells(batch, cols * patch, rows * patch)
+    tile_of, offset_of = _block_tables(grid, patch, B)
+    tile = tile_of[pixels]
+    slot = np.zeros(rows * cols, dtype=np.int64)
+    slot[tile] = 1
+    np.cumsum(slot, out=slot)  # 1-based slots of the marked patches
+    size = patch * patch * B
+    blocks = np.zeros((slot[-1], size))
+    b, val = _subwindow_values(batch, B)
+    _last_write(blocks.reshape(-1),
+                (slot[tile] - 1) * size + offset_of[pixels] + b, val)
+    live = blocks.any(axis=1)
+    return blocks[live], rows * cols - int(np.count_nonzero(live))
+
+
+def _live_event_tokens(batch: EventBatch, grid: tuple[int, int],
                        weights: WeightBundle
                        ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Event tokens of batch's time surface as attention keys: those of the
-    patches that hold a non-zero value, then, if any patch is all zero, one
-    token standing for them all, and the logit bias per key (None when no
-    patch is all zero).
+    """Event tokens of batch's time surface on the token grid as attention
+    keys: those of the patches that hold a non-zero value, then, if any
+    patch is all zero, one token standing for them all, and the logit bias
+    per key (None when no patch is all zero).
 
     An all-zero patch always tokenizes to zeros @ phi_e.w + phi_e.b, so its
     n_empty copies give n_empty equal keys and values; one copy whose logit
     is raised by log(n_empty) takes their joint softmax weight."""
-    blocks = _patch_blocks(tensor.data, weights, "phi_e")
-    live = _live_patches(blocks, batch, weights.config.patch)
-    n_empty = live.size - np.count_nonzero(live)
+    patch, B = weights.config.patch, weights.config.subwindows
     proj = weights["phi_e.w"]
-    flat = blocks[live].reshape(-1, proj.shape[0])
+    _check_fan_in(weights, "phi_e", patch * patch * B)
+    flat, n_empty = _live_blocks(batch, grid, patch, B)
     key_bias = None
     if n_empty:
         flat = np.concatenate([flat, np.zeros((1, proj.shape[0]))])
@@ -409,11 +452,7 @@ def taf_update(state: TransientState, batch: EventBatch,
     if len(batch) == 0:
         return TransientState(tokens=state.tokens, state_time=batch.bin_end)
     tokens = state.tokens
-    rows, cols = tokens.grid
-    patch = weights.config.patch
-    etok, key_bias = _live_event_tokens(
-        sbt_time_surface(batch, cols * patch, rows * patch,
-                         weights.config.subwindows), batch, weights)
+    etok, key_bias = _live_event_tokens(batch, tokens.grid, weights)
     hk = _layer_norm(etok, weights["upd.ln_events.g"],
                      weights["upd.ln_events.b"])
     keys = (*(_linear(hk, weights[f"upd.w{n}"], weights[f"upd.b{n}"])

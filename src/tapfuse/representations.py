@@ -41,42 +41,63 @@ def _cells(batch: EventBatch, width: int, height: int) -> np.ndarray:
 
 
 def _subwindow_index(batch: EventBatch, B: int) -> np.ndarray:
-    """Sub-window index per event for the right-closed convention: event at
-    exactly a sub-window's end belongs to that sub-window."""
-    rel = batch.t.astype(np.float64) - float(batch.bin_start)
-    frac = rel / float(batch.duration)  # in (0, 1]
-    b = np.ceil(frac * B) - 1
-    return np.clip(b, 0, B - 1).astype(np.int64)
+    """Sub-window index per event for the right-closed convention: sub-window
+    k of the bin is (k * duration / B, (k + 1) * duration / B] after
+    bin_start, so an event at exactly a sub-window's end belongs to that
+    sub-window. In integers, the first k with rel <= (k + 1) * duration // B
+    is (rel * B - 1) // duration, exact while duration * B < 2**64."""
+    if batch.duration * B >= 2**64:
+        raise GeometryMismatch(
+            f"batch duration {batch.duration} x {B} sub-windows exceeds 2**64")
+    # bin_start < t <= bin_end, so rel lies in [1, duration]; a bin_start
+    # below 0 subtracts modulo 2**64, which adds its magnitude
+    rel = batch.t - np.uint64(batch.bin_start % 2**64)
+    rel *= np.uint64(B)
+    rel -= np.uint64(1)
+    rel //= np.uint64(batch.duration)
+    return rel.astype(np.int64)
+
+
+def _subwindow_values(batch: EventBatch, B: int
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Each event's sub-window b and time-surface value p * m, where m is
+    (t - s_b) / len_b clamped to [0, 1] and s_b the sub-window's start."""
+    b = _subwindow_index(batch, B)
+    len_b = batch.duration / B
+    s_b = float(batch.bin_start) + b * len_b
+    # s_b is rounded apart from t, so an event at a sub-window's end can
+    # come out a few ulps above 1; past 2**53, where times round, one just
+    # after a sub-window's start can come out below 0
+    mag = np.clip((batch.t.astype(np.float64) - s_b) / len_b, 0.0, 1.0)
+    return b, batch.p.astype(np.float64) * mag
+
+
+def _last_write(out: np.ndarray, flat: np.ndarray, val: np.ndarray) -> None:
+    """Write into the flat, zero-filled float64 out, at each index that
+    flat holds, the val of the last event in batch order to hold it.
+
+    The last write is found in O(n) with out as its only scratch:
+    np.maximum.at leaves each touched index holding its last event's
+    1-based position, the events whose position it holds are the last
+    ones, and their values overwrite it; no index is assigned twice."""
+    # the 1-based positions are exact in float64 below 2**53 events
+    order = np.arange(1, len(flat) + 1, dtype=np.float64)
+    np.maximum.at(out, flat, order)
+    last = out[flat] == order
+    out[flat[last]] = val[last]
 
 
 def sbt_time_surface(batch: EventBatch, width: int, height: int,
                      B: int = DEFAULT_SUBWINDOWS) -> EventTensor:
     """Maximal-timestamp time surface: per pixel and sub-window, the value
-    is p* min((t* - s_b) / len_b, 1) of the cell's last event in batch
-    order (canonical order, so the latest event and, at equal t, the larger
-    polarity); +0.0 where no event falls.
-
-    The last write is found in O(n) with the output as its only scratch:
-    np.maximum.at leaves each touched cell holding its last event's 1-based
-    index, the events whose index their cell holds are the last ones, and
-    their values overwrite those cells."""
+    is p* m*, with m* = (t* - s_b) / len_b clamped to [0, 1], of the cell's
+    last event in batch order (canonical order, so the latest event and,
+    at equal t, the larger polarity); +0.0 where no event falls."""
     cells = _cells(batch, width, height)
     data = np.zeros((height, width, B), dtype=np.float64)
     if len(batch):
-        b = _subwindow_index(batch, B)
-        len_b = batch.duration / B
-        s_b = float(batch.bin_start) + b * len_b
-        # s_b is rounded apart from t, so an event at a sub-window's end can
-        # come out a few ulps above 1
-        mag = np.minimum((batch.t.astype(np.float64) - s_b) / len_b, 1.0)
-        val = batch.p.astype(np.float64) * mag
-        flat = cells * B + b
-        # the 1-based indices are exact in float64 below 2**53 events
-        out = data.reshape(-1)
-        order = np.arange(1, len(batch) + 1, dtype=np.float64)
-        np.maximum.at(out, flat, order)
-        last = out[flat] == order
-        out[flat[last]] = val[last]
+        b, val = _subwindow_values(batch, B)
+        _last_write(data.reshape(-1), cells * B + b, val)
     return EventTensor(data=data)
 
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from _gradcheck import clwf_grad_max_rel_err, tattn_grad_max_rel_err
 from tapfuse.errors import (
     DataError,
+    GeometryMismatch,
     MalformedRecord,
     MissingForwardCache,
     ShapeMismatch,
@@ -24,10 +26,12 @@ from tapfuse.fusion import (
     Tokens,
     TransientState,
     _attention_block,
+    _block_tables,
     _layer_norm,
     _linear,
-    _live_patches,
+    _live_event_tokens,
     _neighbor_table,
+    _patch_blocks,
     _residual_out,
     _sdpa,
     _softmax,
@@ -757,10 +761,39 @@ class TestSparseTafUpdate:
         with pytest.raises(ShapeMismatch, match="fan-in"):
             taf_update(grid_state(rng, (2, 2), 8), batch, weights)
 
+    @pytest.mark.parametrize("x, y", [(8, 1), (1, 8), (8, 8)])
+    def test_event_outside_the_token_grid_rejected(self, x, y):
+        rng = np.random.default_rng(65)
+        weights = perturbed_weights(66, d=8, patch=4)
+        batch = make_batch([Event(1, 1, 1200, 1), Event(x, y, 1500, 1)],
+                           1000, 2000)
+        with pytest.raises(GeometryMismatch, match="geometry"):
+            taf_update(grid_state(rng, (2, 2), 8), batch, weights)
+
+    def test_hollow_update_peak_follows_the_events(self):
+        """On a 1,024 x 1,024 sensor the dense (H, W, 5) time surface alone
+        is 40 MB; a hollow state's update with 150 events allocates what
+        its events touch. The first call builds the cached block tables,
+        which every later call of that geometry shares."""
+        rng = np.random.default_rng(67)
+        weights = perturbed_weights(68, d=64, patch=8)
+        size = 1024
+        batch = make_batch([Event(x=int(rng.integers(0, size)),
+                                  y=int(rng.integers(0, size)),
+                                  t=int(rng.integers(1001, 2001)),
+                                  p=int(rng.choice([-1, 1])))
+                            for _ in range(150)], 1000, 2000)
+        grid = (size // 8, size // 8)
+        bare = TransientState(Tokens(np.empty((0, 64)), grid), 1000)
+        taf_update(bare, batch, weights)
+        assert traced_peak(taf_update, bare, batch, weights) \
+            < size * size * 5 * 8 / 8
+
     def test_peak_is_well_under_one_token_by_token_matrix(self):
         # 1,024 tokens, 32 live patches: the dense path peaked at 1.75
-        # N x N float64 arrays, the live-patch path at 0.34 (the 2.6 MB
-        # time surface)
+        # N x N float64 arrays, the live patches of a 2.6 MB time surface
+        # at 0.34, and the events scattered into the live patches' blocks
+        # at 0.30 (0.42 on the call that builds the cached block tables)
         rng = np.random.default_rng(57)
         weights = perturbed_weights(58, d=64, patch=8)
         n = 32 * 32
@@ -890,26 +923,59 @@ def test_tiled_rows_are_row_stable_at_each_blas_thread_count(threads):
     assert "1 passed" in run.stdout
 
 
-@settings(max_examples=150, deadline=None)
+@lru_cache
+def block_weights(patch, subwindows):
+    return perturbed_weights(61, d=8, patch=patch, subwindows=subwindows)
+
+
+@settings(max_examples=200, deadline=None)
 @given(data=st.data(), rows=st.integers(1, 6), cols=st.integers(1, 6),
-       patch=st.sampled_from([1, 2, 4]), subwindows=st.integers(1, 5),
+       patch=st.sampled_from([1, 2, 4, 8]), subwindows=st.integers(1, 5),
+       bin_start=st.sampled_from([1000, 2**55]),
        duration=st.sampled_from([1, 2, 3, 7, 10, 1000]))
-def test_live_mask_from_event_coordinates_equals_the_dense_test(
-        data, rows, cols, patch, subwindows, duration):
-    """_live_patches tests only the patches that hold an event; a patch
-    whose events all write 0 (polarity 0, or an event at a sub-window's
-    start) is not live, as in the test over every patch."""
+def test_live_event_tokens_equal_the_dense_path(
+        data, rows, cols, patch, subwindows, bin_start, duration):
+    """The events scattered into the live patches' blocks give the dense
+    path's key rows, key bias and live count bit for bit: sbt_time_surface,
+    _patch_blocks, a test of every patch for a non-zero value, _linear.
+    Events fall on patch borders and several on one cell; a patch whose
+    events all write ±0 (polarity 0, or a time past 2**55 that rounds onto
+    its sub-window's start) is not live."""
     h, w = rows * patch, cols * patch
-    events = data.draw(st.lists(st.builds(
-        Event, x=st.integers(0, w - 1), y=st.integers(0, h - 1),
-        t=st.integers(1001, 1000 + duration), p=st.sampled_from([-1, 0, 1])),
-        max_size=20))
-    batch = make_batch(events, 1000, 1000 + duration)
-    data_hwc = sbt_time_surface(batch, w, h, subwindows).data
-    blocks = data_hwc.reshape(rows, patch, cols, patch, subwindows
-                              ).transpose(0, 2, 1, 3, 4)
-    assert np.array_equal(_live_patches(blocks, batch, patch),
-                          blocks.any(axis=(2, 3, 4)))
+
+    def coordinate(n):
+        borders = sorted({k + e for k in range(0, n, patch)
+                          for e in (0, patch - 1)})
+        return st.one_of(st.integers(0, n - 1), st.sampled_from(borders))
+
+    t = st.integers(bin_start + 1, bin_start + duration)
+    p = st.sampled_from([-1, 0, 1])
+    events = data.draw(st.lists(st.builds(Event, x=coordinate(w),
+                                          y=coordinate(h), t=t, p=p),
+                                max_size=20))
+    events += [Event(e.x, e.y, data.draw(t), data.draw(p))
+               for e in data.draw(st.lists(st.sampled_from(events),
+                                           max_size=10))] if events else []
+    batch = make_batch(events, bin_start, bin_start + duration)
+    weights = block_weights(patch, subwindows)
+    keys, key_bias = _live_event_tokens(batch, (rows, cols), weights)
+
+    blocks = _patch_blocks(sbt_time_surface(batch, w, h, subwindows).data,
+                           weights, "phi_e")
+    live = blocks.any(axis=(2, 3, 4))
+    n_live = int(np.count_nonzero(live))
+    flat = blocks[live].reshape(n_live, patch * patch * subwindows)
+    if n_live < live.size:
+        flat = np.concatenate([flat, np.zeros((1, flat.shape[1]))])
+        want_bias = np.zeros(n_live + 1)
+        want_bias[-1] = np.log(live.size - n_live)
+        assert np.array_equal(key_bias.view(np.uint64),
+                              want_bias.view(np.uint64))
+    else:
+        assert key_bias is None
+    want = _linear(flat, weights["phi_e.w"], weights["phi_e.b"])
+    assert len(keys) - (key_bias is not None) == n_live
+    assert np.array_equal(keys.view(np.uint64), want.view(np.uint64))
 
 
 def test_neighbor_table_is_cached_read_only():
@@ -919,6 +985,19 @@ def test_neighbor_table_is_cached_read_only():
     assert not idx.flags.writeable and not mask.flags.writeable
     with pytest.raises(ValueError):
         idx[0, 0] = 1
+
+
+def test_block_tables_are_cached_read_only():
+    tile, offset = _block_tables((3, 5), 4, 2)
+    again = _block_tables((3, 5), 4, 2)
+    assert again[0] is tile and again[1] is offset
+    assert not tile.flags.writeable and not offset.flags.writeable
+    with pytest.raises(ValueError):
+        tile[0] = 1
+    # pixel (y, x) = (5, 14) of the 12 x 20 sensor lies in token (1, 3), at
+    # (py, px) = (1, 2) of its patch
+    assert tile[5 * 20 + 14] == 1 * 5 + 3
+    assert offset[5 * 20 + 14] == (1 * 4 + 2) * 2
 
 
 def test_sinusoidal_encoding_odd_dim_has_one_more_sin_slot():

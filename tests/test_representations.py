@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -5,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from tapfuse.errors import GeometryMismatch
 from tapfuse.events import Event, EventBatch, EventStream
 from tapfuse.representations import (
+    _subwindow_index,
     event_count_image,
     sbt_time_surface,
     voxel_grid,
@@ -51,11 +55,17 @@ def brute_force_time_surface(batch, width, height, B):
     return out
 
 
+def exact_subwindow(t, bin_start, duration, B):
+    """The right-closed sub-window of an event at t in exact rationals: the
+    k with k / B < (t - bin_start) / duration <= (k + 1) / B."""
+    return math.ceil(Fraction(t - bin_start, duration) * B) - 1
+
+
 def cell_index(batch, width, B):
     """Each event's flat (y, x, sub-window) cell, as sbt_time_surface
     assigns it, and its sub-window."""
-    frac = (batch.t.astype(np.float64) - float(batch.bin_start)) / float(batch.duration)
-    b = np.clip(np.ceil(frac * B) - 1, 0, B - 1).astype(np.int64)
+    b = np.array([exact_subwindow(int(t), batch.bin_start, batch.duration, B)
+                  for t in batch.t], dtype=np.int64)
     return (batch.y.astype(np.int64) * width + batch.x) * B + b, b
 
 
@@ -67,7 +77,7 @@ def argsort_time_surface(batch, width, height, B):
         flat, b = cell_index(batch, width, B)
         len_b = batch.duration / B
         s_b = float(batch.bin_start) + b * len_b
-        mag = np.minimum((batch.t.astype(np.float64) - s_b) / len_b, 1.0)
+        mag = np.clip((batch.t.astype(np.float64) - s_b) / len_b, 0.0, 1.0)
         val = batch.p.astype(np.float64) * mag
         order = np.argsort(flat, kind="stable")
         flat, val = flat[order], val[order]
@@ -132,11 +142,15 @@ class TestTimeSurface:
 
 
 @settings(max_examples=200, deadline=None)
-@given(bin_start=st.integers(0, 10**9), duration=st.integers(1, 10**6),
-       B=st.integers(1, 8),
+@given(bin_start=st.one_of(st.integers(0, 10**9), st.integers(2**53, 2**62)),
+       duration=st.integers(1, 10**6), B=st.integers(1, 8),
        events=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(0, 3),
                                  st.integers(0, 2), st.sampled_from([-1, 1])),
                        max_size=40))
+# past 2**53 t and the sub-window's start s_b round apart: t = 230 of this
+# (0, 912] bin lies just past sub-window 2's start, 228, but rounds below it
+@example(bin_start=1117559093848664280, duration=912, B=8,
+         events=[(230 / 912, 1, 0, 1)])
 def test_time_surface_values_lie_in_unit_interval(bin_start, duration, B,
                                                   events):
     evs = [Event(x, y, bin_start + max(1, round(f * duration)), p)
@@ -147,6 +161,55 @@ def test_time_surface_values_lie_in_unit_interval(bin_start, duration, B,
     data = sbt_time_surface(make_batch(evs, bin_start, bin_start + duration),
                             4, 3, B=B).data
     assert np.all(np.abs(data) <= 1.0)
+
+
+# ---------------------------------------------------------------------------
+# The sub-window index in integers
+# ---------------------------------------------------------------------------
+
+@st.composite
+def subwindow_cases(draw):
+    """A bin, possibly starting below 0 or past 2**53, where times no
+    longer fit float64, B in 1..200, and events anywhere in it, on its
+    sub-window ends and just after them."""
+    B = draw(st.integers(1, 200))
+    duration = draw(st.integers(1, 10**6))
+    bin_start = draw(st.one_of(st.integers(-duration + 1, 10**9),
+                               st.integers(2**53, 2**62)))
+    bin_end = bin_start + duration
+    first = max(bin_start + 1, 0)
+    ends = sorted({bin_start + duration * k // B + d
+                   for k in range(B + 1) for d in (0, 1)})
+    t = st.one_of(st.integers(first, bin_end),
+                  st.sampled_from([e for e in ends if first <= e <= bin_end]))
+    events = draw(st.lists(st.builds(Event, x=st.just(0), y=st.just(0), t=t,
+                                     p=st.just(1)), min_size=1, max_size=30))
+    return make_batch(events, bin_start, bin_end), B
+
+
+@settings(max_examples=300, deadline=None)
+@given(subwindow_cases())
+def test_subwindow_index_is_exact(case):
+    batch, B = case
+    want = [exact_subwindow(int(t), batch.bin_start, batch.duration, B)
+            for t in batch.t]
+    assert _subwindow_index(batch, B).tolist() == want
+
+
+def test_an_event_on_a_subwindow_end_stays_in_it():
+    # B = 25 over (0, 25]: fl(fl(7 / 25) * 25) > 7, so float64 put t = 7,
+    # the end of sub-window 6, into sub-window 7 with the value +0.0
+    batch = make_batch([Event(0, 0, 7, 1)], 0, 25)
+    surface = sbt_time_surface(batch, 1, 1, B=25).data[0, 0]
+    assert surface[6] == 1.0 and np.count_nonzero(surface) == 1
+    counts = event_count_image(batch, 1, 1, B=25).data[0, 0]
+    assert counts[6] == 1.0 and np.count_nonzero(counts) == 1
+
+
+def test_duration_past_the_integer_range_rejected():
+    batch = make_batch([Event(0, 0, 1, 1)], 0, 2**62)
+    with pytest.raises(GeometryMismatch, match="2\\*\\*64"):
+        sbt_time_surface(batch, 1, 1, B=5)
 
 
 # ---------------------------------------------------------------------------
