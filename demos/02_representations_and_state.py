@@ -30,6 +30,9 @@ scene = SceneConfig(width=32, height=32, duration_us=1_000_000, fps=48,
                     objects=[SceneObject("textured_square", (16, 16),
                                          (10.0, 6.0), 5.0, 2.0)])
 video, _ = render_intensity_video(scene)
+# read the frames first, so the event model iterates the frames held
+# instead of rendering the scene a second time
+frames = video.frames
 stream = simulate_events(video, 0.2)
 
 # 48 Hz query grid, every 4th step carries a frame (12 Hz)
@@ -59,7 +62,7 @@ frame_at = {t: i for i, t in enumerate(timeline.frame_times)}
 for step, t in enumerate(timeline.query_times):
     if t in frame_at:
         exposure = exposure_window_events(stream, t, timeline.exposure_us)
-        state = taf_init(video.frames[frame_at[t] * 4], t, exposure, weights)
+        state = taf_init(frames[frame_at[t] * 4], t, exposure, weights)
         n_init += 1
     else:
         state = taf_update(state, batches[step], weights)
@@ -68,7 +71,7 @@ print(f"state machine: {n_init} inits, {n_update} updates, "
       f"final state_time {state.state_time} us")
 # residual output projections start at zero, so the untrained update
 # leaves the fused tokens untouched
-fresh = taf_init(video.frames[0], timeline.frame_times[0],
+fresh = taf_init(frames[0], timeline.frame_times[0],
                  exposure_window_events(stream, timeline.frame_times[0], 4000),
                  weights)
 stepped = taf_update(fresh, batches[1], weights)

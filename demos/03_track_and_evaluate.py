@@ -31,6 +31,9 @@ scene = SceneConfig(width=64, height=64, duration_us=2_000_000, fps=48,
                         SceneObject("gaussian_blob", (44, 40), (0, 0), 4.0, 1.5),
                     ])
 video, gt = render_intensity_video(scene)
+# read the frames first, so the event model iterates the frames held
+# instead of rendering the scene a second time
+frames = video.frames
 stream = simulate_events(video, 0.2)
 qtimes = [int(t) for t in video.frame_times]
 timeline = Timeline(frame_times=qtimes[::4], query_times=qtimes,
@@ -40,7 +43,7 @@ weights = WeightBundle.initialize(FusionConfig(), seed=0)
 queries = [QueryPoint(0, float(gt.positions[qi, 0, 0]),
                       float(gt.positions[qi, 0, 1]))
            for qi in range(gt.positions.shape[0])]
-tracks = track_sequence(video.frames[::4], stream, timeline, queries, weights)
+tracks = track_sequence(frames[::4], stream, timeline, queries, weights)
 print(f"tracked {len(queries)} queries over {len(tracks.times)} steps")
 
 # the ground truth is a TrackSet too, so it is the reference as it stands

@@ -193,9 +193,7 @@ def cmd_bench(config: RunConfig) -> dict:
         "events_per_s": {
             "parse": n / max(parse_s, 1e-12),
             "bin": n / max(bin_s, 1e-12),
-            "time_surface": len(big) / max(repr_s["time_surface"], 1e-12),
-            "count_image": len(big) / max(repr_s["count_image"], 1e-12),
-            "voxel_grid": len(big) / max(repr_s["voxel_grid"], 1e-12),
+            **{kind: len(big) / max(s, 1e-12) for kind, s in repr_s.items()},
         },
         "steps_per_s": {"taf_update": n_steps / max(taf_s, 1e-12)},
         "n_events": n,

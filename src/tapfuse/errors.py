@@ -74,6 +74,10 @@ class TimeRegression(ContractError):
     pass
 
 
+class NonFiniteValue(ContractError):
+    """An operation overflowed, divided by zero or made a NaN."""
+
+
 # -- tracker ----------------------------------------------------------------
 
 class QueryOutOfRange(ContractError):

@@ -44,7 +44,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import MissingForwardCache, ShapeMismatch, TimeRegression
+from .errors import (
+    MissingForwardCache,
+    NonFiniteValue,
+    ShapeMismatch,
+    TimeRegression,
+)
 from .events import EventBatch
 from .representations import (
     EventTensor,
@@ -56,12 +61,6 @@ from .representations import (
 from .weights import WeightBundle
 
 _LN_EPS = 1e-6
-
-
-def _check_finite(values: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(values)):
-        raise ShapeMismatch("non-finite token values")
-    return values
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,8 @@ class Tokens:
             raise ShapeMismatch(
                 f"{len(self.values)} values for {rows * cols} tokens of a "
                 f"{rows}x{cols} grid")
-        _check_finite(self.values)
+        if not np.isfinite(self.values).all():
+            raise NonFiniteValue("non-finite token values")
 
 
 # an event batch's attention keys and values for taf_update's block, and the
@@ -410,8 +410,7 @@ def _live_event_tokens(batch: EventBatch, grid: tuple[int, int],
         flat = np.concatenate([flat, np.zeros((1, proj.shape[0]))])
         key_bias = np.zeros(len(flat))
         key_bias[-1] = np.log(n_empty)
-    tokens = _check_finite(_linear(flat, proj, weights["phi_e.b"]))
-    return tokens, key_bias
+    return _linear(flat, proj, weights["phi_e.b"]), key_bias
 
 
 def _update_rows(values: np.ndarray, keys: UpdateKeys,

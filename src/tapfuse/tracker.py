@@ -41,9 +41,9 @@ tokens, one alone included.
 
 from __future__ import annotations
 
-import io
 import math
 import mmap
+import traceback
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import islice
@@ -53,6 +53,7 @@ import numpy as np
 from .errors import (
     GeometryMismatch,
     GridMismatch,
+    NonFiniteValue,
     QueryOutOfRange,
     ShapeMismatch,
 )
@@ -61,7 +62,6 @@ from .fusion import (
     Tokens,
     TransientState,
     _attention_block,
-    _check_finite,
     _layer_norm,
     _linear,
     _residual_out,
@@ -113,16 +113,13 @@ def serialize_track_set(ts: TrackSet) -> bytes:
         qi, ti = bad[0]
         raise GridMismatch(f"non-finite position or visibility of query {qi} "
                            f"at step {ti} (t = {ts.times[ti]} us)")
-    buf = io.StringIO()
-    buf.write(f"# queries={q} steps={t}\n")
-    for ti in range(t):
-        parts = [str(int(ts.times[ti]))]
-        for qi in range(q):
-            parts.append(f"{ts.positions[qi, ti, 0]:.9g}")
-            parts.append(f"{ts.positions[qi, ti, 1]:.9g}")
-            parts.append(f"{float(ts.visibility[qi, ti]):.9g}")
-        buf.write(",".join(parts) + "\n")
-    return buf.getvalue().encode("utf-8")
+    # (T, 3Q) rows of each query's x, y and visibility, as Python numbers
+    fields = np.concatenate([ts.positions, ts.visibility[..., None]], axis=2)
+    rows = fields.transpose(1, 0, 2).reshape(t, 3 * q).tolist()
+    text = f"# queries={q} steps={t}\n" + "".join(
+        ",".join([str(int(time))] + [f"{v:.9g}" for v in row]) + "\n"
+        for time, row in zip(ts.times, rows))
+    return text.encode("utf-8")
 
 
 def parse_track_set(data: bytes) -> TrackSet:
@@ -173,7 +170,7 @@ def sample_patch(level: np.ndarray, centers: np.ndarray, r: int,
 
     Taps are spaced by stride on a grid of rows * block x cols * block
     points, on which each level cell covers a block x block square; a tap
-    outside that grid reads 0.
+    outside that grid reads 0, as it does clamped to [-2, side + 1].
 
     Tap coordinates, fractions, in-range masks and clamped cells are
     computed once per axis, and one take from the flattened level gathers
@@ -192,8 +189,9 @@ def sample_patch(level: np.ndarray, centers: np.ndarray, r: int,
         raise ShapeMismatch(f"centers {centers.shape} for {n} level steps")
     k = 2 * r + 1
     offs = np.arange(-r, r + 1, dtype=np.float64)
-    px = centers[..., 0, None, None] / stride + offs[None, :]  # ... W x 1 x k
-    py = centers[..., 1, None, None] / stride + offs[:, None]  # ... W x k x 1
+    # ... W x 1 x k and ... W x k x 1, clamped so that the int64 cast is exact
+    px = np.clip(centers[..., 0, None, None] / stride + offs[None, :], -2, w + 1)
+    py = np.clip(centers[..., 1, None, None] / stride + offs[:, None], -2, h + 1)
     x0 = np.floor(px).astype(np.int64)
     y0 = np.floor(py).astype(np.int64)
     fx, fy = px - x0, py - y0
@@ -442,8 +440,7 @@ class _WindowPyramid:
             elif t > 0:
                 rows = self.states[t - 1][need]
             if state.keys is not None:
-                rows = _check_finite(_update_rows(rows, state.keys,
-                                                  self.weights))
+                rows = _update_rows(rows, state.keys, self.weights)
             if t >= 0:
                 self.states[t][need] = rows
         self.held[tokens] = steps
@@ -453,8 +450,8 @@ class _WindowPyramid:
         around (W, 2) positions at any level. Level 0's taps reach
         farthest, from r tokens before a centre's token to r + 1 after it;
         one more token on each side covers the rounding of the tap
-        coordinates. A centre that is not finite, or so far out that its
-        taps' int64 cast overflows, gets the whole grid."""
+        coordinates. A centre that is not finite, or 2**40 tokens or more
+        out, gets the whole grid."""
         cfg = self.weights.config
         reach = cfg.patch_radius + 1
         lo = (np.floor(positions.min(axis=0) / cfg.patch) - reach).tolist()
@@ -520,9 +517,11 @@ def track_sequence(frames: np.ndarray, stream: EventStream,
             f"{frames.shape[2]}x{frames.shape[1]} frames against a "
             f"{stream.width}x{stream.height} event sensor")
     qgrid = {int(t): i for i, t in enumerate(qtimes)}
-    for qp in queries:
+    for qi, qp in enumerate(queries):
         if qp.t_q not in qgrid:
             raise QueryOutOfRange(f"query time {qp.t_q} not on the query grid")
+        if not (math.isfinite(qp.x) and math.isfinite(qp.y)):
+            raise QueryOutOfRange(f"query {qi} at non-finite ({qp.x}, {qp.y})")
 
     frame_at = {t: i for i, t in enumerate(ft)}
     batches = bin_events(stream, timeline)
@@ -546,14 +545,10 @@ def track_sequence(frames: np.ndarray, stream: EventStream,
                                    batches[step], weights)
             yield state
 
-    n_q = len(queries)
-    out_pos = np.zeros((n_q, n_steps, 2))
-    out_logit = np.zeros((n_q, n_steps))
+    xy = np.array([(qp.x, qp.y) for qp in queries], np.float64).reshape(-1, 2)
+    out_pos = np.repeat(xy[:, None], n_steps, axis=1)
+    out_logit = np.ones((len(queries), n_steps))
     active_from = [qgrid[qp.t_q] for qp in queries]
-    for qi, qp in enumerate(queries):
-        out_pos[qi, :, 0] = qp.x
-        out_pos[qi, :, 1] = qp.y
-        out_logit[qi, :] = 1.0
 
     # every window has min(W, n_steps) steps
     pyramid = _WindowPyramid(step_states(), min(w, n_steps), grid, weights)
@@ -564,35 +559,39 @@ def track_sequence(frames: np.ndarray, stream: EventStream,
               * level0.shape[-1] * level0.itemsize)
     group = max(1, _GATHER_BYTES // gather)
     last = 0  # the previous window's stop
-    for start in _window_starts(n_steps, w):
-        stop = min(start + w, n_steps)
-        active = [qi for qi in range(n_q) if active_from[qi] < stop]
-        # steps the previous window did not reach start from its last estimate
-        carried = [qi for qi in active if active_from[qi] < last]
-        out_pos[carried, last:stop] = out_pos[carried, last - 1, None]
-        out_logit[carried, last:stop] = out_logit[carried, last - 1, None]
-        last = stop
-        pyramid.load(start)
-        # one pass for what all the carried-in estimates read; a refiner
-        # iteration that reaches beyond it computes the rest
-        pyramid.cover(*out_pos[active, start:stop])
-        for i in range(0, len(active), group):
-            qs = active[i:i + group]
-            pos, logit = refine_track(out_pos[qs, start:stop],
-                                      out_logit[qs, start:stop],
-                                      pyramid.levels, weights, pyramid.cover)
-            bad = ~(np.isfinite(pos).all(axis=-1) & np.isfinite(logit))
-            if bad.any():
-                qg, step = np.argwhere(bad)[0]
-                raise ShapeMismatch(
-                    f"refiner: non-finite position or visibility of query "
-                    f"{qs[qg]} at step {start + int(step)}")
-            out_pos[qs, start:stop] = pos
-            out_logit[qs, start:stop] = logit
+    # each state and estimate feeds the next: stop at the first operation
+    # that overflows, divides by zero or makes a NaN (softmax underflows)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for start in _window_starts(n_steps, w):
+                stop = min(start + w, n_steps)
+                where = f"window steps {start}..{stop - 1}"
+                active = [qi for qi, a in enumerate(active_from) if a < stop]
+                # steps the last window did not reach start from its estimate
+                carried = [qi for qi in active if active_from[qi] < last]
+                out_pos[carried, last:stop] = out_pos[carried, last - 1, None]
+                out_logit[carried, last:stop] = out_logit[carried, last - 1, None]
+                last = stop
+                pyramid.load(start)
+                # one pass for what all the carried-in estimates read; a
+                # refiner iteration that reaches beyond it computes the rest
+                pyramid.cover(*out_pos[active, start:stop])
+                for i in range(0, len(active), group):
+                    qs = active[i:i + group]
+                    where = f"window steps {start}..{stop - 1}, queries {qs}"
+                    pos, logit = refine_track(
+                        out_pos[qs, start:stop], out_logit[qs, start:stop],
+                        pyramid.levels, weights, pyramid.cover)
+                    out_pos[qs, start:stop] = pos
+                    out_logit[qs, start:stop] = logit
+    except FloatingPointError as exc:
+        below = traceback.walk_tb(exc.__traceback__.tb_next)
+        chain = " > ".join(f.f_code.co_name for f, _ in below
+                           if f.f_globals.get("__package__") == __package__)
+        raise NonFiniteValue(f"{exc} at {chain}, {where}") from exc
 
     visibility = (out_logit > 0).astype(np.int64)
-    for qi in range(n_q):
-        a = active_from[qi]
-        out_pos[qi, :a] = (queries[qi].x, queries[qi].y)
+    for qi, a in enumerate(active_from):
+        out_pos[qi, :a] = xy[qi]
         visibility[qi, :a] = 0
     return TrackSet(times=qtimes, positions=out_pos, visibility=visibility)

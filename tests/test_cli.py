@@ -615,8 +615,10 @@ class TestTrack:
 
     def test_overflowing_weights_exit_4_without_a_tracks_file(
             self, tmp_path, small_cfg, capsys):
-        """A finite but huge decoder weight overflows the pyramid, so the
-        refiner writes nan positions; the tracks writer refuses them."""
+        """A finite but huge decoder weight overflows the refiner's first
+        correlation: the run stops there, a contract violation that names
+        the function chain, the window and the query, with no numpy
+        warning (one would raise here) and no tracks file."""
         cfg = parse_run_config(SMALL_CONFIG)
         bundle = WeightBundle.initialize(cfg.fusion_config(), cfg.seed)
         bundle.params["dec.w1"][0, 0] = 1e300
@@ -626,14 +628,16 @@ class TestTrack:
         assert run_cli(["--config", small_cfg, "--out", out, "simulate"]) == 0
         capsys.readouterr()
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error", RuntimeWarning)
             rc = run_cli(["--config", small_cfg, "--out", tmp_path / "trk",
                           "track", "--stream", out / "events.evbin",
                           "--frames", out / "video.tns", "--weights", weights,
                           "--query", "0,16,16"])
         assert rc == 4
-        err = capsys.readouterr().err
-        assert "non-finite" in err and "query 0 at step 0" in err
+        assert capsys.readouterr().err == (
+            "contract violation: overflow encountered in matmul at "
+            "refine_track > correlation_features, window steps 0..15, "
+            "queries [0]\n")
         assert not (tmp_path / "trk" / "tracks.txt").exists()
 
 

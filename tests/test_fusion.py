@@ -17,6 +17,7 @@ from tapfuse.errors import (
     GeometryMismatch,
     MalformedRecord,
     MissingForwardCache,
+    NonFiniteValue,
     ShapeMismatch,
     TapfuseError,
     TimeRegression,
@@ -749,7 +750,7 @@ class TestSparseTafUpdate:
         weights.params["phi_e.w"] = weights["phi_e.w"].copy()
         weights.params["phi_e.w"][-1, 0] = np.inf
         batch = make_batch([Event(1, 1, 1500, 0)], 1000, 2000)
-        with pytest.raises(ShapeMismatch, match="non-finite"), \
+        with pytest.raises(NonFiniteValue, match="non-finite"), \
                 np.errstate(invalid="ignore"):
             taf_update(grid_state(rng, (2, 2), 8), batch, weights)
 

@@ -1,5 +1,8 @@
 import dataclasses
+import hashlib
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from tapfuse.errors import (
     GeometryMismatch,
     GridMismatch,
+    NonFiniteValue,
     QueryOutOfRange,
     ShapeMismatch,
     TapfuseError,
@@ -457,6 +461,24 @@ def test_sample_patch_equals_the_per_corner_sampler_byte_for_byte(case):
         assert patch.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("far", [1e300, -1e300, 1e19, -1e19])
+def test_far_centres_read_nothing_without_a_floating_point_error(far):
+    """A centre so far out that its taps' int64 cast would overflow reads
+    nothing, +0.0 at every tap, as the per-corner sampler does through its
+    overflowing cast; sample_patch clamps the taps first, so no operation
+    overflows or casts an out-of-range value."""
+    rng = np.random.default_rng(0)
+    level = rng.normal(size=(3, 4, 4, 5))
+    level[rng.random(level.shape) < 0.3] = -0.0
+    centers = np.array([[far, 3.0], [5.0, far], [far, -far]])
+    for stride, block in ((8, 1), (4, 2), (2, 4)):
+        with np.errstate(all="raise"):
+            got = sample_patch(level, centers, 2, stride, block)
+        with np.errstate(all="ignore"):
+            want = ref_sample_patch(level, centers, 2, stride, block)
+        assert got.tobytes() == want.tobytes() == bytes(got.nbytes)
+
+
 @st.composite
 def track_stacks(draw):
     """1 to 5 tracks on one window of a randomized refiner: positions
@@ -793,6 +815,48 @@ WIDTHS = [dict(d=d) for d in (8, 17, 24, 64, 65, 100)] + [
     dict(decoder_channels=(33, 17, 9))]
 
 
+# a small config: 8-step windows, 3 x 3 taps
+SMALL_REFINER = dict(window=8, patch_radius=1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(name=st.sampled_from(sorted(drifting_weights(**SMALL_REFINER).params)),
+       index=st.integers(0, 2**32 - 1), huge=st.sampled_from([1e300, -1e300]))
+def test_a_huge_weight_gives_finite_tracks_or_names_the_functions(
+        name, index, huge):
+    """One finite but huge entry in any weight array: the run returns
+    finite tracks, or stops with NonFiniteValue naming numpy's reason, the
+    chain of tapfuse functions down to the operation and the window. No
+    FloatingPointError, other error or RuntimeWarning gets out."""
+    import tapfuse.fusion as fusion
+    import tapfuse.representations as representations
+    import tapfuse.tracker as tracker
+
+    frames, timeline, stream, _ = small_sequence(size=32, n_query=24)
+    weights = drifting_weights(**SMALL_REFINER)
+    value = weights[name].copy()
+    value.flat[index % value.size] = huge
+    weights.params[name] = value
+    qs = [QueryPoint(0, 16.0, 16.0),
+          QueryPoint(int(timeline.query_times[6]), 5.0, 27.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            got = track_sequence(frames, stream, timeline, qs, weights)
+        except NonFiniteValue as exc:
+            match = re.fullmatch(r"(overflow|invalid value|divide by zero) "
+                                 r"encountered in \w+ at ([\w >]+), window "
+                                 r"steps \d+\.\.\d+(, queries \[[\d, ]+\])?",
+                                 str(exc))
+            assert match, str(exc)
+            known = {"step_states", *vars(_WindowPyramid)}
+            for module in (fusion, representations, tracker):
+                known.update(vars(module))
+            assert set(match[2].split(" > ")) <= known, str(exc)
+            return
+    assert np.isfinite(got.positions).all()
+
+
 class TestOnDemandDecode:
     @pytest.mark.parametrize("frame_every", [4, 16])
     @pytest.mark.parametrize("kw", WIDTHS, ids=lambda kw: "-".join(
@@ -872,18 +936,61 @@ class TestOnDemandDecode:
             assert 0 < sum(computed) < 0.5 * 256 * counts["taf_update"]
 
     def test_non_finite_state_rows_fail_the_track(self):
-        """A huge upd.wo overflows the updated states, and the track fails
-        as it does with the dense state machine. Only the rows computed
-        are checked: a row the refiner never reads is never computed, so
-        its values are never seen."""
+        """A huge upd.wo overflows the updated states, and the track stops
+        at the first replayed row update that overflows, naming the chain
+        from the first window's cover down to it. Only the rows computed
+        can overflow: a row the refiner never reads is never computed."""
         frames, timeline, stream, _ = small_sequence(size=128,
                                                      frame_every=16)
         weights = drifting_weights(patch_radius=1)
         weights.params["upd.wo"] = np.full_like(weights["upd.wo"], 1e308)
-        with pytest.raises(ShapeMismatch, match="non-finite token values"), \
-                np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteValue, match=r"^overflow encountered in "
+                           r"\w+ at cover > _state_rows > _update_rows\b.*, "
+                           r"window steps 0\.\.15$"):
             track_sequence(frames, stream, timeline,
                            [QueryPoint(0, 40.0, 30.0)], weights)
+
+    @pytest.mark.parametrize("drift, digest", [(0.0, "75663f5c4f4e295c"),
+                                               (5.0, "f71638cd72098ec1")])
+    def test_far_queries_complete_with_the_tracks_they_gave(self, drift,
+                                                             digest):
+        """Queries at x = 1e300 or -1e19, or at y = -1e300 from step 20,
+        are finite: they run to the end under the floating-point trap
+        beside a query on the sensor, with pinned tracks, those of taps
+        that read nothing however far out they are."""
+        frames, timeline, stream, _ = small_sequence(size=32)
+        weights = drifting_weights(drift=drift, patch_radius=1)
+        qs = [QueryPoint(0, 1e300, 10.0), QueryPoint(0, -1e19, 20.0),
+              QueryPoint(int(timeline.query_times[20]), 12.0, -1e300),
+              QueryPoint(0, 16.0, 16.0)]
+        got = track_sequence(frames, stream, timeline, qs, weights)
+        assert hashlib.sha256(got.positions.tobytes()
+                              + got.visibility.tobytes()
+                              ).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_is_out_of_range(self, axis, value):
+        """NaN arithmetic raises no floating-point error, so a query that
+        is not finite is rejected where it enters, naming it."""
+        frames, timeline, stream, _ = small_sequence(size=32)
+        xy = [8.0, 8.0]
+        xy[axis] = value
+        qs = [QueryPoint(0, 16.0, 16.0), QueryPoint(0, *xy)]
+        with pytest.raises(QueryOutOfRange, match=r"^query 1 at non-finite "
+                           rf"\({xy[0]}, {xy[1]}\)$"):
+            track_sequence(frames, stream, timeline, qs,
+                           drifting_weights(patch_radius=1))
+
+    def test_any_finite_intensity_is_tracked(self):
+        """The tracker takes no log, so frames of zeros and negative
+        frames run to the end under the floating-point trap."""
+        frames, timeline, stream, _ = small_sequence(size=32)
+        weights = drifting_weights(patch_radius=1)
+        for scale in (0.0, -1.0):
+            got = track_sequence(frames * scale, stream, timeline,
+                                 [QueryPoint(0, 16.0, 16.0)], weights)
+            assert np.isfinite(got.positions).all()
 
     def test_one_token_wide_grid_equals_the_dense_decode(self):
         """A 128 x 8 sensor is one token wide, so the dense decode
@@ -899,13 +1006,13 @@ class TestOnDemandDecode:
         assert got.visibility.tobytes() == want[1].tobytes()
 
     def test_non_finite_refined_track_stops_the_run(self, monkeypatch):
-        """A finite but huge decoder weight overflows the pyramid, and the
-        first refined tracks are NaN. The run stops right there, naming the
-        refiner, the first query of the group in active order and its
-        first non-finite step, rather than refining every later window
-        from NaN estimates, for which cover would decode the whole grid.
-        Query 0 starts at step 20, outside the first window, or at step 0,
-        in one group with query 1."""
+        """A finite but huge decoder weight overflows the first correlation
+        of the refiner. The run stops right there, naming the chain down to
+        correlation_features, the window and the group's queries in active
+        order, rather than refining every later window from NaN estimates,
+        for which cover would decode the whole grid. Query 0 starts at step
+        20, outside the first window, or at step 0, in one group with
+        query 1."""
         import tapfuse.tracker as tracker
 
         frames, timeline, stream, _ = small_sequence()
@@ -914,47 +1021,22 @@ class TestOnDemandDecode:
         weights.params["dec.w1"][0, 0] = 1e300
         refined = []
 
-        def refine(*args):
-            refined.append(refine_track(*args))
-            return refined[-1]
+        def refine(positions, *args):
+            refined.append(positions.shape)
+            return refine_track(positions, *args)
 
         monkeypatch.setattr(tracker, "refine_track", refine)
-        for first_step, named in [(20, 1), (0, 0)]:
+        for first_step, group in [(20, [1]), (0, [0, 1])]:
             refined.clear()
             qs = [QueryPoint(int(timeline.query_times[first_step]), 8.0, 8.0),
                   QueryPoint(0, 16.0, 16.0)]
-            with pytest.raises(ShapeMismatch, match="refiner: non-finite .* "
-                               f"of query {named} at step 0"), \
-                    np.errstate(all="ignore"):
+            with pytest.raises(NonFiniteValue) as info:
                 track_sequence(frames, stream, timeline, qs, weights)
-            assert len(refined) == 1
-            assert refined[0][0].shape == (2 - named, 16, 2)
-            assert np.isnan(refined[0][0]).all()
-
-    def test_non_finite_stop_names_the_first_query_then_step(self,
-                                                             monkeypatch):
-        """Queries 1 to 3 form the first window's group, query 0 starts
-        later. Query 3's track is non-finite at window step 2 and query 2's
-        at steps 9 and 6: the run names query 2 at step 6."""
-        import tapfuse.tracker as tracker
-
-        frames, timeline, stream, _ = small_sequence(size=64)
-        weights = drifting_weights(drift=0.0, patch_radius=1)
-
-        def refine(*args):
-            positions, logits = refine_track(*args)
-            positions[2, 2, 0] = np.inf
-            positions[1, 9, 1] = np.nan
-            logits[1, 6] = -np.inf
-            return positions, logits
-
-        monkeypatch.setattr(tracker, "refine_track", refine)
-        qs = [QueryPoint(int(timeline.query_times[step]), x, y)
-              for step, x, y in [(20, 8.0, 8.0), (0, 16.0, 16.0),
-                                 (0, 40.0, 30.0), (0, 50.0, 12.0)]]
-        with pytest.raises(ShapeMismatch,
-                           match="non-finite .* of query 2 at step 6$"):
-            track_sequence(frames, stream, timeline, qs, weights)
+            assert str(info.value) == (
+                "overflow encountered in matmul at refine_track > "
+                f"correlation_features, window steps 0..15, queries {group}")
+            assert isinstance(info.value.__cause__, FloatingPointError)
+            assert refined == [(len(group), 16, 2)]
 
     @pytest.mark.parametrize("drift", [0.0, 5.0])
     def test_groups_of_one_give_the_tracks_of_the_default_groups(
