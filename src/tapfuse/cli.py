@@ -157,8 +157,9 @@ def _median_cpu_s(fn, *args):
 
 
 def cmd_bench(config: RunConfig) -> dict:
-    """Throughput smoke benchmark on synthetic events, in CPU time: parse,
-    bin and each representation are the median of five calls."""
+    """Throughput smoke benchmark on synthetic events, in CPU time: EVB1
+    parse and serialize, bin and each representation are the median of
+    five calls."""
     rng = np.random.default_rng(config.seed)
     n = config.bench_n_events
     w, h = config.scene_width, config.scene_height
@@ -172,6 +173,7 @@ def cmd_bench(config: RunConfig) -> dict:
     blob = serialize_event_stream(stream, "evbin")
 
     parse_s, stream = _median_cpu_s(parse_event_stream, blob, "evbin")
+    serialize_s = _median_cpu_s(serialize_event_stream, stream, "evbin")[0]
     timeline = config.timeline()
     bin_s, batches = _median_cpu_s(bin_events, stream, timeline)
     big = max(batches, key=len)
@@ -192,6 +194,7 @@ def cmd_bench(config: RunConfig) -> dict:
     report = {
         "events_per_s": {
             "parse": n / max(parse_s, 1e-12),
+            "serialize": n / max(serialize_s, 1e-12),
             "bin": n / max(bin_s, 1e-12),
             **{kind: len(big) / max(s, 1e-12) for kind, s in repr_s.items()},
         },

@@ -44,17 +44,38 @@ class Event(NamedTuple):
     p: int
 
 
+# neighbouring pairs per block of the order check, small enough for its
+# scratch to stay in cache
+_ORDER_BLOCK = 1 << 16
+
+
 def _is_canonical(t, x, y, p) -> bool:
-    """Whether the columns are already in (t, y, x, p) order, in O(n): t
-    never decreases, and a packed (y, x, p) key never decreases where t
-    ties. p must hold only -1 and +1."""
-    if (t[1:] < t[:-1]).any():
-        return False
-    tied = t[1:] == t[:-1]
-    if not tied.any():
-        return True
-    key = (y.astype(np.uint64) << 17) | (x.astype(np.uint64) << 1) | (p > 0)
-    return not (key[1:][tied] < key[:-1][tied]).any()
+    """Whether the columns are already in (t, y, x, p) order, in O(n) over
+    blocks of _ORDER_BLOCK neighbouring pairs: t never decreases, and
+    where t ties, a u32 y << 16 | x key never decreases, and p never
+    decreases where that key ties too. Each block compares its pairs in
+    place, so the check holds a few bytes per pair of one block and no
+    n-sized scratch."""
+    for lo in range(0, len(t) - 1, _ORDER_BLOCK):
+        hi = min(lo + _ORDER_BLOCK, len(t) - 1)
+        t0, t1 = t[lo:hi], t[lo + 1:hi + 1]
+        if (t1 < t0).any():
+            return False
+        tied = t1 == t0
+        if not tied.any():
+            continue
+        key = y[lo:hi + 1].astype(np.uint32)
+        key <<= 16
+        key |= x[lo:hi + 1]
+        k0, k1 = key[:-1], key[1:]
+        # out of order: t ties, and the key falls, or it ties and p falls
+        bad = k1 == k0
+        bad &= p[lo + 1:hi + 1] < p[lo:hi]
+        bad |= k1 < k0
+        bad &= tied
+        if bad.any():
+            return False
+    return True
 
 
 def _sort_packed(t, x, y, p, width: int, height: int, t_start: int):
@@ -98,7 +119,9 @@ class EventStream:
     Columns are stored as parallel numpy arrays: t (uint64 microseconds),
     x/y (uint16), p (int8, values -1/+1). Each side is 1..MAX_SENSOR_SIDE
     px and 0 <= t_start <= t_end <= 2**64 - 1. Columns already in
-    (t, y, x, p) order are kept as given. Others are sorted on one u64 key
+    (t, y, x, p) order, which _is_canonical checks a block of neighbouring
+    pairs at a time in place, are kept as given, and their time range is
+    checked from t[0] and t[-1]. Others are sorted on one u64 key
     of b = (width - 1).bit_length() + (height - 1).bit_length() + 1 low bits
     of y, x and p under t - t_start, which fits when
     max(t) - t_start < 2**(64 - b); a wider span is lexsorted.
@@ -137,9 +160,14 @@ class EventStream:
         if len(self.x) and (self.x.max() >= self.width or self.y.max() >= self.height):
             raise GeometryViolation(
                 f"event outside {self.width}x{self.height} sensor")
-        if len(self.t) and (self.t.min() < self.t_start or self.t.max() > self.t_end):
-            raise NonMonotonicHeader("event timestamp outside [t_start, t_end]")
-        if not _is_canonical(self.t, self.x, self.y, self.p):
+        canonical = _is_canonical(self.t, self.x, self.y, self.p)
+        if len(self.t):
+            first, last = ((self.t[0], self.t[-1]) if canonical
+                           else (self.t.min(), self.t.max()))
+            if first < self.t_start or last > self.t_end:
+                raise NonMonotonicHeader(
+                    "event timestamp outside [t_start, t_end]")
+        if not canonical:
             cols = _sort_packed(self.t, self.x, self.y, self.p, int(self.width),
                                 int(self.height), int(self.t_start))
             for name, col in zip("txyp", cols):
@@ -228,7 +256,9 @@ def parse_event_stream(source: bytes, format: str = "csv") -> EventStream:
     raise ConfigError(f"unknown event format {format!r}")
 
 
-def serialize_event_stream(stream: EventStream, format: str = "csv") -> bytes:
+def serialize_event_stream(stream: EventStream, format: str = "csv"
+                           ) -> bytearray:
+    """The stream in csv or evbin format, as one bytearray."""
     if format == "csv":
         return _write_csv(stream)
     if format == "evbin":
@@ -307,7 +337,7 @@ def _parse_csv(source: bytes) -> EventStream:
     )
 
 
-def _write_csv(stream: EventStream) -> bytes:
+def _write_csv(stream: EventStream) -> bytearray:
     """Lines of t,x,y,p in decimal, formatted in numpy a block at a time."""
     chunks = [f"# width={stream.width} height={stream.height} "
               f"t_start={stream.t_start} t_end={stream.t_end}\n".encode()]
@@ -332,7 +362,7 @@ def _write_csv(stream: EventStream) -> bytes:
         text[row], text[row + 1], text[row + 2] = ord("-"), ord("1"), ord("\n")
         keep[row] = stream.p[block] < 0
         chunks.append(text.T[keep.T])
-    return b"".join(chunks)
+    return bytearray().join(chunks)
 
 
 _EVBIN_HEADER = struct.Struct("<4sIIQQQ")
@@ -364,15 +394,18 @@ def _parse_evbin(source: bytes) -> EventStream:
     )
 
 
-def _write_evbin(stream: EventStream) -> bytes:
-    rec = np.zeros(len(stream), dtype=EVBIN_RECORD)
+def _write_evbin(stream: EventStream) -> bytearray:
+    """The header and the records, filled in place in one zeroed buffer,
+    so the pad bytes are zero from its allocation."""
+    out = bytearray(_EVBIN_HEADER.size + len(stream) * EVBIN_RECORD.itemsize)
+    _EVBIN_HEADER.pack_into(out, 0, EVBIN_MAGIC, stream.width, stream.height,
+                            stream.t_start, stream.t_end, len(stream))
+    rec = np.frombuffer(out, dtype=EVBIN_RECORD, offset=_EVBIN_HEADER.size)
     rec["t"] = stream.t
     rec["x"] = stream.x
     rec["y"] = stream.y
     rec["p"] = stream.p
-    header = _EVBIN_HEADER.pack(EVBIN_MAGIC, stream.width, stream.height,
-                                stream.t_start, stream.t_end, len(stream))
-    return b"".join((header, rec))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -122,7 +122,9 @@ def voxel_grid(batch: EventBatch, width: int, height: int,
     so per-event mass is always conserved.
     """
     cells = _cells(batch, width, height) * B
-    rel = batch.t.astype(np.float64) - float(batch.bin_start)
+    # subtracted in u64 as in _subwindow_index, so times past 2**53 keep
+    # their offset into the bin exact up to the one rounding of the cast
+    rel = (batch.t - np.uint64(batch.bin_start % 2**64)).astype(np.float64)
     u = rel / float(batch.duration) * B - 0.5  # channel coordinate
     u = np.clip(u, 0.0, B - 1.0)
     lo = np.floor(u).astype(np.int64)

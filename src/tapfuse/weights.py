@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .arrayio import read_tensor_record, span, tensor_record
-from .errors import MalformedRecord, ShapeMismatch
+from .errors import MalformedRecord, NonFiniteValue, ShapeMismatch
 
 TFW_MAGIC = b"TFW1"
 
@@ -128,6 +128,13 @@ class WeightBundle:
     config: FusionConfig
     seed: int
 
+    def __post_init__(self):
+        """Reject a non-finite parameter, naming its record."""
+        for name, value in self.params.items():
+            if not np.isfinite(value).all():
+                raise NonFiniteValue(
+                    f"weights record {name!r} holds a non-finite value")
+
     def __getitem__(self, name: str) -> np.ndarray:
         return self.params[name]
 
@@ -179,9 +186,10 @@ def load_weights(data: bytes, config: FusionConfig = FusionConfig(),
             raise MalformedRecord(f"weights name at byte {at} is not UTF-8") from exc
         params[name], pos = read_tensor_record(data, pos,
                                                f"weights record {name!r}")
-        if not np.isfinite(params[name]).all():
-            raise MalformedRecord(f"weights record {name!r} holds a "
-                                  "non-finite value")
+    try:
+        bundle = WeightBundle(params=params, config=config, seed=seed)
+    except NonFiniteValue as exc:
+        raise MalformedRecord(str(exc)) from exc
     expected = {name: shape for name, shape, _ in parameter_specs(config)}
     if set(params) != set(expected):
         missing = set(expected) - set(params)
@@ -192,4 +200,4 @@ def load_weights(data: bytes, config: FusionConfig = FusionConfig(),
         if tuple(arr.shape) != tuple(expected[name]):
             raise ShapeMismatch(
                 f"{name}: shape {arr.shape} != expected {expected[name]}")
-    return WeightBundle(params=params, config=config, seed=seed)
+    return bundle

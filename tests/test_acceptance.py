@@ -246,7 +246,7 @@ def test_criterion_10_bench_on_one_million_events(capsys):
     report = cmd_bench(config)
     assert report["n_events"] == 1_000_000
     keys = report["events_per_s"]
-    assert set(keys) == {"parse", "bin", "time_surface", "count_image",
-                         "voxel_grid"}
+    assert set(keys) == {"parse", "serialize", "bin", "time_surface",
+                         "count_image", "voxel_grid"}
     assert all(v > 0 for v in keys.values())
     assert report["steps_per_s"]["taf_update"] > 0

@@ -723,8 +723,9 @@ class TestBenchAndRepr:
         cfg = parse_run_config(SMALL_CONFIG)
         report = cmd_bench(cfg)
         assert set(report) == {"events_per_s", "steps_per_s", "n_events"}
-        assert set(report["events_per_s"]) == {"parse", "bin", "time_surface",
-                                               "count_image", "voxel_grid"}
+        assert set(report["events_per_s"]) == {
+            "parse", "serialize", "bin", "time_surface", "count_image",
+            "voxel_grid"}
         assert set(report["steps_per_s"]) == {"taf_update"}
         assert report["n_events"] == 20000
         assert all(v > 0 for v in report["events_per_s"].values())

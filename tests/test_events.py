@@ -654,6 +654,96 @@ class TestCanonicalFastPath:
         assert stream.t is not cols[0]
         assert peak <= 16 * n
 
+    @staticmethod
+    def tie_heavy_canonical(n):
+        """n lexsorted events over 2,000 microseconds on 128x128, so
+        about 99 % of neighbouring pairs tie in t."""
+        rng = np.random.default_rng(5)
+        return lexsorted(
+            rng.integers(0, 2_000, size=n).astype(np.uint64),
+            rng.integers(0, 128, size=n).astype(np.uint16),
+            rng.integers(0, 128, size=n).astype(np.uint16),
+            rng.choice(np.array([-1, 1], dtype=np.int8), size=n))
+
+    def test_order_check_allocates_no_column_sized_scratch(self):
+        """Keeping canonical columns allocates at most 4 B/event: the order
+        check compares one block of pairs at a time in place, where boolean
+        gathers and a u64 key per event took 25 B/event."""
+        n = 200_000
+        cols = self.tie_heavy_canonical(n)
+        tracemalloc.start()
+        try:
+            stream = EventStream(*cols, width=128, height=128, t_start=0,
+                                 t_end=2_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stream.t is cols[0]
+        assert peak <= 4 * n
+
+    def test_evbin_export_allocates_one_buffer(self):
+        """The EVB1 writer fills its one output buffer in place: at most
+        17 B/event beside the 16 B records, where a record array and its
+        joined copy took 32 B/event."""
+        n = 200_000
+        stream = EventStream(*self.tie_heavy_canonical(n), width=128,
+                             height=128, t_start=0, t_end=2_000)
+        tracemalloc.start()
+        try:
+            blob = serialize_event_stream(stream, "evbin")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(blob, bytearray) and len(blob) == 36 + 16 * n
+        assert peak <= 17 * n
+
+    @pytest.mark.parametrize("first, second", [
+        ((3, 2, 1), (3, 1, 1)),             # y only
+        ((0, 2, 1), (5, 1, 1)),             # y, while x rises
+        ((3, 2, 1), (2, 2, 1)),             # x only
+        ((3, 2, 1), (3, 2, -1)),            # p only
+        ((0, 1, 1), (65535, 0, 1)),         # y, with x at 65535
+        ((1, 65535, 1), (0, 65535, 1)),     # x, with y at 65535
+        ((65535, 65535, 1), (65535, 65535, -1)),
+    ])
+    @pytest.mark.parametrize("at", [3, 4, 5])
+    def test_a_pair_across_a_block_boundary_is_checked(
+            self, monkeypatch, first, second, at):
+        """An out-of-order (x, y, p) pair at one t, as events at and at + 1,
+        across the boundary of 4-pair blocks (or beside it), is sorted, and
+        the same pair in order is kept as given."""
+        import tapfuse.events as events
+        monkeypatch.setattr(events, "_ORDER_BLOCK", 4)
+        n = 12
+        for a, b, canonical in [(first, second, False),
+                                (second, first, True)]:
+            t = np.arange(n, dtype=np.uint64)
+            t[at + 1] = t[at]
+            x = np.zeros(n, dtype=np.uint16)
+            y = np.zeros(n, dtype=np.uint16)
+            p = np.ones(n, dtype=np.int8)
+            x[at], y[at], p[at] = a
+            x[at + 1], y[at + 1], p[at + 1] = b
+            stream = EventStream(t=t, x=x, y=y, p=p, width=65536,
+                                 height=65536, t_start=0, t_end=n)
+            want = lexsorted(t, x, y, p)
+            for got, exp in zip((stream.t, stream.x, stream.y, stream.p),
+                                want):
+                assert np.array_equal(got, exp)
+            assert (stream.x is x) == canonical
+
+    @pytest.mark.parametrize("t_start, t_end", [(1, 20), (0, 8)])
+    def test_events_outside_the_header_range_rejected(self, t_start, t_end):
+        """A canonical stream's range is checked from its end events, and
+        a stream out of order from its extremes."""
+        for t in ([0, 3, 3, 9], [3, 9, 0, 3]):
+            with pytest.raises(NonMonotonicHeader):
+                EventStream(t=np.array(t, dtype=np.uint64),
+                            x=np.zeros(4, dtype=np.uint16),
+                            y=np.zeros(4, dtype=np.uint16),
+                            p=np.ones(4, dtype=np.int8), width=2, height=2,
+                            t_start=t_start, t_end=t_end)
+
     def test_each_key_breaks_a_tie(self):
         # t ties broken by y, then x, then p; each pair is out of order
         for a, b in [((5, 0, 1, 1), (5, 0, 0, 1)), ((5, 1, 0, 1), (5, 0, 0, 1)),

@@ -1025,6 +1025,16 @@ class TestWeightIO:
         with pytest.raises(MalformedRecord):
             load_weights(data)
 
+    def test_non_finite_parameter_is_named_by_the_constructor(self):
+        """A NaN passed to the constructor stops it, naming the record,
+        rather than surfacing later in whichever layer reads it first."""
+        params = WeightBundle.initialize(FusionConfig(), seed=0).params
+        params["upd.wo"] = params["upd.wo"].copy()
+        params["upd.wo"][2, 3] = np.nan
+        with pytest.raises(NonFiniteValue, match=r"^weights record 'upd\.wo' "
+                           r"holds a non-finite value$"):
+            WeightBundle(params=params, config=FusionConfig(), seed=0)
+
     def test_shape_validation(self):
         bundle = WeightBundle.initialize(FusionConfig(), seed=0)
         blob = save_weights(bundle)

@@ -357,6 +357,18 @@ class TestVoxelGrid:
         got = voxel_grid(batch, width, height, B).data.sum(axis=2)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
+    def test_times_past_2_53_keep_their_offset_into_the_bin(self):
+        """The offset into the bin is taken in u64 before the float cast,
+        so a (2**55, 2**55 + 100] bin gives the (0, 100] bin's grid."""
+        events = [Event(x, y, t, p) for x, y, t, p in
+                  [(0, 0, 3, 1), (1, 0, 21, -1), (1, 1, 50, 1), (0, 1, 77, 1),
+                   (0, 0, 100, -1)]]
+        want = voxel_grid(make_batch(events, 0, 100), 2, 2, B=5).data
+        s = 2**55
+        shifted = make_batch([e._replace(t=s + e.t) for e in events],
+                             s, s + 100)
+        assert voxel_grid(shifted, 2, 2, B=5).data.tobytes() == want.tobytes()
+
     def test_matches_per_event_kernel_oracle(self):
         rng = np.random.default_rng(16)
         batch = random_batch(rng, n=200)
