@@ -99,8 +99,8 @@ def read_frames(path: str | os.PathLike, indices: Sequence[int]
                 ) -> np.ndarray:
     """The frames at indices, increasing, of the (T, H, W) video in the
     TNS1 file at path. The header and the file's length are checked first;
-    then only those frames' bytes are read. A video of another rank,
-    without the last index, or with a non-finite value in a frame read
+    then only those frames' bytes are read. A video of another rank, no
+    index, an index outside 0..T-1, or a non-finite value in a frame read
     raises DataError."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -108,9 +108,12 @@ def read_frames(path: str | os.PathLike, indices: Sequence[int]
         if len(dims) != 3:
             raise DataError(f"frames container must be rank 3, got {len(dims)}")
         n, height, width = dims
-        if indices[-1] >= n:
+        if not len(indices):
+            raise DataError("no frame index was asked for")
+        bad = [i for i in indices if not 0 <= i < n]
+        if bad:
             raise DataError(f"frames container holds {n} frames, frame "
-                            f"{indices[-1]} was asked for")
+                            f"{bad[0]} was asked for")
         frames = np.empty((len(indices), height, width), dtype="<f8")
         for frame, i in zip(frames, indices):
             f.seek(at + i * frame.nbytes)

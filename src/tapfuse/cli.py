@@ -30,7 +30,7 @@ from .events import (
     serialize_event_stream,
 )
 from .fusion import taf_init, taf_update
-from .metrics import EvalPair, evaluate
+from .metrics import DEFAULT_THRESHOLDS, EvalPair, evaluate
 from .representations import REPRESENTATIONS
 from .synth import render_intensity_video, simulate_events
 from .tracker import (
@@ -262,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval")
     p_eval.add_argument("--pred", type=Path, required=True)
     p_eval.add_argument("--ref", type=Path, required=True)
-    p_eval.add_argument("--thresholds", default="1,2,4,8,16")
+    p_eval.add_argument("--thresholds",
+                        default=",".join(f"{t:g}" for t in DEFAULT_THRESHOLDS))
     sub.add_parser("bench")
     p_repr = sub.add_parser("repr")
     p_repr.add_argument("--stream", type=Path, required=True)

@@ -2,9 +2,10 @@
 
 One "key = value" per line, "#" comments, dotted section prefixes
 (e.g. scene.fps = 48). Every key has a default and a domain declared
-next to it; unknown keys are a hard error reported with the offending
-line number. validate() checks each value against its domain and the
-rules that tie the rates and sizes together.
+next to it, FusionConfig's for model.*; unknown keys are a hard error
+reported with the offending line number. validate() checks each value
+against its domain and the rules that tie the rates and sizes together;
+the scene.object fields are checked by SceneConfig, for library callers too.
 """
 
 from __future__ import annotations
@@ -14,58 +15,27 @@ from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError, DegenerateScene
 from .events import MAX_SENSOR_SIDE, Timeline
-from .synth import SceneConfig, SceneObject
-from .weights import FusionConfig
-
-
-@dataclass(frozen=True)
-class Domain:
-    """lo <= value <= hi (lo < value when above); floats must be finite."""
-
-    lo: float
-    hi: float = math.inf
-    above: bool = False
-
-    def __contains__(self, value) -> bool:
-        if isinstance(value, float) and not math.isfinite(value):
-            return False
-        return value <= self.hi and (value > self.lo if self.above
-                                     else value >= self.lo)
-
-    def __str__(self) -> str:
-        if self.hi < math.inf:
-            if self.above:
-                return f"> {self.lo:g} and <= {self.hi:g}"
-            return f"{self.lo:g}..{self.hi:g}"
-        return f"{'>' if self.above else '>='} {self.lo:g}"
+from .metrics import DEFAULT_AGE_THRESHOLD
+from .synth import DEFAULT_CONTRAST, MAX_INTENSITY, Domain, SceneConfig, SceneObject
+from .weights import FLOORS, FusionConfig
 
 
 def _setting(default, lo, hi=math.inf, above=False):
     return field(default=default, metadata={"domain": Domain(lo, hi, above)})
 
 
+def _model(name: str):
+    """The model.<name> setting: FusionConfig's default and floor."""
+    return _setting(getattr(FusionConfig, name), FLOORS.get(name, 1))
+
+
 # random objects start at least this far inside the sensor, px
 RANDOM_OBJECT_MARGIN = 12
-# an intensity above 1e6 is beyond an event sensor's 120 dB dynamic range
-MAX_INTENSITY = 1e6
 # frame and query times are whole microseconds, so above 1 MHz two steps
 # would share a time
 MAX_RATE_HZ = 1e6
 # event times are int64 microseconds; 1e18 us is some 31,700 years
 MAX_DURATION_US = 10**18
-# the fields of a scene.object line after its shape. A position (x, y, px)
-# stays within one largest sensor side of the sensor at the start and at
-# the end of the scene, so at every time between; a velocity (vx, vy, px/s)
-# moves at most one pixel per microsecond, the event time resolution. The
-# pixel grid does not sample a size (blob sigma or square half-side, px)
-# below a tenth of a pixel, and a size above the sensor side covers the
-# whole sensor. The intensity is above the background.
-_POSITION = Domain(-MAX_SENSOR_SIDE, 2 * MAX_SENSOR_SIDE)
-_VELOCITY = Domain(-1e6, 1e6)
-OBJECT_DOMAINS = {"x": _POSITION, "y": _POSITION,
-                  "vx": _VELOCITY, "vy": _VELOCITY,
-                  "size": Domain(0.1, MAX_SENSOR_SIDE),
-                  "intensity": Domain(0, MAX_INTENSITY, above=True)}
 
 
 @dataclass
@@ -75,7 +45,8 @@ class RunConfig:
     scene_height: int = _setting(64, 1, MAX_SENSOR_SIDE)
     scene_duration_us: int = _setting(2_000_000, 1, MAX_DURATION_US)
     scene_fps: float = _setting(48.0, 0, MAX_RATE_HZ, above=True)
-    scene_background: float = _setting(1.0, 0, MAX_INTENSITY, above=True)
+    scene_background: float = _setting(SceneConfig.background, 0, MAX_INTENSITY,
+                                       above=True)
     # ground truth tests each object for occlusion by every later one at
     # every query step, so the work grows as n**2: 100 objects are ~5,000
     # tests a step
@@ -84,23 +55,23 @@ class RunConfig:
     # event simulation
     # events grow as 1/contrast: 0.01 gives 27x the events of 0.2 on the
     # default scene, 1e-9 would ask for tens of GiB
-    sim_contrast: float = _setting(0.2, 0.01)
+    sim_contrast: float = _setting(DEFAULT_CONTRAST, 0.01)
     # timeline
     timeline_query_hz: float = _setting(48.0, 0, MAX_RATE_HZ, above=True)
     timeline_frame_hz: float = _setting(12.0, 0, MAX_RATE_HZ, above=True)
     timeline_exposure_us: int = _setting(4_000, 1)
     # model hyperparameters
-    model_d: int = _setting(64, 1)
-    model_patch: int = _setting(8, 1)
-    model_radius: int = _setting(1, 0)
-    model_subwindows: int = _setting(5, 1)
-    model_window: int = _setting(16, 2)
-    model_patch_radius: int = _setting(3, 0)
-    model_iterations: int = _setting(3, 1)
+    model_d: int = _model("d")
+    model_patch: int = _model("patch")
+    model_radius: int = _model("radius")
+    model_subwindows: int = _model("subwindows")
+    model_window: int = _model("window")
+    model_patch_radius: int = _model("patch_radius")
+    model_iterations: int = _model("iterations")
     # misc
     seed: int = _setting(0, 0)
     bench_n_events: int = _setting(1_000_000, 1)
-    eval_err_threshold: float = _setting(8.0, 0)
+    eval_err_threshold: float = _setting(DEFAULT_AGE_THRESHOLD, 0)
 
     def fusion_config(self) -> FusionConfig:
         """The model_<name> fields as FusionConfig(<name>=...)."""
@@ -167,18 +138,10 @@ class RunConfig:
         if round(self.scene_fps * self.scene_duration_us / 1e6) < 2:
             raise ConfigError("scene.fps * scene.duration_us gives fewer "
                               "than 2 rendered frames")
-        for obj in self.scene_objects:
-            values = (*obj.position, *obj.velocity, obj.size, obj.intensity)
-            for name, value in zip(OBJECT_DOMAINS, values):
-                _check_object_field(name, value, OBJECT_DOMAINS[name])
-            end = obj.position_at(self.scene_duration_us)
-            for name, value in zip("xy", end):
-                _check_object_field(f"{name} at the scene's end", value,
-                                    OBJECT_DOMAINS[name])
         try:
             self.scene_config()
         except DegenerateScene as exc:
-            raise ConfigError(f"scene.object: {exc}") from exc
+            raise ConfigError(f"scene.object {exc}") from exc
         return self
 
     def scene_config(self, rng=None) -> SceneConfig:
@@ -198,12 +161,6 @@ class RunConfig:
             width=self.scene_width, height=self.scene_height,
             duration_us=self.scene_duration_us, fps=self.scene_fps,
             objects=objects, background=self.scene_background)
-
-
-def _check_object_field(name: str, value: float, domain: Domain):
-    if value not in domain:
-        raise ConfigError(f"scene.object {name} = {value:g} is outside its "
-                          f"domain {domain}")
 
 
 # key -> (RunConfig field, converter); a field's first "_" becomes the section

@@ -13,6 +13,7 @@ anywhere in this module.
 from __future__ import annotations
 
 import io
+import operator
 import re
 import struct
 from dataclasses import dataclass
@@ -117,11 +118,12 @@ class EventStream:
     """A canonically sorted event stream with mandatory sensor geometry.
 
     Columns are stored as parallel numpy arrays: t (uint64 microseconds),
-    x/y (uint16), p (int8, values -1/+1). Each side is 1..MAX_SENSOR_SIDE
-    px and 0 <= t_start <= t_end <= 2**64 - 1. Columns already in
-    (t, y, x, p) order, which _is_canonical checks a block of neighbouring
-    pairs at a time in place, are kept as given, and their time range is
-    checked from t[0] and t[-1]. Others are sorted on one u64 key
+    x/y (uint16), p (int8, values -1/+1). The header fields are integers,
+    numpy ones too: each side is 1..MAX_SENSOR_SIDE px and
+    0 <= t_start <= t_end <= 2**64 - 1. Columns already in (t, y, x, p)
+    order, which _is_canonical checks a block of neighbouring pairs at a
+    time in place, are kept as given, and their time range is checked
+    from t[0] and t[-1]. Others are sorted on one u64 key
     of b = (width - 1).bit_length() + (height - 1).bit_length() + 1 low bits
     of y, x and p under t - t_start, which fits when
     max(t) - t_start < 2**(64 - b); a wider span is lexsorted.
@@ -137,6 +139,15 @@ class EventStream:
     t_end: int
 
     def __post_init__(self):
+        for name, error in (("width", GeometryViolation),
+                            ("height", GeometryViolation),
+                            ("t_start", NonMonotonicHeader),
+                            ("t_end", NonMonotonicHeader)):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError as exc:
+                raise error(f"{name} = {value!r} is not an integer") from exc
         if self.t_end < self.t_start:
             raise NonMonotonicHeader(
                 f"t_end={self.t_end} < t_start={self.t_start}")
@@ -168,8 +179,8 @@ class EventStream:
                 raise NonMonotonicHeader(
                     "event timestamp outside [t_start, t_end]")
         if not canonical:
-            cols = _sort_packed(self.t, self.x, self.y, self.p, int(self.width),
-                                int(self.height), int(self.t_start))
+            cols = _sort_packed(self.t, self.x, self.y, self.p, self.width,
+                                self.height, self.t_start)
             for name, col in zip("txyp", cols):
                 object.__setattr__(self, name, col)
 
@@ -374,8 +385,6 @@ def _parse_evbin(source: bytes) -> EventStream:
     magic, width, height, t_start, t_end, count = _EVBIN_HEADER.unpack_from(source)
     if magic != EVBIN_MAGIC:
         raise MalformedRecord(f"bad magic {magic!r}")
-    if t_end < t_start:
-        raise NonMonotonicHeader(f"t_end={t_end} < t_start={t_start}")
     size = len(source) - _EVBIN_HEADER.size
     if size != count * EVBIN_RECORD.itemsize:
         raise MalformedRecord(

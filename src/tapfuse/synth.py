@@ -35,6 +35,8 @@ from .representations import _pixels
 from .tracker import TrackSet
 
 DEFAULT_CONTRAST = 0.2
+# an intensity above 1e6 is beyond an event sensor's 120 dB dynamic range
+MAX_INTENSITY = 1e6
 
 # the frames a rendered video holds at once while it is iterated: at most
 # this many bytes, and at least one frame. Chunks of 1 to 32 frames of
@@ -76,6 +78,43 @@ class IntensityVideo:
 
 
 @dataclass(frozen=True)
+class Domain:
+    """lo <= value <= hi (lo < value when above); floats must be finite."""
+
+    lo: float
+    hi: float = math.inf
+    above: bool = False
+
+    def __contains__(self, value) -> bool:
+        if isinstance(value, float) and not math.isfinite(value):
+            return False
+        return value <= self.hi and (value > self.lo if self.above
+                                     else value >= self.lo)
+
+    def __str__(self) -> str:
+        if self.hi < math.inf:
+            if self.above:
+                return f"> {self.lo:g} and <= {self.hi:g}"
+            return f"{self.lo:g}..{self.hi:g}"
+        return f"{'>' if self.above else '>='} {self.lo:g}"
+
+
+# the fields of a scene object after its shape. A position (x, y, px)
+# stays within one largest sensor side of the sensor at the start and at
+# the end of the scene, so at every time between; a velocity (vx, vy, px/s)
+# moves at most one pixel per microsecond, the event time resolution. The
+# pixel grid does not sample a size (blob sigma or square half-side, px)
+# below a tenth of a pixel, and a size above the sensor side covers the
+# whole sensor. The intensity is above the background.
+_POSITION = Domain(-MAX_SENSOR_SIDE, 2 * MAX_SENSOR_SIDE)
+_VELOCITY = Domain(-1e6, 1e6)
+OBJECT_DOMAINS = {"x": _POSITION, "y": _POSITION,
+                  "vx": _VELOCITY, "vy": _VELOCITY,
+                  "size": Domain(0.1, MAX_SENSOR_SIDE),
+                  "intensity": Domain(0, MAX_INTENSITY, above=True)}
+
+
+@dataclass(frozen=True)
 class SceneObject:
     shape: str                      # gaussian_blob | textured_square
     position: tuple[float, float]   # initial (x, y) in px
@@ -99,16 +138,19 @@ class SceneConfig:
     background: float = 1.0
 
     def __post_init__(self):
+        """Object fields, and the position at the end, lie in OBJECT_DOMAINS."""
         if not self.background > 0:
             raise DegenerateScene("background intensity must be positive")
         for obj in self.objects:
-            if not all(map(math.isfinite, (*obj.position, *obj.velocity,
-                                           obj.size, obj.intensity))):
-                raise DegenerateScene(f"non-finite object value in {obj}")
-            if obj.size <= 0:
-                raise DegenerateScene("zero-size object")
-            if obj.intensity <= 0:
-                raise DegenerateScene("non-positive object intensity")
+            with np.errstate(over="ignore", invalid="ignore"):  # inf is outside
+                end = obj.position_at(self.duration_us)
+            values = (*obj.position, *obj.velocity, obj.size, obj.intensity, *end)
+            names = (*OBJECT_DOMAINS, "x at the scene's end", "y at the scene's end")
+            for name, value in zip(names, values):
+                domain = OBJECT_DOMAINS[name.split()[0]]
+                if value not in domain:
+                    raise DegenerateScene(f"{name} = {value:g} is outside its "
+                                          f"domain {domain}")
             if obj.shape not in ("gaussian_blob", "textured_square"):
                 raise DegenerateScene(f"unknown shape {obj.shape!r}")
 

@@ -91,28 +91,31 @@ class TrackSet:
     visibility: np.ndarray  # Q x T in {0, 1}
 
     def __post_init__(self):
+        """Raise GridMismatch on mismatched shapes, no steps, times that
+        do not strictly increase, or a non-finite field, named by its
+        query and step."""
         if self.positions.shape[:2] != (self.positions.shape[0], len(self.times)):
             raise GridMismatch("positions/time grid mismatch")
         if self.visibility.shape != self.positions.shape[:2]:
             raise GridMismatch("visibility/positions shape mismatch")
+        if len(self.times) < 1 or (np.diff(self.times) <= 0).any():
+            raise GridMismatch(f"track set of {len(self.times)} steps: needs "
+                               f"at least one, at strictly increasing times")
+        bad = np.argwhere(~np.isfinite(self.positions).all(axis=2)
+                          | ~np.isfinite(self.visibility))
+        if len(bad):
+            qi, ti = bad[0]
+            raise GridMismatch(f"non-finite position or visibility of query "
+                               f"{qi} at step {ti} (t = {self.times[ti]} us)")
 
 
 def serialize_track_set(ts: TrackSet) -> bytes:
     """Header '# queries=Q steps=T', then one line per step:
-    t_us,q0x,q0y,q0v,q1x,... with 9 significant digits. What
-    parse_track_set rejects raises GridMismatch instead: no steps, times
-    that do not strictly increase, or a non-finite field, named by its
-    query and step."""
+    t_us,q0x,q0y,q0v,q1x,... with 9 significant digits. The arrays may
+    have been written since ts was built, so TrackSet's checks run again:
+    what parse_track_set rejects raises GridMismatch instead."""
+    ts.__post_init__()
     q, t = ts.positions.shape[:2]
-    if t < 1 or (np.diff(ts.times) <= 0).any():
-        raise GridMismatch(f"track set of {t} steps: needs at least one, "
-                           f"at strictly increasing times")
-    bad = np.argwhere(~np.isfinite(ts.positions).all(axis=2)
-                      | ~np.isfinite(ts.visibility))
-    if len(bad):
-        qi, ti = bad[0]
-        raise GridMismatch(f"non-finite position or visibility of query {qi} "
-                           f"at step {ti} (t = {ts.times[ti]} us)")
     # (T, 3Q) rows of each query's x, y and visibility, as Python numbers
     fields = np.concatenate([ts.positions, ts.visibility[..., None]], axis=2)
     rows = fields.transpose(1, 0, 2).reshape(t, 3 * q).tolist()
@@ -125,7 +128,9 @@ def serialize_track_set(ts: TrackSet) -> bytes:
 def parse_track_set(data: bytes) -> TrackSet:
     """Parse the serialize_track_set format; a malformed file of any kind,
     including one without steps, with a non-finite field or with step
-    times that do not strictly increase, raises GridMismatch."""
+    times that do not strictly increase (which TrackSet checks), raises
+    GridMismatch. Fields are checked finite before visibility is
+    thresholded."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -152,8 +157,6 @@ def parse_track_set(data: bytes) -> TrackSet:
         raise GridMismatch(f"step lines do not hold {q} queries: {exc}") from exc
     if not np.isfinite(vals).all():
         raise GridMismatch("non-finite track field")
-    if (np.diff(times) <= 0).any():
-        raise GridMismatch("step times do not strictly increase")
     return TrackSet(times=times, positions=vals[:, :, :2].transpose(1, 0, 2),
                     visibility=(vals[:, :, 2] > 0.5).astype(np.int64).T)
 

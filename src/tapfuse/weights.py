@@ -17,8 +17,10 @@ import numpy as np
 
 from .arrayio import read_tensor_record, span, tensor_record
 from .errors import MalformedRecord, NonFiniteValue, ShapeMismatch
+from .representations import DEFAULT_SUBWINDOWS
 
 TFW_MAGIC = b"TFW1"
+FLOORS = {"radius": 0, "patch_radius": 0, "window": 2}
 
 
 @dataclass(frozen=True)
@@ -26,7 +28,7 @@ class FusionConfig:
     d: int = 64                 # embedding width
     patch: int = 8              # token patch size, px
     radius: int = 1             # CLWF Chebyshev neighborhood radius
-    subwindows: int = 5         # event-tensor channel count B
+    subwindows: int = DEFAULT_SUBWINDOWS  # event-tensor channel count B
     decoder_channels: tuple[int, int, int] = (64, 32, 16)
     window: int = 16            # refiner temporal window W
     patch_radius: int = 3       # correlation patch radius r
@@ -38,15 +40,13 @@ class FusionConfig:
     refiner_blocks: int = 2
 
     def __post_init__(self):
-        """Reject an empty width, grid or loop: radius and patch_radius
-        must be >= 0, window >= 2 and every other field, each of the 3
-        decoder channel counts too, >= 1."""
+        """Reject an empty width, grid or loop: each field, each of the 3
+        decoder channel counts too, must be >= FLOORS.get(name, 1)."""
         if len(self.decoder_channels) != 3:
             raise ShapeMismatch(f"FusionConfig.decoder_channels = "
                                 f"{self.decoder_channels}: 3 levels needed")
-        floors = {"radius": 0, "patch_radius": 0, "window": 2}
         for f in fields(self):
-            low = floors.get(f.name, 1)
+            low = FLOORS.get(f.name, 1)
             value = getattr(self, f.name)
             if min(value if isinstance(value, tuple) else (value,)) < low:
                 raise ShapeMismatch(

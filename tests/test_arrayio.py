@@ -123,6 +123,20 @@ def test_bad_video_keeps_its_error_type(tmp_path, case):
     assert type(info.value) is error
 
 
+@pytest.mark.parametrize("indices, message", [
+    ([], "no frame index"), ([-1], "frame -1 was asked for"),
+    ([0, 96], "frame 96 was asked for")])
+def test_index_outside_the_video_is_data_error_naming_it(tmp_path, indices,
+                                                         message):
+    """An empty list raised IndexError and -1 an OSError from a negative
+    seek."""
+    path = tmp_path / "video.tns"
+    path.write_bytes(GOOD_VIDEO)
+    with pytest.raises(DataError, match=message) as info:
+        read_frames(path, indices)
+    assert type(info.value) is DataError
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_non_finite_frame_read_is_data_error_naming_it(tmp_path, value):
     """A non-finite value in a frame that is read raises DataError naming

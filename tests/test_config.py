@@ -13,16 +13,18 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from tapfuse.cli import build_parser, main
+from tapfuse.cli import _parse_thresholds, build_parser, main
 from tapfuse.config import (
     DOMAINS,
-    OBJECT_DOMAINS,
     RunConfig,
     _KEYMAP,
     load_run_config,
     parse_run_config,
 )
 from tapfuse.errors import ConfigError
+from tapfuse.metrics import DEFAULT_AGE_THRESHOLD, DEFAULT_THRESHOLDS
+from tapfuse.synth import DEFAULT_CONTRAST, OBJECT_DOMAINS, SceneConfig
+from tapfuse.weights import FLOORS, FusionConfig
 
 from test_cli import SMALL_CONFIG, run_cli
 
@@ -36,6 +38,23 @@ class TestDomains:
         for key, (attr, _) in _KEYMAP.items():
             assert getattr(defaults, attr) in DOMAINS[key], key
         assert defaults.validate() is defaults
+
+    def test_library_defaults_and_floors_have_one_owner(self):
+        """The model.* keys, the contrast, the background and the eval
+        thresholds restate nothing: each reads its library declaration."""
+        defaults = RunConfig()
+        assert defaults.fusion_config() == FusionConfig()
+        for key, domain in DOMAINS.items():
+            if key.startswith("model."):
+                name = key.removeprefix("model.")
+                assert (domain.lo, domain.above) == (FLOORS.get(name, 1),
+                                                     False), key
+        eval_args = build_parser().parse_args(["eval", "--pred", "p",
+                                               "--ref", "r"])
+        assert _parse_thresholds(eval_args.thresholds) == DEFAULT_THRESHOLDS
+        assert defaults.sim_contrast == DEFAULT_CONTRAST
+        assert defaults.scene_background == SceneConfig.background
+        assert defaults.eval_err_threshold == DEFAULT_AGE_THRESHOLD
 
     @pytest.mark.parametrize("value, inside", [
         (1, True), (65536, True), (0, False), (65537, False)])

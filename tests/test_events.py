@@ -119,6 +119,27 @@ class TestParsing:
                 65536, 65536, 0, 2**64 - 1)
             assert [back[i] for i in range(2)] == [stream[0], stream[1]]
 
+    @pytest.mark.parametrize("field, error", [
+        ("width", GeometryViolation), ("height", GeometryViolation),
+        ("t_start", NonMonotonicHeader), ("t_end", NonMonotonicHeader)])
+    def test_header_field_that_is_not_an_integer_rejected(self, field, error):
+        """width=4.0 was kept: its EVB1 export raised struct.error, and its
+        CSV export wrote a header that the parser rejects."""
+        header = {"width": 4, "height": 4, "t_start": 0, "t_end": 10,
+                  field: 4.0}
+        with pytest.raises(error, match=f"^{field} = 4.0 is not an integer"):
+            EventStream.from_events([], **header)
+
+    def test_numpy_integer_header_round_trips(self):
+        stream = EventStream.from_events(
+            [Event(1, 2, 5, 1)], np.int64(4), np.uint16(3), np.uint64(0),
+            np.int64(10))
+        for fmt in ("csv", "evbin"):
+            back = parse_event_stream(serialize_event_stream(stream, fmt), fmt)
+            assert (back.width, back.height, back.t_start, back.t_end) == (
+                4, 3, 0, 10)
+            assert back[0] == stream[0]
+
     def test_evbin_nonzero_pad_rejected(self):
         rng = np.random.default_rng(0)
         blob = bytearray(serialize_event_stream(random_stream(rng, n=3), "evbin"))

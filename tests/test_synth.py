@@ -84,9 +84,34 @@ class TestRender:
         blob(np.nan, 4), blob(4, 4, vx=np.inf), blob(4, 4, size=np.inf),
         blob(4, 4, intensity=np.nan)])
     def test_non_finite_object_rejected(self, obj):
-        with pytest.raises(DegenerateScene, match="non-finite"):
+        with pytest.raises(DegenerateScene,
+                           match=r" = (nan|inf) is outside its domain"):
             SceneConfig(width=8, height=8, duration_us=100_000, fps=24,
                         objects=[obj])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("obj, name", [
+        (blob(4, 4, size=1e300), "size"),
+        (blob(4, 4, size=1e-300), "size"),
+        (blob(4, 4, intensity=1e300), "intensity"),
+        (blob(1e300, 4), "x"),
+        (SceneObject("textured_square", (4, 4), (1e300, 0), 2.0, 1.0), "vx"),
+        (SceneObject("textured_square", (4, 4), (2e6, 0), 2.0, 1.0), "vx"),
+        (SceneObject("textured_square", (4, 4), (0, -1e6), 2.0, 1.0),
+         "y at the scene's end"),
+        (SceneObject("gaussian_blob", (np.float64(-np.inf), 4.0),
+                     (np.float64(np.inf), 0.0), 2.0, 1.0), "x"),
+    ])
+    def test_object_outside_its_domain_rejected(self, obj, name):
+        """The config's object domains hold for a library scene too: a
+        size of 1e300 overflowed in _rasterize, 1e-300 divided by zero
+        there, and an intensity of 1e300 simulated no event. An end of
+        numpy -inf + inf is a NaN, not a RuntimeWarning."""
+        with pytest.raises(DegenerateScene, match=f"^{name} = ") as info:
+            SceneConfig(width=8, height=8, duration_us=100_000, fps=24,
+                        objects=[obj])
+        domain = synth.OBJECT_DOMAINS[name.split()[0]]
+        assert str(info.value).endswith(f" is outside its domain {domain}")
 
     @pytest.mark.parametrize("times", [[0, 2000, 1000], [1000, 0, 2000],
                                        [0, 0, 1000]])

@@ -1277,13 +1277,28 @@ class TestTrackFileFormat:
         with pytest.raises(GridMismatch, match="query 1 at step 2"):
             serialize_track_set(ts)
 
-    @pytest.mark.parametrize("times", [[], [0, 0], [10, 5]])
+    @pytest.mark.parametrize("field, value", [
+        ("x", np.nan), ("y", -np.inf), ("v", np.inf)])
+    def test_non_finite_field_rejected_at_construction(self, field, value):
+        """A NaN position once reached MetricReport.to_json and raised a
+        builtin ValueError there."""
+        positions, visibility = np.zeros((2, 3, 2)), np.ones((2, 3))
+        if field == "v":
+            visibility[1, 2] = value
+        else:
+            positions[1, 2, "xy".index(field)] = value
+        with pytest.raises(GridMismatch, match=r"query 1 at step 2 \(t = 20 us"):
+            TrackSet(times=np.array([0, 10, 20]), positions=positions,
+                     visibility=visibility)
+
+    @pytest.mark.parametrize("times", [[], [0, 0], [10, 5], [0, 0, 5]])
     def test_writer_refuses_what_the_parser_rejects(self, times):
-        ts = TrackSet(times=np.array(times, dtype=np.int64),
-                      positions=np.zeros((1, len(times), 2)),
-                      visibility=np.ones((1, len(times))))
+        """TrackSet holds the rules, so the set is never built: an EvalPair
+        on times [0, 0, 5] once scored FA 1.0."""
         with pytest.raises(GridMismatch, match="strictly increasing"):
-            serialize_track_set(ts)
+            TrackSet(times=np.array(times, dtype=np.int64),
+                     positions=np.zeros((1, len(times), 2)),
+                     visibility=np.ones((1, len(times))))
 
     def test_missing_header_rejected(self):
         with pytest.raises(GridMismatch):
