@@ -250,6 +250,11 @@ class Timeline:
         qset = set(self.query_times)
         if not all(ft in qset for ft in self.frame_times):
             raise MalformedRecord("every frame time must land on the query grid")
+        try:
+            object.__setattr__(self, "exposure_us", operator.index(self.exposure_us))
+        except TypeError:
+            raise MalformedRecord(f"exposure_us = {self.exposure_us!r} is not "
+                                  f"an integer") from None
         if self.exposure_us <= 0:
             raise MalformedRecord("exposure_us must be positive")
 

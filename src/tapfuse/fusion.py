@@ -32,9 +32,11 @@ One rule makes those rows the dense computation's bit for bit, at every
 width: every product whose rows are tokens is _tiled, so each row's result
 depends on that row alone. A plain product would not do: BLAS kernels
 round a row differently by the operand's row count and the row's place in
-their blocking (on OpenBLAS's Haswell kernels, at d = 17, 65 or 100, with
-1, 2 or 17 keys, or for a lone row, which matmul multiplies on its vector
-path).
+their blocking. On numpy's OpenBLAS 0.3.31 and an AVX-512 Xeon, a lone row
+(which matmul multiplies on its vector path) rounds apart at every width
+tried under the SkylakeX kernels, and 2 rows do at d = 17, 65 and 100;
+under the Haswell kernels, which OpenBLAS also runs for Zen, 1 or 17 rows
+do at every width tried.
 """
 
 from __future__ import annotations
@@ -170,9 +172,9 @@ def _residual_out(x, read, wo, bo):
 
 
 # rows per tile: a row's place in a tile must not change its bits either.
-# OpenBLAS's Haswell kernels round 4 rows of a 64-row tile apart at many
-# widths, and of a 48-row tile at 2 threads; no row of a 24-row tile, at
-# 1 to 4 threads (every k <= 129 and n <= 299, and some wider)
+# The SkylakeX kernels round rows of a 64-row tile apart at 2 threads. With
+# 24-row tiles the row-stability tests in test_fusion.py pass under the
+# SkylakeX, Haswell, Zen and Sandybridge kernels at 1 and 2 threads
 _TILE = 24
 
 

@@ -18,6 +18,7 @@ whole video.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -37,6 +38,11 @@ from .tracker import TrackSet
 DEFAULT_CONTRAST = 0.2
 # an intensity above 1e6 is beyond an event sensor's 120 dB dynamic range
 MAX_INTENSITY = 1e6
+# frame and query times are whole microseconds, so above 1 MHz two steps
+# would share a time
+MAX_RATE_HZ = 1e6
+# event times are int64 microseconds; 1e18 us is some 31,700 years
+MAX_DURATION_US = 10**18
 
 # the frames a rendered video holds at once while it is iterated: at most
 # this many bytes, and at least one frame. Chunks of 1 to 32 frames of
@@ -99,6 +105,13 @@ class Domain:
         return f"{'>' if self.above else '>='} {self.lo:g}"
 
 
+# the scene's own fields; the sides and the duration are integers too
+SCENE_DOMAINS = {"width": Domain(1, MAX_SENSOR_SIDE),
+                 "height": Domain(1, MAX_SENSOR_SIDE),
+                 "duration_us": Domain(1, MAX_DURATION_US),
+                 "fps": Domain(0, MAX_RATE_HZ, above=True),
+                 "background": Domain(0, MAX_INTENSITY, above=True)}
+
 # the fields of a scene object after its shape. A position (x, y, px)
 # stays within one largest sensor side of the sensor at the start and at
 # the end of the scene, so at every time between; a velocity (vx, vy, px/s)
@@ -138,9 +151,19 @@ class SceneConfig:
     background: float = 1.0
 
     def __post_init__(self):
-        """Object fields, and the position at the end, lie in OBJECT_DOMAINS."""
-        if not self.background > 0:
-            raise DegenerateScene("background intensity must be positive")
+        """Fields lie in SCENE_DOMAINS, with at least 2 frames; object
+        fields, and the position at the end, lie in OBJECT_DOMAINS."""
+        for name, domain in SCENE_DOMAINS.items():
+            value = getattr(self, name)
+            if name in ("width", "height", "duration_us") and not isinstance(
+                    value, numbers.Integral):
+                raise DegenerateScene(f"{name} = {value!r} must be an integer")
+            if value not in domain:
+                raise DegenerateScene(f"{name} = {value} is outside its "
+                                      f"domain {domain}")
+        if self.n_frames < 2:
+            raise DegenerateScene(f"duration_us = {self.duration_us} at fps = "
+                                  f"{self.fps:g} gives fewer than 2 frames")
         for obj in self.objects:
             with np.errstate(over="ignore", invalid="ignore"):  # inf is outside
                 end = obj.position_at(self.duration_us)
@@ -149,10 +172,15 @@ class SceneConfig:
             for name, value in zip(names, values):
                 domain = OBJECT_DOMAINS[name.split()[0]]
                 if value not in domain:
-                    raise DegenerateScene(f"{name} = {value:g} is outside its "
-                                          f"domain {domain}")
+                    raise DegenerateScene(f"object {name} = {value:g} is "
+                                          f"outside its domain {domain}")
             if obj.shape not in ("gaussian_blob", "textured_square"):
-                raise DegenerateScene(f"unknown shape {obj.shape!r}")
+                raise DegenerateScene(f"object unknown shape {obj.shape!r}")
+
+    @property
+    def n_frames(self) -> int:
+        """fps * duration_us / 1e6 rounded, in Python numbers (no overflow)."""
+        return round(float(self.fps) * int(self.duration_us) / 1e6)
 
 
 def _box(center: float, reach: float, side: int) -> tuple[int, int]:
@@ -278,10 +306,8 @@ def render_intensity_video(config: SceneConfig,
     Ground truth is sampled on query_times when given (must contain the
     frame grid or be denser), else on the frame grid itself.
     """
-    n_frames = int(round(config.fps * config.duration_us / 1e6))
-    if n_frames < 2:
-        raise DegenerateScene("need at least 2 frames (fps * duration >= 2)")
-    frame_times = np.round(np.arange(n_frames) * 1e6 / config.fps).astype(np.int64)
+    frame_times = np.round(np.arange(config.n_frames) * 1e6
+                           / config.fps).astype(np.int64)
     gt_times = np.asarray(query_times if query_times is not None else frame_times,
                           dtype=np.int64)
     return _SceneVideo(config, frame_times), _ground_truth(config, gt_times)

@@ -10,6 +10,7 @@ the state and the untrained tracker is an identity tracker.
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass, fields
 
@@ -41,14 +42,22 @@ class FusionConfig:
 
     def __post_init__(self):
         """Reject an empty width, grid or loop: each field, each of the 3
-        decoder channel counts too, must be >= FLOORS.get(name, 1)."""
+        decoder channel counts too, must be an integer, kept as an int,
+        >= FLOORS.get(name, 1)."""
         if len(self.decoder_channels) != 3:
             raise ShapeMismatch(f"FusionConfig.decoder_channels = "
                                 f"{self.decoder_channels}: 3 levels needed")
         for f in fields(self):
             low = FLOORS.get(f.name, 1)
             value = getattr(self, f.name)
-            if min(value if isinstance(value, tuple) else (value,)) < low:
+            many = isinstance(value, tuple)
+            try:
+                ints = tuple(map(operator.index, value if many else (value,)))
+            except TypeError:
+                raise ShapeMismatch(f"FusionConfig.{f.name} = {value!r} is not "
+                                    f"an integer") from None
+            object.__setattr__(self, f.name, ints if many else ints[0])
+            if min(ints) < low:
                 raise ShapeMismatch(
                     f"FusionConfig.{f.name} = {value}: this width, size or "
                     f"iteration count must be >= {low}")

@@ -1,3 +1,4 @@
+import re
 import struct
 import tracemalloc
 
@@ -135,6 +136,25 @@ def test_index_outside_the_video_is_data_error_naming_it(tmp_path, indices,
     with pytest.raises(DataError, match=message) as info:
         read_frames(path, indices)
     assert type(info.value) is DataError
+
+
+@pytest.mark.parametrize("indices", [[0.5], [0, np.float64(16.0)], ["1"]])
+def test_index_that_is_not_an_integer_is_data_error_naming_it(tmp_path,
+                                                               indices):
+    """0.5 raised a TypeError from seek."""
+    path = tmp_path / "video.tns"
+    path.write_bytes(GOOD_VIDEO)
+    message = re.escape(f"frame index {indices[-1]!r} is not an integer")
+    with pytest.raises(DataError, match=message) as info:
+        read_frames(path, indices)
+    assert type(info.value) is DataError
+
+
+def test_indices_are_read_in_their_order(tmp_path):
+    path = tmp_path / "video.tns"
+    path.write_bytes(GOOD_VIDEO)
+    indices = [np.int64(7), 3, 7, 0]
+    assert read_frames(path, indices).tobytes() == VIDEO[[7, 3, 7, 0]].tobytes()
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

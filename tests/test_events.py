@@ -394,6 +394,21 @@ def test_timeline_times_outside_the_int64_range_rejected(frame_times,
                  exposure_us=3)
 
 
+@pytest.mark.parametrize("exposure_us", [1.5, "5"])
+def test_timeline_exposure_that_is_not_an_integer_rejected(exposure_us):
+    """1.5 was accepted, and on events at t = 9 and 10 the exposure window
+    of the frame at 10 became (8.5, 10]; "5" raised a TypeError."""
+    with pytest.raises(MalformedRecord,
+                       match=f"exposure_us = {exposure_us!r} is not an integer"):
+        Timeline(frame_times=[10], query_times=[10], exposure_us=exposure_us)
+
+
+def test_timeline_exposure_of_a_numpy_integer_is_kept_as_an_int():
+    timeline = Timeline(frame_times=[10], query_times=[10],
+                        exposure_us=np.int64(5))
+    assert type(timeline.exposure_us) is int and timeline.exposure_us == 5
+
+
 def test_exposure_window_of_a_negative_frame_time_rejected():
     stream = EventStream.from_events([Event(0, 0, 1, 1)], 4, 4, 0, 10)
     with pytest.raises(EmptyTimeline, match="frame_time -4"):

@@ -357,14 +357,16 @@ class TestPyramidDecoder:
 
     def test_matches_manual_composition(self):
         """Upsampled, the levels equal the full-resolution decoder:
-        nearest-neighbour 2x upsampling, then the channel mix."""
+        nearest-neighbour 2x upsampling, then the channel mix. The oracle
+        mixes with _tiled, whose rows do not depend on the BLAS kernel's
+        blocking of the product, as a plain (3, 3, 8) @ (8, C) does."""
         rng = np.random.default_rng(20)
         weights = small_weights(seed=21, d=8)
         x = rng.normal(size=(3, 3, 8))
         pyr = decode_pyramid(x[None], weights)
-        l0 = x @ weights["dec.w0"] + weights["dec.b0"]
-        l1 = upsample(l0, 2) @ weights["dec.w1"] + weights["dec.b1"]
-        l2 = upsample(l1, 2) @ weights["dec.w2"] + weights["dec.b2"]
+        l0 = _tiled(x, weights["dec.w0"], weights["dec.b0"])
+        l1 = _tiled(upsample(l0, 2), weights["dec.w1"], weights["dec.b1"])
+        l2 = _tiled(upsample(l1, 2), weights["dec.w2"], weights["dec.b2"])
         for lvl, want in enumerate((l0, l1, l2)):
             assert np.array_equal(upsample(pyr[lvl][0], 2 ** lvl), want)
 
@@ -1100,6 +1102,22 @@ class TestWeightIO:
         FusionConfig(**{name: floor})
         with pytest.raises(ShapeMismatch, match=rf"FusionConfig\.{name} = "):
             FusionConfig(**{name: below})
+
+    @pytest.mark.parametrize("kw", [dict(d=8.5), dict(d="8"),
+                                    dict(decoder_channels=(8, 4.0, 2))])
+    def test_config_field_that_is_not_an_integer_is_shape_mismatch(self, kw):
+        """d = 8.5 was accepted and initialize raised a TypeError; "8"
+        raised a TypeError from the floor comparison."""
+        name, = kw
+        with pytest.raises(ShapeMismatch,
+                           match=rf"FusionConfig\.{name} = .* is not an integer"):
+            FusionConfig(**kw)
+
+    def test_numpy_integer_fields_are_kept_as_ints(self):
+        cfg = FusionConfig(d=np.int64(8), decoder_channels=(np.int64(8), 4, 2))
+        assert cfg == FusionConfig(d=8, decoder_channels=(8, 4, 2))
+        assert type(cfg.d) is int and type(cfg.decoder_channels[0]) is int
+        WeightBundle.initialize(cfg, seed=0)
 
 
 TINY_TFW = save_weights(WeightBundle(

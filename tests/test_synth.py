@@ -107,11 +107,44 @@ class TestRender:
         size of 1e300 overflowed in _rasterize, 1e-300 divided by zero
         there, and an intensity of 1e300 simulated no event. An end of
         numpy -inf + inf is a NaN, not a RuntimeWarning."""
-        with pytest.raises(DegenerateScene, match=f"^{name} = ") as info:
+        with pytest.raises(DegenerateScene, match=f"^object {name} = ") as info:
             SceneConfig(width=8, height=8, duration_us=100_000, fps=24,
                         objects=[obj])
         domain = synth.OBJECT_DOMAINS[name.split()[0]]
         assert str(info.value).endswith(f" is outside its domain {domain}")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("field, value, name", [
+        ("width", 0, "width"), ("width", 8.5, "width"),
+        ("height", 70000, "height"),
+        ("duration_us", -5, "duration_us"),
+        ("duration_us", 1.5e5, "duration_us"),
+        ("fps", np.nan, "fps"), ("fps", 0, "fps"), ("fps", 2e6, "fps"),
+        ("background", 0.0, "background"),
+        ("background", 1e300, "background"),
+        # 10 fps for 0.1 s: one frame
+        ("fps", 10.0, "duration_us"),
+    ])
+    def test_scene_field_outside_its_domain_rejected(self, field, value,
+                                                     name):
+        """The config's scene domains and two-frame rule hold for a library
+        scene too, when it is built: a width of 0 divided by zero, 8.5
+        raised a TypeError, a NaN fps a ValueError, and a background of
+        1e300 simulated no event."""
+        scene = dict(width=8, height=8, duration_us=100_000, fps=24,
+                     objects=[blob(4, 4)])
+        with pytest.raises(DegenerateScene, match=f"^{name} = ") as info:
+            SceneConfig(**{**scene, field: value})
+        domain = synth.SCENE_DOMAINS[field]
+        if value not in domain:
+            assert str(info.value).endswith(f" is outside its domain {domain}")
+
+    def test_numpy_integer_sides_and_duration_accepted(self):
+        cfg = SceneConfig(width=np.int64(8), height=np.uint16(6),
+                          duration_us=np.int64(100_000), fps=24,
+                          objects=[blob(4, 4)])
+        video, _ = render_intensity_video(cfg)
+        assert cfg.n_frames == 2 and video.frames.shape == (2, 6, 8)
 
     @pytest.mark.parametrize("times", [[0, 2000, 1000], [1000, 0, 2000],
                                        [0, 0, 1000]])
