@@ -8,14 +8,13 @@ record; a TFW1 weights file holds one record per named parameter.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import struct
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, MalformedRecord
+from .errors import DataError, Domain, MalformedRecord
 
 TNS_MAGIC = b"TNS1"
 
@@ -101,8 +100,8 @@ def read_frames(path: str | os.PathLike, indices: Sequence[int]
     """The frames at indices, in their order, of the (T, H, W) video in the
     TNS1 file at path. The header and the file's length are checked first;
     then only those frames' bytes are read. A video of another rank, no
-    index, an index that is not an integer or is outside 0..T-1, or a
-    non-finite value in a frame read raises DataError."""
+    index, an index that is not an integer in 0..T-1, or a non-finite
+    value in a frame read raises DataError."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         dims, at = tns_header(f.read(MAX_HEADER), size)
@@ -111,16 +110,8 @@ def read_frames(path: str | os.PathLike, indices: Sequence[int]
         n, height, width = dims
         if not len(indices):
             raise DataError("no frame index was asked for")
-        for i in indices:
-            try:
-                operator.index(i)
-            except TypeError:
-                raise DataError(f"frame index {i!r} is not an "
-                                f"integer") from None
-        bad = [i for i in indices if not 0 <= i < n]
-        if bad:
-            raise DataError(f"frames container holds {n} frames, frame "
-                            f"{bad[0]} was asked for")
+        index = Domain(0, n - 1, integer=True)
+        indices = [index.check("frame index", i, DataError) for i in indices]
         frames = np.empty((len(indices), height, width), dtype="<f8")
         for frame, i in zip(frames, indices):
             f.seek(at + i * frame.nbytes)

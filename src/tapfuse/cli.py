@@ -21,7 +21,7 @@ import numpy as np
 
 from . import arrayio
 from .config import RunConfig, load_run_config
-from .errors import ConfigError, ContractError, DataError, TapfuseError
+from .errors import ConfigError, ContractError, DataError, Domain, TapfuseError
 from .events import (
     EventStream,
     bin_events,
@@ -237,7 +237,7 @@ def _parse_query(text: str) -> QueryPoint:
 def _parse_thresholds(text: str) -> tuple[float, ...]:
     try:
         thresholds = tuple(float(t) for t in text.split(","))
-        if not all(math.isfinite(t) and t > 0 for t in thresholds):
+        if not all(t in Domain(0, above=True) for t in thresholds):
             raise ValueError("thresholds must be finite and positive")
     except ValueError as exc:
         raise ConfigError(f"--thresholds must be comma-separated numbers: "

@@ -14,11 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
-from .errors import ConfigError, DegenerateScene
-from .events import Timeline
+from .errors import ConfigError, DegenerateScene, Domain
+from .events import TIMELINE_DOMAINS, Timeline
 from .metrics import DEFAULT_AGE_THRESHOLD
-from .synth import DEFAULT_CONTRAST, SCENE_DOMAINS, Domain, SceneConfig, SceneObject
-from .weights import FLOORS, FusionConfig
+from .synth import DEFAULT_CONTRAST, SCENE_DOMAINS, SceneConfig, SceneObject
+from .weights import FUSION_DOMAINS, FusionConfig
 
 
 def _setting(default, domain: Domain):
@@ -26,8 +26,8 @@ def _setting(default, domain: Domain):
 
 
 def _model(name: str):
-    """The model.<name> setting: FusionConfig's default and floor."""
-    return _setting(getattr(FusionConfig, name), Domain(FLOORS.get(name, 1)))
+    """The model.<name> setting: FusionConfig's default and domain."""
+    return _setting(getattr(FusionConfig, name), FUSION_DOMAINS[name])
 
 
 # random objects start at least this far inside the sensor, px
@@ -46,7 +46,7 @@ class RunConfig:
     # ground truth tests each object for occlusion by every later one at
     # every query step, so the work grows as n**2: 100 objects are ~5,000
     # tests a step
-    scene_n_random_objects: int = _setting(2, Domain(0, 100))
+    scene_n_random_objects: int = _setting(2, Domain(0, 100, integer=True))
     scene_objects: list[SceneObject] = field(default_factory=list)
     # event simulation
     # events grow as 1/contrast: 0.01 gives 27x the events of 0.2 on the
@@ -55,7 +55,7 @@ class RunConfig:
     # timeline: a rate's domain is scene.fps's, at most one step per us
     timeline_query_hz: float = _setting(48.0, SCENE_DOMAINS["fps"])
     timeline_frame_hz: float = _setting(12.0, SCENE_DOMAINS["fps"])
-    timeline_exposure_us: int = _setting(4_000, Domain(1))
+    timeline_exposure_us: int = _setting(4_000, TIMELINE_DOMAINS["exposure_us"])
     # model hyperparameters
     model_d: int = _model("d")
     model_patch: int = _model("patch")
@@ -65,8 +65,8 @@ class RunConfig:
     model_patch_radius: int = _model("patch_radius")
     model_iterations: int = _model("iterations")
     # misc
-    seed: int = _setting(0, Domain(0))
-    bench_n_events: int = _setting(1_000_000, Domain(1))
+    seed: int = _setting(0, Domain(0, integer=True))
+    bench_n_events: int = _setting(1_000_000, Domain(1, integer=True))
     eval_err_threshold: float = _setting(DEFAULT_AGE_THRESHOLD, Domain(0))
 
     def fusion_config(self) -> FusionConfig:
@@ -116,9 +116,7 @@ class RunConfig:
         """Raise ConfigError naming the first key outside its domain or the
         first broken rule between keys; return self otherwise."""
         for key, domain in DOMAINS.items():
-            if self._get(key) not in domain:
-                raise ConfigError(f"{key} = {self._get(key)} is outside its domain "
-                                  f"{domain}")
+            domain.check(key, self._get(key), ConfigError)
         self._multiple("timeline.query_hz", "timeline.frame_hz")
         self._multiple("scene.fps", "timeline.query_hz")
         for key in ("scene.width", "scene.height"):

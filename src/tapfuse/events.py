@@ -13,7 +13,6 @@ anywhere in this module.
 from __future__ import annotations
 
 import io
-import operator
 import re
 import struct
 from dataclasses import dataclass
@@ -24,6 +23,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     EmptyTimeline,
+    Domain,
     GeometryViolation,
     MalformedRecord,
     NonMonotonicHeader,
@@ -36,6 +36,15 @@ MAX_SENSOR_SIDE = 65536
 EVBIN_RECORD = np.dtype([
     ("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "i1"), ("pad", "u1", 3),
 ])
+# a stream header field's domain, and the error it raises outside it
+_SIDE = (Domain(1, MAX_SENSOR_SIDE, integer=True), GeometryViolation)
+_U64 = (Domain(0, 2**64 - 1, integer=True), NonMonotonicHeader)
+HEADER_DOMAINS = {"width": _SIDE, "height": _SIDE,
+                  "t_start": _U64, "t_end": _U64}
+# a frame or query time is searched for among the u64 event times and held
+# as int64; an exposure window holds at least 1 us
+TIMELINE_DOMAINS = {"time": Domain(0, 2**63 - 1, integer=True),
+                    "exposure_us": Domain(1, integer=True)}
 
 
 class Event(NamedTuple):
@@ -118,9 +127,9 @@ class EventStream:
     """A canonically sorted event stream with mandatory sensor geometry.
 
     Columns are stored as parallel numpy arrays: t (uint64 microseconds),
-    x/y (uint16), p (int8, values -1/+1). The header fields are integers,
-    numpy ones too: each side is 1..MAX_SENSOR_SIDE px and
-    0 <= t_start <= t_end <= 2**64 - 1. Columns already in (t, y, x, p)
+    x/y (uint16), p (int8, values -1/+1). Each header field lies in its
+    HEADER_DOMAINS entry, numpy integers too, and is kept as an int, and
+    t_start <= t_end. Columns already in (t, y, x, p)
     order, which _is_canonical checks a block of neighbouring pairs at a
     time in place, are kept as given, and their time range is checked
     from t[0] and t[-1]. Others are sorted on one u64 key
@@ -139,27 +148,12 @@ class EventStream:
     t_end: int
 
     def __post_init__(self):
-        for name, error in (("width", GeometryViolation),
-                            ("height", GeometryViolation),
-                            ("t_start", NonMonotonicHeader),
-                            ("t_end", NonMonotonicHeader)):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError as exc:
-                raise error(f"{name} = {value!r} is not an integer") from exc
+        for name, (domain, error) in HEADER_DOMAINS.items():
+            object.__setattr__(self, name,
+                               domain.check(name, getattr(self, name), error))
         if self.t_end < self.t_start:
             raise NonMonotonicHeader(
                 f"t_end={self.t_end} < t_start={self.t_start}")
-        if self.t_start < 0 or self.t_end > 2**64 - 1:
-            raise NonMonotonicHeader(
-                f"[t_start, t_end] = [{self.t_start}, {self.t_end}] is "
-                f"outside the u64 range [0, 2**64 - 1]")
-        if not (1 <= self.width <= MAX_SENSOR_SIDE
-                and 1 <= self.height <= MAX_SENSOR_SIDE):
-            raise GeometryViolation(
-                f"{self.width}x{self.height} sensor: each side must be "
-                f"1..{MAX_SENSOR_SIDE} px")
         object.__setattr__(self, "t", np.asarray(self.t, dtype=np.uint64))
         object.__setattr__(self, "x", np.asarray(self.x, dtype=np.uint16))
         object.__setattr__(self, "y", np.asarray(self.y, dtype=np.uint16))
@@ -230,33 +224,28 @@ class EventBatch:
 
 @dataclass(frozen=True)
 class Timeline:
-    """Frame arrival times and the denser tracker query-time grid."""
+    """Frame arrival times and the denser tracker query-time grid, each
+    time and the exposure in TIMELINE_DOMAINS, numpy integers kept as ints."""
 
     frame_times: Sequence[int]
     query_times: Sequence[int]
     exposure_us: int
 
     def __post_init__(self):
-        object.__setattr__(self, "frame_times", tuple(int(t) for t in self.frame_times))
-        object.__setattr__(self, "query_times", tuple(int(t) for t in self.query_times))
-        if not all(0 <= t < 2**63 for t in self.frame_times + self.query_times):
-            raise MalformedRecord("frame and query times must lie in [0, 2**63)")
-        if any(b <= a for a, b in zip(self.frame_times, self.frame_times[1:])):
-            raise MalformedRecord("frame_times must be strictly ascending")
-        if any(b <= a for a, b in zip(self.query_times, self.query_times[1:])):
-            raise MalformedRecord("query_times must be strictly ascending")
+        time, exposure = TIMELINE_DOMAINS.values()
+        for name in ("frame_times", "query_times"):
+            times = tuple(time.check(name[:-1], t, MalformedRecord)
+                          for t in getattr(self, name))
+            if any(b <= a for a, b in zip(times, times[1:])):
+                raise MalformedRecord(f"{name} must be strictly ascending")
+            object.__setattr__(self, name, times)
+        object.__setattr__(self, "exposure_us", exposure.check(
+            "exposure_us", self.exposure_us, MalformedRecord))
         if len(self.frame_times) > len(self.query_times):
             raise MalformedRecord("query grid must be at least as dense as frames")
         qset = set(self.query_times)
         if not all(ft in qset for ft in self.frame_times):
             raise MalformedRecord("every frame time must land on the query grid")
-        try:
-            object.__setattr__(self, "exposure_us", operator.index(self.exposure_us))
-        except TypeError:
-            raise MalformedRecord(f"exposure_us = {self.exposure_us!r} is not "
-                                  f"an integer") from None
-        if self.exposure_us <= 0:
-            raise MalformedRecord("exposure_us must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +325,7 @@ def _parse_csv(source: bytes) -> EventStream:
         pos, lineno = eol + 1, lineno + 1
     if spaced:
         source = _LINE_INDENT.sub(b"", source)
-    missing = {"width", "height", "t_start", "t_end"} - set(header)
+    missing = set(HEADER_DOMAINS) - set(header)
     if missing:
         raise MalformedRecord(f"missing header keys: {sorted(missing)}")
     rec = np.zeros(0, dtype=_CSV_RECORD)
@@ -454,9 +443,8 @@ def exposure_window_events(stream: EventStream, frame_time: int,
                            exposure_us: int) -> EventBatch:
     """Events in the exposure window (frame_time - exposure_us, frame_time],
     the same (a, b] cut as bin_events. A window that starts below 0 holds
-    the events at t = 0."""
-    if exposure_us <= 0:
-        raise EmptyTimeline("exposure_us must be positive")
-    if not 0 <= frame_time < 2**63:
-        raise EmptyTimeline(f"frame_time {frame_time} is outside [0, 2**63)")
+    the events at t = 0. Both arguments lie in TIMELINE_DOMAINS."""
+    time, exposure = TIMELINE_DOMAINS.values()
+    frame_time = time.check("frame_time", frame_time, EmptyTimeline)
+    exposure_us = exposure.check("exposure_us", exposure_us, EmptyTimeline)
     return _cut(stream, [frame_time - exposure_us, frame_time])[0]

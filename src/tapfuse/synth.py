@@ -18,7 +18,6 @@ whole video.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -27,6 +26,7 @@ import numpy as np
 
 from .errors import (
     DegenerateScene,
+    Domain,
     EmptyWindow,
     GeometryViolation,
     NonPositiveIntensity,
@@ -83,32 +83,10 @@ class IntensityVideo:
         yield self.frame_times, self.frames
 
 
-@dataclass(frozen=True)
-class Domain:
-    """lo <= value <= hi (lo < value when above); floats must be finite."""
-
-    lo: float
-    hi: float = math.inf
-    above: bool = False
-
-    def __contains__(self, value) -> bool:
-        if isinstance(value, float) and not math.isfinite(value):
-            return False
-        return value <= self.hi and (value > self.lo if self.above
-                                     else value >= self.lo)
-
-    def __str__(self) -> str:
-        if self.hi < math.inf:
-            if self.above:
-                return f"> {self.lo:g} and <= {self.hi:g}"
-            return f"{self.lo:g}..{self.hi:g}"
-        return f"{'>' if self.above else '>='} {self.lo:g}"
-
-
-# the scene's own fields; the sides and the duration are integers too
-SCENE_DOMAINS = {"width": Domain(1, MAX_SENSOR_SIDE),
-                 "height": Domain(1, MAX_SENSOR_SIDE),
-                 "duration_us": Domain(1, MAX_DURATION_US),
+# the scene's own fields
+SCENE_DOMAINS = {"width": Domain(1, MAX_SENSOR_SIDE, integer=True),
+                 "height": Domain(1, MAX_SENSOR_SIDE, integer=True),
+                 "duration_us": Domain(1, MAX_DURATION_US, integer=True),
                  "fps": Domain(0, MAX_RATE_HZ, above=True),
                  "background": Domain(0, MAX_INTENSITY, above=True)}
 
@@ -151,29 +129,22 @@ class SceneConfig:
     background: float = 1.0
 
     def __post_init__(self):
-        """Fields lie in SCENE_DOMAINS, with at least 2 frames; object
-        fields, and the position at the end, lie in OBJECT_DOMAINS."""
+        """Fields lie in SCENE_DOMAINS with at least 2 frames, and object
+        fields and end positions in OBJECT_DOMAINS, or DegenerateScene."""
         for name, domain in SCENE_DOMAINS.items():
-            value = getattr(self, name)
-            if name in ("width", "height", "duration_us") and not isinstance(
-                    value, numbers.Integral):
-                raise DegenerateScene(f"{name} = {value!r} must be an integer")
-            if value not in domain:
-                raise DegenerateScene(f"{name} = {value} is outside its "
-                                      f"domain {domain}")
+            object.__setattr__(self, name, domain.check(
+                name, getattr(self, name), DegenerateScene))
         if self.n_frames < 2:
             raise DegenerateScene(f"duration_us = {self.duration_us} at fps = "
                                   f"{self.fps:g} gives fewer than 2 frames")
         for obj in self.objects:
-            with np.errstate(over="ignore", invalid="ignore"):  # inf is outside
-                end = obj.position_at(self.duration_us)
-            values = (*obj.position, *obj.velocity, obj.size, obj.intensity, *end)
-            names = (*OBJECT_DOMAINS, "x at the scene's end", "y at the scene's end")
-            for name, value in zip(names, values):
-                domain = OBJECT_DOMAINS[name.split()[0]]
-                if value not in domain:
-                    raise DegenerateScene(f"object {name} = {value:g} is "
-                                          f"outside its domain {domain}")
+            values = (*obj.position, *obj.velocity, obj.size, obj.intensity)
+            for name, value in zip(OBJECT_DOMAINS, values):
+                OBJECT_DOMAINS[name].check(f"object {name}", value,
+                                           DegenerateScene)
+            for name, value in zip("xy", obj.position_at(self.duration_us)):
+                OBJECT_DOMAINS[name].check(f"object {name} at the scene's end",
+                                           value, DegenerateScene)
             if obj.shape not in ("gaussian_blob", "textured_square"):
                 raise DegenerateScene(f"object unknown shape {obj.shape!r}")
 
@@ -340,8 +311,7 @@ def simulate_events(video: Iterable[tuple[np.ndarray, np.ndarray]],
     or below it, so for c far above a log's ulp the down pass adds none;
     and the canonical order makes the order of emission irrelevant.
     """
-    if c <= 0:
-        raise DegenerateScene("contrast threshold must be positive")
+    c = Domain(0, above=True).check("contrast", c, DegenerateScene)
     # each interval's (t, x, y, p) columns, in the stream's dtypes
     cols = [(np.zeros(0, np.uint64), np.zeros(0, np.uint16),
              np.zeros(0, np.uint16), np.zeros(0, np.int8))]

@@ -51,6 +51,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import (
+    FINITE,
     GeometryMismatch,
     GridMismatch,
     NonFiniteValue,
@@ -523,7 +524,7 @@ def track_sequence(frames: np.ndarray, stream: EventStream,
     for qi, qp in enumerate(queries):
         if qp.t_q not in qgrid:
             raise QueryOutOfRange(f"query time {qp.t_q} not on the query grid")
-        if not (math.isfinite(qp.x) and math.isfinite(qp.y)):
+        if not (qp.x in FINITE and qp.y in FINITE):
             raise QueryOutOfRange(f"query {qi} at non-finite ({qp.x}, {qp.y})")
 
     frame_at = {t: i for i, t in enumerate(ft)}

@@ -10,18 +10,17 @@ the state and the untrained tracker is an identity tracker.
 
 from __future__ import annotations
 
-import operator
 import struct
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
 from .arrayio import read_tensor_record, span, tensor_record
-from .errors import MalformedRecord, NonFiniteValue, ShapeMismatch
+from .errors import Domain, MalformedRecord, NonFiniteValue, ShapeMismatch
 from .representations import DEFAULT_SUBWINDOWS
 
 TFW_MAGIC = b"TFW1"
-FLOORS = {"radius": 0, "patch_radius": 0, "window": 2}
 
 
 @dataclass(frozen=True)
@@ -41,26 +40,26 @@ class FusionConfig:
     refiner_blocks: int = 2
 
     def __post_init__(self):
-        """Reject an empty width, grid or loop: each field, each of the 3
-        decoder channel counts too, must be an integer, kept as an int,
-        >= FLOORS.get(name, 1)."""
-        if len(self.decoder_channels) != 3:
+        """Each field, and each of 3 decoder channel counts, lies in
+        FUSION_DOMAINS and is kept as an int, or ShapeMismatch."""
+        channels = self.decoder_channels
+        if not (isinstance(channels, tuple) and len(channels) == 3):
             raise ShapeMismatch(f"FusionConfig.decoder_channels = "
-                                f"{self.decoder_channels}: 3 levels needed")
+                                f"{channels!r}: a tuple of 3 levels needed")
         for f in fields(self):
-            low = FLOORS.get(f.name, 1)
             value = getattr(self, f.name)
-            many = isinstance(value, tuple)
-            try:
-                ints = tuple(map(operator.index, value if many else (value,)))
-            except TypeError:
-                raise ShapeMismatch(f"FusionConfig.{f.name} = {value!r} is not "
-                                    f"an integer") from None
-            object.__setattr__(self, f.name, ints if many else ints[0])
-            if min(ints) < low:
-                raise ShapeMismatch(
-                    f"FusionConfig.{f.name} = {value}: this width, size or "
-                    f"iteration count must be >= {low}")
+            check = partial(FUSION_DOMAINS[f.name].check,
+                            f"FusionConfig.{f.name}", error=ShapeMismatch)
+            object.__setattr__(self, f.name, tuple(map(check, value))
+                               if f.name == "decoder_channels" else check(value))
+
+
+# each field's domain: a width, size or count below 1 is empty, a radius
+# may be 0, and the refiner window advances by W // 2 >= 1
+FUSION_DOMAINS = {
+    **{f.name: Domain(1, integer=True) for f in fields(FusionConfig)},
+    "radius": Domain(0, integer=True), "patch_radius": Domain(0, integer=True),
+    "window": Domain(2, integer=True)}
 
 
 def _attention_specs(prefix: str, d: int

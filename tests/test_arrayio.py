@@ -125,8 +125,9 @@ def test_bad_video_keeps_its_error_type(tmp_path, case):
 
 
 @pytest.mark.parametrize("indices, message", [
-    ([], "no frame index"), ([-1], "frame -1 was asked for"),
-    ([0, 96], "frame 96 was asked for")])
+    ([], "no frame index"),
+    ([-1], "frame index = -1 is outside its domain 0..95"),
+    ([0, 96], "frame index = 96 is outside its domain 0..95")])
 def test_index_outside_the_video_is_data_error_naming_it(tmp_path, indices,
                                                          message):
     """An empty list raised IndexError and -1 an OSError from a negative
@@ -144,7 +145,8 @@ def test_index_that_is_not_an_integer_is_data_error_naming_it(tmp_path,
     """0.5 raised a TypeError from seek."""
     path = tmp_path / "video.tns"
     path.write_bytes(GOOD_VIDEO)
-    message = re.escape(f"frame index {indices[-1]!r} is not an integer")
+    message = re.escape(f"frame index = {indices[-1]!r} is outside its "
+                        f"domain 0..95")
     with pytest.raises(DataError, match=message) as info:
         read_frames(path, indices)
     assert type(info.value) is DataError

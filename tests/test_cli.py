@@ -779,11 +779,15 @@ class TestMalformedInputFiles:
         assert "data error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("header, message", [
-        (b"width=32 height=32 t_start=-5 t_end=1000000", "u64 range"),
+        (b"width=32 height=32 t_start=-5 t_end=1000000",
+         "t_start = -5 is outside its domain 0..18446744073709551615"),
         (b"width=32 height=32 t_start=0 t_end=18446744073709551616",
-         "u64 range"),
-        (b"width=-3 height=32 t_start=0 t_end=1000000", "sensor"),
-        (b"width=32 height=4294967296 t_start=0 t_end=1000000", "sensor")])
+         "t_end = 18446744073709551616 is outside its domain "
+         "0..18446744073709551615"),
+        (b"width=-3 height=32 t_start=0 t_end=1000000",
+         "width = -3 is outside its domain 1..65536"),
+        (b"width=32 height=4294967296 t_start=0 t_end=1000000",
+         "height = 4294967296 is outside its domain 1..65536")])
     def test_csv_header_outside_its_range_is_data_error(
             self, tmp_path, small_cfg, header, message, capsys):
         out = self.simulate(tmp_path, small_cfg)

@@ -24,7 +24,7 @@ from tapfuse.config import (
 from tapfuse.errors import ConfigError
 from tapfuse.metrics import DEFAULT_AGE_THRESHOLD, DEFAULT_THRESHOLDS
 from tapfuse.synth import DEFAULT_CONTRAST, OBJECT_DOMAINS, SceneConfig
-from tapfuse.weights import FLOORS, FusionConfig
+from tapfuse.weights import FUSION_DOMAINS, FusionConfig
 
 from test_cli import SMALL_CONFIG, run_cli
 
@@ -47,8 +47,7 @@ class TestDomains:
         for key, domain in DOMAINS.items():
             if key.startswith("model."):
                 name = key.removeprefix("model.")
-                assert (domain.lo, domain.above) == (FLOORS.get(name, 1),
-                                                     False), key
+                assert domain is FUSION_DOMAINS[name], key
         eval_args = build_parser().parse_args(["eval", "--pred", "p",
                                                "--ref", "r"])
         assert _parse_thresholds(eval_args.thresholds) == DEFAULT_THRESHOLDS
@@ -211,7 +210,7 @@ def test_benchmark_magnitudes_stay_valid(contrast, size):
     ("scene.object1 = gaussian_blob, 16, 16, 1e308, 0, 3, 2",
      "scene.object vx = 1e+308 is outside its domain -1e+06..1e+06"),
     ("scene.object1 = gaussian_blob, 16, 16, 0, -2e6, 3, 2",
-     "scene.object vy = -2e+06"),
+     "scene.object vy = -2000000.0 is outside its domain -1e+06..1e+06"),
     ("scene.object1 = gaussian_blob, 1e308, 16, 0, 0, 3, 2",
      "scene.object x = 1e+308 is outside its domain -65536..131072"),
     ("scene.object1 = textured_square, 16, -70000, 0, 0, 3, 2",

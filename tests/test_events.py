@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -127,7 +128,7 @@ class TestParsing:
         CSV export wrote a header that the parser rejects."""
         header = {"width": 4, "height": 4, "t_start": 0, "t_end": 10,
                   field: 4.0}
-        with pytest.raises(error, match=f"^{field} = 4.0 is not an integer"):
+        with pytest.raises(error, match=f"^{field} = 4.0 is outside its domain"):
             EventStream.from_events([], **header)
 
     def test_numpy_integer_header_round_trips(self):
@@ -389,7 +390,8 @@ def test_timeline_times_outside_the_int64_range_rejected(frame_times,
                                                          query_times):
     """bin_events and exposure_window_events search the stream's uint64
     times for these, and track_sequence holds them as int64."""
-    with pytest.raises(MalformedRecord, match=r"\[0, 2\*\*63\)"):
+    with pytest.raises(MalformedRecord, match=r"_time = .* is outside its "
+                       r"domain 0\.\.9223372036854775807$"):
         Timeline(frame_times=frame_times, query_times=query_times,
                  exposure_us=3)
 
@@ -399,8 +401,24 @@ def test_timeline_exposure_that_is_not_an_integer_rejected(exposure_us):
     """1.5 was accepted, and on events at t = 9 and 10 the exposure window
     of the frame at 10 became (8.5, 10]; "5" raised a TypeError."""
     with pytest.raises(MalformedRecord,
-                       match=f"exposure_us = {exposure_us!r} is not an integer"):
+                       match=f"^exposure_us = {exposure_us!r} is outside its "
+                       f"domain >= 1$"):
         Timeline(frame_times=[10], query_times=[10], exposure_us=exposure_us)
+
+
+@pytest.mark.parametrize("frame_times, query_times, name, value", [
+    ([0.5], [0.5, 1.7], "frame_time", 0.5),
+    ([0], [0, 1.7], "query_time", 1.7),
+    ([0], [0, np.float64(2.0)], "query_time", np.float64(2.0)),
+    ([0], [0, "2"], "query_time", "2")])
+def test_timeline_time_that_is_not_an_integer_rejected(frame_times,
+                                                       query_times, name,
+                                                       value):
+    """int(t) truncated the float times 0.5 and 1.7 to (0,) and (0, 1)."""
+    with pytest.raises(MalformedRecord,
+                       match=f"^{name} = {re.escape(repr(value))} is outside"):
+        Timeline(frame_times=frame_times, query_times=query_times,
+                 exposure_us=5)
 
 
 def test_timeline_exposure_of_a_numpy_integer_is_kept_as_an_int():
@@ -411,8 +429,19 @@ def test_timeline_exposure_of_a_numpy_integer_is_kept_as_an_int():
 
 def test_exposure_window_of_a_negative_frame_time_rejected():
     stream = EventStream.from_events([Event(0, 0, 1, 1)], 4, 4, 0, 10)
-    with pytest.raises(EmptyTimeline, match="frame_time -4"):
+    with pytest.raises(EmptyTimeline, match="^frame_time = -4 is outside"):
         exposure_window_events(stream, -4, 3)
+
+
+@pytest.mark.parametrize("frame_time, exposure_us, name", [
+    (10, 1.5, "exposure_us"), (10.0, 3, "frame_time"),
+    (10, "3", "exposure_us")])
+def test_exposure_window_that_is_not_in_integers_rejected(frame_time,
+                                                          exposure_us, name):
+    """A float exposure of 1.5 cut (8.5, 10] into a batch of float bounds."""
+    stream = EventStream.from_events([Event(0, 0, 9, 1)], 4, 4, 0, 10)
+    with pytest.raises(EmptyTimeline, match=f"^{name} = .* is outside"):
+        exposure_window_events(stream, frame_time, exposure_us)
 
 
 def test_batch_invariant_enforced():

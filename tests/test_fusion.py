@@ -1110,7 +1110,8 @@ class TestWeightIO:
         raised a TypeError from the floor comparison."""
         name, = kw
         with pytest.raises(ShapeMismatch,
-                           match=rf"FusionConfig\.{name} = .* is not an integer"):
+                           match=rf"FusionConfig\.{name} = .* is outside its "
+                                 rf"domain >= 1$"):
             FusionConfig(**kw)
 
     def test_numpy_integer_fields_are_kept_as_ints(self):

@@ -1,7 +1,8 @@
 """Every top-level import of a package module is referenced in it, and
 every local a function binds is read in it. No linter is installed, so
 this test is the check for stale imports and dead locals. It also keeps
-the event window rule and the event sort in one module."""
+the event window rule, the event sort and the integer test of the value
+rule in one module each."""
 
 import ast
 from pathlib import Path
@@ -66,6 +67,47 @@ def test_only_events_sorts_events():
     """The canonical (t, y, x, p) order is made in events.py alone; a
     lexsort elsewhere would be a second copy of that rule."""
     assert attribute_users("lexsort") == {"events.py"}
+
+
+# operator.index and numbers.Integral, by attribute or by name
+INTEGER_READS = {("operator", "index"), ("numbers", "Integral")}
+
+
+def integer_reads(source: str) -> list[int]:
+    """The lines outside a Domain class that read operator.index or
+    numbers.Integral, or import either by name."""
+    tree = ast.parse(source)
+    inside = {id(node) for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) and cls.name == "Domain"
+              for node in ast.walk(cls)}
+    return [node.lineno for node in ast.walk(tree) if id(node) not in inside
+            and ((isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and (node.value.id, node.attr) in INTEGER_READS)
+                 or (isinstance(node, ast.ImportFrom)
+                     and any((node.module, a.name) in INTEGER_READS
+                             for a in node.names)))]
+
+
+def test_only_the_domain_primitive_tests_for_integers():
+    """An integer check is errors.Domain's alone; an operator.index or
+    numbers.Integral elsewhere would be a hand-written copy of it."""
+    found = {module: lines for module in MODULES + ["__init__.py"]
+             if (lines := integer_reads((PACKAGE / module).read_text()))}
+    assert found == {}
+    errors = (PACKAGE / "errors.py").read_text()
+    assert "operator.index(" in errors
+
+
+def test_checker_flags_an_integer_read_outside_the_domain():
+    source = ("import numbers, operator\n"
+              "from operator import index\n"
+              "class Domain:\n"
+              "    def f(self, v):\n"
+              "        return operator.index(v)\n"
+              "def g(v):\n"
+              "    return isinstance(v, numbers.Integral)\n")
+    assert integer_reads(source) == [2, 7]
 
 
 def test_checker_flags_an_unused_import():

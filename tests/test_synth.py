@@ -124,13 +124,15 @@ class TestRender:
         ("background", 1e300, "background"),
         # 10 fps for 0.1 s: one frame
         ("fps", 10.0, "duration_us"),
+        ("fps", "24", "fps"), ("background", "1", "background"),
     ])
     def test_scene_field_outside_its_domain_rejected(self, field, value,
                                                      name):
         """The config's scene domains and two-frame rule hold for a library
         scene too, when it is built: a width of 0 divided by zero, 8.5
         raised a TypeError, a NaN fps a ValueError, and a background of
-        1e300 simulated no event."""
+        1e300 simulated no event, and a string fps or background raised a
+        TypeError from the domain's comparison."""
         scene = dict(width=8, height=8, duration_us=100_000, fps=24,
                      objects=[blob(4, 4)])
         with pytest.raises(DegenerateScene, match=f"^{name} = ") as info:
@@ -174,6 +176,14 @@ class TestSimulate:
     def test_constant_video_no_events(self):
         video = single_pixel_video([0.5, 0.5, 0.5], [0, 1000, 2000])
         assert len(simulate_events(video, c=0.2)) == 0
+
+    @pytest.mark.parametrize("c", [0.0, -0.2, np.nan, np.inf, "0.2"])
+    def test_contrast_outside_its_domain_rejected(self, c):
+        """A NaN or infinite contrast simulated no event, and a string
+        raised a TypeError."""
+        video = single_pixel_video([0.0, 1.0], [0, 1000])
+        with pytest.raises(DegenerateScene, match="^contrast = "):
+            simulate_events(video, c)
 
     def test_step_crossing_count(self):
         c = 0.2

@@ -215,7 +215,8 @@ class TestRefineTrack:
     def test_zero_iterations_rejected(self):
         rng = np.random.default_rng(8)
         weights = WeightBundle.initialize(FusionConfig(window=4), seed=9)
-        with pytest.raises(ShapeMismatch, match="iteration count"):
+        with pytest.raises(ShapeMismatch, match="^FusionConfig.iterations = 0 "
+                                                "is outside its domain >= 1$"):
             refine_track(*self.make_track(rng), make_pyramids(rng, 4),
                          with_iterations(weights, 0))
 
