@@ -21,7 +21,14 @@ import numpy as np
 
 from . import arrayio
 from .config import RunConfig, load_run_config
-from .errors import ConfigError, ContractError, DataError, Domain, TapfuseError
+from .errors import (
+    ConfigError,
+    ContractError,
+    DataError,
+    Domain,
+    GridMismatch,
+    TapfuseError,
+)
 from .events import (
     EventStream,
     bin_events,
@@ -30,7 +37,7 @@ from .events import (
     serialize_event_stream,
 )
 from .fusion import taf_init, taf_update
-from .metrics import DEFAULT_THRESHOLDS, EvalPair, evaluate
+from .metrics import DEFAULT_THRESHOLDS, EvalPair, evaluate, threshold_keys
 from .representations import REPRESENTATIONS
 from .synth import render_intensity_video, simulate_events
 from .tracker import (
@@ -239,7 +246,8 @@ def _parse_thresholds(text: str) -> tuple[float, ...]:
         thresholds = tuple(float(t) for t in text.split(","))
         if not all(t in Domain(0, above=True) for t in thresholds):
             raise ValueError("thresholds must be finite and positive")
-    except ValueError as exc:
+        threshold_keys(thresholds)
+    except (ValueError, GridMismatch) as exc:
         raise ConfigError(f"--thresholds must be comma-separated numbers: "
                           f"{text!r}: {exc}") from exc
     return thresholds

@@ -17,8 +17,14 @@ from dataclasses import dataclass, field, fields
 from .errors import ConfigError, DegenerateScene, Domain
 from .events import TIMELINE_DOMAINS, Timeline
 from .metrics import DEFAULT_AGE_THRESHOLD
-from .synth import DEFAULT_CONTRAST, SCENE_DOMAINS, SceneConfig, SceneObject
-from .weights import FUSION_DOMAINS, FusionConfig
+from .synth import (
+    CONTRAST_DOMAIN,
+    DEFAULT_CONTRAST,
+    SCENE_DOMAINS,
+    SceneConfig,
+    SceneObject,
+)
+from .weights import FUSION_DOMAINS, SEED_DOMAIN, FusionConfig
 
 
 def _setting(default, domain: Domain):
@@ -49,9 +55,7 @@ class RunConfig:
     scene_n_random_objects: int = _setting(2, Domain(0, 100, integer=True))
     scene_objects: list[SceneObject] = field(default_factory=list)
     # event simulation
-    # events grow as 1/contrast: 0.01 gives 27x the events of 0.2 on the
-    # default scene, 1e-9 would ask for tens of GiB
-    sim_contrast: float = _setting(DEFAULT_CONTRAST, Domain(0.01))
+    sim_contrast: float = _setting(DEFAULT_CONTRAST, CONTRAST_DOMAIN)
     # timeline: a rate's domain is scene.fps's, at most one step per us
     timeline_query_hz: float = _setting(48.0, SCENE_DOMAINS["fps"])
     timeline_frame_hz: float = _setting(12.0, SCENE_DOMAINS["fps"])
@@ -65,7 +69,7 @@ class RunConfig:
     model_patch_radius: int = _model("patch_radius")
     model_iterations: int = _model("iterations")
     # misc
-    seed: int = _setting(0, Domain(0, integer=True))
+    seed: int = _setting(0, SEED_DOMAIN)
     bench_n_events: int = _setting(1_000_000, Domain(1, integer=True))
     eval_err_threshold: float = _setting(DEFAULT_AGE_THRESHOLD, Domain(0))
 

@@ -105,15 +105,6 @@ class TransientState:
 # Tokenizers
 # ---------------------------------------------------------------------------
 
-def _check_fan_in(weights: WeightBundle, prefix: str, dim: int) -> None:
-    """Reject a patch of dim values that the prefix.w projection does not
-    take."""
-    fan_in = weights[f"{prefix}.w"].shape[0]
-    if dim != fan_in:
-        raise ShapeMismatch(f"{prefix}: patch dim {dim} != "
-                            f"embedding fan-in {fan_in}")
-
-
 def _patch_blocks(image, weights: WeightBundle, prefix: str) -> np.ndarray:
     """(rows, cols, patch, patch, C) view of the non-overlapping patches of
     an (H, W) or (H, W, C) image; a patch's patch * patch * C values must
@@ -124,7 +115,10 @@ def _patch_blocks(image, weights: WeightBundle, prefix: str) -> np.ndarray:
     patch = weights.config.patch
     if h % patch or w % patch:
         raise ShapeMismatch(f"{h}x{w} not divisible by patch size {patch}")
-    _check_fan_in(weights, prefix, patch * patch * c)
+    dim, fan_in = patch * patch * c, weights[f"{prefix}.w"].shape[0]
+    if dim != fan_in:
+        raise ShapeMismatch(f"{prefix}: patch dim {dim} != embedding fan-in "
+                            f"{fan_in}")
     return (image.reshape(h // patch, patch, w // patch, patch, c)
             .transpose(0, 2, 1, 3, 4))
 
@@ -272,9 +266,6 @@ def clwf_fuse(event_tokens: Tokens, image_tokens: Tokens,
     q, k, v = _qkv(E, I, I, weights, "clwf")
     idx, mask = _neighbor_table(event_tokens.grid, weights.config.radius)
     bias = weights["clwf.bias_table"]
-    if bias.shape[0] != idx.shape[1]:
-        raise ShapeMismatch(
-            f"bias table has {bias.shape[0]} entries for {idx.shape[1]} offsets")
     # neighbour-gathered einsums rather than _sdpa: only the K neighbours of
     # each token are scored
     logits = np.einsum("nd,nkd->nk", q, k[idx]) / np.sqrt(d) + bias[None, :]
@@ -405,7 +396,6 @@ def _live_event_tokens(batch: EventBatch, grid: tuple[int, int],
     is raised by log(n_empty) takes their joint softmax weight."""
     patch, B = weights.config.patch, weights.config.subwindows
     proj = weights["phi_e.w"]
-    _check_fan_in(weights, "phi_e", patch * patch * B)
     flat, n_empty = _live_blocks(batch, grid, patch, B)
     key_bias = None
     if n_empty:

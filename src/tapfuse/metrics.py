@@ -228,6 +228,17 @@ def pca_dispersion(features: np.ndarray
     return proj, means, covs, axes
 
 
+def threshold_keys(thresholds: tuple[float, ...]) -> list[str]:
+    """Each threshold's per_threshold key, f"{th:g}". Thresholds that print
+    alike would share one entry, so they raise GridMismatch naming it."""
+    keys = [f"{th:g}" for th in thresholds]
+    for key in keys:
+        if keys.count(key) > 1:
+            raise GridMismatch(f"thresholds {list(thresholds)} share the "
+                               f"per-threshold key {key!r}")
+    return keys
+
+
 def evaluate(pair: EvalPair,
              thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS,
              err_threshold: float = DEFAULT_AGE_THRESHOLD) -> MetricReport:
@@ -240,9 +251,9 @@ def evaluate(pair: EvalPair,
         return metric(pair, ths) if ages.size else None
 
     per_threshold = {
-        f"{th:g}": {"jaccard": score(average_jaccard, (th,)),
-                    "delta_vis": score(delta_avg_vis, (th,))}
-        for th in thresholds}
+        key: {"jaccard": score(average_jaccard, (th,)),
+              "delta_vis": score(delta_avg_vis, (th,))}
+        for key, th in zip(threshold_keys(thresholds), thresholds)}
     per_track = [{"age": float(age), "mean_error_px": float(row.mean())}
                  for age, row in zip(ages, pair.errors)]
     return MetricReport(

@@ -36,6 +36,9 @@ from .representations import _pixels
 from .tracker import TrackSet
 
 DEFAULT_CONTRAST = 0.2
+# events grow as 1/contrast: 0.01 gives 27x the events of 0.2 on the
+# default scene, 1e-9 would ask for tens of GiB
+CONTRAST_DOMAIN = Domain(0.01)
 # an intensity above 1e6 is beyond an event sensor's 120 dB dynamic range
 MAX_INTENSITY = 1e6
 # frame and query times are whole microseconds, so above 1 MHz two steps
@@ -311,7 +314,7 @@ def simulate_events(video: Iterable[tuple[np.ndarray, np.ndarray]],
     or below it, so for c far above a log's ulp the down pass adds none;
     and the canonical order makes the order of emission irrelevant.
     """
-    c = Domain(0, above=True).check("contrast", c, DegenerateScene)
+    c = CONTRAST_DOMAIN.check("contrast", c, DegenerateScene)
     # each interval's (t, x, y, p) columns, in the stream's dtypes
     cols = [(np.zeros(0, np.uint64), np.zeros(0, np.uint16),
              np.zeros(0, np.uint16), np.zeros(0, np.int8))]

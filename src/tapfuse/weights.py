@@ -1,8 +1,10 @@
 """Parameter registry, seeded initialization, and weight-file I/O.
 
 Every learnable array of the fusion network and the trajectory refiner
-lives in one flat WeightBundle keyed by dotted names. Matrices are drawn
-from uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) with a deterministic seeded
+lives in one flat WeightBundle keyed by dotted names. A bundle holds
+exactly parameter_specs(config)'s names and shapes, as float64 arrays,
+and checks them when it is built. Matrices are drawn from
+uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) with a deterministic seeded
 generator; all biases start at zero; every residual-branch output
 projection starts at zero so the untrained network is an identity map on
 the state and the untrained tracker is an identity tracker.
@@ -60,6 +62,9 @@ FUSION_DOMAINS = {
     **{f.name: Domain(1, integer=True) for f in fields(FusionConfig)},
     "radius": Domain(0, integer=True), "patch_radius": Domain(0, integer=True),
     "window": Domain(2, integer=True)}
+# the seed of WeightBundle.initialize's draws: np.random.default_rng takes
+# any integer >= 0
+SEED_DOMAIN = Domain(0, integer=True)
 
 
 def _attention_specs(prefix: str, d: int
@@ -137,11 +142,29 @@ class WeightBundle:
     seed: int
 
     def __post_init__(self):
-        """Reject a non-finite parameter, naming its record."""
+        """Take each record as a float64 array (one that already is one is
+        kept as it is) and check it holds numbers, all finite; then check
+        the names and shapes are parameter_specs(config)'s."""
         for name, value in self.params.items():
+            try:
+                value = self.params[name] = np.asarray(value, dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise ShapeMismatch(
+                    f"weights record {name!r} does not hold numbers") from exc
             if not np.isfinite(value).all():
                 raise NonFiniteValue(
                     f"weights record {name!r} holds a non-finite value")
+        expected = {name: shape
+                    for name, shape, _ in parameter_specs(self.config)}
+        if set(self.params) != set(expected):
+            missing = set(expected) - set(self.params)
+            extra = set(self.params) - set(expected)
+            raise ShapeMismatch(f"parameter set mismatch: missing={sorted(missing)} "
+                                f"extra={sorted(extra)}")
+        for name, arr in self.params.items():
+            if arr.shape != expected[name]:
+                raise ShapeMismatch(
+                    f"{name}: shape {arr.shape} != expected {expected[name]}")
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.params[name]
@@ -149,6 +172,7 @@ class WeightBundle:
     @classmethod
     def initialize(cls, config: FusionConfig = FusionConfig(), seed: int = 0
                    ) -> "WeightBundle":
+        seed = SEED_DOMAIN.check("WeightBundle.seed", seed, ShapeMismatch)
         rng = np.random.default_rng(seed)
         params: dict[str, np.ndarray] = {}
         for name, shape, init in parameter_specs(config):
@@ -157,10 +181,8 @@ class WeightBundle:
                 params[name] = rng.uniform(-bound, bound, size=shape)
             elif init == "zeros":
                 params[name] = np.zeros(shape)
-            elif init == "ones":
-                params[name] = np.ones(shape)
             else:
-                raise ValueError(init)
+                params[name] = np.ones(shape)
         return cls(params=params, config=config, seed=seed)
 
 
@@ -177,35 +199,28 @@ def save_weights(bundle: WeightBundle) -> bytes:
 
 def load_weights(data: bytes, config: FusionConfig = FusionConfig(),
                  seed: int = 0) -> WeightBundle:
-    """Parse a TFW1 container and validate shapes against the config. A
-    missing magic, a record cut short, a name that is not UTF-8, a shape
-    numpy cannot hold or a non-finite value raises MalformedRecord."""
+    """Parse a TFW1 container into a WeightBundle, which checks its names
+    and shapes against config. A missing magic, a record cut short, a name
+    that is not UTF-8 or repeats an earlier record's, a shape numpy cannot
+    hold or a non-finite value raises MalformedRecord."""
     if data[:4] != TFW_MAGIC:
         raise MalformedRecord(f"bad weights magic {data[:4]!r}")
     pos = 4
     params: dict[str, np.ndarray] = {}
     while pos < len(data):
-        at = span(data, pos, 4, "weights record")
+        start, at = pos, span(data, pos, 4, "weights record")
         (nlen,) = struct.unpack_from("<I", data, pos)
         pos = span(data, at, nlen, "weights record name")
         try:
             name = data[at:pos].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise MalformedRecord(f"weights name at byte {at} is not UTF-8") from exc
+        if name in params:
+            raise MalformedRecord(f"weights record {name!r} at byte {start} "
+                                  f"repeats an earlier record")
         params[name], pos = read_tensor_record(data, pos,
                                                f"weights record {name!r}")
     try:
-        bundle = WeightBundle(params=params, config=config, seed=seed)
+        return WeightBundle(params=params, config=config, seed=seed)
     except NonFiniteValue as exc:
         raise MalformedRecord(str(exc)) from exc
-    expected = {name: shape for name, shape, _ in parameter_specs(config)}
-    if set(params) != set(expected):
-        missing = set(expected) - set(params)
-        extra = set(params) - set(expected)
-        raise ShapeMismatch(f"parameter set mismatch: missing={sorted(missing)} "
-                            f"extra={sorted(extra)}")
-    for name, arr in params.items():
-        if tuple(arr.shape) != tuple(expected[name]):
-            raise ShapeMismatch(
-                f"{name}: shape {arr.shape} != expected {expected[name]}")
-    return bundle

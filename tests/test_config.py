@@ -23,8 +23,13 @@ from tapfuse.config import (
 )
 from tapfuse.errors import ConfigError
 from tapfuse.metrics import DEFAULT_AGE_THRESHOLD, DEFAULT_THRESHOLDS
-from tapfuse.synth import DEFAULT_CONTRAST, OBJECT_DOMAINS, SceneConfig
-from tapfuse.weights import FUSION_DOMAINS, FusionConfig
+from tapfuse.synth import (
+    CONTRAST_DOMAIN,
+    DEFAULT_CONTRAST,
+    OBJECT_DOMAINS,
+    SceneConfig,
+)
+from tapfuse.weights import FUSION_DOMAINS, SEED_DOMAIN, FusionConfig
 
 from test_cli import SMALL_CONFIG, run_cli
 
@@ -54,6 +59,13 @@ class TestDomains:
         assert defaults.sim_contrast == DEFAULT_CONTRAST
         assert defaults.scene_background == SceneConfig.background
         assert defaults.eval_err_threshold == DEFAULT_AGE_THRESHOLD
+
+    def test_contrast_and_seed_domains_have_one_owner(self):
+        """sim.contrast's domain is the simulator's, and seed's is the
+        weight initializer's; each still prints as it did."""
+        assert DOMAINS["sim.contrast"] is CONTRAST_DOMAIN
+        assert DOMAINS["seed"] is SEED_DOMAIN
+        assert (str(CONTRAST_DOMAIN), str(SEED_DOMAIN)) == (">= 0.01", ">= 0")
 
     @pytest.mark.parametrize("value, inside", [
         (1, True), (65536, True), (0, False), (65537, False)])
@@ -339,6 +351,19 @@ class TestFlags:
                         "--pred", tmp_path / "p.txt", "--ref",
                         tmp_path / "r.txt", "--thresholds", thresholds]) == 2
         assert "config error: --thresholds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("thresholds", ["1,1", "1,4,1.0000001"])
+    def test_thresholds_sharing_a_key_is_config_error(self, tmp_path,
+                                                       small_cfg, capsys,
+                                                       thresholds):
+        """Thresholds that print alike would share one per_threshold entry
+        of the report."""
+        assert run_cli(["--config", small_cfg, "--out", tmp_path, "eval",
+                        "--pred", tmp_path / "p.txt", "--ref",
+                        tmp_path / "r.txt", "--thresholds", thresholds]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --thresholds")
+        assert err.rstrip().endswith("share the per-threshold key '1'")
 
 
 @pytest.fixture

@@ -25,13 +25,21 @@ from tapfuse.events import (
     exposure_window_events,
 )
 from tapfuse.synth import (
+    CONTRAST_DOMAIN,
     MAX_DURATION_US,
     OBJECT_DOMAINS,
     SCENE_DOMAINS,
+    IntensityVideo,
     SceneConfig,
     SceneObject,
+    simulate_events,
 )
-from tapfuse.weights import FUSION_DOMAINS, FusionConfig
+from tapfuse.weights import (
+    FUSION_DOMAINS,
+    SEED_DOMAIN,
+    FusionConfig,
+    WeightBundle,
+)
 
 
 def header(name, value):
@@ -59,6 +67,12 @@ def scene_object(name, value):
 
 
 STREAM = EventStream.from_events([], 4, 4, 0, 10)
+# two 1x1 frames a log unit apart: any contrast in its domain simulates
+VIDEO = IntensityVideo(frames=np.exp([[[0.0]], [[1.0]]]),
+                       frame_times=np.array([0, 1000]), fps=1000.0)
+TINY_MODEL = FusionConfig(d=1, patch=1, decoder_channels=(1, 1, 1),
+                          window=2, corr_hidden=1, corr_embed=1,
+                          motion_freqs=1, refiner_width=1, refiner_blocks=1)
 TIME, EXPOSURE = TIMELINE_DOMAINS.values()
 
 # (label, domain, the name its message gives, the site's error, build);
@@ -87,6 +101,10 @@ SITES = [
     *[(f"object.{name}", domain, f"object {name}", DegenerateScene,
        lambda v, name=name: scene_object(name, v))
       for name, domain in OBJECT_DOMAINS.items()],
+    ("synth.contrast", CONTRAST_DOMAIN, "contrast", DegenerateScene,
+     lambda v: simulate_events(VIDEO, v)),
+    ("weights.seed", SEED_DOMAIN, "WeightBundle.seed", ShapeMismatch,
+     lambda v: WeightBundle.initialize(TINY_MODEL, v)),
 ]
 
 

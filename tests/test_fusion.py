@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import os
+import re
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _gradcheck import clwf_grad_max_rel_err, tattn_grad_max_rel_err
+from tapfuse.arrayio import tensor_record
 from tapfuse.errors import (
     DataError,
     GeometryMismatch,
@@ -50,6 +53,7 @@ from tapfuse.fusion import (
 )
 from tapfuse.representations import EventTensor, sbt_time_surface
 from tapfuse.weights import (
+    TFW_MAGIC,
     FusionConfig,
     WeightBundle,
     load_weights,
@@ -757,12 +761,13 @@ class TestSparseTafUpdate:
             taf_update(grid_state(rng, (2, 2), 8), batch, weights)
 
     def test_fan_in_mismatch_rejected(self):
-        rng = np.random.default_rng(55)
+        """A phi_e.w whose fan-in is not patch**2 * subwindows is refused
+        when the bundle is built, before any batch reads it."""
         weights = perturbed_weights(56, d=8, patch=4)
-        weights.params["phi_e.w"] = np.zeros((4 * 4 * 5 + 1, 8))
-        batch = make_batch([Event(1, 1, 1500, 1)], 1000, 2000)
-        with pytest.raises(ShapeMismatch, match="fan-in"):
-            taf_update(grid_state(rng, (2, 2), 8), batch, weights)
+        params = {**weights.params, "phi_e.w": np.zeros((4 * 4 * 5 + 1, 8))}
+        with pytest.raises(ShapeMismatch, match=re.escape(
+                "phi_e.w: shape (81, 8) != expected (80, 8)")):
+            WeightBundle(params=params, config=weights.config, seed=0)
 
     @pytest.mark.parametrize("x, y", [(8, 1), (1, 8), (8, 8)])
     def test_event_outside_the_token_grid_rejected(self, x, y):
@@ -1014,6 +1019,19 @@ def test_sinusoidal_encoding_odd_dim_has_one_more_sin_slot():
     np.testing.assert_array_equal(odd[:, :6], even)
 
 
+def tfw_file(records) -> bytes:
+    """A TFW1 file of the (name, array) records in their order, whether or
+    not they make a config's parameter table."""
+    chunks = [TFW_MAGIC]
+    for name, arr in records:
+        chunks += [struct.pack("<I", len(name)), name.encode(),
+                   *tensor_record(arr)]
+    return b"".join(chunks)
+
+
+SMALL_CONFIG = FusionConfig(d=8)
+
+
 class TestWeightIO:
     def test_round_trip_exact(self):
         bundle = WeightBundle.initialize(FusionConfig(), seed=5)
@@ -1036,6 +1054,63 @@ class TestWeightIO:
         with pytest.raises(NonFiniteValue, match=r"^weights record 'upd\.wo' "
                            r"holds a non-finite value$"):
             WeightBundle(params=params, config=FusionConfig(), seed=0)
+
+    def test_repeated_record_is_data_error(self):
+        """The later of two records of one name was kept without a word."""
+        blob = save_weights(WeightBundle.initialize(SMALL_CONFIG, seed=0))
+        extra = tfw_file([("phi_i.b", np.full(8, 7.0))])[len(TFW_MAGIC):]
+        with pytest.raises(MalformedRecord, match=re.escape(
+                f"weights record 'phi_i.b' at byte {len(blob)} repeats an "
+                f"earlier record")):
+            load_weights(blob + extra, SMALL_CONFIG)
+
+    @pytest.mark.parametrize("edit, message", [
+        (dict(drop="ref.head.b"), r"missing=\['ref\.head\.b'\] extra=\[\]"),
+        (dict(add=("upd.extra", np.zeros(8))),
+         r"missing=\[\] extra=\['upd\.extra'\]"),
+        (dict(add=("upd.wq", np.zeros((8, 7)))),
+         r"^upd\.wq: shape \(8, 7\) != expected \(8, 8\)$"),
+        (dict(add=("clwf.bias_table", np.zeros(8))),
+         r"^clwf\.bias_table: shape \(8,\) != expected \(9,\)$"),
+        (dict(add=("dec.b0", "abc")),
+         r"^weights record 'dec\.b0' does not hold numbers$"),
+    ], ids=["missing", "extra", "shape", "bias_table", "string"])
+    def test_constructor_refuses_a_table_other_than_the_configs(self, edit,
+                                                                message):
+        """A missing, extra or mis-shaped record, or one that holds no
+        numbers, raised a KeyError, a numpy ValueError or a TypeError in
+        track_sequence, or ran to completion."""
+        params = dict(WeightBundle.initialize(SMALL_CONFIG, seed=0).params)
+        params.pop(edit.get("drop"), None)
+        params.update([edit["add"]] if "add" in edit else [])
+        with pytest.raises(ShapeMismatch, match=message):
+            WeightBundle(params=params, config=SMALL_CONFIG, seed=0)
+
+    def test_constructor_takes_records_as_float64_arrays(self):
+        """A float64 array is kept as it is, so writes into it land; a list
+        or an integer array becomes a float64 array."""
+        params = WeightBundle.initialize(SMALL_CONFIG, seed=0).params
+        kept = params["upd.wq"]
+        params["phi_i.b"] = list(range(8))
+        params["dec.b0"] = np.arange(64)
+        bundle = WeightBundle(params=params, config=SMALL_CONFIG, seed=0)
+        assert bundle["upd.wq"] is kept
+        for name in ("phi_i.b", "dec.b0"):
+            assert bundle[name].dtype == np.float64
+            np.testing.assert_array_equal(bundle[name], np.arange(len(bundle[name])))
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "a", None])
+    def test_seed_outside_its_domain_is_shape_mismatch(self, seed):
+        """-1 raised a builtin ValueError, 1.5 and "a" a TypeError."""
+        with pytest.raises(ShapeMismatch, match=re.escape(
+                f"WeightBundle.seed = {seed!r} is outside its domain >= 0")):
+            WeightBundle.initialize(SMALL_CONFIG, seed)
+
+    def test_numpy_integer_seed_draws_as_its_int(self):
+        a = WeightBundle.initialize(SMALL_CONFIG, np.uint8(3))
+        b = WeightBundle.initialize(SMALL_CONFIG, 3)
+        assert a.seed == 3 and type(a.seed) is int
+        assert all(np.array_equal(a[n], b[n]) for n in b.params)
 
     def test_shape_validation(self):
         bundle = WeightBundle.initialize(FusionConfig(), seed=0)
@@ -1121,10 +1196,9 @@ class TestWeightIO:
         WeightBundle.initialize(cfg, seed=0)
 
 
-TINY_TFW = save_weights(WeightBundle(
-    params={"a": np.arange(6.0).reshape(2, 3), "bb": np.ones(2),
-            "s": np.array(1.5)},
-    config=FusionConfig(), seed=0))
+# three records that make no config's table, so built from raw records
+TINY_TFW = tfw_file([("a", np.arange(6.0).reshape(2, 3)), ("bb", np.ones(2)),
+                     ("s", np.array(1.5))])
 TFW_MUTATIONS = st.one_of(
     st.binary(max_size=4),
     st.sampled_from([b"\x00", b"\xff", b"\xff\xff\xff\xff", b"\x07\x00\x00\x00",

@@ -280,6 +280,15 @@ class TestReport:
         assert report.oa == 1.0
         assert report.fa == 1.0 and report.efa == 1.0
 
+    @pytest.mark.parametrize("thresholds, key", [
+        ((1.0, 1.0000001, 4.0), "1"), ((2.0, 4.0, 2.0), "2"),
+        ((1e-7, 1.00000001e-7), "1e-07")])
+    def test_thresholds_that_print_alike_are_refused(self, thresholds, key):
+        """(1.0, 1.0000001, 4.0) gave per_threshold keys ['1', '4'], with the
+        second threshold's scores under '1', while aj averaged all three."""
+        with pytest.raises(GridMismatch, match=f"per-threshold key '{key}'$"):
+            evaluate(random_pair(9), thresholds, 8.0)
+
     def test_json_refuses_nan(self):
         report = evaluate(perfect_pair(), THRESHOLDS, 8.0)
         report.fa = float("nan")

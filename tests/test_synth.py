@@ -177,10 +177,12 @@ class TestSimulate:
         video = single_pixel_video([0.5, 0.5, 0.5], [0, 1000, 2000])
         assert len(simulate_events(video, c=0.2)) == 0
 
-    @pytest.mark.parametrize("c", [0.0, -0.2, np.nan, np.inf, "0.2"])
+    @pytest.mark.parametrize("c", [0.0, -0.2, np.nan, np.inf, "0.2", 1e-300,
+                                   0.005])
     def test_contrast_outside_its_domain_rejected(self, c):
-        """A NaN or infinite contrast simulated no event, and a string
-        raised a TypeError."""
+        """A NaN or infinite contrast simulated no event, a string raised a
+        TypeError, and 1e-300 a RuntimeWarning from a cast of about 1e300
+        levels; the domain is the config's sim.contrast domain, >= 0.01."""
         video = single_pixel_video([0.0, 1.0], [0, 1000])
         with pytest.raises(DegenerateScene, match="^contrast = "):
             simulate_events(video, c)
