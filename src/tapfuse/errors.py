@@ -71,10 +71,6 @@ class ShapeMismatch(ContractError):
     pass
 
 
-class MissingForwardCache(ContractError):
-    pass
-
-
 class TimeRegression(ContractError):
     pass
 

@@ -1,18 +1,20 @@
 """Fusion core: tokenizers, locality-biased cross-attention, the transient
 state machine, temporal self-attention, and the pyramid decoder.
 
-Forward passes are pure float64 functions of (inputs, weights): they
-never write into their input arrays or the weights. The intermediates
-they allocate themselves are reused in place: the attention logits become
-the softmax weights, and a product takes its bias and residual adds, so
-an attention call holds one N x N array. taf_update attends to the
-tokens of the event patches that hold an event plus one shared key for
-all event-free patches, whose logit carries the log of their count, so
-its attention is N x (live + 1), not N x N. The batch's events are
-written straight into the blocks of the patches that hold one, so no
-time surface of the whole sensor is built. The two attention blocks that
-feed gradient verification (CLWF and temporal attention) also ship
-analytic backward passes checked against central finite differences.
+Forward and backward passes are pure float64 functions of (inputs,
+weights): they never write into their inputs or the weights. The
+intermediates they allocate themselves are reused in place: the
+attention logits become the softmax weights, and a product takes its
+bias and residual adds, so an attention call holds one N x N array.
+taf_update attends to the tokens of the event patches that hold an event
+plus one shared key for all event-free patches, whose logit carries the
+log of their count, so its attention is N x (live + 1), not N x N. The
+batch's events are written straight into the blocks of the patches that
+hold one, so no time surface of the whole sensor is built. The two
+attention blocks that feed gradient verification (CLWF and temporal
+attention) also ship analytic backward passes checked against central
+finite differences; each takes its forward's inputs and recomputes what
+it needs through the helper that both call.
 
 A TransientState is the fused tokens and the time they stand for: a frame
 sets it and each event batch advances it. decode_pyramid returns a
@@ -46,12 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    MissingForwardCache,
-    NonFiniteValue,
-    ShapeMismatch,
-    TimeRegression,
-)
+from .errors import NonFiniteValue, ShapeMismatch, TimeRegression
 from .events import EventBatch
 from .representations import (
     EventTensor,
@@ -252,42 +249,46 @@ def _neighbor_table(grid: tuple[int, int], radius: int
     return idx, mask
 
 
-def clwf_fuse(event_tokens: Tokens, image_tokens: Tokens,
-              weights: WeightBundle, cache: dict | None = None) -> Tokens:
-    """Locality-masked cross-attention: each event token queries image
-    tokens within Chebyshev distance <= radius on the shared token grid and
-    adds the attention readout as a residual.
-    """
+def _clwf_attention(event_tokens: Tokens, image_tokens: Tokens,
+                    weights: WeightBundle):
+    """CLWF's q, k, v, its attention weights a over each event token's K
+    neighbour slots, and the neighbour table idx, mask."""
     if event_tokens.grid != image_tokens.grid:
         raise ShapeMismatch(
             f"grids differ: {event_tokens.grid} vs {image_tokens.grid}")
     E, I = event_tokens.values, image_tokens.values
-    d = E.shape[1]
     q, k, v = _qkv(E, I, I, weights, "clwf")
     idx, mask = _neighbor_table(event_tokens.grid, weights.config.radius)
     bias = weights["clwf.bias_table"]
     # neighbour-gathered einsums rather than _sdpa: only the K neighbours of
     # each token are scored
-    logits = np.einsum("nd,nkd->nk", q, k[idx]) / np.sqrt(d) + bias[None, :]
+    logits = (np.einsum("nd,nkd->nk", q, k[idx]) / np.sqrt(E.shape[1])
+              + bias[None, :])
     a = _softmax(np.where(mask, logits, -np.inf))
-    out = E + np.einsum("nk,nkd->nd", a, v[idx])
-    if cache is not None:
-        cache.update(E=E, I=I, q=q, k=k, v=v, a=a, idx=idx, mask=mask, d=d)
+    return q, k, v, a, idx, mask
+
+
+def clwf_fuse(event_tokens: Tokens, image_tokens: Tokens,
+              weights: WeightBundle) -> Tokens:
+    """Locality-masked cross-attention: each event token queries image
+    tokens within Chebyshev distance <= radius on the shared token grid and
+    adds the attention readout as a residual.
+    """
+    _, _, v, a, idx, _ = _clwf_attention(event_tokens, image_tokens, weights)
+    out = event_tokens.values + np.einsum("nk,nkd->nd", a, v[idx])
     return Tokens(values=out, grid=event_tokens.grid)
 
 
-def clwf_backward(cache: dict, upstream: np.ndarray,
+def clwf_backward(event_tokens: Tokens, image_tokens: Tokens,
+                  upstream: np.ndarray,
                   weights: WeightBundle) -> dict[str, np.ndarray]:
-    """Analytic gradients of the CLWF output w.r.t. inputs and parameters.
-
-    Returns a dict with keys d_event, d_image and d_<param> for every
-    clwf.* parameter.
-    """
-    if not cache or "a" not in cache:
-        raise MissingForwardCache("run clwf_fuse with cache= first")
-    E, I = cache["E"], cache["I"]
-    q, k, v = cache["q"], cache["k"], cache["v"]
-    a, idx, mask, d = cache["a"], cache["idx"], cache["mask"], cache["d"]
+    """Analytic gradients of clwf_fuse's output, given its upstream
+    gradient: keys d_event, d_image and d_<param> for every clwf.*
+    parameter."""
+    q, k, v, a, idx, mask = _clwf_attention(event_tokens, image_tokens,
+                                            weights)
+    E, I = event_tokens.values, image_tokens.values
+    d = E.shape[1]
     g = np.asarray(upstream, dtype=np.float64)
 
     dE = g.copy()
@@ -472,8 +473,20 @@ def sinusoidal_encoding(positions: np.ndarray, dim: int) -> np.ndarray:
     return enc
 
 
-def temporal_attention(x: np.ndarray, weights: WeightBundle,
-                       cache: dict | None = None) -> np.ndarray:
+def _temporal_attention_parts(x: np.ndarray, weights: WeightBundle):
+    """x + pe, the (T, N, d) q, k, v, the (N, T, d) readout and the
+    (N, T, T) attention weights a of temporal attention on float64 x."""
+    t_len, _, d = x.shape
+    pe = sinusoidal_encoding(np.arange(t_len), d)[:, None, :]
+    xin = x + pe
+    q, k, v = (_tiled(m, weights[f"tattn.w{p}"], weights[f"tattn.b{p}"])
+               for p, m in zip("qkv", (xin, xin, x)))
+    # (N, T, d) views: attend across time independently per token position
+    read, a = _sdpa(*(m.transpose(1, 0, 2) for m in (q, k, v)))
+    return xin, q, k, v, read, a
+
+
+def temporal_attention(x: np.ndarray, weights: WeightBundle) -> np.ndarray:
     """Per-token-position self-attention across time on a (T, N, d) window
     of state tokens; returns the (T, N, d) result.
 
@@ -482,36 +495,26 @@ def temporal_attention(x: np.ndarray, weights: WeightBundle,
     connection around the attention readout.
     """
     x = np.asarray(x, dtype=np.float64)
-    t_len, _, d = x.shape
-    pe = sinusoidal_encoding(np.arange(t_len), d)[:, None, :]
-    xin = x + pe
-    q, k, v = (_tiled(m, weights[f"tattn.w{p}"], weights[f"tattn.b{p}"])
-               for p, m in zip("qkv", (xin, xin, x)))
-    # (N, T, d) views: attend across time independently per token position
-    read, a = _sdpa(*(m.transpose(1, 0, 2) for m in (q, k, v)))
+    read = _temporal_attention_parts(x, weights)[4]
     # project the readout in its (N, T, d) memory order; add as _residual_out
     out = _tiled(read, weights["tattn.wo"]).transpose(1, 0, 2)
     out += x
     out += weights["tattn.bo"]
-    read = read.transpose(1, 0, 2)
-    if cache is not None:
-        cache.update(x=x, xin=xin, q=q, k=k, v=v, a=a, read=read, d=d)
     return out
 
 
-def temporal_attention_backward(cache: dict, upstream: np.ndarray,
+def temporal_attention_backward(x: np.ndarray, upstream: np.ndarray,
                                 weights: WeightBundle) -> dict[str, np.ndarray]:
-    """Analytic gradients for temporal_attention; returns d_x and
-    d_<param> for every tattn.* parameter."""
-    if not cache or "a" not in cache:
-        raise MissingForwardCache("run temporal_attention with cache= first")
-    x, xin = cache["x"], cache["xin"]
-    q, k, v, a, d = cache["q"], cache["k"], cache["v"], cache["a"], cache["d"]
+    """Analytic gradients of temporal_attention's output, given its
+    upstream gradient: d_x and d_<param> for every tattn.* parameter."""
+    x = np.asarray(x, dtype=np.float64)
+    xin, q, k, v, read, a = _temporal_attention_parts(x, weights)
+    d = x.shape[2]
     g = np.asarray(upstream, dtype=np.float64)
 
     dx = g.copy()
     dread = g @ weights["tattn.wo"].T
-    dwo = cache["read"].reshape(-1, d).T @ g.reshape(-1, d)
+    dwo = read.transpose(1, 0, 2).reshape(-1, d).T @ g.reshape(-1, d)
     dbo = g.sum(axis=(0, 1))
 
     dreadn = dread.transpose(1, 0, 2)           # (N, T, d)

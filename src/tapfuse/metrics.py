@@ -18,6 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GridMismatch, ZeroTotalSpeed
+from .synth import SCENE_DOMAINS
 from .tracker import TrackSet
 
 DEFAULT_THRESHOLDS = (1.0, 2.0, 4.0, 8.0, 16.0)
@@ -38,6 +39,8 @@ class EvalPair:
                 f"track shapes differ: {p.positions.shape} vs {r.positions.shape}")
         if not np.array_equal(p.times, r.times):
             raise GridMismatch("time grids differ")
+        SCENE_DOMAINS["height"].check("EvalPair.image_height",
+                                      self.image_height, GridMismatch)
 
     @cached_property
     def errors(self) -> np.ndarray:

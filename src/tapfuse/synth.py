@@ -37,8 +37,10 @@ from .tracker import TrackSet
 
 DEFAULT_CONTRAST = 0.2
 # events grow as 1/contrast: 0.01 gives 27x the events of 0.2 on the
-# default scene, 1e-9 would ask for tens of GiB
-CONTRAST_DOMAIN = Domain(0.01)
+# default scene, 1e-9 would ask for tens of GiB. A float64 log intensity
+# spans under 1,500, so no contrast above 1e6 is ever crossed, and 1e400
+# would overflow the crossing-time division
+CONTRAST_DOMAIN = Domain(0.01, 1e6)
 # an intensity above 1e6 is beyond an event sensor's 120 dB dynamic range
 MAX_INTENSITY = 1e6
 # frame and query times are whole microseconds, so above 1 MHz two steps
@@ -70,7 +72,7 @@ class IntensityVideo:
     it again, as the caller may have written into it since.
     """
 
-    def __init__(self, frames, frame_times, fps: float):
+    def __init__(self, frames, frame_times):
         frames = np.asarray(frames, dtype=np.float64)
         times = np.asarray(frame_times, dtype=np.int64)
         if frames.ndim != 3 or frames.shape[0] != times.shape[0]:
@@ -80,7 +82,6 @@ class IntensityVideo:
         _check_intensity(frames)
         self.frames = frames            # T x H x W, positive reals
         self.frame_times = times        # T, int64 microseconds
-        self.fps = fps
 
     def __iter__(self):
         yield self.frame_times, self.frames
@@ -227,7 +228,7 @@ class _SceneVideo(IntensityVideo):
     """
 
     def __init__(self, scene: SceneConfig, frame_times: np.ndarray):
-        self.scene, self.frame_times, self.fps = scene, frame_times, scene.fps
+        self.scene, self.frame_times = scene, frame_times
 
     @cached_property
     def frames(self) -> np.ndarray:

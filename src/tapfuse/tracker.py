@@ -73,7 +73,7 @@ from .fusion import (
     taf_update,
     temporal_attention,
 )
-from .weights import WeightBundle
+from .weights import MOTION_FREQS, REFINER_BLOCKS, REFINER_WIDTH, WeightBundle
 
 
 @dataclass(frozen=True)
@@ -228,7 +228,7 @@ def correlation_features(patches_per_level: list[np.ndarray],
     """Encode per-frame correlation against the window anchor (frame 0).
 
     patches_per_level: 3 arrays of shape (..., W, taps, C_l) with
-    flattened spatial taps. Returns (..., W, 3 * corr_embed) descriptors.
+    flattened spatial taps. Returns (..., W, 3 * CORR_EMBED) descriptors.
     """
     if len(patches_per_level) != 3:
         raise ShapeMismatch("expected patches from 3 pyramid levels")
@@ -262,8 +262,7 @@ def _refiner_transformer(x: np.ndarray, weights: WeightBundle,
     """Pre-norm blocks of (temporal self-attention, token MLP) on
     (..., W, rw); pe is the (W, rw) time encoding added to queries and
     keys."""
-    cfg = weights.config
-    for blk in range(cfg.refiner_blocks):
+    for blk in range(REFINER_BLOCKS):
         p = f"ref.b{blk}"
         h = _layer_norm(x, weights[f"{p}.ln1.g"], weights[f"{p}.ln1.b"])
         hp = h + pe
@@ -302,7 +301,7 @@ def refine_track(positions: np.ndarray, logits: np.ndarray,
     if any(lvl.ndim != 4 or len(lvl) != w for lvl in levels):
         raise ShapeMismatch("one pyramid step per window step required")
     r = cfg.patch_radius
-    pe = sinusoidal_encoding(np.arange(w), cfg.refiner_width)
+    pe = sinusoidal_encoding(np.arange(w), REFINER_WIDTH)
     for _ in range(cfg.iterations):
         if fill is not None:
             fill(*positions.reshape(-1, w, 2))
@@ -317,7 +316,7 @@ def refine_track(positions: np.ndarray, logits: np.ndarray,
         rel = positions - positions[..., :1, :]
         tokens = np.concatenate(
             [desc, logits[..., None],
-             _motion_encoding(rel, cfg.motion_freqs)], axis=-1)
+             _motion_encoding(rel, MOTION_FREQS)], axis=-1)
         x = _linear(tokens, weights["ref.in.w"], weights["ref.in.b"])
         x = _refiner_transformer(x, weights, pe)
         delta = _linear(x, weights["ref.head.w"], weights["ref.head.b"])

@@ -1,11 +1,12 @@
 """Parameter registry, seeded initialization, and weight-file I/O.
 
 Every learnable array of the fusion network and the trajectory refiner
-lives in one flat WeightBundle keyed by dotted names. A bundle holds
-exactly parameter_specs(config)'s names and shapes, as float64 arrays,
-and checks them when it is built. Matrices are drawn from
-uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) with a deterministic seeded
-generator; all biases start at zero; every residual-branch output
+lives in one flat WeightBundle keyed by dotted names, shaped by a
+FusionConfig (a run's model.* settings) and the fixed widths below. A
+bundle holds exactly parameter_specs(config)'s names and shapes, as
+float64 arrays, and checks them when it is built. Matrices are drawn
+from uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) with a deterministic
+seeded generator; all biases start at zero; every residual-branch output
 projection starts at zero so the untrained network is an identity map on
 the state and the untrained tracker is an identity tracker.
 """
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, fields
-from functools import partial
 
 import numpy as np
 
@@ -25,35 +25,33 @@ from .representations import DEFAULT_SUBWINDOWS
 TFW_MAGIC = b"TFW1"
 
 
+# fixed widths: the pyramid decoder's 3 levels, the correlation MLPs' hidden
+# and output layers, the motion encoding's frequencies, the refiner's width
+# and block count
+DECODER_CHANNELS = (64, 32, 16)
+CORR_HIDDEN = 64
+CORR_EMBED = 32
+MOTION_FREQS = 32
+REFINER_WIDTH = 64
+REFINER_BLOCKS = 2
+
+
 @dataclass(frozen=True)
 class FusionConfig:
     d: int = 64                 # embedding width
     patch: int = 8              # token patch size, px
     radius: int = 1             # CLWF Chebyshev neighborhood radius
     subwindows: int = DEFAULT_SUBWINDOWS  # event-tensor channel count B
-    decoder_channels: tuple[int, int, int] = (64, 32, 16)
     window: int = 16            # refiner temporal window W
     patch_radius: int = 3       # correlation patch radius r
     iterations: int = 3         # refinement iterations M
-    corr_hidden: int = 64
-    corr_embed: int = 32
-    motion_freqs: int = 32      # rel-motion sinusoid frequency count
-    refiner_width: int = 64
-    refiner_blocks: int = 2
 
     def __post_init__(self):
-        """Each field, and each of 3 decoder channel counts, lies in
-        FUSION_DOMAINS and is kept as an int, or ShapeMismatch."""
-        channels = self.decoder_channels
-        if not (isinstance(channels, tuple) and len(channels) == 3):
-            raise ShapeMismatch(f"FusionConfig.decoder_channels = "
-                                f"{channels!r}: a tuple of 3 levels needed")
+        """Check each field against FUSION_DOMAINS and keep it as an int."""
         for f in fields(self):
-            value = getattr(self, f.name)
-            check = partial(FUSION_DOMAINS[f.name].check,
-                            f"FusionConfig.{f.name}", error=ShapeMismatch)
-            object.__setattr__(self, f.name, tuple(map(check, value))
-                               if f.name == "decoder_channels" else check(value))
+            object.__setattr__(self, f.name, FUSION_DOMAINS[f.name].check(
+                f"FusionConfig.{f.name}", getattr(self, f.name),
+                ShapeMismatch))
 
 
 # each field's domain: a width, size or count below 1 is empty, a radius
@@ -81,9 +79,9 @@ def parameter_specs(cfg: FusionConfig) -> list[tuple[str, tuple[int, ...], str]]
     d = cfg.d
     k = (2 * cfg.radius + 1) ** 2
     taps = (2 * cfg.patch_radius + 1) ** 2
-    c0, c1, c2 = cfg.decoder_channels
-    rin = 3 * cfg.corr_embed + 1 + 4 * cfg.motion_freqs
-    rw = cfg.refiner_width
+    c0, c1, c2 = DECODER_CHANNELS
+    rin = 3 * CORR_EMBED + 1 + 4 * MOTION_FREQS
+    rw = REFINER_WIDTH
     specs: list[tuple[str, tuple[int, ...], str]] = [
         ("phi_i.w", (cfg.patch ** 2, d), "uniform"),
         ("phi_i.b", (d,), "zeros"),
@@ -112,14 +110,14 @@ def parameter_specs(cfg: FusionConfig) -> list[tuple[str, tuple[int, ...], str]]
     # per-level correlation MLPs
     for lvl in range(3):
         specs += [
-            (f"corr.l{lvl}.w1", (taps * taps, cfg.corr_hidden), "uniform"),
-            (f"corr.l{lvl}.b1", (cfg.corr_hidden,), "zeros"),
-            (f"corr.l{lvl}.w2", (cfg.corr_hidden, cfg.corr_embed), "uniform"),
-            (f"corr.l{lvl}.b2", (cfg.corr_embed,), "zeros"),
+            (f"corr.l{lvl}.w1", (taps * taps, CORR_HIDDEN), "uniform"),
+            (f"corr.l{lvl}.b1", (CORR_HIDDEN,), "zeros"),
+            (f"corr.l{lvl}.w2", (CORR_HIDDEN, CORR_EMBED), "uniform"),
+            (f"corr.l{lvl}.b2", (CORR_EMBED,), "zeros"),
         ]
     # trajectory refiner transformer
     specs += [("ref.in.w", (rin, rw), "uniform"), ("ref.in.b", (rw,), "zeros")]
-    for blk in range(cfg.refiner_blocks):
+    for blk in range(REFINER_BLOCKS):
         specs += [
             (f"ref.b{blk}.ln1.g", (rw,), "ones"),
             (f"ref.b{blk}.ln1.b", (rw,), "zeros"),

@@ -59,15 +59,14 @@ def clwf_grad_max_rel_err(seed, d=4, grid=(3, 3), radius=1):
     im = rng.normal(size=(n, d))
     g = rng.normal(size=(n, d))
 
+    event_tokens = Tokens(values=ev, grid=grid)
+    image_tokens = Tokens(values=im, grid=grid)
+
     def loss():
-        out = clwf_fuse(Tokens(values=ev, grid=grid),
-                        Tokens(values=im, grid=grid), weights)
+        out = clwf_fuse(event_tokens, image_tokens, weights)
         return float(np.sum(g * out.values))
 
-    cache = {}
-    clwf_fuse(Tokens(values=ev, grid=grid), Tokens(values=im, grid=grid),
-              weights, cache=cache)
-    grads = clwf_backward(cache, g, weights)
+    grads = clwf_backward(event_tokens, image_tokens, g, weights)
 
     worst = _rel_err(grads["d_event"], _fd_grad(loss, ev))
     worst = max(worst, _rel_err(grads["d_image"], _fd_grad(loss, im)))
@@ -90,9 +89,7 @@ def tattn_grad_max_rel_err(seed, t_len=3, n=4, d=4):
     def loss():
         return float(np.sum(g * temporal_attention(x, weights)))
 
-    cache = {}
-    temporal_attention(x, weights, cache=cache)
-    grads = temporal_attention_backward(cache, g, weights)
+    grads = temporal_attention_backward(x, g, weights)
 
     worst = _rel_err(grads["d_x"], _fd_grad(loss, x))
     for name in TATTN_PARAMS:

@@ -18,7 +18,7 @@ from _metric_oracle import (
 from tapfuse.cli import cmd_bench
 from tapfuse.config import RunConfig
 from tapfuse.events import Event, EventStream, Timeline
-from tapfuse.fusion import Tokens, clwf_fuse
+from tapfuse.fusion import Tokens, _clwf_attention, clwf_fuse
 from tapfuse.metrics import (
     EvalPair,
     average_jaccard,
@@ -34,7 +34,7 @@ from tapfuse.synth import (
     simulate_events,
 )
 from tapfuse.tracker import QueryPoint, refine_track, track_sequence
-from tapfuse.weights import FusionConfig, WeightBundle
+from tapfuse.weights import DECODER_CHANNELS, FusionConfig, WeightBundle
 
 from test_tracker import count_state_calls
 
@@ -107,10 +107,9 @@ def test_criterion_03_attention_contracts_on_1000_instances():
         weights.params["clwf.bias_table"] = rng.normal(size=9)
         ev = Tokens(values=rng.normal(size=(n, d)), grid=grid)
         im_vals = rng.normal(size=(n, d))
-        cache = {}
-        out = clwf_fuse(ev, Tokens(values=im_vals, grid=grid), weights,
-                        cache=cache)
-        a, mask = cache["a"], cache["mask"]
+        im = Tokens(values=im_vals, grid=grid)
+        out = clwf_fuse(ev, im, weights)
+        _, _, _, a, _, mask = _clwf_attention(ev, im, weights)
         assert np.all(np.abs(a.sum(axis=1) - 1.0) < 1e-6)
         assert np.all(a[~mask] == 0.0)
         if i % 20 == 0 and min(grid) >= 3:
@@ -227,7 +226,7 @@ def test_criterion_09_refinement_constants_and_composition():
                  "ref.b1.attn.wo", "ref.b0.mlp.w2", "ref.b1.mlp.w2"):
         weights.params[name] = rng.normal(scale=0.05,
                                           size=weights.params[name].shape)
-    steps = [tuple(rng.normal(size=(8, 8, c)) for c in cfg.decoder_channels)
+    steps = [tuple(rng.normal(size=(8, 8, c)) for c in DECODER_CHANNELS)
              for _ in range(cfg.window)]
     levels = tuple(np.stack(lvl) for lvl in zip(*steps))
     track = (rng.uniform(10, 50, size=(cfg.window, 2)),

@@ -296,7 +296,7 @@ def library_manifest(cfg):
     scene = cfg.scene_config(np.random.default_rng(cfg.seed))
     video, gt = render_intensity_video(
         scene, query_times=cfg.timeline().query_times)
-    whole = IntensityVideo(video.frames, video.frame_times, video.fps)
+    whole = IntensityVideo(video.frames, video.frame_times)
     stream = simulate_events(whole, cfg.sim_contrast)
     return {"video": sha16(arrayio.write_array(whole.frames)),
             "events": sha16(serialize_event_stream(stream, "evbin")),

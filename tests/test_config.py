@@ -8,6 +8,7 @@ import re
 import sys
 import tempfile
 import types
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -60,12 +61,20 @@ class TestDomains:
         assert defaults.scene_background == SceneConfig.background
         assert defaults.eval_err_threshold == DEFAULT_AGE_THRESHOLD
 
+    def test_fusion_config_is_exactly_the_model_keys(self):
+        """A FusionConfig field that no model.* key sets is a knob only a
+        library caller could turn; the fixed widths live in weights.py."""
+        model = {f.name.removeprefix("model_") for f in fields(RunConfig)
+                 if f.name.startswith("model_")}
+        assert {f.name for f in fields(FusionConfig)} == model
+
     def test_contrast_and_seed_domains_have_one_owner(self):
         """sim.contrast's domain is the simulator's, and seed's is the
-        weight initializer's; each still prints as it did."""
+        weight initializer's; each prints as the README's table does."""
         assert DOMAINS["sim.contrast"] is CONTRAST_DOMAIN
         assert DOMAINS["seed"] is SEED_DOMAIN
-        assert (str(CONTRAST_DOMAIN), str(SEED_DOMAIN)) == (">= 0.01", ">= 0")
+        assert ((str(CONTRAST_DOMAIN), str(SEED_DOMAIN))
+                == ("0.01..1e+06", ">= 0"))
 
     @pytest.mark.parametrize("value, inside", [
         (1, True), (65536, True), (0, False), (65537, False)])

@@ -14,6 +14,7 @@ from tapfuse.errors import (
     DegenerateScene,
     Domain,
     EmptyTimeline,
+    GridMismatch,
     MalformedRecord,
     ShapeMismatch,
 )
@@ -24,6 +25,7 @@ from tapfuse.events import (
     Timeline,
     exposure_window_events,
 )
+from tapfuse.metrics import EvalPair
 from tapfuse.synth import (
     CONTRAST_DOMAIN,
     MAX_DURATION_US,
@@ -34,6 +36,7 @@ from tapfuse.synth import (
     SceneObject,
     simulate_events,
 )
+from tapfuse.tracker import TrackSet
 from tapfuse.weights import (
     FUSION_DOMAINS,
     SEED_DOMAIN,
@@ -69,10 +72,11 @@ def scene_object(name, value):
 STREAM = EventStream.from_events([], 4, 4, 0, 10)
 # two 1x1 frames a log unit apart: any contrast in its domain simulates
 VIDEO = IntensityVideo(frames=np.exp([[[0.0]], [[1.0]]]),
-                       frame_times=np.array([0, 1000]), fps=1000.0)
-TINY_MODEL = FusionConfig(d=1, patch=1, decoder_channels=(1, 1, 1),
-                          window=2, corr_hidden=1, corr_embed=1,
-                          motion_freqs=1, refiner_width=1, refiner_blocks=1)
+                       frame_times=np.array([0, 1000]))
+TINY_MODEL = FusionConfig(d=1, patch=1, window=2, patch_radius=0)
+# one query's one-step track
+TRACK = TrackSet(times=np.array([0]), positions=np.zeros((1, 1, 2)),
+                 visibility=np.ones((1, 1)))
 TIME, EXPOSURE = TIMELINE_DOMAINS.values()
 
 # (label, domain, the name its message gives, the site's error, build);
@@ -91,10 +95,7 @@ SITES = [
      lambda v: exposure_window_events(STREAM, 10, v)),
     *[(f"fusion.{name}", domain, f"FusionConfig.{name}", ShapeMismatch,
        lambda v, name=name: FusionConfig(**{name: v}))
-      for name, domain in FUSION_DOMAINS.items() if name != "decoder_channels"],
-    ("fusion.decoder_channels", FUSION_DOMAINS["decoder_channels"],
-     "FusionConfig.decoder_channels", ShapeMismatch,
-     lambda v: FusionConfig(decoder_channels=(64, v, 16))),
+      for name, domain in FUSION_DOMAINS.items()],
     *[(f"scene.{name}", domain, name, DegenerateScene,
        lambda v, name=name: scene(name, v))
       for name, domain in SCENE_DOMAINS.items()],
@@ -105,6 +106,9 @@ SITES = [
      lambda v: simulate_events(VIDEO, v)),
     ("weights.seed", SEED_DOMAIN, "WeightBundle.seed", ShapeMismatch,
      lambda v: WeightBundle.initialize(TINY_MODEL, v)),
+    ("metrics.image_height", SCENE_DOMAINS["height"], "EvalPair.image_height",
+     GridMismatch,
+     lambda v: EvalPair(predicted=TRACK, reference=TRACK, image_height=v)),
 ]
 
 

@@ -19,7 +19,6 @@ from tapfuse.errors import (
     DataError,
     GeometryMismatch,
     MalformedRecord,
-    MissingForwardCache,
     NonFiniteValue,
     ShapeMismatch,
     TapfuseError,
@@ -31,6 +30,7 @@ from tapfuse.fusion import (
     TransientState,
     _attention_block,
     _block_tables,
+    _clwf_attention,
     _layer_norm,
     _linear,
     _live_event_tokens,
@@ -39,9 +39,9 @@ from tapfuse.fusion import (
     _residual_out,
     _sdpa,
     _softmax,
+    _temporal_attention_parts,
     _tiled,
     _update_rows,
-    clwf_backward,
     clwf_fuse,
     decode_pyramid,
     sinusoidal_encoding,
@@ -145,10 +145,9 @@ class TestClwf:
     def test_attention_rows_stochastic_and_masked(self):
         rng = np.random.default_rng(4)
         weights = small_weights(seed=5, d=8)
-        cache = {}
-        clwf_fuse(random_tokens(rng, (5, 6), 8), random_tokens(rng, (5, 6), 8),
-                  weights, cache=cache)
-        a, mask = cache["a"], cache["mask"]
+        _, _, _, a, _, mask = _clwf_attention(
+            random_tokens(rng, (5, 6), 8), random_tokens(rng, (5, 6), 8),
+            weights)
         np.testing.assert_allclose(a.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(a[~mask] == 0.0)
 
@@ -212,10 +211,6 @@ class TestClwf:
         with pytest.raises(ShapeMismatch):
             clwf_fuse(random_tokens(rng, (2, 3), 4),
                       random_tokens(rng, (3, 2), 4), weights)
-
-    def test_backward_requires_cache(self):
-        with pytest.raises(MissingForwardCache):
-            clwf_backward({}, np.zeros((1, 4)), small_weights(d=4))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gradients_match_finite_differences(self, seed):
@@ -506,11 +501,10 @@ class TestInPlaceExactness:
         read = read.transpose(1, 0, 2)
         want = ref_residual_out(x, read, weights["tattn.wo"],
                                 weights["tattn.bo"])
-        cache = {}
-        assert np.array_equal(temporal_attention(x, weights, cache),
-                              want)
-        assert np.array_equal(cache["a"], a)
-        assert np.array_equal(cache["read"], read)
+        assert np.array_equal(temporal_attention(x, weights), want)
+        *_, got_read, got_a = _temporal_attention_parts(x, weights)
+        assert np.array_equal(got_a, a)
+        assert np.array_equal(got_read.transpose(1, 0, 2), read)
 
     def test_attention_block_at_token_count(self):
         """taf_update's block on 256 tokens of width 64."""
@@ -545,9 +539,8 @@ class TestInPlaceExactness:
                   + weights["clwf.bias_table"][None, :])
         a = ref_softmax(np.where(mask, logits, -np.inf))
         want = E + np.einsum("nk,nkd->nd", a, v[idx])
-        cache = {}
-        assert np.array_equal(clwf_fuse(ev, im, weights, cache).values, want)
-        assert np.array_equal(cache["a"], a)
+        assert np.array_equal(clwf_fuse(ev, im, weights).values, want)
+        assert np.array_equal(_clwf_attention(ev, im, weights)[3], a)
 
     @pytest.mark.parametrize("lead", [(37,), (5, 37), (3, 4, 5)])
     def test_linear_and_residual_broadcast_bias(self, lead):
@@ -1143,8 +1136,7 @@ class TestWeightIO:
 
     @pytest.mark.parametrize("cfg, digest", [
         (FusionConfig(), "f67ee60c08c1509b"),
-        (FusionConfig(d=24, radius=2, refiner_width=40, refiner_blocks=3),
-         "36598a0ebe65048f"),
+        (FusionConfig(d=24, radius=2, patch_radius=1), "7148a9c8b79e935d"),
     ])
     def test_parameter_specs_are_pinned(self, cfg, digest):
         # the seeded draws follow this list, so a reordered or renamed spec
@@ -1161,25 +1153,20 @@ class TestWeightIO:
 
     @pytest.mark.parametrize("name, floor, below", [
         ("d", 1, 0), ("patch", 1, 0), ("radius", 0, -1), ("subwindows", 1, 0),
-        ("decoder_channels", (1, 1, 1), (1, 0, 1)),
-        ("decoder_channels", (1, 1, 1), (8, 8)), ("window", 2, 1),
-        ("patch_radius", 0, -1), ("iterations", 1, 0), ("corr_hidden", 1, 0),
-        ("corr_embed", 1, 0), ("motion_freqs", 1, 0), ("refiner_width", 1, 0),
-        ("refiner_blocks", 1, 0),
+        ("window", 2, 1), ("patch_radius", 0, -1), ("iterations", 1, 0),
     ])
     def test_config_field_below_its_floor_is_shape_mismatch(self, name,
                                                             floor, below):
         """Below its floor a field would give an empty width (an inf
-        uniform bound in initialize) or a zero window stride, and the
-        decoder has 3 levels; every field is named here."""
+        uniform bound in initialize) or a zero window stride; every field
+        is named here."""
         names = {f.name for f in dataclasses.fields(FusionConfig)}
-        assert name in names and len(names) == 13
+        assert name in names and len(names) == 7
         FusionConfig(**{name: floor})
         with pytest.raises(ShapeMismatch, match=rf"FusionConfig\.{name} = "):
             FusionConfig(**{name: below})
 
-    @pytest.mark.parametrize("kw", [dict(d=8.5), dict(d="8"),
-                                    dict(decoder_channels=(8, 4.0, 2))])
+    @pytest.mark.parametrize("kw", [dict(d=8.5), dict(d="8")])
     def test_config_field_that_is_not_an_integer_is_shape_mismatch(self, kw):
         """d = 8.5 was accepted and initialize raised a TypeError; "8"
         raised a TypeError from the floor comparison."""
@@ -1190,9 +1177,9 @@ class TestWeightIO:
             FusionConfig(**kw)
 
     def test_numpy_integer_fields_are_kept_as_ints(self):
-        cfg = FusionConfig(d=np.int64(8), decoder_channels=(np.int64(8), 4, 2))
-        assert cfg == FusionConfig(d=8, decoder_channels=(8, 4, 2))
-        assert type(cfg.d) is int and type(cfg.decoder_channels[0]) is int
+        cfg = FusionConfig(d=np.int64(8), window=np.int64(4))
+        assert cfg == FusionConfig(d=8, window=4)
+        assert type(cfg.d) is int and type(cfg.window) is int
         WeightBundle.initialize(cfg, seed=0)
 
 

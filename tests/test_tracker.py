@@ -47,7 +47,13 @@ from tapfuse.fusion import (
     taf_update,
     temporal_attention,
 )
-from tapfuse.weights import FusionConfig, WeightBundle
+from tapfuse.weights import (
+    CORR_EMBED,
+    MOTION_FREQS,
+    REFINER_WIDTH,
+    FusionConfig,
+    WeightBundle,
+)
 
 from test_fusion import traced_peak
 
@@ -95,12 +101,12 @@ class TestSamplePatch:
 class TestCorrelationFeatures:
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(2)
-        cfg = FusionConfig(patch_radius=1, corr_hidden=8, corr_embed=4)
+        cfg = FusionConfig(patch_radius=1)
         weights = WeightBundle.initialize(cfg, seed=3)
         taps = (2 * cfg.patch_radius + 1) ** 2
         patches = [rng.normal(size=(4, taps, c)) for c in (5, 3, 2)]
         got = correlation_features(patches, weights)
-        assert got.shape == (4, 3 * cfg.corr_embed)
+        assert got.shape == (4, 3 * CORR_EMBED)
         for lvl in range(3):
             anchor = patches[lvl][0]
             for t in range(4):
@@ -109,7 +115,8 @@ class TestCorrelationFeatures:
                                + weights[f"corr.l{lvl}.b1"], 0.0)
                 want = h @ weights[f"corr.l{lvl}.w2"] + weights[f"corr.l{lvl}.b2"]
                 np.testing.assert_allclose(
-                    got[t, 4 * lvl:4 * lvl + 4], want, atol=1e-12)
+                    got[t, CORR_EMBED * lvl:CORR_EMBED * (lvl + 1)], want,
+                    atol=1e-12)
 
     def test_wrong_level_count_rejected(self):
         weights = WeightBundle.initialize(FusionConfig(), seed=0)
@@ -274,10 +281,10 @@ def loop_refine_track(positions, logits, dense_levels, weights):
         rel = positions - positions[0]
         tokens = np.concatenate(
             [desc, logits[:, None],
-             _motion_encoding(rel, cfg.motion_freqs)], axis=1)
+             _motion_encoding(rel, MOTION_FREQS)], axis=1)
         x = tokens @ weights["ref.in.w"] + weights["ref.in.b"]
         x = _refiner_transformer(
-            x, weights, sinusoidal_encoding(np.arange(len(x)), cfg.refiner_width))
+            x, weights, sinusoidal_encoding(np.arange(len(x)), REFINER_WIDTH))
         delta = x @ weights["ref.head.w"] + weights["ref.head.b"]
         positions = positions + delta[:, :2]
         logits = logits + delta[:, 2]
@@ -351,7 +358,7 @@ def test_refiner_reads_the_token_containing_each_centre(patch, monkeypatch):
     def capture(patches_per_level, w):
         seen.append(patches_per_level)
         return np.zeros((len(patches_per_level[0]),
-                         3 * w.config.corr_embed))
+                         3 * CORR_EMBED))
 
     monkeypatch.setattr(tracker, "correlation_features", capture)
     cells = np.array([[0, 0], [1, 3], [n - 1, 2], [n - 1, n - 1]])  # (col, row)
@@ -812,8 +819,7 @@ def dense_track_sequence(frames, stream, timeline, queries, weights):
     return pos, visibility
 
 
-WIDTHS = [dict(d=d) for d in (8, 17, 24, 64, 65, 100)] + [
-    dict(decoder_channels=(33, 17, 9))]
+WIDTHS = [dict(d=d) for d in (8, 17, 24, 64, 65, 100)]
 
 
 # a small config: 8-step windows, 3 x 3 taps
@@ -868,9 +874,9 @@ class TestOnDemandDecode:
         one that starts mid-window, and one the head drives off the
         sensor. The tracks equal the dense computation's at every width,
         including those at which a plain product of some rows rounds apart
-        from the full product's rows (d = 17, 65, 100, decoder channels
-        (33, 17, 9)); with frames every 16 steps, the states between frames
-        replay their rows from the frame before."""
+        from the full product's rows (d = 17, 65, 100); with frames every 16
+        steps, the states between frames replay their rows from the frame
+        before."""
         import tapfuse.tracker as tracker
 
         frames, timeline, stream, _ = small_sequence(
