@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tapfuse.arrayio import read_frames, write_array
+from tapfuse.config import DOMAINS, RunConfig, _KEYMAP
 from tapfuse.errors import (
+    ConfigError,
     DataError,
     DegenerateScene,
     Domain,
@@ -109,6 +111,11 @@ SITES = [
     ("metrics.image_height", SCENE_DOMAINS["height"], "EvalPair.image_height",
      GridMismatch,
      lambda v: EvalPair(predicted=TRACK, reference=TRACK, image_height=v)),
+    # the run config's own settings, whose domains no library type owns
+    *[(f"config.{key}", DOMAINS[key], key, ConfigError,
+       lambda v, key=key: RunConfig(**{_KEYMAP[key][0]: v}).validate())
+      for key in ("scene.n_random_objects", "bench.n_events",
+                  "eval.err_threshold")],
 ]
 
 

@@ -42,6 +42,7 @@ from tapfuse.fusion import (
     _temporal_attention_parts,
     _tiled,
     _update_rows,
+    clwf_backward,
     clwf_fuse,
     decode_pyramid,
     sinusoidal_encoding,
@@ -211,6 +212,15 @@ class TestClwf:
         with pytest.raises(ShapeMismatch):
             clwf_fuse(random_tokens(rng, (2, 3), 4),
                       random_tokens(rng, (3, 2), 4), weights)
+
+    def test_backward_rejects_grids_that_differ_as_the_forward_does(self):
+        """The backward pass recomputes the forward from its inputs, so
+        tokens of two grids stop it before any gradient is formed."""
+        rng = np.random.default_rng(0)
+        with pytest.raises(ShapeMismatch, match="grids differ"):
+            clwf_backward(random_tokens(rng, (2, 3), 4),
+                          random_tokens(rng, (3, 2), 4), np.zeros((6, 4)),
+                          small_weights(d=4))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gradients_match_finite_differences(self, seed):
@@ -1181,6 +1191,32 @@ class TestWeightIO:
         assert cfg == FusionConfig(d=8, window=4)
         assert type(cfg.d) is int and type(cfg.window) is int
         WeightBundle.initialize(cfg, seed=0)
+
+    @pytest.mark.parametrize("width, value, message", [
+        ("DECODER_CHANNELS", (64, 32, 8),
+         r"^dec\.b2: shape \(8,\) != expected \(16,\)$"),
+        ("CORR_HIDDEN", 48, r"^corr\.l0\.b1: shape \(48,\) != expected \(64,\)$"),
+        ("CORR_EMBED", 16, r"^corr\.l0\.b2: shape \(16,\) != expected \(32,\)$"),
+        ("MOTION_FREQS", 16,
+         r"^ref\.in\.w: shape \(161, 64\) != expected \(225, 64\)$"),
+        ("REFINER_WIDTH", 32,
+         r"^ref\.b0\.attn\.bk: shape \(32,\) != expected \(64,\)$"),
+        ("REFINER_BLOCKS", 1, r"missing=\['ref\.b1\.attn\.bk', .* extra=\[\]$"),
+        ("REFINER_BLOCKS", 3, r"missing=\[\] extra=\['ref\.b2\.attn\.bk', "),
+    ], ids=["DECODER_CHANNELS", "CORR_HIDDEN", "CORR_EMBED", "MOTION_FREQS",
+            "REFINER_WIDTH", "REFINER_BLOCKS=1", "REFINER_BLOCKS=3"])
+    def test_a_file_saved_at_another_fixed_width_is_shape_mismatch(
+            self, monkeypatch, width, value, message):
+        """The fixed widths are no config field, so a weights file written
+        at another width fails on load at the first record it reshapes, or
+        names the refiner blocks it lacks or adds."""
+        import tapfuse.weights as weights_module
+
+        with monkeypatch.context() as patched:
+            patched.setattr(weights_module, width, value)
+            blob = save_weights(WeightBundle.initialize(SMALL_CONFIG, seed=0))
+        with pytest.raises(ShapeMismatch, match=message):
+            load_weights(blob, SMALL_CONFIG)
 
 
 # three records that make no config's table, so built from raw records

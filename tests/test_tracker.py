@@ -819,7 +819,10 @@ def dense_track_sequence(frames, stream, timeline, queries, weights):
     return pos, visibility
 
 
-WIDTHS = [dict(d=d) for d in (8, 17, 24, 64, 65, 100)]
+# the widths, then a 5 x 5 CLWF neighbourhood and 5 refiner iterations,
+# whose later passes reach tokens the first did not
+WIDTHS = [dict(d=d) for d in (8, 17, 24, 64, 65, 100)] + [
+    dict(d=33, radius=2), dict(d=17, iterations=5)]
 
 
 # a small config: 8-step windows, 3 x 3 taps
@@ -874,9 +877,9 @@ class TestOnDemandDecode:
         one that starts mid-window, and one the head drives off the
         sensor. The tracks equal the dense computation's at every width,
         including those at which a plain product of some rows rounds apart
-        from the full product's rows (d = 17, 65, 100); with frames every 16
-        steps, the states between frames replay their rows from the frame
-        before."""
+        from the full product's rows (d = 17, 65, 100), at radius 2 and at 5
+        refiner iterations; with frames every 16 steps, the states between
+        frames replay their rows from the frame before."""
         import tapfuse.tracker as tracker
 
         frames, timeline, stream, _ = small_sequence(
