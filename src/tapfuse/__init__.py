@@ -61,8 +61,6 @@ from .metrics import (
     evaluate,
     feature_age,
     occlusion_accuracy,
-    pca_dispersion,
-    smooth_gt,
     speed_weighted_success,
 )
 from .weights import FusionConfig, WeightBundle, load_weights, save_weights

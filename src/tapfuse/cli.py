@@ -25,7 +25,6 @@ from .errors import (
     ConfigError,
     ContractError,
     DataError,
-    Domain,
     GridMismatch,
     TapfuseError,
 )
@@ -244,8 +243,6 @@ def _parse_query(text: str) -> QueryPoint:
 def _parse_thresholds(text: str) -> tuple[float, ...]:
     try:
         thresholds = tuple(float(t) for t in text.split(","))
-        if not all(t in Domain(0, above=True) for t in thresholds):
-            raise ValueError("thresholds must be finite and positive")
         threshold_keys(thresholds)
     except (ValueError, GridMismatch) as exc:
         raise ConfigError(f"--thresholds must be comma-separated numbers: "

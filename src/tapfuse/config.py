@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError, DegenerateScene, Domain
 from .events import TIMELINE_DOMAINS, Timeline
-from .metrics import DEFAULT_AGE_THRESHOLD
+from .metrics import AGE_THRESHOLD_DOMAIN, DEFAULT_AGE_THRESHOLD
 from .synth import (
     CONTRAST_DOMAIN,
     DEFAULT_CONTRAST,
@@ -71,7 +71,8 @@ class RunConfig:
     # misc
     seed: int = _setting(0, SEED_DOMAIN)
     bench_n_events: int = _setting(1_000_000, Domain(1, integer=True))
-    eval_err_threshold: float = _setting(DEFAULT_AGE_THRESHOLD, Domain(0))
+    eval_err_threshold: float = _setting(DEFAULT_AGE_THRESHOLD,
+                                         AGE_THRESHOLD_DOMAIN)
 
     def fusion_config(self) -> FusionConfig:
         """The model_<name> fields as FusionConfig(<name>=...)."""

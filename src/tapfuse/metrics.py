@@ -1,10 +1,9 @@
 """Evaluation metrics for point tracks.
 
 TAP-style position/visibility metrics (delta_avg_vis, OA, AJ), feature
-tracking ages (FA, EFA), ground-truth displacement-outlier smoothing, the
-speed-weighted success curve with its AUC, and PCA feature-dispersion
-analysis. Position thresholds follow the 256-px-normalized convention:
-pixel errors are rescaled by 256 / image_height before comparison.
+tracking ages (FA, EFA), and the speed-weighted success curve with its
+AUC. Position thresholds follow the 256-px-normalized convention: pixel
+errors are rescaled by 256 / image_height before comparison.
 """
 
 from __future__ import annotations
@@ -17,13 +16,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatch, ZeroTotalSpeed
+from .errors import Domain, GridMismatch, ZeroTotalSpeed
 from .synth import SCENE_DOMAINS
 from .tracker import TrackSet
 
 DEFAULT_THRESHOLDS = (1.0, 2.0, 4.0, 8.0, 16.0)
 DEFAULT_AGE_THRESHOLD = 8.0
-DEFAULT_SMOOTH_CUTOFF = 0.1
+# a position threshold, in normalized px, and the age threshold, in px
+THRESHOLD_DOMAIN = Domain(0, above=True)
+AGE_THRESHOLD_DOMAIN = Domain(0)
 
 
 @dataclass(frozen=True)
@@ -87,8 +88,7 @@ def delta_avg_vis(pair: EvalPair,
                   thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS) -> float:
     """Fraction of reference-visible points with error under each threshold,
     averaged over thresholds."""
-    if not thresholds:
-        raise GridMismatch("thresholds must be non-empty")
+    _check_thresholds(thresholds)
     err = pair.normalized_errors
     vis = pair.reference.visibility.astype(bool)
     if not vis.any():
@@ -106,8 +106,7 @@ def occlusion_accuracy(pair: EvalPair) -> float | None:
 
 def average_jaccard(pair: EvalPair,
                     thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS) -> float:
-    if not thresholds:
-        raise GridMismatch("thresholds must be non-empty")
+    _check_thresholds(thresholds)
     err = pair.normalized_errors
     pvis = pair.predicted.visibility.astype(bool)
     rvis = pair.reference.visibility.astype(bool)
@@ -126,6 +125,7 @@ def track_ages(pair: EvalPair,
                err_threshold: float = DEFAULT_AGE_THRESHOLD) -> np.ndarray:
     """Per-track age: fraction of the track duration survived before the
     first step whose pixel error exceeds the threshold."""
+    AGE_THRESHOLD_DOMAIN.check("err_threshold", err_threshold, GridMismatch)
     err = pair.errors
     times = pair.predicted.times.astype(np.float64)
     duration = times[-1] - times[0]
@@ -158,82 +158,44 @@ def _fa_efa(pair: EvalPair, ages: np.ndarray, err_threshold: float
     return fa, efa
 
 
-def smooth_gt(positions: np.ndarray, image_height: int,
-              displacement_cutoff: float = DEFAULT_SMOOTH_CUTOFF) -> np.ndarray:
-    """Replace displacement-outlier steps by linear interpolation of their
-    neighbors, in a single pass.
-
-    A step is an outlier when its displacement from both the previous and
-    the next step exceeds cutoff * image_height. Endpoints are kept.
-    """
-    pos = np.asarray(positions, dtype=np.float64).copy()
-    if len(pos) < 3:
-        return pos
-    limit = displacement_cutoff * image_height
-    disp = np.linalg.norm(np.diff(positions, axis=0), axis=1)
-    spikes = np.flatnonzero((disp[:-1] > limit) & (disp[1:] > limit)) + 1
-    for i in spikes:
-        pos[i] = 0.5 * (positions[i - 1] + positions[i + 1])
-    return pos
-
-
-def speed_weighted_success(rve: np.ndarray, gt_speed: np.ndarray,
-                           xi_grid: np.ndarray | None = None
+def speed_weighted_success(rve: np.ndarray, gt_speed: np.ndarray
                            ) -> tuple[np.ndarray, float]:
-    """Speed-weighted success curve and its trapezoidal AUC on [0, 1].
+    """Speed-weighted success curve on xi = 0, 0.01, ..., 1 and its
+    trapezoidal AUC.
 
-    S(xi) = sum(|v_gt| * [RVE < xi]) / sum(|v_gt|).
+    S(xi) = sum(|v_gt| * [RVE < xi]) / sum(|v_gt|). Every RVE must be
+    finite and every speed finite and >= 0.
     """
     rve = np.asarray(rve, dtype=np.float64)
     gt_speed = np.asarray(gt_speed, dtype=np.float64)
     if rve.shape != gt_speed.shape:
         raise GridMismatch("rve/gt_speed shape mismatch")
+    if not np.isfinite(rve).all():
+        raise GridMismatch("rve must be finite")
+    if not (np.isfinite(gt_speed) & (gt_speed >= 0)).all():
+        raise GridMismatch("ground-truth speeds must be finite and >= 0")
     total = gt_speed.sum()
     if total <= 0:
         raise ZeroTotalSpeed("ground-truth speeds sum to zero")
-    if xi_grid is None:
-        xi_grid = np.linspace(0.0, 1.0, 101)
-    xi_grid = np.asarray(xi_grid, dtype=np.float64)
-    curve = np.array([np.sum(gt_speed * (rve < xi)) / total for xi in xi_grid])
-    auc = float(np.trapezoid(curve, xi_grid))
+    grid = np.linspace(0.0, 1.0, 101)
+    curve = np.array([np.sum(gt_speed * (rve < xi)) / total for xi in grid])
+    auc = float(np.trapezoid(curve, grid))
     return curve, auc
 
 
-def pca_dispersion(features: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Project per-point, per-time feature vectors onto the pooled top-2
-    principal axes (eigenvectors of the pooled covariance, each signed so
-    that its largest-magnitude entry is positive).
-
-    features: (P, T, d). Returns (projections (P, T, 2), per-point means
-    (P, 2), per-point 2x2 covariances, axes (2, d)). Rank-deficient pooled
-    data yields a zero second axis.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    p, t, d = features.shape
-    pooled = features.reshape(p * t, d)
-    center = pooled.mean(axis=0)
-    x = pooled - center
-    cov = x.T @ x / max(len(x) - 1, 1)
-    evals, evecs = np.linalg.eigh(cov)  # ascending eigenvalues
-    axes = np.zeros((2, d))
-    for i in range(min(d, 2)):
-        ax = evecs[:, -1 - i]
-        axes[i] = ax * np.sign(ax[np.argmax(np.abs(ax))])
-    if d < 2 or evals[-2] <= max(evals[-1], 1.0) * 1e-12:
-        axes[1] = 0.0
-    proj = (features - center) @ axes.T
-    means = proj.mean(axis=1)
-    covs = np.zeros((p, 2, 2))
-    for qi in range(p):
-        centered = proj[qi] - means[qi]
-        covs[qi] = centered.T @ centered / max(t - 1, 1)
-    return proj, means, covs, axes
+def _check_thresholds(thresholds: tuple[float, ...]) -> None:
+    """Raise GridMismatch for no thresholds or one outside THRESHOLD_DOMAIN."""
+    if not thresholds:
+        raise GridMismatch("thresholds must be non-empty")
+    for th in thresholds:
+        THRESHOLD_DOMAIN.check("threshold", th, GridMismatch)
 
 
 def threshold_keys(thresholds: tuple[float, ...]) -> list[str]:
     """Each threshold's per_threshold key, f"{th:g}". Thresholds that print
-    alike would share one entry, so they raise GridMismatch naming it."""
+    alike would share one entry, so they raise GridMismatch naming it, as
+    do no thresholds and one outside THRESHOLD_DOMAIN."""
+    _check_thresholds(thresholds)
     keys = [f"{th:g}" for th in thresholds]
     for key in keys:
         if keys.count(key) > 1:

@@ -15,6 +15,7 @@ from _metric_oracle import (
     bf_occlusion_accuracy,
     random_pair,
 )
+from _tracker_oracle import count_state_calls
 from tapfuse.cli import cmd_bench
 from tapfuse.config import RunConfig
 from tapfuse.events import Event, EventStream, Timeline
@@ -35,8 +36,6 @@ from tapfuse.synth import (
 )
 from tapfuse.tracker import QueryPoint, refine_track, track_sequence
 from tapfuse.weights import DECODER_CHANNELS, FusionConfig, WeightBundle
-
-from test_tracker import count_state_calls
 
 
 def random_scene(rng, width=64, height=64, duration_us=2_000_000, fps=48.0):

@@ -27,7 +27,13 @@ from tapfuse.events import (
     Timeline,
     exposure_window_events,
 )
-from tapfuse.metrics import EvalPair
+from tapfuse.metrics import (
+    AGE_THRESHOLD_DOMAIN,
+    THRESHOLD_DOMAIN,
+    EvalPair,
+    threshold_keys,
+    track_ages,
+)
 from tapfuse.synth import (
     CONTRAST_DOMAIN,
     MAX_DURATION_US,
@@ -111,11 +117,17 @@ SITES = [
     ("metrics.image_height", SCENE_DOMAINS["height"], "EvalPair.image_height",
      GridMismatch,
      lambda v: EvalPair(predicted=TRACK, reference=TRACK, image_height=v)),
+    ("metrics.threshold", THRESHOLD_DOMAIN, "threshold", GridMismatch,
+     lambda v: threshold_keys((v,))),
+    ("metrics.err_threshold", AGE_THRESHOLD_DOMAIN, "err_threshold",
+     GridMismatch, lambda v: track_ages(
+         EvalPair(predicted=TRACK, reference=TRACK, image_height=1), v)),
+    ("config.eval.err_threshold", AGE_THRESHOLD_DOMAIN, "eval.err_threshold",
+     ConfigError, lambda v: RunConfig(eval_err_threshold=v).validate()),
     # the run config's own settings, whose domains no library type owns
     *[(f"config.{key}", DOMAINS[key], key, ConfigError,
        lambda v, key=key: RunConfig(**{_KEYMAP[key][0]: v}).validate())
-      for key in ("scene.n_random_objects", "bench.n_events",
-                  "eval.err_threshold")],
+      for key in ("scene.n_random_objects", "bench.n_events")],
 ]
 
 

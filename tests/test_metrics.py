@@ -20,8 +20,6 @@ from tapfuse.metrics import (
     evaluate,
     feature_age,
     occlusion_accuracy,
-    pca_dispersion,
-    smooth_gt,
     speed_weighted_success,
     track_ages,
 )
@@ -152,42 +150,12 @@ class TestAges:
         assert efa == 0.5         # immediate failure averaged in at 0
 
 
-class TestSmoothGt:
-    def test_spike_replaced_by_midpoint(self):
-        pos = np.array([[0.0, 0.0], [1.0, 0.0], [50.0, 50.0], [3.0, 0.0],
-                        [4.0, 0.0]])
-        out = smooth_gt(pos, image_height=64)
-        np.testing.assert_allclose(out[2], [2.0, 0.0])
-        np.testing.assert_allclose(out[[0, 1, 3, 4]], pos[[0, 1, 3, 4]])
-
-    def test_gradual_motion_untouched(self):
-        pos = np.cumsum(np.full((10, 2), 2.0), axis=0)
-        np.testing.assert_array_equal(smooth_gt(pos, 64), pos)
-
-    def test_one_sided_jump_kept(self):
-        # a genuine step change (large jump, then small steps) is not a spike
-        pos = np.array([[0.0, 0.0], [50.0, 0.0], [51.0, 0.0], [52.0, 0.0]])
-        np.testing.assert_array_equal(smooth_gt(pos, 64), pos)
-
-    def test_single_pass_uses_original_neighbors(self):
-        pos = np.array([[0.0, 0.0], [50.0, 0.0], [0.0, 50.0], [1.0, 1.0],
-                        [2.0, 2.0]])
-        out = smooth_gt(pos, image_height=64)
-        # both interior spikes interpolate from the *original* neighbors
-        np.testing.assert_allclose(out[1], 0.5 * (pos[0] + pos[2]))
-        np.testing.assert_allclose(out[2], 0.5 * (pos[1] + pos[3]))
-
-    def test_short_tracks_returned_as_is(self):
-        pos = np.array([[0.0, 0.0], [90.0, 90.0]])
-        np.testing.assert_array_equal(smooth_gt(pos, 64), pos)
-
-
 class TestSpeedWeightedSuccess:
     def test_hand_case(self):
         rve = np.array([0.1, 0.5])
         speed = np.array([1.0, 3.0])
         grid = np.linspace(0.0, 1.0, 101)
-        curve, auc = speed_weighted_success(rve, speed, grid)
+        curve, auc = speed_weighted_success(rve, speed)
         assert curve[0] == 0.0                       # xi = 0
         assert curve[20] == pytest.approx(0.25)      # xi = 0.2: only rve=0.1
         assert curve[-1] == 1.0                      # xi = 1
@@ -213,50 +181,26 @@ class TestSpeedWeightedSuccess:
         with pytest.raises(GridMismatch):
             speed_weighted_success(np.zeros(3), np.ones(4))
 
+    def test_nan_speed_rejected(self):
+        """A NaN speed gave a NaN curve and AUC with a RuntimeWarning."""
+        with pytest.raises(GridMismatch, match="speeds must be finite"):
+            speed_weighted_success(np.array([0.1, 0.5]),
+                                   np.array([np.nan, 3.0]))
 
-class TestPcaDispersion:
-    def test_matches_eigendecomposition(self):
-        rng = np.random.default_rng(3)
-        feats = rng.normal(size=(6, 40, 8)) * np.array([5, 3, 1, 1, 1, 1, 1, 1])
-        proj, means, covs, axes = pca_dispersion(feats)
-        pooled = feats.reshape(-1, 8)
-        center = pooled.mean(axis=0)
-        cov = np.cov(pooled - center, rowvar=False)
-        evals, evecs = np.linalg.eigh(cov)
-        top2 = evecs[:, ::-1][:, :2].T
-        for i in range(2):
-            assert abs(axes[i] @ top2[i]) == pytest.approx(1.0, abs=1e-8)
-        want = (feats - center) @ top2.T
-        sign = np.sign(np.sum(axes * top2, axis=1))
-        np.testing.assert_allclose(proj, want * sign, atol=1e-7)
+    def test_infinite_speed_rejected(self):
+        with pytest.raises(GridMismatch, match="speeds must be finite"):
+            speed_weighted_success(np.array([0.1, 0.5]),
+                                   np.array([np.inf, 3.0]))
 
-    def test_axes_signed_by_largest_entry(self):
-        rng = np.random.default_rng(6)
-        for _ in range(10):
-            mix = rng.normal(size=(5, 5))
-            _, _, _, axes = pca_dispersion(rng.normal(size=(3, 25, 5)) @ mix)
-            for ax in axes:
-                assert ax[np.argmax(np.abs(ax))] > 0
-                assert np.linalg.norm(ax) == pytest.approx(1.0)
+    def test_negative_speed_rejected(self):
+        """Speeds [-1, 3] gave a curve whose minimum was -0.5."""
+        with pytest.raises(GridMismatch, match=">= 0"):
+            speed_weighted_success(np.array([0.1, 0.5]), np.array([-1.0, 3.0]))
 
-    def test_projection_statistics(self):
-        rng = np.random.default_rng(4)
-        feats = rng.normal(size=(4, 30, 6))
-        proj, means, covs, _ = pca_dispersion(feats)
-        for qi in range(4):
-            np.testing.assert_allclose(means[qi], proj[qi].mean(axis=0),
-                                       atol=1e-12)
-            np.testing.assert_allclose(covs[qi], np.cov(proj[qi], rowvar=False),
-                                       atol=1e-9)
-
-    def test_rank_one_data_zeroes_second_axis(self):
-        rng = np.random.default_rng(5)
-        direction = np.array([1.0, 2.0, -1.0, 0.5])
-        feats = rng.normal(size=(3, 20, 1)) * direction
-        _, _, _, axes = pca_dispersion(feats)
-        assert abs(axes[0] @ direction / np.linalg.norm(direction)) \
-            == pytest.approx(1.0, abs=1e-8)
-        np.testing.assert_array_equal(axes[1], 0.0)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rve_rejected(self, bad):
+        with pytest.raises(GridMismatch, match="rve must be finite"):
+            speed_weighted_success(np.array([bad, 0.5]), np.array([1.0, 3.0]))
 
 
 class TestReport:
@@ -288,6 +232,29 @@ class TestReport:
         second threshold's scores under '1', while aj averaged all three."""
         with pytest.raises(GridMismatch, match=f"per-threshold key '{key}'$"):
             evaluate(random_pair(9), thresholds, 8.0)
+
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -1.0, 0.0])
+    def test_a_threshold_outside_its_domain_is_refused(self, threshold):
+        """NaN and inf thresholds built a report whose to_json raised a
+        builtin ValueError; -1 and 0 scored without an error."""
+        with pytest.raises(GridMismatch, match="^threshold = .* outside"):
+            evaluate(random_pair(9), (1.0, threshold), 8.0)
+
+    def test_no_thresholds_is_refused_without_tracks(self):
+        empty = TrackSet(times=np.arange(3), positions=np.zeros((0, 3, 2)),
+                         visibility=np.zeros((0, 3)))
+        pair = EvalPair(predicted=empty, reference=empty, image_height=64)
+        with pytest.raises(GridMismatch, match="non-empty"):
+            evaluate(pair, (), 8.0)
+
+    @pytest.mark.parametrize("err_threshold", [np.nan, np.inf, -1.0])
+    def test_an_age_threshold_outside_its_domain_is_refused(self,
+                                                             err_threshold):
+        """err_threshold = nan gave FA 0.0 and EFA 1.0."""
+        with pytest.raises(GridMismatch, match="^err_threshold = "):
+            evaluate(random_pair(9), THRESHOLDS, err_threshold)
+        with pytest.raises(GridMismatch, match="^err_threshold = "):
+            feature_age(random_pair(9), err_threshold)
 
     def test_json_refuses_nan(self):
         report = evaluate(perfect_pair(), THRESHOLDS, 8.0)

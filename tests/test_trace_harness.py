@@ -13,7 +13,7 @@ import tapfuse.cli  # noqa: F401
 from tapfuse.tracker import QueryPoint
 from tapfuse.weights import FusionConfig, WeightBundle
 
-from test_tracker import drifting_weights, small_sequence
+from _tracker_oracle import drifting_weights, small_sequence
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 

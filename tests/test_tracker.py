@@ -16,19 +16,12 @@ from tapfuse.errors import (
     ShapeMismatch,
     TapfuseError,
 )
-from tapfuse.events import (
-    EventStream,
-    Timeline,
-    bin_events,
-    exposure_window_events,
-)
-from tapfuse.synth import SceneConfig, SceneObject, render_intensity_video, simulate_events
+from tapfuse.events import EventStream, Timeline
 from tapfuse.tracker import (
     QueryPoint,
     TrackSet,
     _motion_encoding,
     _refiner_transformer,
-    _window_starts,
     _WindowPyramid,
     correlation_features,
     parse_track_set,
@@ -55,6 +48,12 @@ from tapfuse.weights import (
     WeightBundle,
 )
 
+from _tracker_oracle import (
+    count_state_calls,
+    dense_track_sequence,
+    drifting_weights,
+    small_sequence,
+)
 from test_fusion import traced_peak
 
 
@@ -595,42 +594,6 @@ class TestRefinerAllocationPeaks:
         assert max(peaks) > 3 * bound
 
 
-def small_sequence(seed=0, n_query=48, frame_every=4, size=32, width=None):
-    width = width or size
-    cfg = SceneConfig(width=width, height=size, duration_us=1_000_000,
-                      fps=n_query, objects=[
-                          SceneObject("gaussian_blob", (width / 2, size / 2),
-                                      (6.0, -4.0), 3.0, 2.0)])
-    video, gt = render_intensity_video(cfg)
-    stream = simulate_events(video, 0.2)
-    timeline = Timeline(
-        frame_times=[int(t) for t in video.frame_times[::frame_every]],
-        query_times=[int(t) for t in video.frame_times],
-        exposure_us=4000)
-    frames = video.frames[::frame_every]
-    return frames, timeline, stream, gt
-
-
-def count_state_calls(monkeypatch):
-    """Patch tracker's taf_init and taf_update, the names track_sequence
-    calls, to count their calls in the returned dict."""
-    import tapfuse.tracker as tracker
-
-    counts = {"taf_init": 0, "taf_update": 0}
-
-    def counted(name):
-        fn = getattr(tracker, name)
-
-        def wrapped(*args):
-            counts[name] += 1
-            return fn(*args)
-        return wrapped
-
-    for name in counts:
-        monkeypatch.setattr(tracker, name, counted(name))
-    return counts
-
-
 class TestTrackSequence:
     def test_scheduler_cadence(self, monkeypatch):
         frames, timeline, stream, _ = small_sequence()
@@ -765,59 +728,6 @@ class TestTrackSequence:
 # ---------------------------------------------------------------------------
 # Decoding each window only where the refiner reads
 # ---------------------------------------------------------------------------
-
-def drifting_weights(drift=5.0, **kw):
-    """The seeded init with small draws in every zero-init matrix, so every
-    layer contributes, and a refiner head bias that moves each estimate
-    drift px right per iteration, so the tracks cross tokens and leave the
-    sensor."""
-    weights = WeightBundle.initialize(FusionConfig(**kw), seed=0)
-    rng = np.random.default_rng(11)
-    for name, value in weights.params.items():
-        if value.ndim == 2 and not value.any():
-            weights.params[name] = rng.uniform(
-                -0.2, 0.2, size=value.shape) / np.sqrt(value.shape[0])
-    weights.params["ref.head.b"] = np.array([drift, 0.0, 0.0])
-    return weights
-
-
-def dense_track_sequence(frames, stream, timeline, queries, weights):
-    """track_sequence with every window decoded at all its tokens: temporal
-    attention and the decoder over the whole window, then refine_track on
-    the full levels. Returns (positions, visibility)."""
-    qtimes = list(timeline.query_times)
-    frame_at = {t: i for i, t in enumerate(timeline.frame_times)}
-    batches = bin_events(stream, timeline)
-    states = []
-    for step, t in enumerate(qtimes):
-        if t in frame_at:
-            batch = exposure_window_events(stream, t, timeline.exposure_us)
-            states.append(taf_init(frames[frame_at[t]], t, batch, weights))
-        else:
-            states.append(taf_update(states[-1], batches[step], weights))
-    n_steps, w = len(qtimes), weights.config.window
-    begin = [qtimes.index(q.t_q) for q in queries]
-    pos = np.array([[(q.x, q.y)] * n_steps for q in queries], dtype=float)
-    logit = np.ones((len(queries), n_steps))
-    for start in _window_starts(n_steps, w):
-        stop = min(start + w, n_steps)
-        window = states[start:stop]
-        x = temporal_attention(np.stack([s.tokens.values for s in window]),
-                               weights)
-        levels = decode_pyramid(
-            x.reshape(len(window), *window[0].tokens.grid, -1), weights)
-        for qi, a in enumerate(begin):
-            if a < stop:
-                p, lg = refine_track(pos[qi, start:stop],
-                                     logit[qi, start:stop], levels, weights)
-                pos[qi, start:stop], logit[qi, start:stop] = p, lg
-                pos[qi, stop:], logit[qi, stop:] = p[-1], lg[-1]
-    visibility = (logit > 0).astype(np.int64)
-    for qi, a in enumerate(begin):
-        pos[qi, :a] = queries[qi].x, queries[qi].y
-        visibility[qi, :a] = 0
-    return pos, visibility
-
 
 # the widths, then a 5 x 5 CLWF neighbourhood and 5 refiner iterations,
 # whose later passes reach tokens the first did not
@@ -1250,6 +1160,59 @@ class TestOnDemandDecode:
         for got, ref in zip(pyramid.levels, dense):
             assert got[:, want].tobytes() == ref[:, want].tobytes()
             assert np.isnan(got[:, ~want]).all()
+
+
+@st.composite
+def oracle_cases(draw):
+    """A model config, a sensor 1 to 12 tokens a side, 4 to 24 query steps,
+    a frame gap (one frame in all included), the seeded init or weights
+    that drift the tracks by a drawn step, and 1 to 4 queries starting at
+    any step: inside the sensor, in a corner or off it."""
+    patch = draw(st.sampled_from([4, 8]))
+    kw = dict(d=draw(st.sampled_from([4, 8, 17, 24])), patch=patch,
+              window=draw(st.sampled_from([2, 3, 4, 8, 16])),
+              patch_radius=draw(st.integers(0, 2)),
+              radius=draw(st.integers(0, 2)),
+              iterations=draw(st.integers(1, 3)))
+    width, height = (patch * draw(st.integers(1, 12)) for _ in range(2))
+    steps = draw(st.integers(4, 24))
+    frame_every = draw(st.sampled_from([1, 2, 3, 5, 8, steps]))
+    drift = draw(st.sampled_from([None, -5.0, 0.0, 2.5, 5.0]))
+    inside = st.tuples(st.floats(0.0, width - 1.0),
+                       st.floats(0.0, height - 1.0))
+    corner = st.tuples(st.sampled_from([0.0, width - 1.0]),
+                       st.sampled_from([0.0, height - 1.0]))
+    off = st.tuples(st.sampled_from([-3.0, width + 2.5]),
+                    st.floats(-10.0, height + 10.0))
+    queries = draw(st.lists(st.tuples(st.integers(0, steps - 1),
+                                      st.one_of(inside, corner, off)),
+                            min_size=1, max_size=4))
+    return kw, width, height, steps, frame_every, drift, queries
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=oracle_cases())
+def test_drawn_tracks_equal_the_dense_decode_and_each_query_alone(case):
+    """Over drawn configs, sensors, frame gaps, drift and query places, the
+    on-demand decode gives the dense decode's tracks to the last bit, and
+    each query's track is the one it gets when tracked alone."""
+    kw, width, height, steps, frame_every, drift, places = case
+    frames, timeline, stream, _ = small_sequence(
+        n_query=steps, frame_every=frame_every, size=height, width=width)
+    if drift is None:
+        weights = WeightBundle.initialize(FusionConfig(**kw), seed=0)
+    else:
+        weights = drifting_weights(drift=drift, **kw)
+    qs = [QueryPoint(int(timeline.query_times[step]), x, y)
+          for step, (x, y) in places]
+    want = dense_track_sequence(frames, stream, timeline, qs, weights)
+    got = track_sequence(frames, stream, timeline, qs, weights)
+    assert got.positions.tobytes() == want[0].tobytes()
+    assert got.visibility.tobytes() == want[1].tobytes()
+    for qi, q in enumerate(qs):
+        alone = track_sequence(frames, stream, timeline, [q], weights)
+        assert alone.positions.tobytes() == got.positions[qi].tobytes()
+        assert alone.visibility.tobytes() == got.visibility[qi].tobytes()
 
 
 class TestTrackFileFormat:
