@@ -20,15 +20,15 @@ A TransientState is the fused tokens and the time they stand for: a frame
 sets it and each event batch advances it. decode_pyramid returns a
 window's three levels as a plain tuple of arrays.
 
-taf_update's event side (event blocks, event tokens, keys and values)
-costs what the batch's events touch, and its state side (layer norm,
-query, softmax over the shared keys, output projection, residual) acts on
-one token row at a time; temporal attention attends across time at each
-token position, and the decoder mixes each token's channels. None of
-them mixes token positions, so the tracker runs them only at the tokens
-its refiner reads. A state holds every token row or none; one that holds
-none keeps its batch's keys, from which _update_rows computes any rows
-later.
+taf_update has two sides. Its event side, _update_keys, makes a batch's
+keys, values and key bias at a cost that follows the batch's events; its
+state side, _update_rows (layer norm, query, softmax over those keys,
+output projection, residual), acts on one token row at a time. Temporal
+attention attends across time at each token position, and the decoder
+mixes each token's channels. None of the row-wise parts mixes token
+positions, so the tracker runs them only at the tokens its refiner
+reads. A state holds every token row or none; one that holds none keeps
+its batch's keys, from which _update_rows computes any rows later.
 
 One rule makes those rows the dense computation's bit for bit, at every
 width: every product whose rows are tokens is _tiled, so each row's result
@@ -81,8 +81,8 @@ class Tokens:
 
 
 # an event batch's attention keys and values for taf_update's block, and the
-# logit bias per key (None when every patch holds an event)
-UpdateKeys = tuple[np.ndarray, np.ndarray, np.ndarray | None]
+# logit bias per key
+UpdateKeys = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -356,19 +356,25 @@ def _block_tables(grid: tuple[int, int], patch: int, B: int
     return tile, offset
 
 
-def _live_blocks(batch: EventBatch, grid: tuple[int, int], patch: int,
-                 B: int) -> tuple[np.ndarray, int]:
-    """The flattened time-surface blocks of batch's live patches, those
-    that hold a non-zero value, in row-major order, and the count of the
-    other patches: sbt_time_surface's blocks[live] without the surface.
+def _update_keys(batch: EventBatch, grid: tuple[int, int],
+                 weights: WeightBundle) -> UpdateKeys:
+    """taf_update's event side: the attention keys and values of batch's
+    event tokens on the token grid, and the logit bias per key. The keys
+    are those of the patches that hold a non-zero value, in row-major
+    order, then, if any patch is all zero, one key standing for them all,
+    whose bias is log(n_empty); every other bias is 0.
 
-    Each patch that holds an event gets a slot, in row-major order, and
-    the events' values are written straight into the slots' zeroed blocks
-    by the time surface's last-write rule, so the cost follows the events,
-    not the sensor. An event can still write ±0 (one whose time rounds
-    onto or below its sub-window's start in float64), so a slot that holds
-    only ±0 is dropped."""
+    Each patch that holds an event gets a slot of a zeroed buffer, in
+    row-major order, and the events' values are written straight into the
+    slots' blocks by the time surface's last-write rule, so the cost
+    follows the events, not the sensor. An event can still write ±0 (one
+    whose time rounds onto or below its sub-window's start in float64), so
+    a slot that holds only ±0 is dropped. An all-zero patch always
+    tokenizes to zeros @ phi_e.w + phi_e.b, so its n_empty copies give
+    n_empty equal keys and values; one copy, the buffer's last row, whose
+    logit is raised by log(n_empty) takes their joint softmax weight."""
     rows, cols = grid
+    patch, B = weights.config.patch, weights.config.subwindows
     pixels = _cells(batch, cols * patch, rows * patch)
     tile_of, offset_of = _block_tables(grid, patch, B)
     tile = tile_of[pixels]
@@ -376,34 +382,21 @@ def _live_blocks(batch: EventBatch, grid: tuple[int, int], patch: int,
     slot[tile] = 1
     np.cumsum(slot, out=slot)  # 1-based slots of the marked patches
     size = patch * patch * B
-    blocks = np.zeros((slot[-1], size))
+    blocks = np.zeros((slot[-1] + 1, size))
     b, val = _subwindow_values(batch, B)
     _last_write(blocks.reshape(-1),
                 (slot[tile] - 1) * size + offset_of[pixels] + b, val)
     live = blocks.any(axis=1)
-    return blocks[live], rows * cols - int(np.count_nonzero(live))
-
-
-def _live_event_tokens(batch: EventBatch, grid: tuple[int, int],
-                       weights: WeightBundle
-                       ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Event tokens of batch's time surface on the token grid as attention
-    keys: those of the patches that hold a non-zero value, then, if any
-    patch is all zero, one token standing for them all, and the logit bias
-    per key (None when no patch is all zero).
-
-    An all-zero patch always tokenizes to zeros @ phi_e.w + phi_e.b, so its
-    n_empty copies give n_empty equal keys and values; one copy whose logit
-    is raised by log(n_empty) takes their joint softmax weight."""
-    patch, B = weights.config.patch, weights.config.subwindows
-    proj = weights["phi_e.w"]
-    flat, n_empty = _live_blocks(batch, grid, patch, B)
-    key_bias = None
+    n_empty = rows * cols - int(np.count_nonzero(live))
+    live[-1] = n_empty > 0
+    key_bias = np.zeros(np.count_nonzero(live))
     if n_empty:
-        flat = np.concatenate([flat, np.zeros((1, proj.shape[0]))])
-        key_bias = np.zeros(len(flat))
         key_bias[-1] = np.log(n_empty)
-    return _linear(flat, proj, weights["phi_e.b"]), key_bias
+    etok = _linear(blocks[live], weights["phi_e.w"], weights["phi_e.b"])
+    hk = _layer_norm(etok, weights["upd.ln_events.g"],
+                     weights["upd.ln_events.b"])
+    return (*(_linear(hk, weights[f"upd.w{n}"], weights[f"upd.b{n}"])
+              for n in "kv"), key_bias)
 
 
 def _update_rows(values: np.ndarray, keys: UpdateKeys,
@@ -419,8 +412,7 @@ def _update_rows(values: np.ndarray, keys: UpdateKeys,
     q = _tiled(hq, weights["upd.wq"], weights["upd.bq"])
     logits = _tiled(q, k.T)
     logits /= np.sqrt(q.shape[1])
-    if key_bias is not None:
-        logits += key_bias
+    logits += key_bias
     read = _tiled(_softmax(logits), v)
     out = _tiled(read, weights["upd.wo"])
     out += values
@@ -444,11 +436,7 @@ def taf_update(state: TransientState, batch: EventBatch,
     if len(batch) == 0:
         return TransientState(tokens=state.tokens, state_time=batch.bin_end)
     tokens = state.tokens
-    etok, key_bias = _live_event_tokens(batch, tokens.grid, weights)
-    hk = _layer_norm(etok, weights["upd.ln_events.g"],
-                     weights["upd.ln_events.b"])
-    keys = (*(_linear(hk, weights[f"upd.w{n}"], weights[f"upd.b{n}"])
-              for n in "kv"), key_bias)
+    keys = _update_keys(batch, tokens.grid, weights)
     values = tokens.values
     if len(values):
         values = _update_rows(values, keys, weights)

@@ -88,7 +88,7 @@ def delta_avg_vis(pair: EvalPair,
                   thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS) -> float:
     """Fraction of reference-visible points with error under each threshold,
     averaged over thresholds."""
-    _check_thresholds(thresholds)
+    thresholds = _check_thresholds(thresholds)
     err = pair.normalized_errors
     vis = pair.reference.visibility.astype(bool)
     if not vis.any():
@@ -106,7 +106,7 @@ def occlusion_accuracy(pair: EvalPair) -> float | None:
 
 def average_jaccard(pair: EvalPair,
                     thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS) -> float:
-    _check_thresholds(thresholds)
+    thresholds = _check_thresholds(thresholds)
     err = pair.normalized_errors
     pvis = pair.predicted.visibility.astype(bool)
     rvis = pair.reference.visibility.astype(bool)
@@ -183,19 +183,28 @@ def speed_weighted_success(rve: np.ndarray, gt_speed: np.ndarray
     return curve, auc
 
 
-def _check_thresholds(thresholds: tuple[float, ...]) -> None:
-    """Raise GridMismatch for no thresholds or one outside THRESHOLD_DOMAIN."""
+def _check_thresholds(thresholds: tuple[float, ...]) -> tuple[float, ...]:
+    """The thresholds as Python floats. Raise GridMismatch for no
+    thresholds, one outside THRESHOLD_DOMAIN or one too large for a
+    float."""
     if not thresholds:
         raise GridMismatch("thresholds must be non-empty")
+    floats = []
     for th in thresholds:
         THRESHOLD_DOMAIN.check("threshold", th, GridMismatch)
+        try:
+            floats.append(float(th))
+        except OverflowError:
+            raise GridMismatch(
+                f"threshold = {th!r} is too large for a float") from None
+    return tuple(floats)
 
 
 def threshold_keys(thresholds: tuple[float, ...]) -> list[str]:
     """Each threshold's per_threshold key, f"{th:g}". Thresholds that print
-    alike would share one entry, so they raise GridMismatch naming it, as
-    do no thresholds and one outside THRESHOLD_DOMAIN."""
-    _check_thresholds(thresholds)
+    alike would share one entry, so they raise GridMismatch naming it; so
+    do the thresholds _check_thresholds refuses."""
+    thresholds = _check_thresholds(thresholds)
     keys = [f"{th:g}" for th in thresholds]
     for key in keys:
         if keys.count(key) > 1:
@@ -215,6 +224,7 @@ def evaluate(pair: EvalPair,
     def score(metric, ths):
         return metric(pair, ths) if ages.size else None
 
+    thresholds = _check_thresholds(thresholds)
     per_threshold = {
         key: {"jaccard": score(average_jaccard, (th,)),
               "delta_vis": score(delta_avg_vis, (th,))}
@@ -226,7 +236,7 @@ def evaluate(pair: EvalPair,
         delta_avg_vis=score(delta_avg_vis, thresholds),
         oa=occlusion_accuracy(pair),
         fa=fa if ages.size else None, efa=efa,
-        thresholds=tuple(thresholds),
+        thresholds=thresholds,
         per_threshold=per_threshold,
         per_track=per_track,
     )

@@ -295,7 +295,8 @@ def simulate_events(video: Iterable[tuple[np.ndarray, np.ndarray]],
 
     video is an IntensityVideo, or any iterable of (times, frames) chunks
     in time order as iterating one yields them. Each chunk is checked
-    positive and finite as it is read, and only the reference and the last
+    positive and finite as it is read, and each frame time must exceed the
+    one before it, across chunks too. Only the reference and the last
     frame's log and time pass from one chunk to the next, so the model
     holds one chunk of the video at a time.
 
@@ -319,10 +320,14 @@ def simulate_events(video: Iterable[tuple[np.ndarray, np.ndarray]],
     # each interval's (t, x, y, p) columns, in the stream's dtypes
     cols = [(np.zeros(0, np.uint64), np.zeros(0, np.uint16),
              np.zeros(0, np.uint16), np.zeros(0, np.int8))]
-    L1 = t0 = t1 = None     # t0 is set from the second frame on
+    L1 = t0 = t1 = t_last = None     # t0 is set from the second frame on
     for times, frames in video:
         _check_intensity(frames)
         for frame, t_frame in zip(frames, times):
+            if t_last is not None and t_frame <= t_last:
+                raise DegenerateScene(f"frame times must strictly increase: "
+                                      f"{t_frame} follows {t_last}")
+            t_last = int(t_frame)
             L0, L1 = L1, np.log(frame.reshape(-1))
             t0, t1 = t1, float(t_frame)
             if L0 is None:
@@ -331,7 +336,7 @@ def simulate_events(video: Iterable[tuple[np.ndarray, np.ndarray]],
                     raise GeometryViolation(
                         f"{W}x{H} video: event x and y are u16, so a side is "
                         f"at most {MAX_SENSOR_SIDE} px")
-                t_first = int(t_frame)
+                t_first = t_last
                 ref = L1.copy()
                 continue
             q = (L1 - ref) / c
@@ -361,7 +366,7 @@ def simulate_events(video: Iterable[tuple[np.ndarray, np.ndarray]],
     t, x, y, p = map(np.concatenate, zip(*cols))
     # the clip's upper bound, the last frame time, is known only now; it is
     # applied in int64, as the lower bound was, so t holds one np.clip's bits
-    t_last, t64 = int(t_frame), t.view(np.int64)
+    t64 = t.view(np.int64)
     np.minimum(t64, t_last, out=t64)
     return EventStream(t=t, x=x, y=y, p=p, width=W, height=H,
                        t_start=t_first, t_end=t_last)

@@ -249,14 +249,6 @@ def correlation_features(patches_per_level: list[np.ndarray],
     return np.concatenate(embeds, axis=-1)
 
 
-def _motion_encoding(rel: np.ndarray, n_freq: int) -> np.ndarray:
-    """Sinusoidal encoding of per-step motion relative to the window anchor;
-    rel is (..., W, 2), output (..., W, 4 * n_freq)."""
-    enc_x = sinusoidal_encoding(rel[..., 0], 2 * n_freq)
-    enc_y = sinusoidal_encoding(rel[..., 1], 2 * n_freq)
-    return np.concatenate([enc_x, enc_y], axis=-1)
-
-
 def _refiner_transformer(x: np.ndarray, weights: WeightBundle,
                          pe: np.ndarray) -> np.ndarray:
     """Pre-norm blocks of (temporal self-attention, token MLP) on
@@ -313,10 +305,12 @@ def refine_track(positions: np.ndarray, logits: np.ndarray,
             patches_per_level.append(
                 patch.reshape(*patch.shape[:-3], -1, patch.shape[-1]))
         desc = correlation_features(patches_per_level, weights)
+        # the motion relative to the window anchor: x's encoding, then y's
         rel = positions - positions[..., :1, :]
+        motion = sinusoidal_encoding(rel, 2 * MOTION_FREQS)
         tokens = np.concatenate(
-            [desc, logits[..., None],
-             _motion_encoding(rel, MOTION_FREQS)], axis=-1)
+            [desc, logits[..., None], motion.reshape(*rel.shape[:-1], -1)],
+            axis=-1)
         x = _linear(tokens, weights["ref.in.w"], weights["ref.in.b"])
         x = _refiner_transformer(x, weights, pe)
         delta = _linear(x, weights["ref.head.w"], weights["ref.head.b"])

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from _gradcheck import clwf_grad_max_rel_err, tattn_grad_max_rel_err
 from tapfuse.arrayio import tensor_record
@@ -33,7 +33,6 @@ from tapfuse.fusion import (
     _clwf_attention,
     _layer_norm,
     _linear,
-    _live_event_tokens,
     _neighbor_table,
     _patch_blocks,
     _residual_out,
@@ -41,6 +40,7 @@ from tapfuse.fusion import (
     _softmax,
     _temporal_attention_parts,
     _tiled,
+    _update_keys,
     _update_rows,
     clwf_backward,
     clwf_fuse,
@@ -939,20 +939,18 @@ def block_weights(patch, subwindows):
     return perturbed_weights(61, d=8, patch=patch, subwindows=subwindows)
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data(), rows=st.integers(1, 6), cols=st.integers(1, 6),
-       patch=st.sampled_from([1, 2, 4, 8]), subwindows=st.integers(1, 5),
-       bin_start=st.sampled_from([1000, 2**55]),
-       duration=st.sampled_from([1, 2, 3, 7, 10, 1000]))
-def test_live_event_tokens_equal_the_dense_path(
-        data, rows, cols, patch, subwindows, bin_start, duration):
-    """The events scattered into the live patches' blocks give the dense
-    path's key rows, key bias and live count bit for bit: sbt_time_surface,
-    _patch_blocks, a test of every patch for a non-zero value, _linear.
-    Events fall on patch borders and several on one cell; a patch whose
-    events all write ±0 (polarity 0, or a time past 2**55 that rounds onto
-    its sub-window's start) is not live."""
-    h, w = rows * patch, cols * patch
+@st.composite
+def keyed_batches(draw):
+    """A grid of rows x cols tokens of a patch size, a sub-window count,
+    and a batch in (bin_start, bin_start + duration]. Events fall on patch
+    borders and several on one cell; a patch whose events all write ±0
+    (polarity 0, or a time past 2**55 that rounds onto its sub-window's
+    start) is not live."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    patch = draw(st.sampled_from([1, 2, 4, 8]))
+    subwindows = draw(st.integers(1, 5))
+    bin_start = draw(st.sampled_from([1000, 2**55]))
+    duration = draw(st.sampled_from([1, 2, 3, 7, 10, 1000]))
 
     def coordinate(n):
         borders = sorted({k + e for k in range(0, n, patch)
@@ -961,32 +959,62 @@ def test_live_event_tokens_equal_the_dense_path(
 
     t = st.integers(bin_start + 1, bin_start + duration)
     p = st.sampled_from([-1, 0, 1])
-    events = data.draw(st.lists(st.builds(Event, x=coordinate(w),
-                                          y=coordinate(h), t=t, p=p),
-                                max_size=20))
-    events += [Event(e.x, e.y, data.draw(t), data.draw(p))
-               for e in data.draw(st.lists(st.sampled_from(events),
-                                           max_size=10))] if events else []
-    batch = make_batch(events, bin_start, bin_start + duration)
-    weights = block_weights(patch, subwindows)
-    keys, key_bias = _live_event_tokens(batch, (rows, cols), weights)
+    events = draw(st.lists(st.builds(Event, x=coordinate(cols * patch),
+                                     y=coordinate(rows * patch), t=t, p=p),
+                           max_size=20))
+    events += [Event(e.x, e.y, draw(t), draw(p))
+               for e in draw(st.lists(st.sampled_from(events),
+                                      max_size=10))] if events else []
+    return ((rows, cols), patch, subwindows,
+            make_batch(events, bin_start, bin_start + duration))
 
-    blocks = _patch_blocks(sbt_time_surface(batch, w, h, subwindows).data,
-                           weights, "phi_e")
-    live = blocks.any(axis=(2, 3, 4))
+
+# every patch of a 2 x 3 grid of 2-pixel patches holds a +1 event
+_FULL_BATCH = make_batch([Event(2 * c, 2 * r, 1500, 1)
+                          for r in range(2) for c in range(3)], 1000, 2000)
+# every event writes ±0: polarity 0, or a time that rounds onto 2**55
+_ZERO_BATCH = make_batch([Event(0, 0, 2**55 + 500, 0),
+                          Event(5, 3, 2**55 + 1, 1)], 2**55, 2**55 + 1000)
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=keyed_batches(), seed=st.integers(0, 2**16))
+@example(drawn=((2, 3), 2, 3, _FULL_BATCH), seed=0)
+@example(drawn=((2, 3), 2, 3, _ZERO_BATCH), seed=0)
+def test_update_keys_equal_the_dense_path(drawn, seed):
+    """_update_keys gives the dense path's keys, values and key bias bit
+    for bit: sbt_time_surface, _patch_blocks, the patches that hold a
+    non-zero value, then one all-zero patch if any is all zero, _linear,
+    the layer norm and the k, v projections. taf_update is those keys,
+    then _update_rows on the state's rows."""
+    grid, patch, subwindows, batch = drawn
+    (rows, cols), n = grid, grid[0] * grid[1]
+    weights = block_weights(patch, subwindows)
+    k, v, key_bias = _update_keys(batch, grid, weights)
+
+    blocks = _patch_blocks(sbt_time_surface(batch, cols * patch, rows * patch,
+                                            subwindows).data,
+                           weights, "phi_e").reshape(n, -1)
+    live = blocks.any(axis=1)
     n_live = int(np.count_nonzero(live))
-    flat = blocks[live].reshape(n_live, patch * patch * subwindows)
-    if n_live < live.size:
+    flat, want_bias = blocks[live], np.zeros(n_live)
+    if n_live < n:
         flat = np.concatenate([flat, np.zeros((1, flat.shape[1]))])
-        want_bias = np.zeros(n_live + 1)
-        want_bias[-1] = np.log(live.size - n_live)
-        assert np.array_equal(key_bias.view(np.uint64),
-                              want_bias.view(np.uint64))
-    else:
-        assert key_bias is None
-    want = _linear(flat, weights["phi_e.w"], weights["phi_e.b"])
-    assert len(keys) - (key_bias is not None) == n_live
-    assert np.array_equal(keys.view(np.uint64), want.view(np.uint64))
+        want_bias = np.append(want_bias, np.log(n - n_live))
+    hk = _layer_norm(_linear(flat, weights["phi_e.w"], weights["phi_e.b"]),
+                     weights["upd.ln_events.g"], weights["upd.ln_events.b"])
+    for got, name in ((k, "k"), (v, "v")):
+        want = _linear(hk, weights[f"upd.w{name}"], weights[f"upd.b{name}"])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(key_bias.view(np.uint64), want_bias.view(np.uint64))
+    assert len(k) == len(v) == n_live + (n_live < n)
+
+    if len(batch):
+        state = grid_state(np.random.default_rng(seed), grid, 8)
+        got = taf_update(state, batch, weights)
+        want = _update_rows(state.tokens.values, (k, v, key_bias), weights)
+        assert np.array_equal(got.tokens.values.view(np.uint64),
+                              want.view(np.uint64))
 
 
 def test_neighbor_table_is_cached_read_only():

@@ -240,6 +240,22 @@ class TestReport:
         with pytest.raises(GridMismatch, match="^threshold = .* outside"):
             evaluate(random_pair(9), (1.0, threshold), 8.0)
 
+    def test_numpy_integer_thresholds_enter_the_report_as_floats(self):
+        """(np.int64(2), 4.0) built a report whose to_json raised a builtin
+        TypeError: int64 is not JSON serializable."""
+        pair = random_pair(9)
+        report = evaluate(pair, (np.int64(2), 4.0), 8.0)
+        assert report.thresholds == (2.0, 4.0)
+        assert all(type(th) is float for th in report.thresholds)
+        assert report.to_json() == evaluate(pair, (2.0, 4.0), 8.0).to_json()
+
+    def test_a_threshold_too_large_for_a_float_is_refused(self):
+        """threshold_keys((10**400,)) raised a builtin OverflowError."""
+        with pytest.raises(GridMismatch, match="too large for a float$"):
+            metrics.threshold_keys((10**400,))
+        with pytest.raises(GridMismatch, match="too large for a float$"):
+            evaluate(random_pair(9), (1.0, 10**400), 8.0)
+
     def test_no_thresholds_is_refused_without_tracks(self):
         empty = TrackSet(times=np.arange(3), positions=np.zeros((0, 3, 2)),
                          visibility=np.zeros((0, 3)))

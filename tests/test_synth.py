@@ -185,6 +185,25 @@ class TestSimulate:
         with pytest.raises(DegenerateScene, match="^contrast = "):
             simulate_events(video, c)
 
+    @pytest.mark.parametrize("chunks, bad", [
+        ([([0, 1000, 500], 3)], "500 follows 1000"),
+        ([([0, 1000], 2), ([1000], 1)], "1000 follows 1000"),
+        ([([0], 1), ([1000, 2000], 2), ([1500], 1)], "1500 follows 2000")],
+        ids=["in-a-chunk", "repeat-across-chunks", "back-across-chunks"])
+    def test_chunk_times_that_do_not_strictly_increase_rejected(self, chunks,
+                                                                bad):
+        """A plain chunk iterable is not an IntensityVideo, which checks its
+        own times. Times [0, 1000, 500] gave 10 events and t_end = 500, and
+        chunks ([0, 1000], [1000]) put every down-crossing at 1000."""
+        ramp = iter(np.exp([0.0, 2.0, 0.0, 2.0]))
+        video = [(np.array(times),
+                  np.stack([np.full((2, 2), next(ramp)) for _ in range(n)]))
+                 for times, n in chunks]
+        with pytest.raises(DegenerateScene,
+                           match=f"^frame times must strictly increase: "
+                                 f"{bad}$"):
+            simulate_events(video, c=0.2)
+
     def test_step_crossing_count(self):
         c = 0.2
         video = single_pixel_video([0.0, 2.5 * c], [0, 1000])

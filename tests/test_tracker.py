@@ -20,7 +20,6 @@ from tapfuse.events import EventStream, Timeline
 from tapfuse.tracker import (
     QueryPoint,
     TrackSet,
-    _motion_encoding,
     _refiner_transformer,
     _WindowPyramid,
     correlation_features,
@@ -279,8 +278,9 @@ def loop_refine_track(positions, logits, dense_levels, weights):
         desc = correlation_features(patches_per_level, weights)
         rel = positions - positions[0]
         tokens = np.concatenate(
-            [desc, logits[:, None],
-             _motion_encoding(rel, MOTION_FREQS)], axis=1)
+            [desc, logits[:, None]]
+            + [sinusoidal_encoding(rel[:, axis], 2 * MOTION_FREQS)
+               for axis in (0, 1)], axis=1)
         x = tokens @ weights["ref.in.w"] + weights["ref.in.b"]
         x = _refiner_transformer(
             x, weights, sinusoidal_encoding(np.arange(len(x)), REFINER_WIDTH))
